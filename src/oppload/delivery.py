@@ -16,6 +16,18 @@ build on each other:
 * *delivery probability*: the probability that a data item fully traverses
   the path within the deadline, summing over the number of contacts each
   hop needs.
+
+Delivery probabilities are evaluated by a :class:`PathKernel`, compiled once
+per (hops, data size) pair: the weights, gamma shapes and rates of every
+contact-count tuple depend on that pair only, so a query is one vectorised
+``gammainc`` call over them at the deadline's time budget.  Compiled kernels
+sit in an LRU cache of ``_KERNEL_CACHE`` entries.  A kernel keeps at most
+``_DENSE_TUPLES`` tuples (about 1.6 MB of arrays for a full cache) plus
+three vectors of ``ceil(D / beta)`` floats per hop; larger tuple spaces are
+expanded again, ``_CHUNK`` tuples at a time, on each query.  The kernel is
+bit-identical to summing the formula tuple by tuple: it visits tuples in
+``itertools.product`` order, forms weights and the moments ``M``, ``V`` hop
+by hop, and sums left to right.
 """
 
 from __future__ import annotations
@@ -25,6 +37,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
+from scipy import special as _special
 
 from .contacts import PairContactParams, log_beta, reg_lower_incomplete_gamma
 from .errors import ComplexityError
@@ -39,6 +54,8 @@ __all__ = [
     "transfer_prob",
     "delivery_prob_onehop",
     "delivery_prob_path",
+    "PathKernel",
+    "path_kernel",
     "path_capacity",
     "DEFAULT_TUPLE_CAP",
 ]
@@ -50,6 +67,16 @@ DEFAULT_TUPLE_CAP = 10**6
 _ALPHA_ONE_TOL = 1e-9
 
 _CEIL_GUARD = 1e-9
+
+# Kernels of at most this many terms stay Python floats and use scalar
+# gammainc calls: below it numpy's per-call overhead costs more than it saves.
+_SCALAR_TERMS = 8
+# Tuple spaces up to _DENSE_TUPLES are expanded once and kept as arrays;
+# larger ones are expanded again on every evaluation, about _CHUNK tuples
+# (whole rows of the last hop's counts) at a time.
+_DENSE_TUPLES = 256
+_CHUNK = 1 << 14
+_KERNEL_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -188,6 +215,199 @@ def _needed_contacts(data_size: float, beta: float) -> int:
     return max(1, math.ceil(data_size / beta - _CEIL_GUARD))
 
 
+def _exact_success(
+    hop: PairContactParams, data_size: float, limit: int, stop_when_certain: bool
+) -> list[float]:
+    """P(the hop carries ``data_size`` at exactly n contacts), n = 1..limit.
+
+    The increments ``TP(n) - TP(n-1)`` of :func:`transfer_prob`; with
+    ``stop_when_certain`` the list ends at the first n where ``TP(n) >= 1``.
+    """
+    exact = []
+    prev = 0.0
+    for n in range(1, limit + 1):
+        success = transfer_prob(hop, n, data_size)
+        exact.append(success - prev)
+        if stop_when_certain and success >= 1.0:
+            break
+        prev = success
+    return exact
+
+
+def _check_gamma(shape: float, rate: float) -> None:
+    if not (math.isfinite(shape) and shape > 0 and math.isfinite(rate) and rate > 0):
+        raise ValueError(f"gamma shape and rate must be finite and > 0, got ({shape!r}, {rate!r})")
+
+
+class PathKernel:
+    """The delivery estimator of one (hops, data size) pair, any deadline.
+
+    Everything but the deadline is fixed by the pair: the serial
+    transmission time ``T' = sum(D / rate_i)``, each hop's probability of
+    succeeding at exactly ``n`` contacts, and every contact-count tuple's
+    weight, gamma shape and gamma rate.  :meth:`prob` answers a deadline
+    ``T`` as ``sum(w * gammainc(shape, rate * (T - T')))`` over the tuples
+    in ``itertools.product`` order, summed left to right, so it returns
+    the same floats as evaluating the formula tuple by tuple.
+
+    One hop uses shape ``n`` and rate ``lambda`` (the Erlang CDF), ends at
+    the first certain success and at the first zero CDF, and is never
+    capped.  Several hops use the moment-matched gamma of
+    :func:`gamma_approx`, with ``M`` and ``V`` summed hop by hop, and skip
+    zero-weight tuples.
+
+    Terms are compiled on the first evaluation with a positive time
+    budget.  Up to ``_SCALAR_TERMS`` of them are kept as Python floats and
+    evaluated with scalar calls; tuple spaces up to ``_DENSE_TUPLES`` are
+    kept as arrays; larger ones keep only per-hop vectors and are expanded
+    again, ``_CHUNK`` tuples at a time, by every evaluation.
+    """
+
+    def __init__(self, hops: tuple[PairContactParams, ...], data_size: float) -> None:
+        self.hops = hops
+        self.data_size = data_size
+        self.transmission = sum(data_size / hop.rate for hop in hops)
+        self.limits = tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
+        self.tuples = math.prod(self.limits)
+        self._compiled = False
+        self._scalar: list[tuple[float, float, float]] | None = None
+        self._dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def prob(self, deadline: float, tuple_cap: int | None = None) -> float:
+        """Delivery probability within ``deadline``.
+
+        Raises:
+            ComplexityError: a multi-hop tuple space exceeds ``tuple_cap``
+                (checked only once the deadline covers ``T'``, and before
+                any tuple is enumerated).
+        """
+        budget = deadline - self.transmission
+        if budget <= 0:
+            return 0.0
+        onehop = len(self.hops) == 1
+        if tuple_cap is not None and not onehop and self.tuples > tuple_cap:
+            raise ComplexityError(
+                f"path would require enumerating {self.tuples} contact tuples "
+                f"(cap {tuple_cap}); the query is too large for this estimator"
+            )
+        if not self._compiled:
+            self._compile()
+        total = 0.0
+        if self._scalar is not None:
+            for weight, shape, rate in self._scalar:
+                in_time = reg_lower_incomplete_gamma(shape, rate * budget)
+                if onehop and in_time == 0.0:
+                    break
+                total += weight * in_time
+            return min(max(total, 0.0), 1.0)
+        for weight, shape, rate in self._blocks():
+            x = rate * budget
+            if not np.isfinite(x).all():
+                raise ValueError(f"gamma argument overflows at time budget {budget!r}")
+            in_time = _special.gammainc(shape, x)
+            stop = False
+            if onehop:
+                zeros = np.flatnonzero(in_time == 0.0)
+                if zeros.size:
+                    weight, in_time, stop = weight[: zeros[0]], in_time[: zeros[0]], True
+            terms = weight * in_time
+            if terms.size:
+                # carry the running total so the sum stays left to right
+                terms[0] += total
+                total = float(np.cumsum(terms)[-1])
+            if stop:
+                break
+        total += 0.0  # a sum started at +0.0 never ends at -0.0
+        return min(max(total, 0.0), 1.0)
+
+    def _compile(self) -> None:
+        size = self.data_size
+        self._compiled = True
+        if len(self.hops) == 1:
+            hop = self.hops[0]
+            exact = _exact_success(hop, size, self.limits[0], stop_when_certain=True)
+            if len(exact) <= _SCALAR_TERMS:
+                self._scalar = [(w, float(n), hop.contact_rate) for n, w in enumerate(exact, 1)]
+            else:
+                count = len(exact)
+                self._dense = (
+                    np.array(exact),
+                    np.arange(1.0, count + 1.0),
+                    np.full(count, hop.contact_rate),
+                )
+            return
+        exact = [
+            _exact_success(hop, size, limit, stop_when_certain=False)
+            for hop, limit in zip(self.hops, self.limits)
+        ]
+        lambdas = [hop.contact_rate for hop in self.hops]
+        if self.tuples <= _SCALAR_TERMS:
+            self._scalar = []
+            for combo in itertools.product(*(range(1, limit + 1) for limit in self.limits)):
+                weight = 1.0
+                mean = var = 0.0
+                for hop_exact, n, lam in zip(exact, combo, lambdas):
+                    weight *= hop_exact[n - 1]
+                    mean += n / lam
+                    var += n / (lam * lam)
+                if weight != 0.0:
+                    _check_gamma(mean * mean / var, mean / var)
+                    self._scalar.append((weight, mean * mean / var, mean / var))
+            return
+        for hop_exact, limit, lam in zip(exact, self.limits, lambdas):
+            counts = np.arange(1.0, limit + 1.0)
+            self._per_hop.append((np.array(hop_exact), counts / lam, counts / (lam * lam)))
+        if self.tuples <= _DENSE_TUPLES:
+            dense = self._expand(0, self.tuples // self.limits[-1])
+            self._per_hop = []
+            if len(dense[0]) <= _SCALAR_TERMS:
+                self._scalar = list(zip(*(a.tolist() for a in dense)))
+            else:
+                self._dense = dense
+
+    def _expand(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights, shapes and rates of the nonzero-weight tuples in rows
+        ``start..stop-1`` of the product order, a row being every count of
+        the last hop after one count tuple of the hops before it."""
+        *outer, (last_exact, last_mean, last_var) = self._per_hop
+        index = np.unravel_index(np.arange(start, stop), self.limits[:-1])
+        (exact, mean_step, var_step), *rest = outer
+        weight, mean, var = exact[index[0]], mean_step[index[0]], var_step[index[0]]
+        for (exact, mean_step, var_step), i in zip(rest, index[1:]):
+            weight = weight * exact[i]
+            mean = mean + mean_step[i]
+            var = var + var_step[i]
+        weight = np.multiply.outer(weight, last_exact).ravel()
+        mean = np.add.outer(mean, last_mean).ravel()
+        var = np.add.outer(var, last_var).ravel()
+        keep = weight != 0.0
+        weight, mean, var = weight[keep], mean[keep], var[keep]
+        shape, rate = mean * mean / var, mean / var
+        if weight.size:
+            _check_gamma(float(shape.min()), float(rate.min()))
+            _check_gamma(float(shape.max()), float(rate.max()))
+        return weight, shape, rate
+
+    def _blocks(self):
+        if self._dense is not None:
+            weight, shape, rate = self._dense
+            for start in range(0, len(weight), _CHUNK):
+                end = start + _CHUNK
+                yield weight[start:end], shape[start:end], rate[start:end]
+        else:
+            rows = self.tuples // self.limits[-1]
+            step = max(1, _CHUNK // self.limits[-1])
+            for start in range(0, rows, step):
+                yield self._expand(start, min(start + step, rows))
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def path_kernel(hops: tuple[PairContactParams, ...], data_size: float) -> PathKernel:
+    """The compiled kernel of ``(hops, data_size)``, from a bounded cache."""
+    return PathKernel(hops, data_size)
+
+
 def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:
     """Delivery probability of a data item over a single hop.
 
@@ -201,26 +421,11 @@ def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:
     and the exactly-i factor is the increment ``TP(i) - TP(i-1)`` of the
     cumulative transfer probability from :func:`transfer_prob` (the
     within-i-contacts success events are nested, so consecutive increments
-    decompose them disjointly).  Returns 0 when the deadline cannot even
-    cover the transmission time.
+    decompose them disjointly).  The sum ends at the first ``i`` with
+    ``TP(i) = 1`` or a zero in-time factor.  Returns 0 when the deadline
+    cannot even cover the transmission time.
     """
-    time_budget = query.deadline - query.data_size / hop.rate
-    if time_budget <= 0:
-        return 0.0
-    x = hop.contact_rate * time_budget
-    last = _needed_contacts(query.data_size, hop.beta)
-    total = 0.0
-    prev = 0.0
-    for i in range(1, last + 1):
-        in_time = reg_lower_incomplete_gamma(i, x)
-        if in_time == 0.0:
-            break
-        success = transfer_prob(hop, i, query.data_size)
-        total += (success - prev) * in_time
-        if success >= 1.0:
-            break
-        prev = success
-    return min(max(total, 0.0), 1.0)
+    return path_kernel((hop,), query.data_size).prob(query.deadline)
 
 
 def delivery_prob_path(
@@ -234,8 +439,9 @@ def delivery_prob_path(
     :func:`delivery_prob_onehop`, times the probability that the total
     contact waiting time fits in the deadline minus the serial transmission
     time ``T' = sum(D / rate_i)``, evaluated through the moment-matched
-    gamma for that tuple.  Single-hop paths are computed by
-    :func:`delivery_prob_onehop`, to which this reduces.
+    gamma for that tuple.  Single-hop paths reduce to
+    :func:`delivery_prob_onehop` and are not capped.  Evaluated by the
+    cached :class:`PathKernel` of ``(path.hops, query.data_size)``.
 
     Args:
         path: the path.
@@ -245,45 +451,7 @@ def delivery_prob_path(
     Raises:
         ComplexityError: the tuple space exceeds ``tuple_cap``.
     """
-    if len(path) == 1:
-        return delivery_prob_onehop(path.hops[0], query)
-
-    transmission = sum(query.data_size / hop.rate for hop in path.hops)
-    time_budget = query.deadline - transmission
-    if time_budget <= 0:
-        return 0.0
-
-    limits = [_needed_contacts(query.data_size, hop.beta) for hop in path.hops]
-    tuple_count = math.prod(limits)
-    if tuple_count > tuple_cap:
-        raise ComplexityError(
-            f"path would require enumerating {tuple_count} contact tuples "
-            f"(cap {tuple_cap}); the query is too large for this estimator"
-        )
-
-    # Per-hop probability of success at exactly n contacts, n = 1..limit.
-    exact: list[list[float]] = []
-    for hop, limit in zip(path.hops, limits):
-        probs = [transfer_prob(hop, n, query.data_size) for n in range(1, limit + 1)]
-        exact.append(
-            [probs[n - 1] - (probs[n - 2] if n > 1 else 0.0) for n in range(1, limit + 1)]
-        )
-
-    lambdas = [hop.contact_rate for hop in path.hops]
-    total = 0.0
-    for combo in itertools.product(*(range(1, limit + 1) for limit in limits)):
-        weight = 1.0
-        for hop_index, n in enumerate(combo):
-            weight *= exact[hop_index][n - 1]
-            if weight == 0.0:
-                break
-        if weight == 0.0:
-            continue
-        approx = gamma_approx(combo, lambdas)
-        total += weight * reg_lower_incomplete_gamma(
-            approx.gamma_shape, approx.delta_rate * time_budget
-        )
-    return min(max(total, 0.0), 1.0)
+    return path_kernel(path.hops, query.data_size).prob(query.deadline, tuple_cap)
 
 
 def path_capacity(path: PathSpec) -> float:

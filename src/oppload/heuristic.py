@@ -15,8 +15,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from .contacts import reg_lower_incomplete_gamma
 from .delivery import (
     DeliveryQuery,
     PathSpec,
@@ -85,6 +86,55 @@ def _route_path(network: Network, route: Sequence[int]) -> PathSpec:
     return PathSpec(tuple(hops))
 
 
+def _settle(
+    network: Network, u: int, deadline: float, excluded: set[EdgeKey]
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Yield ``(route, availability)`` for each node as the search settles it.
+
+    The source comes first with label 1.  A label carries its route's
+    running ``M = sum(1/lambda)`` and ``V = sum(1/lambda**2)``, summed in
+    route order as :func:`availability` sums them, so extending a route by
+    one hop gives that function's value without rebuilding the path.
+    """
+    # node -> (availability, hops, route, M, V)
+    best: dict[int, tuple[float, int, tuple[int, ...], float, float]] = {
+        u: (1.0, 0, (u,), 0.0, 0.0)
+    }
+    settled: set[int] = set()
+    # heap orders by (-availability, hops, route)
+    heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, (u,))]
+    while heap:
+        neg_q, hops, route = heapq.heappop(heap)
+        node = route[-1]
+        if node in settled:
+            continue
+        q, _, best_route, mean, var = best[node]
+        if (-neg_q, route) != (q, best_route):
+            continue
+        settled.add(node)
+        yield route, q
+        for neighbor in network.neighbors(node):
+            if neighbor in settled or neighbor in route:
+                continue
+            if edge_key(node, neighbor) in excluded:
+                continue
+            lam = network.edge_params(node, neighbor).contact_rate
+            next_mean = mean + 1 / lam
+            next_var = var + 1 / (lam * lam)
+            candidate_q = reg_lower_incomplete_gamma(
+                next_mean * next_mean / next_var, next_mean / next_var * deadline
+            )
+            candidate = route + (neighbor,)
+            incumbent = best.get(neighbor)
+            if incumbent is None or (-candidate_q, hops + 1, candidate) < (
+                -incumbent[0],
+                incumbent[1],
+                incumbent[2],
+            ):
+                best[neighbor] = (candidate_q, hops + 1, candidate, next_mean, next_var)
+                heapq.heappush(heap, (-candidate_q, hops + 1, candidate))
+
+
 def dijkstra_max_q(
     network: Network,
     u: int,
@@ -96,10 +146,10 @@ def dijkstra_max_q(
 
     Label-setting search in the style of Dijkstra, except that the label of
     a candidate route is the availability of the whole route within the
-    deadline, recomputed at every relaxation.  The unvisited node with the
-    highest availability is settled next; ties break toward fewer hops and
-    then the lexicographically smallest route.  Edges in ``excluded_edges``
-    are ignored.
+    deadline, recomputed at every relaxation from the route's running
+    moments.  The unvisited node with the highest availability is settled
+    next; ties break toward fewer hops and then the lexicographically
+    smallest route.  Edges in ``excluded_edges`` are ignored.
 
     Returns the route as a node tuple, or None when ``v`` is unreachable.
     Availability of whole candidate routes is not additive along edges, so
@@ -107,39 +157,11 @@ def dijkstra_max_q(
     """
     if u == v:
         raise ValueError("source and destination coincide")
-    excluded = set(excluded_edges)
-
-    best: dict[int, tuple[float, int, tuple[int, ...]]] = {u: (1.0, 0, (u,))}
-    settled: set[int] = set()
-    # heap orders by (-availability, hops, route)
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, (u,))]
-    while heap:
-        neg_q, hops, route = heapq.heappop(heap)
-        node = route[-1]
-        if node in settled:
-            continue
-        current = best.get(node)
-        if current is None or (-neg_q, hops, route) != (current[0], current[1], current[2]):
-            continue
-        settled.add(node)
-        if node == v:
+    if not (math.isfinite(deadline) and deadline >= 0):
+        raise ValueError(f"deadline must be finite and >= 0, got {deadline!r}")
+    for route, _ in _settle(network, u, deadline, set(excluded_edges)):
+        if route[-1] == v:
             return route
-        for neighbor in network.neighbors(node):
-            if neighbor in settled or neighbor in route:
-                continue
-            if edge_key(node, neighbor) in excluded:
-                continue
-            candidate = route + (neighbor,)
-            q = availability(_route_path(network, candidate), deadline)
-            entry = (q, len(candidate) - 1, candidate)
-            incumbent = best.get(neighbor)
-            if incumbent is None or (-entry[0], entry[1], entry[2]) < (
-                -incumbent[0],
-                incumbent[1],
-                incumbent[2],
-            ):
-                best[neighbor] = entry
-                heapq.heappush(heap, (-q, entry[1], candidate))
     return None
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .contacts import PairContactParams, fit_exponential, fit_pareto
-from .errors import FittingError, GenerationError, IngestionError
+from .errors import ConfigError, FittingError, GenerationError, IngestionError
 
 __all__ = [
     "Network",
@@ -350,15 +350,23 @@ def network_to_json(network: Network) -> dict:
 
 
 def network_from_json(payload: dict) -> Network:
-    edges = {
-        edge_key(int(entry["a"]), int(entry["b"])): PairContactParams(
+    """Rebuild a network from :func:`network_to_json` output.
+
+    Raises:
+        ConfigError: an edge is listed twice, in either orientation.
+    """
+    edges: dict[EdgeKey, PairContactParams] = {}
+    for entry in payload["edges"]:
+        a, b = int(entry["a"]), int(entry["b"])
+        key = edge_key(a, b)
+        if key in edges:
+            raise ConfigError(f"edge ({a}, {b}) repeats edge {key}; list each node pair once")
+        edges[key] = PairContactParams(
             contact_rate=float(entry["lambda"]),
             alpha=float(entry["alpha"]),
             beta=float(entry["beta"]),
             rate=float(entry["rate"]),
         )
-        for entry in payload["edges"]
-    }
     return Network(
         node_count=int(payload["nodes"]),
         infrastructure_id=int(payload["infrastructure"]),

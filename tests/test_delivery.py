@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oppload as ol
+from oppload.contacts import reg_lower_incomplete_gamma
+from oppload.delivery import _CHUNK, path_kernel
 from oppload.errors import ComplexityError
 
 
@@ -229,6 +232,129 @@ class TestDeliveryPath:
             except ComplexityError:
                 continue
             assert 0.0 <= value <= 1.0
+
+
+def needed(size, beta):
+    return max(1, math.ceil(size / beta - 1e-9))
+
+
+def reference_onehop(h, size, deadline):
+    """The estimator summed term by term, as a scalar loop."""
+    budget = deadline - size / h.rate
+    if budget <= 0:
+        return 0.0
+    total = prev = 0.0
+    for i in range(1, needed(size, h.beta) + 1):
+        in_time = reg_lower_incomplete_gamma(i, h.contact_rate * budget)
+        if in_time == 0.0:
+            break
+        success = ol.transfer_prob(h, i, size)
+        total += (success - prev) * in_time
+        if success >= 1.0:
+            break
+        prev = success
+    return min(max(total, 0.0), 1.0)
+
+
+def reference_path(hops, size, deadline):
+    """The k-hop estimator summed tuple by tuple in product order."""
+    if len(hops) == 1:
+        return reference_onehop(hops[0], size, deadline)
+    budget = deadline - sum(size / h.rate for h in hops)
+    if budget <= 0:
+        return 0.0
+    exact = []
+    for h in hops:
+        probs = [ol.transfer_prob(h, n, size) for n in range(1, needed(size, h.beta) + 1)]
+        exact.append([p - (probs[n - 1] if n else 0.0) for n, p in enumerate(probs)])
+    total = 0.0
+    for combo in itertools.product(*(range(1, len(e) + 1) for e in exact)):
+        weight = 1.0
+        for e, n in zip(exact, combo):
+            weight *= e[n - 1]
+        if weight == 0.0:
+            continue
+        g = ol.gamma_approx(combo, [h.contact_rate for h in hops])
+        total += weight * reg_lower_incomplete_gamma(g.gamma_shape, g.delta_rate * budget)
+    return min(max(total, 0.0), 1.0)
+
+
+class TestPathKernel:
+    def test_bit_identical_to_scalar_reference(self):
+        rng = np.random.default_rng(53)
+        for _ in range(150):
+            k = int(rng.integers(1, 4))
+            hops = tuple(
+                hop(
+                    lam=float(10 ** rng.uniform(-3, 0)),
+                    alpha=float(rng.uniform(0.5, 8.0)),
+                    beta=float(10 ** rng.uniform(-0.3, 1)),
+                    rate=float(10 ** rng.uniform(-1, 2)),
+                )
+                for _ in range(k)
+            )
+            size = float(10 ** rng.uniform(-1, 1.3))
+            for deadline in 10 ** rng.uniform(0, 3.5, size=2):
+                query = ol.DeliveryQuery(size, float(deadline))
+                assert ol.delivery_prob_path(ol.PathSpec(hops), query) == reference_path(
+                    hops, size, float(deadline)
+                )
+
+    def test_bit_identical_beyond_one_chunk(self):
+        rng = np.random.default_rng(59)
+        for size in (70.0, 80.0):
+            hops = tuple(
+                hop(lam=float(rng.uniform(0.01, 0.1)), alpha=float(rng.uniform(2, 8)), beta=2.5)
+                for _ in range(3)
+            )
+            assert needed(size, 2.5) ** 3 > _CHUNK
+            for deadline in (900.0, 3000.0):
+                got = ol.delivery_prob_path(ol.PathSpec(hops), ol.DeliveryQuery(size, deadline))
+                assert got == reference_path(hops, size, deadline)
+                assert 0.0 < got < 1.0
+
+    def test_one_hop_certain_success_ends_the_sum(self):
+        # small shapes make the transfer probability round to 1 well before
+        # ceil(D / beta) contacts: at 21 of 30, 70 of 100 and 424 of 800
+        for alpha, beta, size in ((0.05, 1.0, 30.0), (0.2, 1.0, 100.0), (0.4, 0.5, 400.0)):
+            h = hop(lam=0.05, alpha=alpha, beta=beta)
+            assert ol.transfer_prob(h, int(0.9 * needed(size, beta)), size) == 1.0
+            # at deadline 500 the size-400 item's Erlang CDF underflows to 0
+            # from 245 contacts on, which ends that sum early too
+            for deadline in (50.0, 500.0, 5000.0):
+                query = ol.DeliveryQuery(size, deadline)
+                assert ol.delivery_prob_onehop(h, query) == reference_onehop(h, size, deadline)
+                assert ol.delivery_prob_path(ol.PathSpec((h,)), query) == reference_onehop(
+                    h, size, deadline
+                )
+
+    def test_cold_and_warm_cache_agree(self):
+        hops = (hop(lam=0.03, alpha=3.0), hop(lam=0.07, alpha=5.0, beta=1.5))
+        deadlines = [120.0, 40.0, 600.0, 250.0, 40.0, 1e4]
+        path = ol.PathSpec(hops)
+        cold = []
+        for deadline in deadlines:
+            path_kernel.cache_clear()
+            cold.append(ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, deadline)))
+        path_kernel.cache_clear()
+        warm = [ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, d)) for d in deadlines]
+        interleaved = [
+            ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, d)) for d in reversed(deadlines)
+        ]
+        assert cold == warm == interleaved[::-1]
+        assert path_kernel.cache_info().hits >= len(deadlines) * 2 - 1
+
+    def test_cap_holds_after_smaller_queries_are_cached(self):
+        path = ol.PathSpec((hop(beta=1.0), hop(beta=1.0)))
+        small = ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0), tuple_cap=400)
+        assert small > 0.0
+        with pytest.raises(ComplexityError):
+            ol.delivery_prob_path(path, ol.DeliveryQuery(21.0, 500.0), tuple_cap=400)
+        with pytest.raises(ComplexityError):
+            ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0), tuple_cap=399)
+        # a deadline below the transmission time answers 0 before the cap
+        assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 30.0), tuple_cap=1) == 0.0
+        assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0), tuple_cap=400) == small
 
 
 class TestPathCapacity:

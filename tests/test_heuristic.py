@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import oppload as ol
 from oppload.errors import PlanningError
-from oppload.heuristic import _alloc_prob
+from oppload.heuristic import _alloc_prob, _route_path, _settle
 from oppload.netgraph import Network, edge_key
 
 from conftest import TWO_PATH_DEADLINE, TWO_PATH_SIZE, random_small_instance
@@ -45,6 +46,70 @@ class TestDijkstraMaxQ:
         net = simple_net({(0, 1): params(), (1, 2): params()}, n=3, infra=2)
         route = ol.dijkstra_max_q(net, 0, 2, 100.0, excluded_edges={(1, 2)})
         assert route is None
+
+
+def criterion_7_network():
+    return ol.generate_synthetic(
+        ol.SyntheticConfig(
+            n=50,
+            avg_degree=10,
+            max_degree=15,
+            weight_exponent=2.0,
+            node_alpha_range=(6.0, 10.0),
+            node_beta_range=(2.0, 3.0),
+            infra_alpha_range=(3.0, 4.0),
+            infra_beta_range=(2.0, 3.0),
+            infra_lambda_range=(0.002, 0.02),
+            rate=1.0,
+            seed=42,
+        )
+    )
+
+
+def reference_dijkstra(network, u, v, deadline):
+    """The search with every label recomputed by ``availability`` on the
+    whole candidate route."""
+    best = {u: (1.0, 0, (u,))}
+    settled = set()
+    heap = [(-1.0, 0, (u,))]
+    while heap:
+        neg_q, hops, route = heapq.heappop(heap)
+        node = route[-1]
+        if node in settled or (-neg_q, hops, route) != best[node]:
+            continue
+        settled.add(node)
+        if node == v:
+            return route
+        for neighbor in network.neighbors(node):
+            if neighbor in settled or neighbor in route:
+                continue
+            candidate = route + (neighbor,)
+            q = ol.availability(_route_path(network, candidate), deadline)
+            entry = (q, len(candidate) - 1, candidate)
+            incumbent = best.get(neighbor)
+            if incumbent is None or (-q, entry[1], candidate) < (
+                -incumbent[0],
+                incumbent[1],
+                incumbent[2],
+            ):
+                best[neighbor] = entry
+                heapq.heappush(heap, (-q, entry[1], candidate))
+    return None
+
+
+class TestRunningMomentLabels:
+    @pytest.mark.parametrize("deadline", [300.0, 3000.0])
+    def test_labels_and_routes_match_whole_route_availability(self, deadline):
+        net = criterion_7_network()
+        infra = net.infrastructure_id
+        for source in net.mobile_nodes():
+            settled = list(_settle(net, source, deadline, set()))
+            assert len(settled) == net.node_count
+            for route, q in settled[1:]:
+                assert q == ol.availability(_route_path(net, route), deadline)
+            assert ol.dijkstra_max_q(net, source, infra, deadline) == reference_dijkstra(
+                net, source, infra, deadline
+            )
 
 
 class TestAllocatePaths:

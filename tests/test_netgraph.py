@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oppload as ol
-from oppload.errors import IngestionError
+from oppload.errors import ConfigError, IngestionError
 from oppload.netgraph import edge_key
 
 
@@ -176,6 +176,17 @@ class TestSerialization:
             set(entry) == {"a", "b", "lambda", "alpha", "beta", "rate"}
             for entry in payload["edges"]
         )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_repeated_edge_is_rejected(self, reverse):
+        net = ol.generate_synthetic(table_config(n=5, avg_degree=2, max_degree=3, seed=7))
+        payload = ol.network_to_json(net)
+        first = payload["edges"][0]
+        a, b = (first["b"], first["a"]) if reverse else (first["a"], first["b"])
+        # a different alpha: unchecked, this entry would silently replace the first
+        payload["edges"].append(dict(first, a=a, b=b, alpha=9.0))
+        with pytest.raises(ConfigError, match=rf"\({a}, {b}\)"):
+            ol.network_from_json(payload)
 
     def test_trace_csv_round_trip(self, tmp_path):
         records = [
