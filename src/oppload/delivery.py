@@ -22,12 +22,12 @@ per (hops, data size) pair: the weights, gamma shapes and rates of every
 contact-count tuple depend on that pair only, so a query is one vectorised
 ``gammainc`` call over them at the deadline's time budget.  Compiled kernels
 sit in an LRU cache of ``_KERNEL_CACHE`` entries.  A kernel keeps at most
-``_DENSE_TUPLES`` tuples (about 1.6 MB of arrays for a full cache) plus
-three vectors of ``ceil(D / beta)`` floats per hop; larger tuple spaces are
-expanded again, ``_CHUNK`` tuples at a time, on each query.  The kernel is
-bit-identical to summing the formula tuple by tuple: it visits tuples in
-``itertools.product`` order, forms weights and the moments ``M``, ``V`` hop
-by hop, and sums left to right.
+three arrays of ``_MAX_KEPT`` floats (the terms of one hop, or the per-hop
+vectors of several), so a full cache holds at most about 1.6 MB of arrays;
+multi-hop terms are built again from them, in blocks, on each query.  The
+kernel is bit-identical to summing the formula tuple by tuple: it visits
+tuples in ``itertools.product`` order, forms weights and the moments ``M``,
+``V`` hop by hop, and sums left to right.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import special as _special
@@ -54,8 +54,6 @@ __all__ = [
     "transfer_prob",
     "delivery_prob_onehop",
     "delivery_prob_path",
-    "PathKernel",
-    "path_kernel",
     "path_capacity",
     "DEFAULT_TUPLE_CAP",
 ]
@@ -71,10 +69,10 @@ _CEIL_GUARD = 1e-9
 # Kernels of at most this many terms stay Python floats and use scalar
 # gammainc calls: below it numpy's per-call overhead costs more than it saves.
 _SCALAR_TERMS = 8
-# Tuple spaces up to _DENSE_TUPLES are expanded once and kept as arrays;
-# larger ones are expanded again on every evaluation, about _CHUNK tuples
-# (whole rows of the last hop's counts) at a time.
-_DENSE_TUPLES = 256
+# No kernel keeps an array longer than _MAX_KEPT, which bounds the cache's
+# memory.  Multi-hop terms are built again on every evaluation, about
+# _CHUNK tuples (whole rows of the last hop's counts) at a time.
+_MAX_KEPT = 256
 _CHUNK = 1 << 14
 _KERNEL_CACHE = 256
 
@@ -217,21 +215,20 @@ def _needed_contacts(data_size: float, beta: float) -> int:
 
 def _exact_success(
     hop: PairContactParams, data_size: float, limit: int, stop_when_certain: bool
-) -> list[float]:
+) -> Iterator[float]:
     """P(the hop carries ``data_size`` at exactly n contacts), n = 1..limit.
 
-    The increments ``TP(n) - TP(n-1)`` of :func:`transfer_prob`; with
-    ``stop_when_certain`` the list ends at the first n where ``TP(n) >= 1``.
+    The increments ``TP(n) - TP(n-1)`` of :func:`transfer_prob`, in order
+    of n; with ``stop_when_certain`` they end at the first n where
+    ``TP(n) >= 1``.
     """
-    exact = []
     prev = 0.0
     for n in range(1, limit + 1):
         success = transfer_prob(hop, n, data_size)
-        exact.append(success - prev)
+        yield success - prev
         if stop_when_certain and success >= 1.0:
-            break
+            return
         prev = success
-    return exact
 
 
 def _check_gamma(shape: float, rate: float) -> None:
@@ -256,11 +253,15 @@ class PathKernel:
     :func:`gamma_approx`, with ``M`` and ``V`` summed hop by hop, and skip
     zero-weight tuples.
 
-    Terms are compiled on the first evaluation with a positive time
-    budget.  Up to ``_SCALAR_TERMS`` of them are kept as Python floats and
-    evaluated with scalar calls; tuple spaces up to ``_DENSE_TUPLES`` are
-    kept as arrays; larger ones keep only per-hop vectors and are expanded
-    again, ``_CHUNK`` tuples at a time, by every evaluation.
+    The kernel is compiled on the first evaluation with a positive time
+    budget; a compile that raises stores nothing, so the next query raises
+    again.  It keeps the terms of a space of at most ``_SCALAR_TERMS``
+    tuples as Python floats, for scalar calls.  Otherwise it keeps at most
+    three arrays of ``_MAX_KEPT`` floats: the terms of one hop, or the
+    per-hop vectors of several.  From these, or from nothing when they
+    would be longer, every evaluation builds the terms again in product
+    order and in blocks: ``_CHUNK`` tuples for several hops, ``_MAX_KEPT``
+    contact counts for one hop.
     """
 
     def __init__(self, hops: tuple[PairContactParams, ...], data_size: float) -> None:
@@ -271,10 +272,10 @@ class PathKernel:
         self.tuples = math.prod(self.limits)
         self._compiled = False
         self._scalar: list[tuple[float, float, float]] | None = None
-        self._dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._onehop: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
-    def prob(self, deadline: float, tuple_cap: int | None = None) -> float:
+    def prob(self, deadline: float, tuple_cap: int) -> float:
         """Delivery probability within ``deadline``.
 
         Raises:
@@ -286,7 +287,7 @@ class PathKernel:
         if budget <= 0:
             return 0.0
         onehop = len(self.hops) == 1
-        if tuple_cap is not None and not onehop and self.tuples > tuple_cap:
+        if not onehop and self.tuples > tuple_cap:
             raise ComplexityError(
                 f"path would require enumerating {self.tuples} contact tuples "
                 f"(cap {tuple_cap}); the query is too large for this estimator"
@@ -322,55 +323,79 @@ class PathKernel:
         return min(max(total, 0.0), 1.0)
 
     def _compile(self) -> None:
-        size = self.data_size
+        scalar = onehop = per_hop = None
+        if self.tuples <= _SCALAR_TERMS:
+            scalar = self._scalar_terms()
+        elif len(self.hops) == 1:
+            if self.tuples <= _MAX_KEPT:
+                onehop = next(self._onehop_blocks())
+                if len(onehop[0]) <= _SCALAR_TERMS:
+                    scalar, onehop = list(zip(*(a.tolist() for a in onehop))), None
+        elif sum(self.limits) <= _MAX_KEPT:
+            per_hop = self._hop_vectors()
+        self._scalar, self._onehop, self._per_hop = scalar, onehop, per_hop
         self._compiled = True
+
+    def _scalar_terms(self) -> list[tuple[float, float, float]]:
+        """The nonzero terms of a tuple space of at most ``_SCALAR_TERMS``
+        tuples, built with Python floats: numpy costs more at this size."""
         if len(self.hops) == 1:
             hop = self.hops[0]
-            exact = _exact_success(hop, size, self.limits[0], stop_when_certain=True)
-            if len(exact) <= _SCALAR_TERMS:
-                self._scalar = [(w, float(n), hop.contact_rate) for n, w in enumerate(exact, 1)]
-            else:
-                count = len(exact)
-                self._dense = (
-                    np.array(exact),
-                    np.arange(1.0, count + 1.0),
-                    np.full(count, hop.contact_rate),
-                )
-            return
+            exact = _exact_success(hop, self.data_size, self.limits[0], stop_when_certain=True)
+            return [(w, float(n), hop.contact_rate) for n, w in enumerate(exact, 1)]
         exact = [
-            _exact_success(hop, size, limit, stop_when_certain=False)
+            list(_exact_success(hop, self.data_size, limit, stop_when_certain=False))
             for hop, limit in zip(self.hops, self.limits)
         ]
         lambdas = [hop.contact_rate for hop in self.hops]
-        if self.tuples <= _SCALAR_TERMS:
-            self._scalar = []
-            for combo in itertools.product(*(range(1, limit + 1) for limit in self.limits)):
-                weight = 1.0
-                mean = var = 0.0
-                for hop_exact, n, lam in zip(exact, combo, lambdas):
-                    weight *= hop_exact[n - 1]
-                    mean += n / lam
-                    var += n / (lam * lam)
-                if weight != 0.0:
-                    _check_gamma(mean * mean / var, mean / var)
-                    self._scalar.append((weight, mean * mean / var, mean / var))
-            return
-        for hop_exact, limit, lam in zip(exact, self.limits, lambdas):
-            counts = np.arange(1.0, limit + 1.0)
-            self._per_hop.append((np.array(hop_exact), counts / lam, counts / (lam * lam)))
-        if self.tuples <= _DENSE_TUPLES:
-            dense = self._expand(0, self.tuples // self.limits[-1])
-            self._per_hop = []
-            if len(dense[0]) <= _SCALAR_TERMS:
-                self._scalar = list(zip(*(a.tolist() for a in dense)))
-            else:
-                self._dense = dense
+        terms = []
+        for combo in itertools.product(*(range(1, limit + 1) for limit in self.limits)):
+            weight = 1.0
+            mean = var = 0.0
+            for hop_exact, n, lam in zip(exact, combo, lambdas):
+                weight *= hop_exact[n - 1]
+                mean += n / lam
+                var += n / (lam * lam)
+            if weight != 0.0:
+                _check_gamma(mean * mean / var, mean / var)
+                terms.append((weight, mean * mean / var, mean / var))
+        return terms
 
-    def _expand(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _onehop_blocks(self):
+        """Weights, shapes and rates of one hop's terms, ``_MAX_KEPT``
+        contact counts at a time, ending at the first certain success."""
+        hop = self.hops[0]
+        exact = _exact_success(hop, self.data_size, self.limits[0], stop_when_certain=True)
+        start = 1
+        while block := list(itertools.islice(exact, _MAX_KEPT)):
+            count = len(block)
+            yield (
+                np.array(block),
+                np.arange(start, start + count, dtype=float),
+                np.full(count, hop.contact_rate),
+            )
+            start += count
+
+    @np.errstate(divide="ignore", over="ignore")
+    def _hop_vectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each hop's exact-success, ``n / lambda`` and ``n / lambda**2``
+        vectors over n = 1..limit."""
+        vectors = []
+        for hop, limit in zip(self.hops, self.limits):
+            exact = _exact_success(hop, self.data_size, limit, stop_when_certain=False)
+            counts = np.arange(1.0, limit + 1.0)
+            lam = hop.contact_rate
+            vectors.append((np.fromiter(exact, float, limit), counts / lam, counts / (lam * lam)))
+        return vectors
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _expand(
+        self, per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]], start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights, shapes and rates of the nonzero-weight tuples in rows
         ``start..stop-1`` of the product order, a row being every count of
         the last hop after one count tuple of the hops before it."""
-        *outer, (last_exact, last_mean, last_var) = self._per_hop
+        *outer, (last_exact, last_mean, last_var) = per_hop
         index = np.unravel_index(np.arange(start, stop), self.limits[:-1])
         (exact, mean_step, var_step), *rest = outer
         weight, mean, var = exact[index[0]], mean_step[index[0]], var_step[index[0]]
@@ -390,16 +415,16 @@ class PathKernel:
         return weight, shape, rate
 
     def _blocks(self):
-        if self._dense is not None:
-            weight, shape, rate = self._dense
-            for start in range(0, len(weight), _CHUNK):
-                end = start + _CHUNK
-                yield weight[start:end], shape[start:end], rate[start:end]
+        if self._onehop is not None:
+            yield self._onehop
+        elif len(self.hops) == 1:
+            yield from self._onehop_blocks()
         else:
+            per_hop = self._per_hop or self._hop_vectors()
             rows = self.tuples // self.limits[-1]
             step = max(1, _CHUNK // self.limits[-1])
             for start in range(0, rows, step):
-                yield self._expand(start, min(start + step, rows))
+                yield self._expand(per_hop, start, min(start + step, rows))
 
 
 @lru_cache(maxsize=_KERNEL_CACHE)
@@ -425,7 +450,7 @@ def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:
     ``TP(i) = 1`` or a zero in-time factor.  Returns 0 when the deadline
     cannot even cover the transmission time.
     """
-    return path_kernel((hop,), query.data_size).prob(query.deadline)
+    return path_kernel((hop,), query.data_size).prob(query.deadline, DEFAULT_TUPLE_CAP)
 
 
 def delivery_prob_path(

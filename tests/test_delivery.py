@@ -6,7 +6,7 @@ import pytest
 
 import oppload as ol
 from oppload.contacts import reg_lower_incomplete_gamma
-from oppload.delivery import _CHUNK, path_kernel
+from oppload.delivery import _CHUNK, _MAX_KEPT, path_kernel
 from oppload.errors import ComplexityError
 
 
@@ -355,6 +355,43 @@ class TestPathKernel:
         # a deadline below the transmission time answers 0 before the cap
         assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 30.0), tuple_cap=1) == 0.0
         assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0), tuple_cap=400) == small
+
+    @pytest.mark.parametrize("size", [4.0, 30.0, 100.0])
+    def test_failed_compile_raises_again(self, size):
+        # lambda**2 of the first hop underflows to 0; sizes 4, 30 and 100
+        # give tuple spaces of 4, 225 and 2500, one per way of keeping terms
+        path = ol.PathSpec((hop(lam=1e-170), hop(lam=0.1)))
+        query = ol.DeliveryQuery(size, 1e4)
+        errors = []
+        for _ in range(2):
+            with pytest.raises((ValueError, ZeroDivisionError)) as caught:
+                ol.delivery_prob_path(path, query)
+            errors.append((caught.type, str(caught.value)))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "hops, size",
+        [
+            ((hop(beta=0.5),), 400.0),  # one hop, 800 contacts
+            ((hop(beta=1.0), hop(beta=2.0)), 300.0),  # 300 x 150 tuples
+            ((hop(beta=10.0), hop(beta=1.0)), 400.0),  # 40 x 400 tuples
+            ((hop(beta=2.0), hop(beta=2.0), hop(beta=2.0)), 60.0),  # 30**3 tuples
+        ],
+    )
+    def test_kept_arrays_are_bounded(self, hops, size):
+        path_kernel.cache_clear()
+        for deadline in (500.0, 5000.0):
+            query = ol.DeliveryQuery(size, deadline)
+            assert ol.delivery_prob_path(ol.PathSpec(hops), query) == (
+                reference_onehop(hops[0], size, deadline)
+                if len(hops) == 1
+                else reference_path(hops, size, deadline)
+            )
+        kernel = path_kernel(hops, size)
+        assert kernel.tuples > _MAX_KEPT
+        kept = [kernel._onehop or (), *(kernel._per_hop or ())]
+        assert kernel._scalar is None
+        assert sum(len(v) for arrays in kept for v in arrays) <= 3 * _MAX_KEPT
 
 
 class TestPathCapacity:
