@@ -8,7 +8,6 @@ against a seeded Monte Carlo contact simulator.
 """
 
 from .contacts import (
-    ContactSample,
     PairContactParams,
     fit_exponential,
     fit_pareto,

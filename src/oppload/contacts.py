@@ -22,17 +22,19 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _special
 
-from .errors import FittingError
+from .errors import ComplexityError, FittingError
 
 __all__ = [
     "PairContactParams",
-    "ContactSample",
     "fit_exponential",
     "fit_pareto",
     "sample_contact_process",
     "reg_lower_incomplete_gamma",
     "log_beta",
 ]
+
+# sample_contact_process refuses a window expected to hold more contacts
+MAX_EXPECTED_CONTACTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -56,20 +58,6 @@ class PairContactParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ContactSample:
-    """One observed contact: gap since the previous contact and its length."""
-
-    inter_contact: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.inter_contact) and self.inter_contact >= 0):
-            raise ValueError(f"inter_contact must be >= 0, got {self.inter_contact!r}")
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"duration must be > 0, got {self.duration!r}")
 
 
 def fit_exponential(inter_contact_samples: Sequence[float]) -> float:
@@ -126,38 +114,52 @@ def fit_pareto(per_contact_data_samples: Sequence[float]) -> tuple[float, float]
 
 
 def sample_contact_process(
-    params: PairContactParams, horizon: float, rng_seed: int
+    params: PairContactParams, horizon: float, rng_seed: int | np.random.SeedSequence
 ) -> list[tuple[float, float]]:
     """Sample one realization of the pair's contact process.
 
     Contact start times are cumulative sums of i.i.d. exponential gaps,
-    truncated at ``horizon``.  Each contact duration is an i.i.d. Pareto
-    draw with shape ``alpha`` and scale ``beta / rate``, i.e. expressed in
-    time units so that ``duration * rate`` has minimum ``beta``.
+    drawn 64 at a time and truncated at ``horizon``.  Each contact duration
+    is an i.i.d. Pareto draw with shape ``alpha`` and scale
+    ``beta / rate``, i.e. expressed in time units so that
+    ``duration * rate`` has minimum ``beta``.
 
     Args:
         params: pair parameters.
         horizon: length of the sampling window, > 0.
-        rng_seed: seed; a fixed seed reproduces the event list exactly.
+        rng_seed: seed or seed sequence; a fixed seed reproduces the event
+            list exactly.
 
     Returns:
         List of ``(start, duration)`` pairs ordered by start time.
+
+    Raises:
+        ValueError: ``horizon`` is not finite and > 0.
+        ComplexityError: ``contact_rate * horizon`` exceeds
+            ``MAX_EXPECTED_CONTACTS``; checked before any draw.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    if params.contact_rate * horizon > MAX_EXPECTED_CONTACTS:
+        raise ComplexityError(
+            f"contact_rate {params.contact_rate!r} over horizon {horizon!r} expects "
+            f"{params.contact_rate * horizon:.3g} contacts, above {MAX_EXPECTED_CONTACTS}"
+        )
     rng = np.random.default_rng(rng_seed)
     mean_gap = 1.0 / params.contact_rate
 
     starts: list[float] = []
     t = 0.0
-    done = False
-    while not done:
-        for gap in rng.exponential(mean_gap, size=256):
-            t += float(gap)
-            if t > horizon:
-                done = True
-                break
-            starts.append(t)
+    while True:
+        # cumsum adds left to right, as a running ``t += gap`` would
+        gaps = rng.exponential(mean_gap, size=64)
+        gaps[0] += t
+        chunk = np.cumsum(gaps)
+        kept = int(np.searchsorted(chunk, horizon, side="right"))
+        starts.extend(chunk[:kept].tolist())
+        if kept < len(chunk):
+            break
+        t = float(chunk[-1])
 
     scale = params.beta / params.rate
     durations = (rng.pareto(params.alpha, size=len(starts)) + 1.0) * scale

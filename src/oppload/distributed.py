@@ -282,6 +282,15 @@ def _strip(state: NodeState, amount: float, deadline: float) -> None:
         amount -= take
 
 
+def _deliver(holder: NodeState, amount: float, t_remaining: float) -> None:
+    """Hand ``amount`` to the destination and strip the holder's assignment
+    down to what it still carries, weakest-probability paths first."""
+    holder.carried -= amount
+    excess = math.fsum(holder.assignment.values()) - holder.carried
+    if excess > _EPS:
+        _strip(holder, excess, t_remaining)
+
+
 def assignment_update(
     sender: NodeState,
     receiver: NodeState,
@@ -320,7 +329,8 @@ def on_contact(
     """Full protocol handling of one contact.
 
     Both nodes first learn each other's neighbor tables.  A contact with
-    the destination delivers ``min(carried, capacity)`` outright.
+    the destination delivers ``min(carried, capacity)`` outright and strips
+    the holder's assignment down to what it still carries.
     Otherwise, if the pair may exchange data (neither received this task's
     data from the other, neither is the source of the other's data), the
     carrier with more to gain runs real-time adjustment and transfers up to
@@ -337,8 +347,7 @@ def on_contact(
         amount = min(holder.carried, contact_capacity)
         if amount <= _EPS:
             return ContactResult(0.0, 0.0)
-        holder.carried -= amount
-        _strip(holder, amount, t_remaining)
+        _deliver(holder, amount, t_remaining)
         sink.carried += amount
         return ContactResult(amount, amount)
 

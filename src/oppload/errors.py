@@ -30,7 +30,7 @@ class IngestionError(OppLoadError, ValueError):
 
 
 class ComplexityError(OppLoadError, RuntimeError):
-    """A delivery-probability query would enumerate too many contact tuples."""
+    """A query or a sample would enumerate more contact tuples or contacts than its cap."""
 
     code = "COMPLEXITY"
 

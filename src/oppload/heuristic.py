@@ -205,11 +205,11 @@ def allocate_paths(
     return allocations
 
 
-def _alloc_prob(alloc: Allocation, deadline: float, size: float | None = None) -> float:
-    s = alloc.assigned if size is None else size
-    if s <= _SIZE_EPS:
+def _alloc_prob(alloc: Allocation, deadline: float) -> float:
+    if alloc.assigned <= _SIZE_EPS:
         return 1.0
-    return delivery_prob_path(alloc.path, DeliveryQuery(data_size=s, deadline=deadline))
+    query = DeliveryQuery(data_size=alloc.assigned, deadline=deadline)
+    return delivery_prob_path(alloc.path, query)
 
 
 def _growth_step(alloc: Allocation) -> float:
@@ -226,24 +226,15 @@ def _growth_step(alloc: Allocation) -> float:
 
 
 def _grow_onto(
-    allocations: list[Allocation],
-    pool: float,
-    deadline: float,
-    runner_at_own_size: bool = True,
+    allocations: list[Allocation], pool: float, deadline: float
 ) -> list[Allocation]:
     """Distribute ``pool`` over ``allocations`` by the growth rule.
 
     The path with the highest delivery probability of its assigned data
     grows step by step while its probability stays at or above the
     runner-up's, then the ranking is refreshed.  With a single path the
-    whole pool lands on it.  ``runner_at_own_size=False`` evaluates the
-    runner-up at the growing path's size instead of its own, an alternative
-    reading of the stop rule kept for experiments.
-
-    The best-ranked path always takes at least one step per round: the
-    default comparison cannot fail at entry (it starts at the argmax), and
-    the alternative comparison can, which would otherwise drain nothing and
-    loop forever.
+    whole pool lands on it.  The best-ranked path takes at least one step
+    per round, so every round drains some of the pool.
     """
     current = list(allocations)
     if pool <= _SIZE_EPS:
@@ -258,14 +249,8 @@ def _grow_onto(
         q = max((i for i in range(len(current)) if i != p), key=lambda i: (probs[i], -i))
         stepped = False
         while pool > _SIZE_EPS:
-            if stepped:
-                threshold = (
-                    probs[q]
-                    if runner_at_own_size
-                    else _alloc_prob(current[q], deadline, size=current[p].assigned)
-                )
-                if _alloc_prob(current[p], deadline) < threshold:
-                    break
+            if stepped and _alloc_prob(current[p], deadline) < probs[q]:
+                break
             step = min(_growth_step(current[p]), pool)
             current[p] = replace(current[p], assigned=current[p].assigned + step)
             pool -= step
@@ -288,11 +273,7 @@ def assign_remaining(
     return _grow_onto(list(allocations), total - assigned, deadline)
 
 
-def reallocate(
-    allocations: Sequence[Allocation],
-    deadline: float,
-    runner_at_own_size: bool = True,
-) -> list[Allocation]:
+def reallocate(allocations: Sequence[Allocation], deadline: float) -> list[Allocation]:
     """Phase three: retire weak paths while the probability product improves.
 
     Repeatedly removes the allocation with the lowest delivery probability
@@ -308,7 +289,7 @@ def reallocate(
         probs = [_alloc_prob(a, deadline) for a in current]
         j = min(range(len(current)), key=lambda i: (probs[i], i))
         rest = [a for i, a in enumerate(current) if i != j]
-        candidate = _grow_onto(rest, current[j].assigned, deadline, runner_at_own_size)
+        candidate = _grow_onto(rest, current[j].assigned, deadline)
         before = math.prod(probs)
         after = math.prod(_alloc_prob(a, deadline) for a in candidate)
         if before < after:

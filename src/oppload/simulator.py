@@ -16,16 +16,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .contacts import sample_contact_process
 from .delivery import PathSpec
 from .distributed import (
     NodeState,
     TwoHopTable,
-    _strip,
+    _deliver,
     criterion_assignment,
     on_contact,
 )
@@ -141,44 +143,23 @@ class _ContactSampler:
         self._cache: dict[EdgeKey, list[tuple[float, float]]] = {}
 
     def events(self, key: EdgeKey) -> list[tuple[float, float]]:
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        params = self._network.edges[key]
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self._seed, self._task_id, key[0], key[1]))
-        )
-        starts: list[float] = []
-        t = 0.0
-        done = False
-        while not done:
-            for gap in rng.exponential(1.0 / params.contact_rate, size=64):
-                t += float(gap)
-                if t > self._horizon:
-                    done = True
-                    break
-                starts.append(t)
-        durations = (rng.pareto(params.alpha, size=len(starts)) + 1.0) * (
-            params.beta / params.rate
-        )
-        events = list(zip(starts, durations.tolist()))
-        self._cache[key] = events
+        events = self._cache.get(key)
+        if events is None:
+            seed = np.random.SeedSequence((self._seed, self._task_id, key[0], key[1]))
+            events = sample_contact_process(self._network.edges[key], self._horizon, seed)
+            self._cache[key] = events
         return events
 
     def all_events(self) -> list[tuple[float, int, int, float]]:
         """Every edge's contacts merged and time-ordered: (start, a, b, duration)."""
-        merged: list[tuple[float, int, int, float]] = []
-        for a, b in sorted(self._network.edges):
-            for start, duration in self.events((a, b)):
-                merged.append((start, a, b, duration))
-        merged.sort()
+        merged = [
+            (start, a, b, duration)
+            for a, b in sorted(self._network.edges)
+            for start, duration in self.events((a, b))
+        ]
+        # stable on start: simultaneous contacts stay in edge order
+        merged.sort(key=itemgetter(0))
         return merged
-
-
-def _usable_amount(start: float, duration: float, deadline: float, rate: float) -> float:
-    """Data transferable in a contact, truncated at the deadline."""
-    usable = min(duration, deadline - start)
-    return usable * rate if usable > 0 else 0.0
 
 
 def _drain_route(
@@ -197,9 +178,8 @@ def _drain_route(
         for start, duration in sampler.events(edge_key(a, b)):
             if start < ready or start >= deadline:
                 continue
-            amount = min(remaining, _usable_amount(start, duration, deadline, params.rate))
-            if amount <= 0:
-                continue
+            # the contact carries data until it ends or the deadline passes
+            amount = min(remaining, min(duration, deadline - start) * params.rate)
             remaining -= amount
             if remaining <= _EPS * size:
                 completed = start + amount / params.rate
@@ -264,12 +244,52 @@ def _run_heuristic(
     return True, True, worst
 
 
+def _replay(
+    network: Network,
+    task: TransmissionTask,
+    sampler: _ContactSampler,
+    strategy: _Carriers | _Distributed,
+) -> tuple[bool, bool, float | None]:
+    """Walk a task's merged contacts under one contact-driven strategy.
+
+    The rule at infrastructure is shared: a contact delivers
+    ``min(held, capacity)`` from its mobile side, and the task completes
+    once the delivered total reaches its size.  Between mobile nodes the
+    strategy's ``meet`` decides what moves; it runs only when one side
+    holds data and returns whether data moved.
+    """
+    infra = network.infrastructure_id
+    edges = network.edges
+    deadline = task.deadline
+    held = strategy.held
+    delivered = 0.0
+    offloaded = False
+    for start, a, b, duration in sampler.all_events():
+        usable = min(duration, deadline - start)
+        if usable <= 0:
+            continue
+        rate = edges[(a, b)].rate
+        capacity = usable * rate
+        if a == infra or b == infra:
+            mobile = b if a == infra else a
+            amount = min(held(mobile), capacity)
+            if amount > _EPS:
+                delivered += amount
+                strategy.unload(mobile, amount, start, delivered)
+                if delivered >= task.size - _EPS * task.size:
+                    return offloaded, True, start + amount / rate
+        elif held(a) > _EPS or held(b) > _EPS:
+            offloaded = strategy.meet(a, b, capacity, start) or offloaded
+    return offloaded, False, None
+
+
 def _bootstrap_states(network: Network, task: TransmissionTask) -> dict[int, NodeState]:
     """Node states with two-hop tables primed from the network parameters.
 
     Nodes are assumed to have met their neighbors before the task was
     released, so each node knows its neighbors' parameters and their
-    neighbor tables.
+    neighbor tables.  Entries learned at time 0 stay fresh until the
+    deadline, so contacts that move no data need not exchange tables.
     """
     infra = network.infrastructure_id
     neighbor_tables: dict[int, dict[int, object]] = {}
@@ -293,74 +313,61 @@ def _bootstrap_states(network: Network, task: TransmissionTask) -> dict[int, Nod
     return states
 
 
-def _run_distributed(
-    network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
-) -> tuple[bool, bool, float | None]:
-    infra = network.infrastructure_id
-    states = _bootstrap_states(network, task)
-    source = states[task.source]
-    source.carried = task.size
-    try:
+class _Distributed:
+    """The two-hop protocol's node states for one task.
+
+    Raises:
+        ProtocolError: the source has no path to infrastructure.
+    """
+
+    def __init__(self, network: Network, task: TransmissionTask, hooks: _Hooks):
+        self.states = _bootstrap_states(network, task)
+        self.infra = network.infrastructure_id
+        self.deadline = task.deadline
+        self.hooks = hooks
+        self.delivered = 0.0
+        source = self.states[task.source]
+        source.carried = task.size
         source.assignment = criterion_assignment(source, task.size, task.deadline)
-    except ProtocolError:
-        return False, False, None
-
-    hooks.emit(
-        states,
-        0.0,
-        time=0.0,
-        event="start",
-        node_a=task.source,
-        node_b=task.source,
-        planned=0.0,
-        actual=0.0,
-        carried_a=task.size,
-        carried_b=task.size,
-    )
-
-    delivered = 0.0
-    offloaded = False
-    completion = None
-    for start, a, b, duration in sampler.all_events():
-        params = network.edges[(a, b)]
-        capacity = _usable_amount(start, duration, task.deadline, params.rate)
-        t_remaining = task.deadline - start
-        if infra in (a, b):
-            mobile = b if a == infra else a
-            holder = states[mobile]
-            amount = min(holder.carried, capacity)
-            if amount > _EPS:
-                holder.carried -= amount
-                holder.assignment = _strip_to_carried(holder, t_remaining)
-                delivered += amount
-                hooks.emit(
-                    states,
-                    delivered,
-                    time=start,
-                    event="deliver",
-                    node_a=mobile,
-                    node_b=infra,
-                    planned=amount,
-                    actual=amount,
-                    carried_a=holder.carried,
-                    carried_b=0.0,
-                )
-                if delivered >= task.size - _EPS * task.size and completion is None:
-                    completion = start + amount / params.rate
-                    break
-            continue
-        sa, sb = states[a], states[b]
-        if sa.carried <= _EPS and sb.carried <= _EPS:
-            # nothing to move; still exchange tables
-            sa.table.learn(b, sb.table.neighbors, start)
-            sb.table.learn(a, sa.table.neighbors, start)
-            continue
-        contact = on_contact(sa, sb, capacity, t_remaining, now=start)
-        if contact.transferred > _EPS:
-            offloaded = True
         hooks.emit(
-            states,
+            self.states,
+            0.0,
+            time=0.0,
+            event="start",
+            node_a=task.source,
+            node_b=task.source,
+            planned=0.0,
+            actual=0.0,
+            carried_a=task.size,
+            carried_b=task.size,
+        )
+
+    def held(self, node: int) -> float:
+        return self.states[node].carried
+
+    def unload(self, node: int, amount: float, start: float, delivered: float) -> None:
+        holder = self.states[node]
+        _deliver(holder, amount, self.deadline - start)
+        self.delivered = delivered
+        self.hooks.emit(
+            self.states,
             delivered,
+            time=start,
+            event="deliver",
+            node_a=node,
+            node_b=self.infra,
+            planned=amount,
+            actual=amount,
+            carried_a=holder.carried,
+            carried_b=0.0,
+        )
+
+    def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
+        sa, sb = self.states[a], self.states[b]
+        contact = on_contact(sa, sb, capacity, self.deadline - start, now=start)
+        self.hooks.emit(
+            self.states,
+            self.delivered,
             time=start,
             event="contact",
             node_a=a,
@@ -370,108 +377,92 @@ def _run_distributed(
             carried_a=sa.carried,
             carried_b=sb.carried,
         )
-    return offloaded, completion is not None, completion
+        return contact.transferred > _EPS
 
 
-def _strip_to_carried(holder: NodeState, t_remaining: float) -> dict:
-    """Rebalance an assignment after a direct delivery to the destination."""
-    total = math.fsum(holder.assignment.values())
-    excess = total - holder.carried
-    if excess > _EPS:
-        _strip(holder, excess, t_remaining)
-    return holder.assignment
+def _run_distributed(
+    network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
+) -> tuple[bool, bool, float | None]:
+    try:
+        strategy = _Distributed(network, task, hooks)
+    except ProtocolError:
+        return False, False, None
+    return _replay(network, task, sampler, strategy)
+
+
+class _Carriers:
+    """Data held per mobile node for one task; a node never hands data back
+    to a node it received data from."""
+
+    def __init__(self, network: Network, task: TransmissionTask):
+        self.carried = dict.fromkeys(network.mobile_nodes(), 0.0)
+        self.carried[task.source] = task.size
+        self.provenance: dict[int, set[int]] = {}
+        # a plain dict lookup: the replay asks for nearly every contact
+        self.held = self.carried.__getitem__
+
+    def unload(self, node: int, amount: float, start: float, delivered: float) -> None:
+        self.carried[node] -= amount
+
+    def hand(self, sender: int, receiver: int, amount: float) -> bool:
+        """Move ``amount`` unless ``sender`` got its data from ``receiver``."""
+        if receiver in self.provenance.get(sender, ()):
+            return False
+        self.carried[sender] -= amount
+        self.carried[receiver] += amount
+        self.provenance.setdefault(receiver, set()).add(sender)
+        return True
+
+
+class _Spread(_Carriers):
+    def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
+        # larger carrier hands half of its remainder to the other side
+        carried = self.carried
+        first, second = (a, b) if (carried[a], -a) >= (carried[b], -b) else (b, a)
+        amount = min(carried[first] / 2.0, capacity)
+        return amount > _EPS and self.hand(first, second, amount)
+
+
+class _MaxRate(_Carriers):
+    def __init__(self, network: Network, task: TransmissionTask):
+        super().__init__(network, task)
+        infra = network.infrastructure_id
+        # per node: the neighbor with the strongest contact rate to infrastructure
+        self.best_relay: dict[int, int | None] = {}
+        for node in network.mobile_nodes():
+            best = None
+            best_rate = 0.0
+            for nb in network.neighbors(node):
+                if nb == infra:
+                    continue
+                link = network.edge_params(nb, infra)
+                if link is not None and link.contact_rate > best_rate:
+                    best = nb
+                    best_rate = link.contact_rate
+            self.best_relay[node] = best
+
+    def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
+        for sender, receiver in ((a, b), (b, a)):
+            held = self.carried[sender]
+            if (
+                held > _EPS
+                and self.best_relay[sender] == receiver
+                and self.hand(sender, receiver, min(held, capacity))
+            ):
+                return True
+        return False
 
 
 def _run_spread(
     network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
 ) -> tuple[bool, bool, float | None]:
-    infra = network.infrastructure_id
-    carried: dict[int, float] = {task.source: task.size}
-    provenance: dict[int, set[int]] = {task.source: set()}
-    delivered = 0.0
-    offloaded = False
-    for start, a, b, duration in sampler.all_events():
-        params = network.edges[(a, b)]
-        capacity = _usable_amount(start, duration, task.deadline, params.rate)
-        if capacity <= 0:
-            continue
-        if infra in (a, b):
-            mobile = b if a == infra else a
-            held = carried.get(mobile, 0.0)
-            amount = min(held, capacity)
-            if amount > _EPS:
-                carried[mobile] = held - amount
-                delivered += amount
-                if delivered >= task.size - _EPS * task.size:
-                    return offloaded, True, start + amount / params.rate
-            continue
-        # larger carrier hands half of its remainder to the other side
-        first, second = (a, b) if (carried.get(a, 0.0), -a) >= (carried.get(b, 0.0), -b) else (b, a)
-        held = carried.get(first, 0.0)
-        if held <= _EPS:
-            continue
-        if second in provenance.get(first, set()):
-            continue
-        amount = min(held / 2.0, capacity)
-        if amount <= _EPS:
-            continue
-        carried[first] = held - amount
-        carried[second] = carried.get(second, 0.0) + amount
-        provenance.setdefault(second, set()).add(first)
-        offloaded = True
-    return offloaded, False, None
+    return _replay(network, task, sampler, _Spread(network, task))
 
 
 def _run_maxrate(
     network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
 ) -> tuple[bool, bool, float | None]:
-    infra = network.infrastructure_id
-    # per node: the neighbor with the strongest contact rate to infrastructure
-    best_relay: dict[int, int | None] = {}
-    for node in network.mobile_nodes():
-        best = None
-        best_rate = 0.0
-        for nb in network.neighbors(node):
-            if nb == infra:
-                continue
-            link = network.edge_params(nb, infra)
-            if link is not None and link.contact_rate > best_rate:
-                best = nb
-                best_rate = link.contact_rate
-        best_relay[node] = best
-
-    carried: dict[int, float] = {task.source: task.size}
-    provenance: dict[int, set[int]] = {task.source: set()}
-    delivered = 0.0
-    offloaded = False
-    for start, a, b, duration in sampler.all_events():
-        params = network.edges[(a, b)]
-        capacity = _usable_amount(start, duration, task.deadline, params.rate)
-        if capacity <= 0:
-            continue
-        if infra in (a, b):
-            mobile = b if a == infra else a
-            held = carried.get(mobile, 0.0)
-            amount = min(held, capacity)
-            if amount > _EPS:
-                carried[mobile] = held - amount
-                delivered += amount
-                if delivered >= task.size - _EPS * task.size:
-                    return offloaded, True, start + amount / params.rate
-            continue
-        for sender, receiver in ((a, b), (b, a)):
-            held = carried.get(sender, 0.0)
-            if held <= _EPS or best_relay.get(sender) != receiver:
-                continue
-            if receiver in provenance.get(sender, set()):
-                continue
-            amount = min(held, capacity)
-            carried[sender] = held - amount
-            carried[receiver] = carried.get(receiver, 0.0) + amount
-            provenance.setdefault(receiver, set()).add(sender)
-            offloaded = True
-            break
-    return offloaded, False, None
+    return _replay(network, task, sampler, _MaxRate(network, task))
 
 
 _RUNNERS: dict[str, _Runner] = {

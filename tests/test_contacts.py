@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oppload as ol
-from oppload.errors import FittingError
+from oppload.errors import ComplexityError, FittingError
 
 
 class TestFitExponential:
@@ -88,6 +88,16 @@ class TestSampleContactProcess:
             assert 0 < start <= 2000.0
             assert duration * self.PARAMS.rate >= self.PARAMS.beta - 1e-12
 
+    def test_expected_contact_count_is_bounded(self):
+        # 1e12 expected contacts: the check must raise before any draw
+        fast = ol.PairContactParams(contact_rate=1e9, alpha=2.0, beta=4.0, rate=2.0)
+        with pytest.raises(ComplexityError, match="contact_rate 1000000000.0 over horizon 1000.0"):
+            ol.sample_contact_process(fast, 1e3, rng_seed=1)
+
+    def test_seed_sequence_matches_its_integer_seed(self):
+        a = ol.sample_contact_process(self.PARAMS, 800.0, rng_seed=np.random.SeedSequence(7))
+        assert a == ol.sample_contact_process(self.PARAMS, 800.0, rng_seed=7)
+
     def test_starts_increase(self):
         events = ol.sample_contact_process(self.PARAMS, 1000.0, rng_seed=9)
         starts = [s for s, _ in events]
@@ -150,10 +160,3 @@ class TestParamContainers:
             ol.PairContactParams(contact_rate=0, alpha=1, beta=1, rate=1)
         with pytest.raises(ValueError):
             ol.PairContactParams(contact_rate=1, alpha=1, beta=math.inf, rate=1)
-
-    def test_contact_sample_validation(self):
-        ol.ContactSample(inter_contact=0.0, duration=1.0)
-        with pytest.raises(ValueError):
-            ol.ContactSample(inter_contact=-1.0, duration=1.0)
-        with pytest.raises(ValueError):
-            ol.ContactSample(inter_contact=1.0, duration=0.0)

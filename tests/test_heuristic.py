@@ -185,25 +185,6 @@ class TestAssignRemaining:
             assert math.fsum(a.assigned for a in out) == pytest.approx(total, abs=0.0)
 
 
-class TestGrowthRuleVariant:
-    def test_alternative_comparison_terminates_and_conserves(self):
-        # the variant evaluates the runner-up at the leader's size, which
-        # can reject growth at entry; it must still drain the pool
-        from oppload.heuristic import _grow_onto
-
-        leader = make_alloc((0, 1, 9), (2.0, 2.0), lam=0.05, assigned=2.0)
-        strong = make_alloc((0, 2, 9), (5.0, 5.0), lam=0.2, assigned=5.0)
-        for flag in (True, False):
-            out = _grow_onto([leader, strong], 6.0, 80.0, runner_at_own_size=flag)
-            assert math.fsum(a.assigned for a in out) == pytest.approx(13.0)
-
-    def test_reallocate_honors_the_toggle(self):
-        a = make_alloc((0, 1, 9), (3.0, 3.0), lam=0.1, assigned=3.0)
-        b = make_alloc((0, 2, 9), (3.0, 3.0), lam=1e-4, assigned=3.0)
-        out = ol.reallocate([a, b], 100.0, runner_at_own_size=False)
-        assert math.fsum(x.assigned for x in out) == pytest.approx(6.0)
-
-
 class TestReallocate:
     def test_single_allocation_unchanged(self):
         alloc = make_alloc((0, 1, 2), (3.0,) * 2, assigned=6.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -138,6 +139,92 @@ class TestSimulateStrategy:
                     task = tasks[outcome.task_id]
                     assert outcome.completion_time is not None
                     assert outcome.completion_time <= task.release + task.deadline + 1e-9
+
+
+# Outcomes of one small replay, recorded before the strategy replays were
+# merged into one event loop; any change to them is a change to the
+# random stream or to a strategy's rule.
+PINNED_OUTCOMES = {
+    "individual": [
+        (False, True, "47.737194892282886"),
+        (False, True, "56.93536239079592"),
+        (False, False, "None"),
+        (False, False, "None"),
+        (False, True, "63.6546311973964"),
+        (False, True, "49.50708333927517"),
+        (False, True, "30.189344716812986"),
+        (False, False, "None"),
+    ],
+    "heuristic": [
+        (False, True, "47.737194892282886"),
+        (False, True, "56.93536239079592"),
+        (True, True, "47.85768306549317"),
+        (True, True, "63.30189735089068"),
+        (True, True, "72.19282862279589"),
+        (False, True, "49.50708333927517"),
+        (False, True, "30.189344716812986"),
+        (True, True, "77.41678901864846"),
+    ],
+    "distributed": [
+        (True, True, "40.38321309573349"),
+        (True, True, "51.11060120204872"),
+        (True, True, "126.46160121557986"),
+        (True, False, "None"),
+        (True, True, "55.88605874370648"),
+        (True, True, "58.19293732785014"),
+        (True, True, "25.997954965474136"),
+        (True, False, "None"),
+    ],
+    "spread": [
+        (True, False, "None"),
+        (True, False, "None"),
+        (True, False, "None"),
+        (True, True, "125.7938995398441"),
+        (True, True, "64.03704042096653"),
+        (True, False, "None"),
+        (True, False, "None"),
+        (True, True, "142.27480521093193"),
+    ],
+    "maxrate": [
+        (True, True, "32.41473200446985"),
+        (True, True, "46.661419950423195"),
+        (True, True, "47.19874737793639"),
+        (True, True, "44.1055107740115"),
+        (True, True, "37.02234259950888"),
+        (True, True, "106.17091425991892"),
+        (True, True, "44.57128464631816"),
+        (True, True, "32.23158618727842"),
+    ],
+}
+PINNED_EVENT_LOG = (415, "fd3c54c07c4b7cd8f8982d9d1cad76a17c90fd64f4393b230854f7fd6fd80200")
+
+
+class TestPinnedReplay:
+    def test_outcomes_and_event_log_are_unchanged(self):
+        net = ol.generate_synthetic(
+            ol.SyntheticConfig(
+                n=12,
+                avg_degree=4,
+                max_degree=6,
+                node_alpha_range=(6.0, 10.0),
+                node_beta_range=(2.0, 3.0),
+                infra_alpha_range=(3.0, 4.0),
+                infra_beta_range=(2.0, 3.0),
+                infra_lambda_range=(0.02, 0.1),
+                rate=1.0,
+                seed=21,
+            )
+        )
+        tasks = make_tasks(net, 8, size=16.0, deadline=150.0)
+        log: list[dict] = []
+        for strategy in ol.STRATEGIES:
+            result = ol.simulate_strategy(
+                net, tasks, strategy, seed=17, event_log=log if strategy == "distributed" else None
+            )
+            got = [(o.offloaded, o.success, repr(o.completion_time)) for o in result.outcomes]
+            assert got == PINNED_OUTCOMES[strategy], strategy
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()
+        assert (len(log), digest) == PINNED_EVENT_LOG
 
 
 class TestDistributedInvariantSweep:
