@@ -138,6 +138,13 @@ def sample_contact_process(
         ComplexityError: ``contact_rate * horizon`` exceeds
             ``MAX_EXPECTED_CONTACTS``; checked before any draw.
     """
+    return list(zip(*_sample_columns(params, horizon, rng_seed)))
+
+
+def _sample_columns(
+    params: PairContactParams, horizon: float, rng_seed: int | np.random.SeedSequence
+) -> tuple[list[float], list[float]]:
+    """:func:`sample_contact_process` as two lists: starts and durations."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     if params.contact_rate * horizon > MAX_EXPECTED_CONTACTS:
@@ -163,7 +170,7 @@ def sample_contact_process(
 
     scale = params.beta / params.rate
     durations = (rng.pareto(params.alpha, size=len(starts)) + 1.0) * scale
-    return list(zip(starts, durations.tolist()))
+    return starts, durations.tolist()
 
 
 def reg_lower_incomplete_gamma(shape: float, x: float) -> float:

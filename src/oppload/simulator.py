@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from heapq import heappop, heappush, heapreplace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .contacts import sample_contact_process
+from .contacts import _sample_columns
 from .delivery import PathSpec
 from .distributed import (
     NodeState,
@@ -63,8 +64,14 @@ class TransmissionTask:
     release: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("size", "deadline", "release"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.size <= 0 or self.deadline <= 0:
             raise ValueError("size and deadline must be > 0")
+        if self.release < 0:
+            raise ValueError(f"release must be >= 0, got {self.release!r}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,23 @@ def run_monte_carlo_delivery(
 # contact realizations shared by the strategy runners
 
 
+class _EdgeContacts:
+    """One edge's contacts as two lists ordered by start; iterating yields
+    ``(start, duration)`` pairs and ``len`` counts the contacts."""
+
+    __slots__ = ("starts", "durations")
+
+    def __init__(self, starts: list[float], durations: list[float]):
+        self.starts = starts
+        self.durations = durations
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self.starts, self.durations)
+
+
 class _ContactSampler:
     """Lazily samples one contact realization per (task, edge)."""
 
@@ -140,26 +164,15 @@ class _ContactSampler:
         self._seed = seed
         self._task_id = task_id
         self._horizon = horizon
-        self._cache: dict[EdgeKey, list[tuple[float, float]]] = {}
+        self._cache: dict[EdgeKey, _EdgeContacts] = {}
 
-    def events(self, key: EdgeKey) -> list[tuple[float, float]]:
+    def events(self, key: EdgeKey) -> _EdgeContacts:
         events = self._cache.get(key)
         if events is None:
             seed = np.random.SeedSequence((self._seed, self._task_id, key[0], key[1]))
-            events = sample_contact_process(self._network.edges[key], self._horizon, seed)
+            events = _EdgeContacts(*_sample_columns(self._network.edges[key], self._horizon, seed))
             self._cache[key] = events
         return events
-
-    def all_events(self) -> list[tuple[float, int, int, float]]:
-        """Every edge's contacts merged and time-ordered: (start, a, b, duration)."""
-        merged = [
-            (start, a, b, duration)
-            for a, b in sorted(self._network.edges)
-            for start, duration in self.events((a, b))
-        ]
-        # stable on start: simultaneous contacts stay in edge order
-        merged.sort(key=itemgetter(0))
-        return merged
 
 
 def _drain_route(
@@ -250,37 +263,106 @@ def _replay(
     sampler: _ContactSampler,
     strategy: _Carriers | _Distributed,
 ) -> tuple[bool, bool, float | None]:
-    """Walk a task's merged contacts under one contact-driven strategy.
+    """Walk a task's contacts in time order under one contact-driven strategy.
 
     The rule at infrastructure is shared: a contact delivers
     ``min(held, capacity)`` from its mobile side, and the task completes
     once the delivered total reaches its size.  Between mobile nodes the
     strategy's ``meet`` decides what moves; it runs only when one side
     holds data and returns whether data moved.
+
+    A contact where no mobile end holds data changes nothing, so only the
+    edges touching data are walked, merged on a heap in the order of the
+    fully merged stream: by start, then by rank in ``sorted(network.edges)``,
+    then by index on the edge.  An edge is sampled the first time the walk
+    needs it and leaves the walk when it is reached while neither mobile
+    end holds data.  A node that comes to hold data brings its idle edges
+    back from the first contact after the current one.
     """
     infra = network.infrastructure_id
-    edges = network.edges
     deadline = task.deadline
+    done = task.size - _EPS * task.size
+    inf, eps = math.inf, _EPS
     held = strategy.held
+    meet, unload = strategy.meet, strategy.unload
+    keys = sorted(network.edges)
+    # the mobile end of an edge to infrastructure, -1 on an edge between mobiles
+    mobile_end = [b if a == infra else a if b == infra else -1 for a, b in keys]
+    incident: dict[int, list[int]] = {}
+    for rank, (a, b) in enumerate(keys):
+        incident.setdefault(a, []).append(rank)
+        incident.setdefault(b, []).append(rank)
+    rates = [network.edges[key].rate for key in keys]
+    # per edge, built when first walked: contact starts closed by an inf start
+    starts: list[list[float] | None] = [None] * len(keys)
+    durations: list[list[float]] = [[]] * len(keys)
+    resume = [0] * len(keys)  # where an idle edge stopped
+    live = [False] * len(keys)  # the edge has an entry on the heap
+    # entries (start, rank, index); (start, rank) alone orders them
+    heap: list[tuple[float, int, int]] = [(inf, -1, 0)]
+    # nodes whose edges are all on the heap; an edge leaving it stops both
+    # ends walking, so a node that holds data again brings it back
+    walking: set[int] = set()
+
+    def walk(node: int, now: float, rank: int) -> None:
+        """Put ``node``'s idle edges on the heap after contact ``(now, rank)``."""
+        walking.add(node)
+        for r in incident[node]:
+            if live[r]:
+                continue
+            s = starts[r]
+            if s is None:
+                contacts = sampler.events(keys[r])
+                s = starts[r] = contacts.starts + [inf]
+                durations[r] = contacts.durations
+            # simultaneous contacts of lower-ranked edges came before this one
+            i = (bisect_right if r < rank else bisect_left)(s, now, resume[r])
+            live[r] = True
+            heappush(heap, (s[i], r, i))
+
+    for node in network.mobile_nodes():
+        if held(node) > eps:
+            walk(node, -inf, -1)
     delivered = 0.0
     offloaded = False
-    for start, a, b, duration in sampler.all_events():
-        usable = min(duration, deadline - start)
+    while True:
+        start, r, i = heap[0]
+        if start == inf:
+            return offloaded, False, None
+        mobile = mobile_end[r]
+        if mobile >= 0:
+            touching = held(mobile) > eps
+        else:
+            a, b = keys[r]
+            touching = held(a) > eps or held(b) > eps
+        if not touching:
+            heappop(heap)
+            live[r] = False
+            resume[r] = i
+            walking.difference_update(keys[r])
+            continue
+        heapreplace(heap, (starts[r][i + 1], r, i + 1))
+        # min(duration, deadline - start), inlined: this runs once a contact
+        usable = deadline - start
+        duration = durations[r][i]
+        if duration <= usable:
+            usable = duration
         if usable <= 0:
             continue
-        rate = edges[(a, b)].rate
-        capacity = usable * rate
-        if a == infra or b == infra:
-            mobile = b if a == infra else a
+        capacity = usable * rates[r]
+        if mobile >= 0:
             amount = min(held(mobile), capacity)
-            if amount > _EPS:
+            if amount > eps:
                 delivered += amount
-                strategy.unload(mobile, amount, start, delivered)
-                if delivered >= task.size - _EPS * task.size:
-                    return offloaded, True, start + amount / rate
-        elif held(a) > _EPS or held(b) > _EPS:
-            offloaded = strategy.meet(a, b, capacity, start) or offloaded
-    return offloaded, False, None
+                unload(mobile, amount, start, delivered)
+                if delivered >= done:
+                    return offloaded, True, start + amount / rates[r]
+        else:
+            offloaded = meet(a, b, capacity, start) or offloaded
+            if a not in walking and held(a) > eps:
+                walk(a, start, r)
+            if b not in walking and held(b) > eps:
+                walk(b, start, r)
 
 
 def _bootstrap_states(network: Network, task: TransmissionTask) -> dict[int, NodeState]:

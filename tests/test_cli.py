@@ -160,6 +160,23 @@ class TestSimulate:
         assert open(r1).read() == open(r2).read()
         assert open(s1).read() == open(s2).read()
 
+    def test_nan_size_is_a_validation_error(self, tmp_path, synth_config, capsys):
+        # json reads the bare NaN literal as a float; without the heuristic,
+        # whose estimator raises on it, no strategy would notice the NaN
+        config = self._config(
+            tmp_path, synth_config, str(tmp_path / "r.csv"), str(tmp_path / "s.csv")
+        )
+        payload = json.loads(open(config).read())
+        payload["sizes"] = [float("nan")]
+        payload["strategies"] = ["individual", "distributed", "spread", "maxrate"]
+        text = json.dumps(payload)
+        assert '"sizes": [NaN]' in text
+        open(config, "w").write(text)
+        assert main(["simulate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "error[VALIDATION]" in err and "size" in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestFit:
     def test_trace_to_network(self, tmp_path):

@@ -1,11 +1,13 @@
 import hashlib
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 import oppload as ol
-from oppload.errors import ConfigError
+from oppload import simulator
+from oppload.errors import ConfigError, ProtocolError
 from oppload.netgraph import Network, edge_key
 
 
@@ -88,6 +90,30 @@ def make_tasks(network, count, size, deadline, seed=3):
         )
         for i in range(count)
     ]
+
+
+class TestTransmissionTask:
+    @pytest.mark.parametrize("field", ["size", "deadline", "release"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, field, value):
+        fields = dict(task_id=0, source=0, size=10.0, deadline=100.0, release=0.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            ol.TransmissionTask(**fields)
+
+    @pytest.mark.parametrize("field", ["size", "deadline"])
+    def test_non_positive_size_and_deadline_are_rejected(self, field):
+        fields = dict(task_id=0, source=0, size=10.0, deadline=100.0)
+        fields[field] = 0.0
+        with pytest.raises(ValueError):
+            ol.TransmissionTask(**fields)
+
+    def test_negative_release_is_rejected(self):
+        with pytest.raises(ValueError, match="release"):
+            ol.TransmissionTask(task_id=0, source=0, size=10.0, deadline=100.0, release=-1.0)
+
+    def test_zero_release_is_accepted(self):
+        assert ol.TransmissionTask(task_id=0, source=0, size=1.0, deadline=1.0).release == 0.0
 
 
 class TestSimulateStrategy:
@@ -198,6 +224,78 @@ PINNED_OUTCOMES = {
 }
 PINNED_EVENT_LOG = (415, "fd3c54c07c4b7cd8f8982d9d1cad76a17c90fd64f4393b230854f7fd6fd80200")
 
+# Criterion 7's network at deadline 3000, sizes 60 and 120, recorded before
+# the replay walked only the edges touching data.
+PINNED_LONG_OUTCOMES = {
+    "individual": [
+        (False, False, "None"),
+        (False, False, "None"),
+        (False, True, "729.2360100688546"),
+        (False, True, "2931.600110454356"),
+    ],
+    "heuristic": [
+        (True, True, "342.2718383061829"),
+        (True, True, "1266.6541232955974"),
+        (False, True, "729.2360100688546"),
+        (True, True, "1518.4140384140767"),
+    ],
+    "distributed": [
+        (True, True, "2303.305607482521"),
+        (True, False, "None"),
+        (True, True, "406.3361775168083"),
+        (True, True, "2019.5237227050966"),
+    ],
+    "spread": [
+        (True, True, "1762.4937568146893"),
+        (True, True, "1817.3957511123206"),
+        (True, True, "1818.3586686553836"),
+        (True, True, "1917.586214004762"),
+    ],
+    "maxrate": [
+        (True, True, "1074.742434620899"),
+        (True, True, "1633.3178587548528"),
+        (True, True, "426.15371186084695"),
+        (True, True, "1015.0785936235296"),
+    ],
+}
+PINNED_LONG_EVENT_LOG = (
+    13126,
+    "2dbffb4b3a6044eab210631e3b16be128f2f569844d403e7ab25fbc14da70969",
+)
+
+
+def criterion_7_network():
+    return ol.generate_synthetic(
+        ol.SyntheticConfig(
+            n=50,
+            avg_degree=10,
+            max_degree=15,
+            weight_exponent=2.0,
+            node_alpha_range=(6.0, 10.0),
+            node_beta_range=(2.0, 3.0),
+            infra_alpha_range=(3.0, 4.0),
+            infra_beta_range=(2.0, 3.0),
+            infra_lambda_range=(0.002, 0.02),
+            rate=1.0,
+            seed=42,
+        )
+    )
+
+
+def replay_all(net, tasks, seed):
+    """Every strategy's (offloaded, success, repr(completion)) and the
+    distributed event log's row count and digest."""
+    log: list[dict] = []
+    outcomes = {}
+    for strategy in ol.STRATEGIES:
+        result = ol.simulate_strategy(
+            net, tasks, strategy, seed=seed, event_log=log if strategy == "distributed" else None
+        )
+        outcomes[strategy] = [
+            (o.offloaded, o.success, repr(o.completion_time)) for o in result.outcomes
+        ]
+    return outcomes, (len(log), hashlib.sha256(repr(log).encode()).hexdigest())
+
 
 class TestPinnedReplay:
     def test_outcomes_and_event_log_are_unchanged(self):
@@ -216,15 +314,203 @@ class TestPinnedReplay:
             )
         )
         tasks = make_tasks(net, 8, size=16.0, deadline=150.0)
-        log: list[dict] = []
-        for strategy in ol.STRATEGIES:
-            result = ol.simulate_strategy(
-                net, tasks, strategy, seed=17, event_log=log if strategy == "distributed" else None
+        outcomes, log = replay_all(net, tasks, seed=17)
+        assert outcomes == PINNED_OUTCOMES
+        assert log == PINNED_EVENT_LOG
+
+    def test_long_deadline_outcomes_and_event_log_are_unchanged(self):
+        tasks = [
+            ol.TransmissionTask(task_id=i, source=source, size=size, deadline=3000.0)
+            for i, (source, size) in enumerate([(5, 60.0), (5, 120.0), (15, 60.0), (15, 120.0)])
+        ]
+        outcomes, log = replay_all(criterion_7_network(), tasks, seed=17)
+        assert outcomes == PINNED_LONG_OUTCOMES
+        assert log == PINNED_LONG_EVENT_LOG
+
+
+class StubSampler:
+    """Hand-built contacts per edge, recording which edges were asked for."""
+
+    def __init__(self, contacts):
+        self.contacts = {key: sorted(events) for key, events in contacts.items()}
+        self.asked = []
+
+    def events(self, key):
+        self.asked.append(key)
+        events = self.contacts.get(key, [])
+        return simulator._EdgeContacts([s for s, _ in events], [d for _, d in events])
+
+
+def merged_replay(network, task, sampler, strategy):
+    """The replay before it walked only edges touching data: every edge's
+    contacts merged into one stream, stably sorted on start, then walked."""
+    infra = network.infrastructure_id
+    edges = network.edges
+    deadline = task.deadline
+    held = strategy.held
+    merged = [
+        (start, a, b, duration)
+        for a, b in sorted(edges)
+        for start, duration in sampler.events((a, b))
+    ]
+    merged.sort(key=itemgetter(0))
+    delivered = 0.0
+    offloaded = False
+    for start, a, b, duration in merged:
+        usable = min(duration, deadline - start)
+        if usable <= 0:
+            continue
+        rate = edges[(a, b)].rate
+        capacity = usable * rate
+        if a == infra or b == infra:
+            mobile = b if a == infra else a
+            amount = min(held(mobile), capacity)
+            if amount > 1e-9:
+                delivered += amount
+                strategy.unload(mobile, amount, start, delivered)
+                if delivered >= task.size - 1e-9 * task.size:
+                    return offloaded, True, start + amount / rate
+        elif held(a) > 1e-9 or held(b) > 1e-9:
+            offloaded = strategy.meet(a, b, capacity, start) or offloaded
+    return offloaded, False, None
+
+
+def recorded(strategy):
+    """Log every meet and unload call on ``strategy`` with its result."""
+    calls = []
+    meet, unload = strategy.meet, strategy.unload
+
+    def record_meet(a, b, capacity, start):
+        moved = meet(a, b, capacity, start)
+        calls.append(("meet", a, b, capacity, start, moved))
+        return moved
+
+    def record_unload(node, amount, start, delivered):
+        unload(node, amount, start, delivered)
+        calls.append(("unload", node, amount, start, delivered))
+
+    strategy.meet, strategy.unload = record_meet, record_unload
+    return calls
+
+
+def replay_both_ways(network, task, contacts):
+    """Per contact-driven strategy: (outcome, calls, event log) from the walk
+    and from the merged reference, plus the edges the walk sampled."""
+    runs = {}
+    for name in ("distributed", "spread", "maxrate"):
+        pair = []
+        for replay in (simulator._replay, merged_replay):
+            log: list[dict] = []
+            try:
+                if name == "distributed":
+                    hooks = simulator._Hooks(event_log=log)
+                    strategy = simulator._Distributed(network, task, hooks)
+                elif name == "spread":
+                    strategy = simulator._Spread(network, task)
+                else:
+                    strategy = simulator._MaxRate(network, task)
+            except ProtocolError:
+                break
+            calls = recorded(strategy)
+            sampler = StubSampler(contacts)
+            pair.append((replay(network, task, sampler, strategy), calls, log, sampler.asked))
+        if pair:
+            runs[name] = pair
+    return runs
+
+
+def uniform_params(lam=0.05):
+    return ol.PairContactParams(contact_rate=lam, alpha=3.0, beta=2.0, rate=1.0)
+
+
+class TestWalkEquivalence:
+    """The walk over edges touching data makes the same calls, in the same
+    order, as a walk over every contact of the task."""
+
+    # mobile nodes 0-4, infrastructure 5; node 4 reaches only infrastructure
+    KEYS = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)]
+    CONTACTS = {
+        # equal starts on different edges, and a higher-ranked edge of the
+        # node that just received data at that same start
+        (0, 1): [(5.0, 10.0), (50.0, 10.0)],
+        (0, 2): [(5.0, 10.0)],
+        (1, 5): [(5.0, 100.0), (12.0, 5.0), (55.0, 0.5)],
+        # two contacts of one edge at one start, reached while neither end
+        # holds data, then node 3 receives data later at that start
+        (1, 3): [(30.0, 10.0), (30.0, 10.0), (60.0, 10.0)],
+        (2, 3): [(30.0, 10.0)],  # runs out while both ends hold data
+        (1, 2): [(52.0, 10.0)],
+        (3, 5): [(40.0, 0.4), (40.0, 0.4)],
+        (2, 5): [(70.0, 100.0), (100.0, 5.0)],
+        (0, 5): [(80.0, 100.0), (100.0, 5.0)],  # the last at the deadline
+        (4, 5): [(1.0, 50.0), (50.0, 50.0)],
+    }
+
+    def network(self):
+        edges = {key: uniform_params(0.02 + 0.01 * rank) for rank, key in enumerate(self.KEYS)}
+        return Network(node_count=6, infrastructure_id=5, edges=edges)
+
+    def test_hand_built_contacts(self):
+        net = self.network()
+        task = ol.TransmissionTask(task_id=0, source=0, size=8.0, deadline=100.0)
+        runs = replay_both_ways(net, task, self.CONTACTS)
+        assert set(runs) == {"distributed", "spread", "maxrate"}
+        for name, (walked, merged) in runs.items():
+            assert walked[:3] == merged[:3], name
+            # node 4 never holds data, so its only edge is never sampled
+            assert (4, 5) not in walked[3], name
+            assert len(walked[3]) == len(set(walked[3])), name
+
+        # the cases the contacts were built for all happen under spread
+        calls = runs["spread"][0][1]
+        unloads = [(call[1], call[3]) for call in calls if call[0] == "unload"]
+        meets = [(call[1], call[2], call[4]) for call in calls if call[0] == "meet" and call[5]]
+        # node 1 delivers everything at 5, receives again at 50, delivers at 55
+        assert (1, 5.0) in unloads and (1, 55.0) in unloads
+        assert (0, 1, 50.0) in meets
+        # both contacts of (3, 5) at 40 deliver
+        assert unloads.count((3, 40.0)) == 2
+        # (1, 3) at 30 came before node 3 held data; (2, 3) at 30 hands it some
+        assert (2, 3, 30.0) in meets and not any(start == 30.0 for a, b, start in meets if a == 1)
+        # nothing moves at the deadline
+        assert all(start < 100.0 for _, start in unloads)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_contacts_on_a_coarse_grid(self, seed):
+        # integer starts make simultaneous contacts common, within an edge
+        # and across edges, and the deadline falls on the grid
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 8))
+        infra = n - 1
+        keys = {edge_key(m, infra) for m in range(infra) if rng.random() < 0.7}
+        keys.add(edge_key(0, infra))
+        for _ in range(int(rng.integers(n, 3 * n))):
+            a, b = (int(x) for x in rng.choice(infra, size=2, replace=False))
+            keys.add(edge_key(a, b))
+        edges = {
+            key: ol.PairContactParams(
+                contact_rate=float(rng.uniform(0.01, 0.2)),
+                alpha=float(rng.uniform(2.0, 6.0)),
+                beta=float(rng.uniform(1.0, 3.0)),
+                rate=float(rng.choice([0.5, 1.0, 2.0])),
             )
-            got = [(o.offloaded, o.success, repr(o.completion_time)) for o in result.outcomes]
-            assert got == PINNED_OUTCOMES[strategy], strategy
-        digest = hashlib.sha256(repr(log).encode()).hexdigest()
-        assert (len(log), digest) == PINNED_EVENT_LOG
+            for key in keys
+        }
+        net = Network(node_count=n, infrastructure_id=infra, edges=edges)
+        deadline = float(rng.integers(20, 60))
+        contacts = {
+            key: [
+                (float(rng.integers(0, deadline + 1)), float(rng.uniform(0.2, 3.0)))
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            for key in keys
+        }
+        task = ol.TransmissionTask(
+            task_id=0, source=int(rng.integers(infra)), size=float(rng.uniform(2.0, 12.0)),
+            deadline=deadline,
+        )
+        for name, (walked, merged) in replay_both_ways(net, task, contacts).items():
+            assert walked[:3] == merged[:3], name
 
 
 class TestDistributedInvariantSweep:
