@@ -134,7 +134,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_simulation_network(config: dict, seed: int | None) -> Network:
+def _load_simulation_network(config: dict) -> Network:
     source = config.get("network")
     if not isinstance(source, dict):
         raise ConfigError("config needs a 'network' object")
@@ -191,7 +191,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     strategies = config.get("strategies", list(STRATEGIES))
     if strategies == "all":
         strategies = list(STRATEGIES)
-    network = _load_simulation_network(config, seed)
+    network = _load_simulation_network(config)
     tasks = _build_tasks(
         network,
         [float(s) for s in config.get("sizes", [])],

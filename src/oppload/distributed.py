@@ -1,20 +1,22 @@
 """Distributed offload protocol driven by two-hop local knowledge.
 
 Every node keeps contact parameters for its neighbors plus, learned on
-contact, each neighbor's own neighbor table.  A task is split at the
-source over the at-most-two-hop paths it can construct (criterion
-assignment); whenever a carrier meets another node the weakest segments
-are re-evaluated against the peer's paths and moved if that improves the
-joint delivery probability (real-time adjustment); after the transfer both
-sides reconcile their assignments with the amount actually moved
-(assignment update).  A node never sends task data back to the node it
-received it from, nor to the task source.
+contact, each neighbor's own neighbor table; learned tables never expire.
+A task is split at the source over the at-most-two-hop paths it can
+construct (criterion assignment); whenever a carrier meets another node
+its segments are ranked once, weakest first, and offered in that order to
+the peer's paths, each moving if that improves the joint delivery
+probability (real-time adjustment); after the transfer both sides
+reconcile their assignments with the amount actually moved (assignment
+update).  A node never sends task data back to the node it received it
+from, nor to the task source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .contacts import PairContactParams
 from .delivery import DeliveryQuery, PathSpec, availability, delivery_prob_path, path_capacity
@@ -37,22 +39,14 @@ Route = tuple[int, ...]
 
 
 @dataclass
-class SecondHopInfo:
-    """A neighbor's neighbor table as learned during a contact."""
-
-    neighbors: dict[int, PairContactParams]
-    learned_at: float
-
-
-@dataclass
 class TwoHopTable:
     """Per-neighbor contact parameters plus learned second-hop tables."""
 
     neighbors: dict[int, PairContactParams] = field(default_factory=dict)
-    second_hop: dict[int, SecondHopInfo] = field(default_factory=dict)
+    second_hop: dict[int, dict[int, PairContactParams]] = field(default_factory=dict)
 
-    def learn(self, neighbor: int, table: dict[int, PairContactParams], now: float) -> None:
-        self.second_hop[neighbor] = SecondHopInfo(neighbors=table, learned_at=now)
+    def learn(self, neighbor: int, table: dict[int, PairContactParams]) -> None:
+        self.second_hop[neighbor] = table
 
 
 @dataclass
@@ -66,43 +60,27 @@ class NodeState:
     carried: float = 0.0
     assignment: dict[Route, float] = field(default_factory=dict)
     provenance: set[int] = field(default_factory=set)
-    # second-hop entries older than this are ignored; defaults to "no limit"
-    staleness_horizon: float = math.inf
 
-    def candidate_routes(self, now: float = 0.0) -> dict[Route, PathSpec]:
+    def candidate_routes(self) -> dict[Route, PathSpec]:
         """Routes of at most two hops from this node to the destination."""
-        routes: dict[Route, PathSpec] = {}
-        direct = self.table.neighbors.get(self.destination)
-        if direct is not None:
-            routes[(self.node_id, self.destination)] = PathSpec((direct,))
-        for neighbor in sorted(self.table.neighbors):
-            if neighbor == self.destination:
-                continue
-            info = self.table.second_hop.get(neighbor)
-            if info is None or now - info.learned_at > self.staleness_horizon:
-                continue
-            tail = info.neighbors.get(self.destination)
-            if tail is None:
-                continue
-            first = self.table.neighbors[neighbor]
-            routes[(self.node_id, neighbor, self.destination)] = PathSpec((first, tail))
-        return routes
+        routes = [(self.node_id, self.destination)] + [
+            (self.node_id, neighbor, self.destination)
+            for neighbor in sorted(self.table.neighbors)
+            if neighbor != self.destination
+        ]
+        specs = ((route, self.route_spec(route)) for route in routes)
+        return {route: spec for route, spec in specs if spec is not None}
 
     def route_spec(self, route: Route) -> PathSpec | None:
-        # resolve a route against the table without the staleness filter,
-        # for segments assigned earlier whose entry has since gone stale
-        hops: list[PairContactParams] = []
+        """The hops of ``route`` from this node's tables, or None when the
+        tables do not know one of them."""
         first = self.table.neighbors.get(route[1])
         if first is None:
             return None
-        hops.append(first)
-        if len(route) == 3:
-            info = self.table.second_hop.get(route[1])
-            tail = info.neighbors.get(route[2]) if info else None
-            if tail is None:
-                return None
-            hops.append(tail)
-        return PathSpec(tuple(hops))
+        if len(route) == 2:
+            return PathSpec((first,))
+        tail = self.table.second_hop.get(route[1], {}).get(route[2])
+        return None if tail is None else PathSpec((first, tail))
 
 
 @dataclass(frozen=True)
@@ -110,7 +88,6 @@ class AdjustmentResult:
     """Outcome of real-time adjustment at a contact."""
 
     planned: float
-    sender_assignment: dict[Route, float]
     receiver_assignment: dict[Route, float]
     improvement: float
 
@@ -131,9 +108,14 @@ def _route_prob(spec: PathSpec | None, size: float, deadline: float) -> float:
     return delivery_prob_path(spec, DeliveryQuery(data_size=size, deadline=deadline))
 
 
-def criterion_assignment(
-    state: NodeState, total: float, deadline: float, now: float = 0.0
-) -> dict[Route, float]:
+def _log_joint(prob, holder: dict[Route, float], peer: dict[Route, float]) -> float:
+    """Log joint delivery probability of both sides' segments."""
+    return math.fsum(
+        math.log(max(prob(r, s), 1e-300)) for r, s in holder.items()
+    ) + math.fsum(math.log(max(prob(r, s), 1e-300)) for r, s in peer.items())
+
+
+def criterion_assignment(state: NodeState, total: float, deadline: float) -> dict[Route, float]:
     """Initial split of ``total`` over the node's at-most-two-hop paths.
 
     With aggregate path capacity below ``total`` the split is proportional
@@ -141,11 +123,12 @@ def criterion_assignment(
     capacity, the last taking the remainder (unfilled paths keep 0).
 
     Raises:
+        ValueError: ``total`` or ``deadline`` is not finite and > 0.
         ProtocolError: the node has no path to the destination.
     """
-    if total <= 0 or deadline <= 0:
-        raise ValueError("total and deadline must be > 0")
-    routes = state.candidate_routes(now)
+    if not (0 < total < math.inf and 0 < deadline < math.inf):
+        raise ValueError(f"total and deadline must be finite and > 0, got {total!r}, {deadline!r}")
+    routes = state.candidate_routes()
     if not routes:
         raise ProtocolError(f"node {state.node_id} has no two-hop path to destination")
 
@@ -173,19 +156,20 @@ def criterion_assignment(
 
 
 def realtime_adjustment(
-    holder: NodeState, peer: NodeState, t_remaining: float, now: float = 0.0
+    holder: NodeState, peer: NodeState, t_remaining: float
 ) -> AdjustmentResult:
     """Decide how much data the holder should hand to the peer it met.
 
     Starts from the criterion amount already assigned to paths through the
-    peer (those segments continue on the peer's direct hop).  Then the
-    holder's weakest remaining segment is repeatedly offered to whichever
-    peer path improves the joint probability the most, comparing only the
-    product over the affected paths; the loop stops at the first
-    non-improving move.  Neither node's live state is modified: the result
-    carries the planned transfer, the sender assignment to reconcile
-    against after the transfer (unchanged here), and the peer's tentative
-    assignment including the planned placements.
+    peer (those segments continue on the peer's direct hop).  The holder's
+    other loaded segments are then ranked once, weakest first (only a
+    moved segment changes size, so the order holds), and each in turn is
+    offered to whichever peer path improves the joint probability the
+    most, comparing only the product over the affected paths; the loop
+    stops at the first non-improving move.  Each (route, size) probability
+    is asked of the estimator once per call.  Neither node's live state is
+    modified: the result carries the planned transfer and the peer's
+    tentative assignment including the planned placements.
 
     Raises:
         ProtocolError: the peer is the destination, the task source, or the
@@ -198,22 +182,22 @@ def realtime_adjustment(
     if peer.node_id in holder.provenance or holder.node_id in peer.provenance:
         raise ProtocolError("this pair already exchanged data for the task")
 
-    peer_routes = {
-        route: spec
-        for route, spec in peer.candidate_routes(now).items()
-        if len(route) == 2 or route[1] != holder.node_id
-    }
+    peer_specs = peer.candidate_routes()
+    peer_routes = sorted(r for r in peer_specs if len(r) == 2 or r[1] != holder.node_id)
     remaining = dict(holder.assignment)
     planned = dict(peer.assignment)
-    holder_specs = {route: holder.route_spec(route) for route in remaining}
+    # a route starts at the node that owns it, so one table serves both sides
+    specs = {
+        **{route: holder.route_spec(route) for route in remaining},
+        **{route: peer.route_spec(route) for route in planned},
+        **peer_specs,
+    }
 
-    before = math.fsum(
-        math.log(max(_route_prob(holder_specs[r], s, t_remaining), 1e-300))
-        for r, s in remaining.items()
-    ) + math.fsum(
-        math.log(max(_route_prob(peer.route_spec(r), s, t_remaining), 1e-300))
-        for r, s in planned.items()
-    )
+    @cache
+    def prob(route: Route, size: float) -> float:
+        return _route_prob(specs[route], size, t_remaining)
+
+    before = _log_joint(prob, remaining, planned)
 
     moved = 0.0
     direct_tail = (peer.node_id, holder.destination)
@@ -224,62 +208,57 @@ def realtime_adjustment(
                 moved += remaining[route]
                 remaining[route] = 0.0
 
-    while peer_routes:
-        loaded = [(r, s) for r, s in sorted(remaining.items()) if s > _EPS]
-        if not loaded:
-            break
-        j_route, j_size = min(
-            loaded,
-            key=lambda item: (_route_prob(holder_specs[item[0]], item[1], t_remaining), item[0]),
+    if peer_routes:
+        ranked = sorted(
+            (r for r, s in remaining.items() if s > _EPS),
+            key=lambda r: (prob(r, remaining[r]), r),
         )
-        j_prob = _route_prob(holder_specs[j_route], j_size, t_remaining)
-        best_route = None
-        best_ratio = 0.0
-        for k_route, k_spec in sorted(peer_routes.items()):
-            k_size = planned.get(k_route, 0.0)
-            p_old = _route_prob(k_spec, k_size, t_remaining)
-            p_new = _route_prob(k_spec, k_size + j_size, t_remaining)
-            if p_old <= 0.0:
-                continue
-            ratio = p_new / p_old
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_route = k_route
-        if best_route is None or best_ratio <= j_prob + 1e-12:
-            break
-        planned[best_route] = planned.get(best_route, 0.0) + j_size
-        remaining[j_route] = 0.0
-        moved += j_size
-
-    after = math.fsum(
-        math.log(max(_route_prob(holder_specs[r], s, t_remaining), 1e-300))
-        for r, s in remaining.items()
-    ) + math.fsum(
-        math.log(max(_route_prob(peer.route_spec(r), s, t_remaining), 1e-300))
-        for r, s in planned.items()
-    )
+        for j_route in ranked:
+            j_size = remaining[j_route]
+            j_prob = prob(j_route, j_size)
+            best_route = None
+            best_ratio = 0.0
+            for k_route in peer_routes:
+                k_size = planned.get(k_route, 0.0)
+                p_old = prob(k_route, k_size)
+                p_new = prob(k_route, k_size + j_size)
+                if p_old <= 0.0:
+                    continue
+                ratio = p_new / p_old
+                if ratio > best_ratio:
+                    best_ratio = ratio
+                    best_route = k_route
+            if best_route is None or best_ratio <= j_prob + 1e-12:
+                break
+            planned[best_route] = planned.get(best_route, 0.0) + j_size
+            remaining[j_route] = 0.0
+            moved += j_size
 
     return AdjustmentResult(
         planned=moved,
-        sender_assignment=dict(holder.assignment),
         receiver_assignment=planned,
-        improvement=after - before,
+        improvement=_log_joint(prob, remaining, planned) - before,
     )
 
 
-def _strip(state: NodeState, amount: float, deadline: float) -> None:
-    """Remove ``amount`` from the assignment, weakest-probability paths first."""
-    while amount > _EPS:
-        loaded = [(r, s) for r, s in sorted(state.assignment.items()) if s > _EPS]
-        if not loaded:
-            break
-        route, size = min(
-            loaded,
-            key=lambda item: (_route_prob(state.route_spec(item[0]), item[1], deadline), item[0]),
-        )
+def _strip(state: NodeState, amount: float, t_remaining: float) -> None:
+    """Remove ``amount`` from the assignment, weakest-probability paths first.
+
+    Every route but the last one touched is emptied, so one ranking holds.
+    """
+    if amount <= _EPS:
+        return
+    ranked = sorted(
+        (r for r, s in state.assignment.items() if s > _EPS),
+        key=lambda r: (_route_prob(state.route_spec(r), state.assignment[r], t_remaining), r),
+    )
+    for route in ranked:
+        size = state.assignment[route]
         take = min(size, amount)
         state.assignment[route] = size - take
         amount -= take
+        if amount <= _EPS:
+            break
 
 
 def _deliver(holder: NodeState, amount: float, t_remaining: float) -> None:
@@ -307,7 +286,7 @@ def assignment_update(
     Raises:
         TransferContractError: ``actual`` outside ``[0, planned]``.
     """
-    if actual < -_EPS or actual > planned + _EPS:
+    if not -_EPS <= actual <= planned + _EPS:
         raise TransferContractError(
             f"actual transfer {actual} outside [0, planned={planned}]"
         )
@@ -324,7 +303,6 @@ def on_contact(
     b: NodeState,
     contact_capacity: float,
     t_remaining: float,
-    now: float = 0.0,
 ) -> ContactResult:
     """Full protocol handling of one contact.
 
@@ -336,11 +314,14 @@ def on_contact(
     carrier with more to gain runs real-time adjustment and transfers up to
     the contact capacity, after which both assignments are reconciled.
     Returns the planned and actually transferred amounts.
+
+    Raises:
+        ValueError: ``contact_capacity`` is NaN or negative.
     """
-    if contact_capacity < 0:
-        raise ValueError("contact_capacity must be >= 0")
-    a.table.learn(b.node_id, b.table.neighbors, now)
-    b.table.learn(a.node_id, a.table.neighbors, now)
+    if not contact_capacity >= 0:
+        raise ValueError(f"contact_capacity must be >= 0, got {contact_capacity!r}")
+    a.table.learn(b.node_id, b.table.neighbors)
+    b.table.learn(a.node_id, a.table.neighbors)
 
     if a.node_id == b.destination or b.node_id == a.destination:
         holder, sink = (a, b) if b.node_id == a.destination else (b, a)
@@ -362,9 +343,7 @@ def on_contact(
         receiver = b if sender is a else a
         if receiver.node_id == sender.source:
             continue
-        candidates.append(
-            (sender, receiver, realtime_adjustment(sender, receiver, t_remaining, now))
-        )
+        candidates.append((sender, receiver, realtime_adjustment(sender, receiver, t_remaining)))
     if not candidates:
         return ContactResult(0.0, 0.0)
     sender, receiver, result = max(

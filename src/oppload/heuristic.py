@@ -317,9 +317,6 @@ def plan_offload(network: Network, u: int, total: float, deadline: float) -> Off
         raise ValueError("total and deadline must be > 0")
 
     direct = network.edge_params(u, v)
-    if direct is None and dijkstra_max_q(network, u, v, deadline) is None:
-        raise PlanningError(f"node {u} has no path of any kind to infrastructure")
-
     direct_prob = (
         delivery_prob_onehop(direct, DeliveryQuery(data_size=total, deadline=deadline))
         if direct
@@ -327,6 +324,9 @@ def plan_offload(network: Network, u: int, total: float, deadline: float) -> Off
     )
 
     allocations = allocate_paths(network, u, v, total, deadline)
+    # without a direct edge, no allocation means no route at all
+    if direct is None and not allocations:
+        raise PlanningError(f"node {u} has no path of any kind to infrastructure")
     if allocations:
         allocations = assign_remaining(allocations, total, deadline)
         allocations = reallocate(allocations, deadline)

@@ -370,29 +370,26 @@ def _bootstrap_states(network: Network, task: TransmissionTask) -> dict[int, Nod
 
     Nodes are assumed to have met their neighbors before the task was
     released, so each node knows its neighbors' parameters and their
-    neighbor tables.  Entries learned at time 0 stay fresh until the
-    deadline, so contacts that move no data need not exchange tables.
+    neighbor tables.  Learned tables never expire, so contacts that move
+    no data need not exchange tables.
     """
     infra = network.infrastructure_id
-    neighbor_tables: dict[int, dict[int, object]] = {}
-    for node in range(network.node_count):
-        neighbor_tables[node] = {
-            nb: network.edge_params(node, nb) for nb in network.neighbors(node)
-        }
-    states: dict[int, NodeState] = {}
-    for node in network.mobile_nodes():
-        table = TwoHopTable(neighbors=dict(neighbor_tables[node]))
-        for nb in network.neighbors(node):
-            if nb != infra:
-                table.learn(nb, neighbor_tables[nb], now=0.0)
-        states[node] = NodeState(
+    tables = {
+        node: {nb: network.edge_params(node, nb) for nb in network.neighbors(node)}
+        for node in network.mobile_nodes()
+    }
+    return {
+        node: NodeState(
             node_id=node,
             destination=infra,
             source=task.source,
-            table=table,
-            staleness_horizon=task.deadline,
+            table=TwoHopTable(
+                neighbors=dict(table),
+                second_hop={nb: tables[nb] for nb in table if nb != infra},
+            ),
         )
-    return states
+        for node, table in tables.items()
+    }
 
 
 class _Distributed:
@@ -446,7 +443,7 @@ class _Distributed:
 
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
         sa, sb = self.states[a], self.states[b]
-        contact = on_contact(sa, sb, capacity, self.deadline - start, now=start)
+        contact = on_contact(sa, sb, capacity, self.deadline - start)
         self.hooks.emit(
             self.states,
             self.delivered,

@@ -1,8 +1,11 @@
+import copy
 import math
 
+import numpy as np
 import pytest
 
 import oppload as ol
+from oppload import distributed
 from oppload.distributed import NodeState, TwoHopTable, realtime_adjustment
 from oppload.errors import ProtocolError, TransferContractError
 
@@ -19,7 +22,7 @@ def node(node_id, neighbors, second_hop=None, carried=0.0, assignment=None, sour
     """Build a NodeState; second_hop maps neighbor -> its neighbor table."""
     table = TwoHopTable(neighbors=dict(neighbors))
     for nb, tbl in (second_hop or {}).items():
-        table.learn(nb, dict(tbl), now=0.0)
+        table.learn(nb, dict(tbl))
     state = NodeState(node_id=node_id, destination=DEST, source=source, table=table)
     state.carried = carried
     state.assignment = dict(assignment or {})
@@ -70,6 +73,14 @@ class TestCriterionAssignment:
         with pytest.raises(ProtocolError):
             ol.criterion_assignment(state, 1.0, 50.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_malformed_total_or_deadline_refused(self, bad):
+        state = node(1, neighbors={DEST: params()}, carried=1.0)
+        with pytest.raises(ValueError):
+            ol.criterion_assignment(state, bad, 50.0)
+        with pytest.raises(ValueError):
+            ol.criterion_assignment(state, 1.0, bad)
+
 
 class TestRealtimeAdjustment:
     def test_peer_without_paths_gets_only_criterion_amount(self):
@@ -97,8 +108,8 @@ class TestRealtimeAdjustment:
         result = realtime_adjustment(holder, peer, 80.0)
         assert result.planned >= 2.5
         assert result.receiver_assignment[(2, DEST)] >= 2.5
-        # sender strips at update time, not at planning time
-        assert result.sender_assignment == holder.assignment
+        # the holder strips at update time, not at planning time
+        assert holder.assignment == {(1, 2, DEST): 2.5, (1, DEST): 3.5}
 
     def test_weak_segment_moves_to_strong_peer_path(self):
         # the holder's direct path is nearly dead; the peer owns a hot path
@@ -212,6 +223,13 @@ class TestAssignmentUpdate:
         with pytest.raises(TransferContractError):
             ol.assignment_update(sender, receiver, 2.0, 3.0, 100.0)
 
+    @pytest.mark.parametrize("planned, actual", [(2.0, math.nan), (math.nan, 1.0)])
+    def test_nan_amounts_violate_the_contract(self, planned, actual):
+        sender, receiver = self._pair()
+        with pytest.raises(TransferContractError):
+            ol.assignment_update(sender, receiver, planned, actual, 100.0)
+        assert sender.carried == 10.0 and receiver.carried == 0.0
+
 
 class TestOnContact:
     def test_delivery_to_destination(self):
@@ -237,6 +255,19 @@ class TestOnContact:
         assert holder.carried == 4.0
         # tables were still exchanged
         assert SOURCE in holder.table.second_hop
+
+    @pytest.mark.parametrize("capacity", [math.nan, -1.0])
+    def test_malformed_capacity_refused(self, capacity):
+        holder = node(
+            1,
+            neighbors={DEST: params(lam=1e-4), 2: params(lam=0.3)},
+            carried=8.0,
+            assignment={(1, DEST): 8.0},
+        )
+        relay = node(2, neighbors={DEST: params(lam=0.5, beta=10.0)})
+        with pytest.raises(ValueError):
+            ol.on_contact(holder, relay, contact_capacity=capacity, t_remaining=60.0)
+        assert holder.carried == 8.0 and relay.carried == 0.0
 
     def test_capacity_limited_transfer_keeps_books_straight(self):
         holder = node(
@@ -285,3 +316,168 @@ class TestOnContact:
         for route in holder.assignment:
             assert len(route) <= 3
             assert route[-1] == DEST
+
+
+def reference_adjustment(holder, peer, t_remaining):
+    """Real-time adjustment as it was before it ranked the holder's segments
+    once: the weakest loaded segment is searched for again after every
+    move, and every probability is asked of the estimator where it is used.
+    Returns (planned, receiver assignment, improvement)."""
+    route_prob, eps = distributed._route_prob, distributed._EPS
+    peer_routes = {
+        route: spec
+        for route, spec in peer.candidate_routes().items()
+        if len(route) == 2 or route[1] != holder.node_id
+    }
+    remaining = dict(holder.assignment)
+    planned = dict(peer.assignment)
+    holder_specs = {route: holder.route_spec(route) for route in remaining}
+
+    before = math.fsum(
+        math.log(max(route_prob(holder_specs[r], s, t_remaining), 1e-300))
+        for r, s in remaining.items()
+    ) + math.fsum(
+        math.log(max(route_prob(peer.route_spec(r), s, t_remaining), 1e-300))
+        for r, s in planned.items()
+    )
+
+    moved = 0.0
+    direct_tail = (peer.node_id, holder.destination)
+    for route in sorted(remaining):
+        if len(route) == 3 and route[1] == peer.node_id and remaining[route] > eps:
+            if direct_tail in peer_routes:
+                planned[direct_tail] = planned.get(direct_tail, 0.0) + remaining[route]
+                moved += remaining[route]
+                remaining[route] = 0.0
+
+    while peer_routes:
+        loaded = [(r, s) for r, s in sorted(remaining.items()) if s > eps]
+        if not loaded:
+            break
+        j_route, j_size = min(
+            loaded,
+            key=lambda item: (route_prob(holder_specs[item[0]], item[1], t_remaining), item[0]),
+        )
+        j_prob = route_prob(holder_specs[j_route], j_size, t_remaining)
+        best_route = None
+        best_ratio = 0.0
+        for k_route, k_spec in sorted(peer_routes.items()):
+            k_size = planned.get(k_route, 0.0)
+            p_old = route_prob(k_spec, k_size, t_remaining)
+            p_new = route_prob(k_spec, k_size + j_size, t_remaining)
+            if p_old <= 0.0:
+                continue
+            ratio = p_new / p_old
+            if ratio > best_ratio:
+                best_ratio = ratio
+                best_route = k_route
+        if best_route is None or best_ratio <= j_prob + 1e-12:
+            break
+        planned[best_route] = planned.get(best_route, 0.0) + j_size
+        remaining[j_route] = 0.0
+        moved += j_size
+
+    after = math.fsum(
+        math.log(max(route_prob(holder_specs[r], s, t_remaining), 1e-300))
+        for r, s in remaining.items()
+    ) + math.fsum(
+        math.log(max(route_prob(peer.route_spec(r), s, t_remaining), 1e-300))
+        for r, s in planned.items()
+    )
+    return moved, planned, after - before
+
+
+def reference_strip(state, amount, deadline):
+    """The assignment strip as it was before it ranked the routes once: the
+    weakest loaded route is searched for again after every removal."""
+    route_prob, eps = distributed._route_prob, distributed._EPS
+    while amount > eps:
+        loaded = [(r, s) for r, s in sorted(state.assignment.items()) if s > eps]
+        if not loaded:
+            break
+        route, size = min(
+            loaded,
+            key=lambda item: (route_prob(state.route_spec(item[0]), item[1], deadline), item[0]),
+        )
+        take = min(size, amount)
+        state.assignment[route] = size - take
+        amount -= take
+
+
+def random_neighbourhood(rng):
+    """A holder (node 1) meeting a peer (node 2), both with two-hop tables
+    over relays 3-7.  Hop parameters come from a small pool, so equal
+    probabilities, and the tie-breaks between them, are common."""
+    pool = [
+        params(
+            lam=float(10 ** rng.uniform(-3, -0.5)),
+            beta=float(rng.choice([2.0, 3.0, 5.0])),
+            rate=float(rng.choice([1.0, 100.0])),
+        )
+        for _ in range(4)
+    ]
+
+    def draw():
+        return pool[int(rng.integers(len(pool)))]
+
+    def table(node_id, always):
+        others = [n for n in (SOURCE, 1, 2, 3, 4, 5, 6, 7) if n != node_id]
+        nbs = set(always) | {n for n in others if rng.random() < 0.4}
+        if rng.random() < 0.6:
+            nbs.add(DEST)
+        return {nb: draw() for nb in sorted(nbs)}
+
+    tables = {n: table(n, always={1, 2} - {n}) for n in (SOURCE, 1, 2, 3, 4, 5, 6, 7)}
+    return [
+        node(n, tables[n], second_hop={nb: tables[nb] for nb in tables[n] if nb != DEST})
+        for n in (1, 2)
+    ]
+
+
+def load(state, rng):
+    """Give ``state`` a criterion assignment of a random total with some
+    segments emptied, halved or shrunk below the protocol's epsilon, so
+    segments of every size occur; False when the node has no path."""
+    total = float(rng.uniform(0.5, 14.0))
+    try:
+        state.assignment = ol.criterion_assignment(state, total, float(rng.uniform(50.0, 300.0)))
+    except ProtocolError:
+        return False
+    for route in list(state.assignment):
+        if rng.random() < 0.3:
+            state.assignment[route] *= float(rng.choice([0.0, 0.5, 1e-10]))
+    state.carried = math.fsum(state.assignment.values())
+    return True
+
+
+class TestAdjustmentEquivalence:
+    """Ranking the segments once and asking each probability once decides
+    exactly what searching again after every move decided."""
+
+    def test_random_neighbourhoods(self):
+        rng = np.random.default_rng(2024)
+        compared = moved = 0
+        for _ in range(300):
+            holder, peer = random_neighbourhood(rng)
+            if not load(holder, rng):
+                continue
+            if rng.random() < 0.5:
+                load(peer, rng)
+            t_remaining = float(rng.uniform(20.0, 300.0))
+            want = reference_adjustment(holder, peer, t_remaining)
+            got = realtime_adjustment(holder, peer, t_remaining)
+            assert got.planned == want[0]
+            assert list(got.receiver_assignment.items()) == list(want[1].items())
+            assert got.improvement == want[2]
+            compared += 1
+            moved += got.planned > 0
+
+            for state in (holder, peer):
+                total = math.fsum(state.assignment.values())
+                for amount in (0.0, 1e-10, float(rng.uniform(0.0, total)), total, 2 * total + 1):
+                    ref, new = copy.deepcopy(state), copy.deepcopy(state)
+                    reference_strip(ref, amount, t_remaining)
+                    distributed._strip(new, amount, t_remaining)
+                    assert list(new.assignment.items()) == list(ref.assignment.items())
+        # the draws exercise both outcomes of an adjustment
+        assert compared > 200 and 20 < moved < compared

@@ -223,6 +223,10 @@ PINNED_OUTCOMES = {
     ],
 }
 PINNED_EVENT_LOG = (415, "fd3c54c07c4b7cd8f8982d9d1cad76a17c90fd64f4393b230854f7fd6fd80200")
+# Digests of every node's carried amount and assignment after each
+# distributed event, recorded before real-time adjustment ranked the
+# segments once.
+PINNED_STATES = "c0400b8ebd22debaf5306d39cc3f6a53e6af3e15a99e570ccca573da32f28d38"
 
 # Criterion 7's network at deadline 3000, sizes 60 and 120, recorded before
 # the replay walked only the edges touching data.
@@ -262,6 +266,7 @@ PINNED_LONG_EVENT_LOG = (
     13126,
     "2dbffb4b3a6044eab210631e3b16be128f2f569844d403e7ab25fbc14da70969",
 )
+PINNED_LONG_STATES = "eec7caea700be1d1813e755678c178c96ad8a347e82b37d027e67b7fc9837425"
 
 
 def criterion_7_network():
@@ -283,18 +288,30 @@ def criterion_7_network():
 
 
 def replay_all(net, tasks, seed):
-    """Every strategy's (offloaded, success, repr(completion)) and the
-    distributed event log's row count and digest."""
+    """Every strategy's (offloaded, success, repr(completion)), the
+    distributed event log's row count and digest, and the digest of the
+    node states the distributed monitor sees (each loaded node's carried
+    amount and assignment, in order, after every event)."""
     log: list[dict] = []
+    states_digest = hashlib.sha256()
+
+    def monitor(row, states, delivered):
+        loaded = [
+            (node, s.carried, list(s.assignment.items()))
+            for node, s in sorted(states.items())
+            if s.carried or s.assignment
+        ]
+        states_digest.update(repr((delivered, loaded)).encode())
+
     outcomes = {}
     for strategy in ol.STRATEGIES:
-        result = ol.simulate_strategy(
-            net, tasks, strategy, seed=seed, event_log=log if strategy == "distributed" else None
-        )
+        hooks = {"event_log": log, "monitor": monitor} if strategy == "distributed" else {}
+        result = ol.simulate_strategy(net, tasks, strategy, seed=seed, **hooks)
         outcomes[strategy] = [
             (o.offloaded, o.success, repr(o.completion_time)) for o in result.outcomes
         ]
-    return outcomes, (len(log), hashlib.sha256(repr(log).encode()).hexdigest())
+    log_digest = (len(log), hashlib.sha256(repr(log).encode()).hexdigest())
+    return outcomes, log_digest, states_digest.hexdigest()
 
 
 class TestPinnedReplay:
@@ -314,18 +331,20 @@ class TestPinnedReplay:
             )
         )
         tasks = make_tasks(net, 8, size=16.0, deadline=150.0)
-        outcomes, log = replay_all(net, tasks, seed=17)
+        outcomes, log, states = replay_all(net, tasks, seed=17)
         assert outcomes == PINNED_OUTCOMES
         assert log == PINNED_EVENT_LOG
+        assert states == PINNED_STATES
 
     def test_long_deadline_outcomes_and_event_log_are_unchanged(self):
         tasks = [
             ol.TransmissionTask(task_id=i, source=source, size=size, deadline=3000.0)
             for i, (source, size) in enumerate([(5, 60.0), (5, 120.0), (15, 60.0), (15, 120.0)])
         ]
-        outcomes, log = replay_all(criterion_7_network(), tasks, seed=17)
+        outcomes, log, states = replay_all(criterion_7_network(), tasks, seed=17)
         assert outcomes == PINNED_LONG_OUTCOMES
         assert log == PINNED_LONG_EVENT_LOG
+        assert states == PINNED_LONG_STATES
 
 
 class StubSampler:
