@@ -31,7 +31,6 @@ from .distributed import (
     AdjustmentResult,
     ContactResult,
     NodeState,
-    TwoHopTable,
     assignment_update,
     criterion_assignment,
     on_contact,
@@ -58,6 +57,7 @@ from .heuristic import (
     plan_offload,
     plan_to_json,
     reallocate,
+    route_path,
 )
 from .netgraph import (
     Network,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from .contacts import PairContactParams
 from .delivery import DeliveryQuery, PathSpec, delivery_prob_onehop, delivery_prob_path
 from .errors import ConfigError, OppLoadError
-from .heuristic import plan_offload, plan_to_json
+from .heuristic import plan_offload, plan_to_json, route_path
 from .netgraph import (
     Network,
     SyntheticConfig,
@@ -50,21 +51,7 @@ def _load_json(path: str) -> dict:
 
 
 def _synthetic_config(payload: dict, seed: int | None) -> SyntheticConfig:
-    known = {
-        "n",
-        "avg_degree",
-        "max_degree",
-        "weight_exponent",
-        "node_alpha_range",
-        "node_beta_range",
-        "infra_alpha_range",
-        "infra_beta_range",
-        "infra_lambda_range",
-        "rate",
-        "seed",
-        "weight_scale",
-    }
-    unknown = set(payload) - known
+    unknown = set(payload) - {f.name for f in dataclasses.fields(SyntheticConfig)}
     if unknown:
         raise ConfigError(f"unknown synthetic config keys: {sorted(unknown)}")
     kwargs = dict(payload)
@@ -188,9 +175,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     runs = args.runs if args.runs is not None else int(config.get("runs", 1))
-    strategies = config.get("strategies", list(STRATEGIES))
+    strategies = config.get("strategies", "all")
     if strategies == "all":
         strategies = list(STRATEGIES)
+    if not isinstance(strategies, list) or any(s not in STRATEGIES for s in strategies):
+        raise ConfigError(
+            f"strategies must be 'all' or a list of names from {list(STRATEGIES)}, "
+            f"got {strategies!r}"
+        )
     network = _load_simulation_network(config)
     tasks = _build_tasks(
         network,
@@ -228,14 +220,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         spec = _path_spec_from_json(_load_json(args.path_spec))
     elif args.network and args.route:
         network = load_network(args.network)
-        route = [int(part) for part in args.route.split(",")]
-        hops = []
-        for a, b in zip(route, route[1:]):
-            params = network.edge_params(a, b)
-            if params is None:
-                raise ConfigError(f"route uses missing edge {(a, b)}")
-            hops.append(params)
-        spec = PathSpec(tuple(hops))
+        spec = route_path(network, [int(part) for part in args.route.split(",")])
     else:
         raise ConfigError("validate needs --path-spec or both --network and --route")
 

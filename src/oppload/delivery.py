@@ -275,22 +275,22 @@ class PathKernel:
         self._onehop: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
-    def prob(self, deadline: float, tuple_cap: int) -> float:
+    def prob(self, deadline: float) -> float:
         """Delivery probability within ``deadline``.
 
         Raises:
-            ComplexityError: a multi-hop tuple space exceeds ``tuple_cap``
-                (checked only once the deadline covers ``T'``, and before
-                any tuple is enumerated).
+            ComplexityError: a multi-hop tuple space exceeds
+                ``DEFAULT_TUPLE_CAP`` (checked only once the deadline covers
+                ``T'``, and before any tuple is enumerated).
         """
         budget = deadline - self.transmission
         if budget <= 0:
             return 0.0
         onehop = len(self.hops) == 1
-        if not onehop and self.tuples > tuple_cap:
+        if not onehop and self.tuples > DEFAULT_TUPLE_CAP:
             raise ComplexityError(
                 f"path would require enumerating {self.tuples} contact tuples "
-                f"(cap {tuple_cap}); the query is too large for this estimator"
+                f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
             )
         if not self._compiled:
             self._compile()
@@ -450,12 +450,10 @@ def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:
     ``TP(i) = 1`` or a zero in-time factor.  Returns 0 when the deadline
     cannot even cover the transmission time.
     """
-    return path_kernel((hop,), query.data_size).prob(query.deadline, DEFAULT_TUPLE_CAP)
+    return path_kernel((hop,), query.data_size).prob(query.deadline)
 
 
-def delivery_prob_path(
-    path: PathSpec, query: DeliveryQuery, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> float:
+def delivery_prob_path(path: PathSpec, query: DeliveryQuery) -> float:
     """Delivery probability of a data item over a k-hop path.
 
     Enumerates every per-hop contact-count tuple ``<n_1..n_k>`` with
@@ -468,15 +466,10 @@ def delivery_prob_path(
     :func:`delivery_prob_onehop` and are not capped.  Evaluated by the
     cached :class:`PathKernel` of ``(path.hops, query.data_size)``.
 
-    Args:
-        path: the path.
-        query: item size and deadline.
-        tuple_cap: maximum number of tuples to enumerate.
-
     Raises:
-        ComplexityError: the tuple space exceeds ``tuple_cap``.
+        ComplexityError: the tuple space exceeds ``DEFAULT_TUPLE_CAP``.
     """
-    return path_kernel(path.hops, query.data_size).prob(query.deadline, tuple_cap)
+    return path_kernel(path.hops, query.data_size).prob(query.deadline)
 
 
 def path_capacity(path: PathSpec) -> float:

@@ -1,15 +1,16 @@
 """Distributed offload protocol driven by two-hop local knowledge.
 
-Every node keeps contact parameters for its neighbors plus, learned on
-contact, each neighbor's own neighbor table; learned tables never expire.
-A task is split at the source over the at-most-two-hop paths it can
-construct (criterion assignment); whenever a carrier meets another node
-its segments are ranked once, weakest first, and offered in that order to
-the peer's paths, each moving if that improves the joint delivery
-probability (real-time adjustment); after the transfer both sides
-reconcile their assignments with the amount actually moved (assignment
-update).  A node never sends task data back to the node it received it
-from, nor to the task source.
+Every node keeps contact parameters for its neighbors and the routes of at
+most two hops to the destination it can build from them: its direct hop,
+and, for each neighbor whose neighbor table it learned on contact, that
+neighbor's hop to the destination.  Learned routes never expire.
+A task is split at the source over those routes (criterion assignment);
+whenever a carrier meets another node its segments are ranked once,
+weakest first, and offered in that order to the peer's routes, each moving
+if that improves the joint delivery probability (real-time adjustment);
+after the transfer both sides reconcile their assignments with the amount
+actually moved (assignment update).  A node never sends task data back to
+the node it received it from, nor to the task source.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .delivery import DeliveryQuery, PathSpec, availability, delivery_prob_path,
 from .errors import ProtocolError, TransferContractError
 
 __all__ = [
-    "TwoHopTable",
     "NodeState",
     "AdjustmentResult",
     "ContactResult",
@@ -39,48 +39,42 @@ Route = tuple[int, ...]
 
 
 @dataclass
-class TwoHopTable:
-    """Per-neighbor contact parameters plus learned second-hop tables."""
-
-    neighbors: dict[int, PairContactParams] = field(default_factory=dict)
-    second_hop: dict[int, dict[int, PairContactParams]] = field(default_factory=dict)
-
-    def learn(self, neighbor: int, table: dict[int, PairContactParams]) -> None:
-        self.second_hop[neighbor] = table
-
-
-@dataclass
 class NodeState:
-    """Protocol state of one node for one task."""
+    """Protocol state of one node for one task.
+
+    ``routes`` is derived from ``neighbors`` and the neighbor tables learned
+    with :meth:`learn`: the direct route, when the destination is a
+    neighbor, then the route through each learned neighbor, in the order
+    learned.
+    """
 
     node_id: int
     destination: int
     source: int
-    table: TwoHopTable = field(default_factory=TwoHopTable)
+    neighbors: dict[int, PairContactParams] = field(default_factory=dict)
     carried: float = 0.0
     assignment: dict[Route, float] = field(default_factory=dict)
     provenance: set[int] = field(default_factory=set)
+    routes: dict[Route, PathSpec] = field(init=False)
 
-    def candidate_routes(self) -> dict[Route, PathSpec]:
-        """Routes of at most two hops from this node to the destination."""
-        routes = [(self.node_id, self.destination)] + [
-            (self.node_id, neighbor, self.destination)
-            for neighbor in sorted(self.table.neighbors)
-            if neighbor != self.destination
-        ]
-        specs = ((route, self.route_spec(route)) for route in routes)
-        return {route: spec for route, spec in specs if spec is not None}
+    def __post_init__(self) -> None:
+        direct = self.neighbors.get(self.destination)
+        self.routes = {}
+        if direct is not None:
+            self.routes[(self.node_id, self.destination)] = PathSpec((direct,))
 
-    def route_spec(self, route: Route) -> PathSpec | None:
-        """The hops of ``route`` from this node's tables, or None when the
-        tables do not know one of them."""
-        first = self.table.neighbors.get(route[1])
+    def learn(self, neighbor: int, table: dict[int, PairContactParams]) -> None:
+        """Keep the route through ``neighbor`` that its neighbor table
+        ``table`` gives, or drop it when the table has no destination hop."""
+        first = self.neighbors.get(neighbor)
         if first is None:
-            return None
-        if len(route) == 2:
-            return PathSpec((first,))
-        tail = self.table.second_hop.get(route[1], {}).get(route[2])
-        return None if tail is None else PathSpec((first, tail))
+            return
+        route = (self.node_id, neighbor, self.destination)
+        tail = table.get(self.destination)
+        if tail is None:
+            self.routes.pop(route, None)
+        else:
+            self.routes[route] = PathSpec((first, tail))
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def criterion_assignment(state: NodeState, total: float, deadline: float) -> dic
     """
     if not (0 < total < math.inf and 0 < deadline < math.inf):
         raise ValueError(f"total and deadline must be finite and > 0, got {total!r}, {deadline!r}")
-    routes = state.candidate_routes()
+    routes = state.routes
     if not routes:
         raise ProtocolError(f"node {state.node_id} has no two-hop path to destination")
 
@@ -182,20 +176,15 @@ def realtime_adjustment(
     if peer.node_id in holder.provenance or holder.node_id in peer.provenance:
         raise ProtocolError("this pair already exchanged data for the task")
 
-    peer_specs = peer.candidate_routes()
-    peer_routes = sorted(r for r in peer_specs if len(r) == 2 or r[1] != holder.node_id)
+    peer_routes = sorted(r for r in peer.routes if len(r) == 2 or r[1] != holder.node_id)
     remaining = dict(holder.assignment)
     planned = dict(peer.assignment)
-    # a route starts at the node that owns it, so one table serves both sides
-    specs = {
-        **{route: holder.route_spec(route) for route in remaining},
-        **{route: peer.route_spec(route) for route in planned},
-        **peer_specs,
-    }
 
     @cache
     def prob(route: Route, size: float) -> float:
-        return _route_prob(specs[route], size, t_remaining)
+        # a route starts at the node that owns it
+        owner = holder if route[0] == holder.node_id else peer
+        return _route_prob(owner.routes.get(route), size, t_remaining)
 
     before = _log_joint(prob, remaining, planned)
 
@@ -250,7 +239,7 @@ def _strip(state: NodeState, amount: float, t_remaining: float) -> None:
         return
     ranked = sorted(
         (r for r, s in state.assignment.items() if s > _EPS),
-        key=lambda r: (_route_prob(state.route_spec(r), state.assignment[r], t_remaining), r),
+        key=lambda r: (_route_prob(state.routes.get(r), state.assignment[r], t_remaining), r),
     )
     for route in ranked:
         size = state.assignment[route]
@@ -306,9 +295,10 @@ def on_contact(
 ) -> ContactResult:
     """Full protocol handling of one contact.
 
-    Both nodes first learn each other's neighbor tables.  A contact with
-    the destination delivers ``min(carried, capacity)`` outright and strips
-    the holder's assignment down to what it still carries.
+    Both nodes first learn the route through each other from the other's
+    neighbor table.  A contact with the destination delivers
+    ``min(carried, capacity)`` outright and strips the holder's assignment
+    down to what it still carries.
     Otherwise, if the pair may exchange data (neither received this task's
     data from the other, neither is the source of the other's data), the
     carrier with more to gain runs real-time adjustment and transfers up to
@@ -320,8 +310,8 @@ def on_contact(
     """
     if not contact_capacity >= 0:
         raise ValueError(f"contact_capacity must be >= 0, got {contact_capacity!r}")
-    a.table.learn(b.node_id, b.table.neighbors)
-    b.table.learn(a.node_id, a.table.neighbors)
+    a.learn(b.node_id, b.neighbors)
+    b.learn(a.node_id, a.neighbors)
 
     if a.node_id == b.destination or b.node_id == a.destination:
         holder, sink = (a, b) if b.node_id == a.destination else (b, a)

@@ -26,7 +26,7 @@ from .delivery import (
     delivery_prob_path,
     path_capacity,
 )
-from .errors import PlanningError
+from .errors import ConfigError, PlanningError
 from .netgraph import EdgeKey, Network, edge_key
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "reallocate",
     "plan_offload",
     "plan_to_json",
+    "route_path",
 ]
 
 _SIZE_EPS = 1e-9
@@ -76,14 +77,24 @@ class OffloadPlan:
     offloaded: bool
 
 
-def _route_path(network: Network, route: Sequence[int]) -> PathSpec:
+def route_path(network: Network, route: Sequence[int]) -> PathSpec:
+    """The hops of ``route``, a sequence of node ids, on ``network``.
+
+    Raises:
+        ConfigError: the route uses an edge the network does not have.
+    """
     hops = []
     for a, b in zip(route, route[1:]):
         params = network.edge_params(a, b)
         if params is None:
-            raise ValueError(f"route uses missing edge {(a, b)}")
+            raise ConfigError(f"route uses missing edge {(a, b)}")
         hops.append(params)
     return PathSpec(tuple(hops))
+
+
+def _check_total_and_deadline(total: float, deadline: float) -> None:
+    if not (0 < total < math.inf and 0 < deadline < math.inf):
+        raise ValueError(f"total and deadline must be finite and > 0, got {total!r}, {deadline!r}")
 
 
 def _settle(
@@ -181,8 +192,7 @@ def allocate_paths(
     alternative path beats plain direct transmission and the result is
     empty, which callers read as "send direct".
     """
-    if total <= 0 or deadline <= 0:
-        raise ValueError("total and deadline must be > 0")
+    _check_total_and_deadline(total, deadline)
     direct = network.edge_params(u, v)
     q_direct = availability(PathSpec((direct,)), deadline) if direct else 0.0
 
@@ -193,7 +203,7 @@ def allocate_paths(
         route = dijkstra_max_q(network, u, v, deadline, excluded)
         if route is None:
             break
-        path = _route_path(network, route)
+        path = route_path(network, route)
         if availability(path, deadline) < q_direct:
             break
         if route == (u, v) and not allocations:
@@ -265,6 +275,7 @@ def assign_remaining(
     allocations: Sequence[Allocation], total: float, deadline: float
 ) -> list[Allocation]:
     """Phase two: grow the allocated paths until they carry ``total``."""
+    _check_total_and_deadline(total, deadline)
     if not allocations:
         raise ValueError("no allocations to assign to")
     assigned = math.fsum(a.assigned for a in allocations)
@@ -308,13 +319,13 @@ def plan_offload(network: Network, u: int, total: float, deadline: float) -> Off
     returns whichever is better.
 
     Raises:
+        ValueError: ``total`` or ``deadline`` is not finite and > 0.
         PlanningError: ``u`` has no route of any kind to the infrastructure.
     """
     v = network.infrastructure_id
     if u == v:
         raise ValueError("the infrastructure node does not plan offloads")
-    if total <= 0 or deadline <= 0:
-        raise ValueError("total and deadline must be > 0")
+    _check_total_and_deadline(total, deadline)
 
     direct = network.edge_params(u, v)
     direct_prob = (

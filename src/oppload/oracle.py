@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .delivery import DeliveryQuery, delivery_prob_path
 from .errors import InstanceTooLargeError
-from .heuristic import Allocation, OffloadPlan, _route_path
+from .heuristic import Allocation, OffloadPlan, route_path
 from .netgraph import Network, edge_key
 
 __all__ = ["OracleConfig", "brute_force_optimal"]
@@ -31,13 +31,12 @@ class OracleConfig:
     size_granularity: float | None = None
     max_paths: int = 3
     max_hops: int = 4
-    tuple_cap: int = 10**6
     enumeration_cap: int = 10**7
 
     def __post_init__(self) -> None:
         if self.size_granularity is not None and self.size_granularity <= 0:
             raise ValueError("size_granularity must be > 0")
-        if min(self.max_paths, self.max_hops, self.tuple_cap, self.enumeration_cap) < 1:
+        if min(self.max_paths, self.max_hops, self.enumeration_cap) < 1:
             raise ValueError("caps must be positive")
 
 
@@ -122,7 +121,7 @@ def brute_force_optimal(
         for subset in itertools.permutations(routes, m):
             if not _edge_disjoint(subset):
                 continue
-            specs = [_route_path(network, route) for route in subset]
+            specs = [route_path(network, route) for route in subset]
             for head in itertools.product(grid, repeat=m - 1):
                 remainder = total - math.fsum(head)
                 if remainder <= 1e-12:
@@ -131,9 +130,7 @@ def brute_force_optimal(
                 value = 1.0
                 for spec, size in zip(specs, sizes):
                     value *= delivery_prob_path(
-                        spec,
-                        DeliveryQuery(data_size=size, deadline=deadline),
-                        tuple_cap=config.tuple_cap,
+                        spec, DeliveryQuery(data_size=size, deadline=deadline)
                     )
                     if value <= best_value:
                         break
@@ -152,7 +149,7 @@ def brute_force_optimal(
         )
 
     allocations = tuple(
-        Allocation(route=route, path=_route_path(network, route), assigned=size)
+        Allocation(route=route, path=route_path(network, route), assigned=size)
         for route, size in zip(best, best_sizes)
     )
     direct_only = len(best) == 1 and best[0] == (u, v)

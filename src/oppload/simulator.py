@@ -27,7 +27,6 @@ from .contacts import _sample_columns
 from .delivery import PathSpec
 from .distributed import (
     NodeState,
-    TwoHopTable,
     _deliver,
     criterion_assignment,
     on_contact,
@@ -107,12 +106,18 @@ def run_monte_carlo_delivery(
     the item fully arrives at that hop's sender; a contact moves
     ``min(remaining, duration * rate)`` and the item advances when the
     cumulative amount reaches the item size.  Success means the final hop
-    completes by the deadline.
+    completes by the deadline; a deadline <= 0 gives 0.
+
+    Raises:
+        ValueError: ``runs < 1``, ``data_size`` not finite and > 0, or a
+            NaN ``deadline``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if data_size <= 0:
-        raise ValueError("data_size must be > 0")
+    if not 0 < data_size < math.inf:
+        raise ValueError(f"data_size must be finite and > 0, got {data_size!r}")
+    if math.isnan(deadline):
+        raise ValueError("deadline must not be NaN")
     if deadline <= 0:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -366,30 +371,26 @@ def _replay(
 
 
 def _bootstrap_states(network: Network, task: TransmissionTask) -> dict[int, NodeState]:
-    """Node states with two-hop tables primed from the network parameters.
+    """Node states with their routes primed from the network parameters.
 
     Nodes are assumed to have met their neighbors before the task was
-    released, so each node knows its neighbors' parameters and their
-    neighbor tables.  Learned tables never expire, so contacts that move
-    no data need not exchange tables.
+    released, so each node knows its neighbors' parameters and has learned
+    their neighbor tables, in ascending neighbor id.  Learned routes never
+    expire, so contacts that move no data need not exchange tables.
     """
     infra = network.infrastructure_id
     tables = {
         node: {nb: network.edge_params(node, nb) for nb in network.neighbors(node)}
         for node in network.mobile_nodes()
     }
-    return {
-        node: NodeState(
-            node_id=node,
-            destination=infra,
-            source=task.source,
-            table=TwoHopTable(
-                neighbors=dict(table),
-                second_hop={nb: tables[nb] for nb in table if nb != infra},
-            ),
-        )
-        for node, table in tables.items()
-    }
+    states = {}
+    for node, table in tables.items():
+        state = NodeState(node_id=node, destination=infra, source=task.source, neighbors=table)
+        for nb in table:
+            if nb != infra:
+                state.learn(nb, tables[nb])
+        states[node] = state
+    return states
 
 
 class _Distributed:

@@ -119,6 +119,18 @@ class TestEstimateAndPlan:
         assert code != 0
         assert "error[PLANNING]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["inf", "nan"])
+    def test_non_finite_size_is_a_validation_error(self, tmp_path, capsys, size):
+        # the source has no direct edge to the infrastructure
+        net_path = tmp_path / "fig.json"
+        save_network(build_two_path_network(), net_path)
+        code = main(
+            ["plan", "--network", str(net_path), "--source", "0",
+             "--size", size, "--deadline", str(TWO_PATH_DEADLINE)]
+        )
+        assert code == 1
+        assert "error[VALIDATION]" in capsys.readouterr().err
+
     def test_plan_writes_json(self, tmp_path, capsys):
         net_path = tmp_path / "fig.json"
         save_network(build_two_path_network(), net_path)
@@ -175,6 +187,23 @@ class TestSimulate:
         assert main(["simulate", "--config", config]) == 1
         err = capsys.readouterr().err
         assert "error[VALIDATION]" in err and "size" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("strategies", ["heuristic", ["individual", "nosuch"], [1]])
+    def test_strategies_checked_before_any_run(
+        self, tmp_path, synth_config, capsys, monkeypatch, strategies
+    ):
+        config = self._config(
+            tmp_path, synth_config, str(tmp_path / "r.csv"), str(tmp_path / "s.csv")
+        )
+        payload = json.loads(open(config).read())
+        payload["strategies"] = strategies
+        open(config, "w").write(json.dumps(payload))
+        ran = []
+        monkeypatch.setattr("oppload.cli.simulate_strategy", lambda *args: ran.append(args))
+        assert main(["simulate", "--config", config]) == 1
+        assert "error[CONFIG]" in capsys.readouterr().err
+        assert ran == []
         assert not (tmp_path / "r.csv").exists()
 
 

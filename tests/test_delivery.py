@@ -6,7 +6,7 @@ import pytest
 
 import oppload as ol
 from oppload.contacts import reg_lower_incomplete_gamma
-from oppload.delivery import _CHUNK, _MAX_KEPT, path_kernel
+from oppload.delivery import _CHUNK, _MAX_KEPT, DEFAULT_TUPLE_CAP, path_kernel
 from oppload.errors import ComplexityError
 
 
@@ -179,9 +179,10 @@ class TestDeliveryPath:
         assert abs(estimated - simulated) <= 0.08
 
     def test_tuple_cap_refused(self):
+        # 100 units over two hops of beta 0.001 need 10**5 * 10**5 tuples
         path = ol.PathSpec((hop(beta=0.001), hop(beta=0.001)))
         with pytest.raises(ComplexityError):
-            ol.delivery_prob_path(path, ol.DeliveryQuery(100.0, 1e6), tuple_cap=1000)
+            ol.delivery_prob_path(path, ol.DeliveryQuery(100.0, 1e6))
 
     def test_monotone_in_size_and_deadline(self):
         # the max-based transfer approximation carries sub-0.1% wiggles in
@@ -345,16 +346,16 @@ class TestPathKernel:
         assert path_kernel.cache_info().hits >= len(deadlines) * 2 - 1
 
     def test_cap_holds_after_smaller_queries_are_cached(self):
-        path = ol.PathSpec((hop(beta=1.0), hop(beta=1.0)))
-        small = ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0), tuple_cap=400)
+        path = ol.PathSpec((hop(beta=1.0, rate=100.0), hop(beta=1.0, rate=100.0)))
+        # 20 units need 20 * 20 tuples; `over` units need just over the cap
+        over = float(math.isqrt(DEFAULT_TUPLE_CAP) + 1)
+        small = ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0))
         assert small > 0.0
         with pytest.raises(ComplexityError):
-            ol.delivery_prob_path(path, ol.DeliveryQuery(21.0, 500.0), tuple_cap=400)
-        with pytest.raises(ComplexityError):
-            ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0), tuple_cap=399)
+            ol.delivery_prob_path(path, ol.DeliveryQuery(over, 500.0))
         # a deadline below the transmission time answers 0 before the cap
-        assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 30.0), tuple_cap=1) == 0.0
-        assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0), tuple_cap=400) == small
+        assert ol.delivery_prob_path(path, ol.DeliveryQuery(over, 20.0)) == 0.0
+        assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0)) == small
 
     @pytest.mark.parametrize("size", [4.0, 30.0, 100.0])
     def test_failed_compile_raises_again(self, size):

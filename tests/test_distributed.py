@@ -6,7 +6,7 @@ import pytest
 
 import oppload as ol
 from oppload import distributed
-from oppload.distributed import NodeState, TwoHopTable, realtime_adjustment
+from oppload.distributed import NodeState, realtime_adjustment
 from oppload.errors import ProtocolError, TransferContractError
 
 
@@ -20,10 +20,9 @@ SOURCE = 0
 
 def node(node_id, neighbors, second_hop=None, carried=0.0, assignment=None, source=SOURCE):
     """Build a NodeState; second_hop maps neighbor -> its neighbor table."""
-    table = TwoHopTable(neighbors=dict(neighbors))
+    state = NodeState(node_id=node_id, destination=DEST, source=source, neighbors=dict(neighbors))
     for nb, tbl in (second_hop or {}).items():
-        table.learn(nb, dict(tbl))
-    state = NodeState(node_id=node_id, destination=DEST, source=source, table=table)
+        state.learn(nb, dict(tbl))
     state.carried = carried
     state.assignment = dict(assignment or {})
     return state
@@ -253,8 +252,8 @@ class TestOnContact:
         result = ol.on_contact(holder, source, contact_capacity=100.0, t_remaining=50.0)
         assert result.transferred == 0.0
         assert holder.carried == 4.0
-        # tables were still exchanged
-        assert SOURCE in holder.table.second_hop
+        # tables were still exchanged: the holder learned the route through the source
+        assert (1, SOURCE, DEST) in holder.routes
 
     @pytest.mark.parametrize("capacity", [math.nan, -1.0])
     def test_malformed_capacity_refused(self, capacity):
@@ -326,18 +325,18 @@ def reference_adjustment(holder, peer, t_remaining):
     route_prob, eps = distributed._route_prob, distributed._EPS
     peer_routes = {
         route: spec
-        for route, spec in peer.candidate_routes().items()
+        for route, spec in peer.routes.items()
         if len(route) == 2 or route[1] != holder.node_id
     }
     remaining = dict(holder.assignment)
     planned = dict(peer.assignment)
-    holder_specs = {route: holder.route_spec(route) for route in remaining}
+    holder_specs = {route: holder.routes.get(route) for route in remaining}
 
     before = math.fsum(
         math.log(max(route_prob(holder_specs[r], s, t_remaining), 1e-300))
         for r, s in remaining.items()
     ) + math.fsum(
-        math.log(max(route_prob(peer.route_spec(r), s, t_remaining), 1e-300))
+        math.log(max(route_prob(peer.routes.get(r), s, t_remaining), 1e-300))
         for r, s in planned.items()
     )
 
@@ -381,7 +380,7 @@ def reference_adjustment(holder, peer, t_remaining):
         math.log(max(route_prob(holder_specs[r], s, t_remaining), 1e-300))
         for r, s in remaining.items()
     ) + math.fsum(
-        math.log(max(route_prob(peer.route_spec(r), s, t_remaining), 1e-300))
+        math.log(max(route_prob(peer.routes.get(r), s, t_remaining), 1e-300))
         for r, s in planned.items()
     )
     return moved, planned, after - before
@@ -397,7 +396,7 @@ def reference_strip(state, amount, deadline):
             break
         route, size = min(
             loaded,
-            key=lambda item: (route_prob(state.route_spec(item[0]), item[1], deadline), item[0]),
+            key=lambda item: (route_prob(state.routes.get(item[0]), item[1], deadline), item[0]),
         )
         take = min(size, amount)
         state.assignment[route] = size - take

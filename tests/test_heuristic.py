@@ -6,7 +6,7 @@ import pytest
 
 import oppload as ol
 from oppload.errors import PlanningError
-from oppload.heuristic import _alloc_prob, _route_path, _settle
+from oppload.heuristic import _alloc_prob, _settle, route_path
 from oppload.netgraph import Network, edge_key
 
 from conftest import TWO_PATH_DEADLINE, TWO_PATH_SIZE, random_small_instance
@@ -84,7 +84,7 @@ def reference_dijkstra(network, u, v, deadline):
             if neighbor in settled or neighbor in route:
                 continue
             candidate = route + (neighbor,)
-            q = ol.availability(_route_path(network, candidate), deadline)
+            q = ol.availability(route_path(network, candidate), deadline)
             entry = (q, len(candidate) - 1, candidate)
             incumbent = best.get(neighbor)
             if incumbent is None or (-q, entry[1], candidate) < (
@@ -106,7 +106,7 @@ class TestRunningMomentLabels:
             settled = list(_settle(net, source, deadline, set()))
             assert len(settled) == net.node_count
             for route, q in settled[1:]:
-                assert q == ol.availability(_route_path(net, route), deadline)
+                assert q == ol.availability(route_path(net, route), deadline)
             assert ol.dijkstra_max_q(net, source, infra, deadline) == reference_dijkstra(
                 net, source, infra, deadline
             )
@@ -254,6 +254,19 @@ class TestPlanOffload:
         net = simple_net({(1, 2): params()}, n=4, infra=2)
         with pytest.raises(PlanningError):
             ol.plan_offload(net, 0, 5.0, 50.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_total_or_deadline_refused(self, two_path_network, bad):
+        # the source has no direct edge: an infinite total would otherwise
+        # grow the allocations forever, and NaN reads as "no path"
+        alloc = make_alloc((0, 1, 3), (3.0, 5.0), assigned=3.0)
+        for total, deadline in ((bad, TWO_PATH_DEADLINE), (TWO_PATH_SIZE, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                ol.plan_offload(two_path_network, 0, total, deadline)
+            with pytest.raises(ValueError, match="finite"):
+                ol.allocate_paths(two_path_network, 0, 3, total, deadline)
+            with pytest.raises(ValueError, match="finite"):
+                ol.assign_remaining([alloc], total, deadline)
 
     def test_never_below_direct_probability(self):
         rng = np.random.default_rng(7)

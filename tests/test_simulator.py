@@ -27,6 +27,12 @@ class TestMonteCarloDelivery:
         hop = params()
         assert ol.run_monte_carlo_delivery(ol.PathSpec((hop,)), 4.0, 0.0, 100, seed=2) == 0.0
 
+    @pytest.mark.parametrize("size, deadline", [(4.0, math.nan), (math.inf, 10.0), (math.nan, 10.0)])
+    def test_nan_deadline_and_non_finite_size_refused(self, size, deadline):
+        path = ol.PathSpec((params(),))
+        with pytest.raises(ValueError):
+            ol.run_monte_carlo_delivery(path, size, deadline, 100, seed=2)
+
     def test_deterministic(self):
         path = ol.PathSpec((params(lam=0.05, rate=1.0), params(lam=0.08, rate=1.0)))
         a = ol.run_monte_carlo_delivery(path, 8.0, 120.0, 5000, seed=9)
