@@ -1,9 +1,10 @@
 """Distributed offload protocol driven by two-hop local knowledge.
 
-Every node keeps contact parameters for its neighbors and the routes of at
-most two hops to the destination it can build from them: its direct hop,
-and, for each neighbor whose neighbor table it learned on contact, that
-neighbor's hop to the destination.  Learned routes never expire.
+Every node keeps the routes of at most two hops to the destination that its
+two-hop local knowledge gives: its direct hop, and each neighbor's hop to
+the destination through that neighbor.  The routes are given when the
+node's state is built (the simulator builds them from the network) and
+stay fixed for the task.
 A task is split at the source over those routes (criterion assignment);
 whenever a carrier meets another node its segments are ranked once,
 weakest first, and offered in that order to the peer's routes, each moving
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 
-from .contacts import PairContactParams
 from .delivery import DeliveryQuery, PathSpec, availability, delivery_prob_path, path_capacity
 from .errors import ProtocolError, TransferContractError
 
@@ -42,39 +42,20 @@ Route = tuple[int, ...]
 class NodeState:
     """Protocol state of one node for one task.
 
-    ``routes`` is derived from ``neighbors`` and the neighbor tables learned
-    with :meth:`learn`: the direct route, when the destination is a
-    neighbor, then the route through each learned neighbor, in the order
-    learned.
+    ``routes`` maps each route of at most two hops from the node to the
+    destination, as a node-id tuple, to its hops: the direct route, when
+    the destination is a neighbor, then the route through each neighbor
+    with a hop to the destination.  Insertion order is kept: criterion
+    assignment fills its assignment in that order.
     """
 
     node_id: int
     destination: int
     source: int
-    neighbors: dict[int, PairContactParams] = field(default_factory=dict)
+    routes: dict[Route, PathSpec] = field(default_factory=dict)
     carried: float = 0.0
     assignment: dict[Route, float] = field(default_factory=dict)
     provenance: set[int] = field(default_factory=set)
-    routes: dict[Route, PathSpec] = field(init=False)
-
-    def __post_init__(self) -> None:
-        direct = self.neighbors.get(self.destination)
-        self.routes = {}
-        if direct is not None:
-            self.routes[(self.node_id, self.destination)] = PathSpec((direct,))
-
-    def learn(self, neighbor: int, table: dict[int, PairContactParams]) -> None:
-        """Keep the route through ``neighbor`` that its neighbor table
-        ``table`` gives, or drop it when the table has no destination hop."""
-        first = self.neighbors.get(neighbor)
-        if first is None:
-            return
-        route = (self.node_id, neighbor, self.destination)
-        tail = table.get(self.destination)
-        if tail is None:
-            self.routes.pop(route, None)
-        else:
-            self.routes[route] = PathSpec((first, tail))
 
 
 @dataclass(frozen=True)
@@ -295,8 +276,7 @@ def on_contact(
 ) -> ContactResult:
     """Full protocol handling of one contact.
 
-    Both nodes first learn the route through each other from the other's
-    neighbor table.  A contact with the destination delivers
+    Neither node's routes change.  A contact with the destination delivers
     ``min(carried, capacity)`` outright and strips the holder's assignment
     down to what it still carries.
     Otherwise, if the pair may exchange data (neither received this task's
@@ -310,8 +290,6 @@ def on_contact(
     """
     if not contact_capacity >= 0:
         raise ValueError(f"contact_capacity must be >= 0, got {contact_capacity!r}")
-    a.learn(b.node_id, b.neighbors)
-    b.learn(a.node_id, a.neighbors)
 
     if a.node_id == b.destination or b.node_id == a.destination:
         holder, sink = (a, b) if b.node_id == a.destination else (b, a)

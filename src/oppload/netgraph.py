@@ -177,17 +177,19 @@ def _degree_distribution(avg_degree: float, max_degree: int) -> tuple[int, np.nd
     return best[1], best[2]
 
 
-def _pair_stubs(
-    rng: np.random.Generator, degrees: np.ndarray, retries: int = 100
-) -> list[EdgeKey]:
+_PAIRING_ATTEMPTS = 100
+
+
+def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> list[EdgeKey]:
     """Configuration-model pairing; self-loops and repeats are rejected.
 
     An attempt shuffles the stub list and pairs it up, skipping conflicting
-    pairs.  Attempts losing more than 10% of the stubs are retried.
+    pairs.  Attempts losing more than 10% of the stubs are retried, up to
+    ``_PAIRING_ATTEMPTS`` attempts in all.
     """
     stubs = np.repeat(np.arange(len(degrees)), degrees)
     target_pairs = len(stubs) // 2
-    for _ in range(retries):
+    for _ in range(_PAIRING_ATTEMPTS):
         order = rng.permutation(stubs)
         seen: set[EdgeKey] = set()
         for a, b in zip(order[0::2], order[1::2]):
@@ -200,7 +202,7 @@ def _pair_stubs(
         if len(seen) * 10 >= target_pairs * 9:
             return sorted(seen)
     raise GenerationError(
-        f"could not wire degree sequence within {retries} pairing attempts"
+        f"could not wire degree sequence within {_PAIRING_ATTEMPTS} pairing attempts"
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .delivery import DeliveryQuery, delivery_prob_path
 from .errors import InstanceTooLargeError
-from .heuristic import Allocation, OffloadPlan, route_path
+from .heuristic import Allocation, OffloadPlan, _check_total_and_deadline, route_path
 from .netgraph import Network, edge_key
 
 __all__ = ["OracleConfig", "brute_force_optimal"]
@@ -34,8 +34,9 @@ class OracleConfig:
     enumeration_cap: int = 10**7
 
     def __post_init__(self) -> None:
-        if self.size_granularity is not None and self.size_granularity <= 0:
-            raise ValueError("size_granularity must be > 0")
+        granularity = self.size_granularity
+        if granularity is not None and not 0 < granularity < math.inf:
+            raise ValueError(f"size_granularity must be finite and > 0, got {granularity!r}")
         if min(self.max_paths, self.max_hops, self.enumeration_cap) < 1:
             raise ValueError("caps must be positive")
 
@@ -87,11 +88,11 @@ def brute_force_optimal(
     is always part of the enumeration.
 
     Raises:
+        ValueError: ``total`` or ``deadline`` is not finite and > 0.
         InstanceTooLargeError: the candidate count exceeds the enumeration cap.
     """
     config = config or OracleConfig()
-    if total <= 0 or deadline <= 0:
-        raise ValueError("total and deadline must be > 0")
+    _check_total_and_deadline(total, deadline)
     v = network.infrastructure_id
     if u == v:
         raise ValueError("the infrastructure node does not plan offloads")

@@ -32,7 +32,7 @@ from .distributed import (
     on_contact,
 )
 from .errors import ConfigError, ProtocolError
-from .heuristic import plan_offload
+from .heuristic import plan_offload, route_path
 from .netgraph import EdgeKey, Network, edge_key
 
 __all__ = [
@@ -221,17 +221,6 @@ class _Hooks:
     event_log: list[dict] | None = None
     monitor: Callable[[dict, dict[int, NodeState], float], None] | None = None
 
-    def emit(
-        self,
-        states: dict[int, NodeState] | None,
-        delivered: float,
-        **row,
-    ) -> None:
-        if self.event_log is not None:
-            self.event_log.append(row)
-        if self.monitor is not None and states is not None:
-            self.monitor(row, states, delivered)
-
 
 def _run_individual(
     network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
@@ -371,25 +360,23 @@ def _replay(
 
 
 def _bootstrap_states(network: Network, task: TransmissionTask) -> dict[int, NodeState]:
-    """Node states with their routes primed from the network parameters.
+    """Node states with their routes built from the network parameters.
 
     Nodes are assumed to have met their neighbors before the task was
-    released, so each node knows its neighbors' parameters and has learned
-    their neighbor tables, in ascending neighbor id.  Learned routes never
-    expire, so contacts that move no data need not exchange tables.
+    released, so each node knows the routes of its two-hop neighborhood:
+    its direct route, then the route through each neighbor with an
+    infrastructure edge, in ascending neighbor id.  The routes stay fixed
+    for the task.
     """
     infra = network.infrastructure_id
-    tables = {
-        node: {nb: network.edge_params(node, nb) for nb in network.neighbors(node)}
-        for node in network.mobile_nodes()
-    }
     states = {}
-    for node, table in tables.items():
-        state = NodeState(node_id=node, destination=infra, source=task.source, neighbors=table)
-        for nb in table:
-            if nb != infra:
-                state.learn(nb, tables[nb])
-        states[node] = state
+    for node in network.mobile_nodes():
+        # the direct route, then one through each neighbor; a route is kept
+        # when its last hop reaches infrastructure
+        candidates = [(node, infra)]
+        candidates += [(node, nb, infra) for nb in network.neighbors(node) if nb != infra]
+        routes = {r: route_path(network, r) for r in candidates if network.has_edge(r[-2], infra)}
+        states[node] = NodeState(node, infra, task.source, routes)
     return states
 
 
@@ -409,54 +396,42 @@ class _Distributed:
         source = self.states[task.source]
         source.carried = task.size
         source.assignment = criterion_assignment(source, task.size, task.deadline)
-        hooks.emit(
-            self.states,
-            0.0,
-            time=0.0,
-            event="start",
-            node_a=task.source,
-            node_b=task.source,
-            planned=0.0,
-            actual=0.0,
-            carried_a=task.size,
-            carried_b=task.size,
-        )
+        self._record(0.0, "start", task.source, task.source, 0.0, 0.0)
+
+    def _record(
+        self, time: float, event: str, a: int, b: int, planned: float, actual: float
+    ) -> None:
+        """Log one protocol event and pass it to the monitor, when either is set."""
+        log, monitor = self.hooks.event_log, self.hooks.monitor
+        if log is None and monitor is None:
+            return
+        states = self.states
+        row = {
+            "time": time,
+            "event": event,
+            "node_a": a,
+            "node_b": b,
+            "planned": planned,
+            "actual": actual,
+            "carried_a": 0.0 if a == self.infra else states[a].carried,
+            "carried_b": 0.0 if b == self.infra else states[b].carried,
+        }
+        if log is not None:
+            log.append(row)
+        if monitor is not None:
+            monitor(row, states, self.delivered)
 
     def held(self, node: int) -> float:
         return self.states[node].carried
 
     def unload(self, node: int, amount: float, start: float, delivered: float) -> None:
-        holder = self.states[node]
-        _deliver(holder, amount, self.deadline - start)
+        _deliver(self.states[node], amount, self.deadline - start)
         self.delivered = delivered
-        self.hooks.emit(
-            self.states,
-            delivered,
-            time=start,
-            event="deliver",
-            node_a=node,
-            node_b=self.infra,
-            planned=amount,
-            actual=amount,
-            carried_a=holder.carried,
-            carried_b=0.0,
-        )
+        self._record(start, "deliver", node, self.infra, amount, amount)
 
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
-        sa, sb = self.states[a], self.states[b]
-        contact = on_contact(sa, sb, capacity, self.deadline - start)
-        self.hooks.emit(
-            self.states,
-            self.delivered,
-            time=start,
-            event="contact",
-            node_a=a,
-            node_b=b,
-            planned=contact.planned,
-            actual=contact.transferred,
-            carried_a=sa.carried,
-            carried_b=sb.carried,
-        )
+        contact = on_contact(self.states[a], self.states[b], capacity, self.deadline - start)
+        self._record(start, "contact", a, b, contact.planned, contact.transferred)
         return contact.transferred > _EPS
 
 
@@ -601,56 +576,63 @@ def simulate_strategy(
     )
 
 
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_results_csv(results: Iterable[SimResult], path: str | Path) -> None:
     """Per-task rows: strategy,task_id,size,deadline,offloaded,success,completion_time."""
-    rows = sorted(
+    outcomes = sorted(
         (o for r in results for o in r.outcomes),
         key=lambda o: (o.strategy, o.task_id),
     )
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["strategy", "task_id", "size", "deadline", "offloaded", "success", "completion_time"]
-        )
-        for o in rows:
-            writer.writerow(
-                [
-                    o.strategy,
-                    o.task_id,
-                    repr(float(o.size)),
-                    repr(float(o.deadline)),
-                    int(o.offloaded),
-                    int(o.success),
-                    "" if o.completion_time is None else repr(float(o.completion_time)),
-                ]
-            )
+    _write_csv(
+        path,
+        ["strategy", "task_id", "size", "deadline", "offloaded", "success", "completion_time"],
+        (
+            [
+                o.strategy,
+                o.task_id,
+                repr(float(o.size)),
+                repr(float(o.deadline)),
+                int(o.offloaded),
+                int(o.success),
+                "" if o.completion_time is None else repr(float(o.completion_time)),
+            ]
+            for o in outcomes
+        ),
+    )
 
 
 def write_summary_csv(results: Iterable[SimResult], path: str | Path) -> None:
     """Summary rows: strategy,total,offloaded,successful."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["strategy", "total", "offloaded", "successful"])
-        for r in sorted(results, key=lambda r: r.strategy):
-            writer.writerow([r.strategy, r.total, r.offloaded, r.successful])
+    _write_csv(
+        path,
+        ["strategy", "total", "offloaded", "successful"],
+        (
+            [r.strategy, r.total, r.offloaded, r.successful]
+            for r in sorted(results, key=lambda r: r.strategy)
+        ),
+    )
 
 
 def write_event_log_csv(rows: Iterable[dict], path: str | Path) -> None:
     """Protocol event rows: time,event,node_a,node_b,planned,actual,carried_a,carried_b."""
-    columns = ["time", "event", "node_a", "node_b", "planned", "actual", "carried_a", "carried_b"]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(float(row["time"])),
-                    row["event"],
-                    row["node_a"],
-                    row["node_b"],
-                    repr(float(row["planned"])),
-                    repr(float(row["actual"])),
-                    repr(float(row["carried_a"])),
-                    repr(float(row["carried_b"])),
-                ]
-            )
+    amounts = ["planned", "actual", "carried_a", "carried_b"]
+    _write_csv(
+        path,
+        ["time", "event", "node_a", "node_b", *amounts],
+        (
+            [
+                repr(float(row["time"])),
+                row["event"],
+                row["node_a"],
+                row["node_b"],
+                *(repr(float(row[column])) for column in amounts),
+            ]
+            for row in rows
+        ),
+    )

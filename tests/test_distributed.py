@@ -19,10 +19,18 @@ SOURCE = 0
 
 
 def node(node_id, neighbors, second_hop=None, carried=0.0, assignment=None, source=SOURCE):
-    """Build a NodeState; second_hop maps neighbor -> its neighbor table."""
-    state = NodeState(node_id=node_id, destination=DEST, source=source, neighbors=dict(neighbors))
+    """Build a NodeState; second_hop maps neighbor -> its neighbor table.
+
+    The routes are the direct one, when DEST is a neighbor, then the one
+    through each second_hop neighbor whose table reaches DEST, in order.
+    """
+    routes = {}
+    if DEST in neighbors:
+        routes[(node_id, DEST)] = ol.PathSpec((neighbors[DEST],))
     for nb, tbl in (second_hop or {}).items():
-        state.learn(nb, dict(tbl))
+        if nb in neighbors and DEST in tbl:
+            routes[(node_id, nb, DEST)] = ol.PathSpec((neighbors[nb], tbl[DEST]))
+    state = NodeState(node_id=node_id, destination=DEST, source=source, routes=routes)
     state.carried = carried
     state.assignment = dict(assignment or {})
     return state
@@ -249,11 +257,12 @@ class TestOnContact:
             assignment={(1, DEST): 4.0},
         )
         holder.provenance.add(SOURCE)
+        routes = (dict(holder.routes), dict(source.routes))
         result = ol.on_contact(holder, source, contact_capacity=100.0, t_remaining=50.0)
         assert result.transferred == 0.0
         assert holder.carried == 4.0
-        # tables were still exchanged: the holder learned the route through the source
-        assert (1, SOURCE, DEST) in holder.routes
+        # routes are given, not learned: a contact changes neither side's
+        assert (holder.routes, source.routes) == routes
 
     @pytest.mark.parametrize("capacity", [math.nan, -1.0])
     def test_malformed_capacity_refused(self, capacity):

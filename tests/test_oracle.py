@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,17 @@ class TestBruteForce:
                 200.0,
                 ol.OracleConfig(size_granularity=0.5, max_paths=4, max_hops=5, enumeration_cap=10**5),
             )
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    def test_total_and_deadline_must_be_finite_and_positive(self, two_path_network, bad):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ol.brute_force_optimal(two_path_network, 0, bad, TWO_PATH_DEADLINE)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ol.brute_force_optimal(two_path_network, 0, TWO_PATH_SIZE, bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    def test_size_granularity_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ol.OracleConfig(size_granularity=bad)
