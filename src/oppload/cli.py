@@ -11,7 +11,6 @@ machine-readable ``error[CODE]`` line on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -19,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .contacts import PairContactParams
 from .delivery import DeliveryQuery, PathSpec, delivery_prob_onehop, delivery_prob_path
 from .errors import ConfigError, OppLoadError
 from .heuristic import plan_offload, plan_to_json, route_path
 from .netgraph import (
     Network,
     SyntheticConfig,
+    _params_from_json,
     generate_synthetic,
     ingest_trace,
     load_network,
@@ -36,6 +35,7 @@ from .netgraph import (
 from .simulator import (
     STRATEGIES,
     TransmissionTask,
+    _write_csv,
     run_monte_carlo_delivery,
     simulate_strategy,
     write_results_csv,
@@ -201,16 +201,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _path_spec_from_json(payload: dict) -> PathSpec:
-    hops = tuple(
-        PairContactParams(
-            contact_rate=float(h["lambda"]),
-            alpha=float(h["alpha"]),
-            beta=float(h["beta"]),
-            rate=float(h["rate"]),
-        )
-        for h in payload["hops"]
-    )
-    return PathSpec(hops)
+    return PathSpec(tuple(_params_from_json(hop) for hop in payload["hops"]))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -234,12 +225,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             else:
                 estimated = delivery_prob_path(spec, DeliveryQuery(size, deadline))
                 simulated = run_monte_carlo_delivery(spec, size, deadline, args.runs, args.seed)
-            rows.append((size, deadline, estimated, simulated, abs(estimated - simulated)))
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["size", "deadline", "estimated", "simulated", "abs_error"])
-        for size, deadline, estimated, simulated, delta in rows:
-            writer.writerow([repr(size), repr(deadline), repr(estimated), repr(simulated), repr(delta)])
+            row = (size, deadline, estimated, simulated, abs(estimated - simulated))
+            rows.append([repr(value) for value in row])
+    _write_csv(args.out, ["size", "deadline", "estimated", "simulated", "abs_error"], rows)
     print(f"wrote {args.out}")
     return 0
 

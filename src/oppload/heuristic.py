@@ -97,6 +97,14 @@ def _check_total_and_deadline(total: float, deadline: float) -> None:
         raise ValueError(f"total and deadline must be finite and > 0, got {total!r}, {deadline!r}")
 
 
+def _check_plan_inputs(network: Network, u: int, total: float, deadline: float) -> None:
+    if u not in range(network.node_count):
+        raise ValueError(f"source {u!r} is not a node; nodes are 0..{network.node_count - 1}")
+    if u == network.infrastructure_id:
+        raise ValueError("the infrastructure node does not plan offloads")
+    _check_total_and_deadline(total, deadline)
+
+
 def _settle(
     network: Network, u: int, deadline: float, excluded: set[EdgeKey]
 ) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -319,13 +327,12 @@ def plan_offload(network: Network, u: int, total: float, deadline: float) -> Off
     returns whichever is better.
 
     Raises:
-        ValueError: ``total`` or ``deadline`` is not finite and > 0.
+        ValueError: ``u`` is not a mobile node, or ``total`` or ``deadline``
+            is not finite and > 0.
         PlanningError: ``u`` has no route of any kind to the infrastructure.
     """
+    _check_plan_inputs(network, u, total, deadline)
     v = network.infrastructure_id
-    if u == v:
-        raise ValueError("the infrastructure node does not plan offloads")
-    _check_total_and_deadline(total, deadline)
 
     direct = network.edge_params(u, v)
     direct_prob = (

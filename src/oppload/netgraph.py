@@ -351,6 +351,16 @@ def network_to_json(network: Network) -> dict:
     }
 
 
+def _params_from_json(entry: dict) -> PairContactParams:
+    """Contact parameters from a ``{lambda, alpha, beta, rate}`` entry."""
+    return PairContactParams(
+        contact_rate=float(entry["lambda"]),
+        alpha=float(entry["alpha"]),
+        beta=float(entry["beta"]),
+        rate=float(entry["rate"]),
+    )
+
+
 def network_from_json(payload: dict) -> Network:
     """Rebuild a network from :func:`network_to_json` output.
 
@@ -363,12 +373,7 @@ def network_from_json(payload: dict) -> Network:
         key = edge_key(a, b)
         if key in edges:
             raise ConfigError(f"edge ({a}, {b}) repeats edge {key}; list each node pair once")
-        edges[key] = PairContactParams(
-            contact_rate=float(entry["lambda"]),
-            alpha=float(entry["alpha"]),
-            beta=float(entry["beta"]),
-            rate=float(entry["rate"]),
-        )
+        edges[key] = _params_from_json(entry)
     return Network(
         node_count=int(payload["nodes"]),
         infrastructure_id=int(payload["infrastructure"]),

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 from .delivery import DeliveryQuery, delivery_prob_path
 from .errors import InstanceTooLargeError
-from .heuristic import Allocation, OffloadPlan, _check_total_and_deadline, route_path
+from .heuristic import Allocation, OffloadPlan, _check_plan_inputs, route_path
 from .netgraph import Network, edge_key
 
 __all__ = ["OracleConfig", "brute_force_optimal"]
@@ -25,7 +26,8 @@ __all__ = ["OracleConfig", "brute_force_optimal"]
 class OracleConfig:
     """Limits for the exhaustive search.
 
-    ``size_granularity`` defaults to half the smallest beta in the network.
+    ``size_granularity`` defaults to half the smallest beta in the network;
+    the caps are integers >= 1.
     """
 
     size_granularity: float | None = None
@@ -37,8 +39,10 @@ class OracleConfig:
         granularity = self.size_granularity
         if granularity is not None and not 0 < granularity < math.inf:
             raise ValueError(f"size_granularity must be finite and > 0, got {granularity!r}")
-        if min(self.max_paths, self.max_hops, self.enumeration_cap) < 1:
-            raise ValueError("caps must be positive")
+        for name in ("max_paths", "max_hops", "enumeration_cap"):
+            cap = getattr(self, name)
+            if not isinstance(cap, numbers.Integral) or cap < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {cap!r}")
 
 
 def _enumerate_routes(
@@ -88,14 +92,13 @@ def brute_force_optimal(
     is always part of the enumeration.
 
     Raises:
-        ValueError: ``total`` or ``deadline`` is not finite and > 0.
+        ValueError: ``u`` is not a mobile node, or ``total`` or ``deadline``
+            is not finite and > 0.
         InstanceTooLargeError: the candidate count exceeds the enumeration cap.
     """
     config = config or OracleConfig()
-    _check_total_and_deadline(total, deadline)
+    _check_plan_inputs(network, u, total, deadline)
     v = network.infrastructure_id
-    if u == v:
-        raise ValueError("the infrastructure node does not plan offloads")
 
     granularity = config.size_granularity
     if granularity is None:

@@ -8,7 +8,10 @@ per-task outcomes.
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
-rerun with the same seed reproduces results exactly.
+rerun with the same seed reproduces results exactly.  What depends on the
+network alone (the replay's edge ranks, maxrate's best relays, the
+distributed routes) is derived once per :func:`simulate_strategy` call,
+the first time a task needs it, and shared by its tasks.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush, heapreplace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -211,20 +215,62 @@ def _drain_route(
 # ---------------------------------------------------------------------------
 # strategy runners; each returns (offloaded, success, completion or None)
 
-_Runner = Callable[[Network, TransmissionTask, _ContactSampler, "_Hooks"], tuple[bool, bool, float | None]]
-
 
 @dataclass
-class _Hooks:
-    """Optional instrumentation for a simulation run."""
+class _Context:
+    """One :func:`simulate_strategy` call: the network, the distributed log and
+    monitor, and what the replays derive from the network alone, built when first needed."""
 
+    network: Network
     event_log: list[dict] | None = None
     monitor: Callable[[dict, dict[int, NodeState], float], None] | None = None
 
+    @cached_property
+    def edge_index(self) -> tuple[list[EdgeKey], list[int], dict[int, list[int]], list[float]]:
+        """By rank in ``sorted(network.edges)``: keys, mobile ends (-1 on an
+        edge between mobiles) and rates; per node, the ranks of its edges."""
+        network, infra = self.network, self.network.infrastructure_id
+        keys = sorted(network.edges)
+        mobile_end = [b if a == infra else a if b == infra else -1 for a, b in keys]
+        incident: dict[int, list[int]] = {}
+        for rank, (a, b) in enumerate(keys):
+            incident.setdefault(a, []).append(rank)
+            incident.setdefault(b, []).append(rank)
+        return keys, mobile_end, incident, [network.edges[key].rate for key in keys]
+
+    @cached_property
+    def best_relay(self) -> dict[int, int | None]:
+        """Per mobile node, the neighbor with the strongest contact rate to
+        infrastructure; ties go to the lowest id."""
+        network, infra = self.network, self.network.infrastructure_id
+        lam = {nb: network.edge_params(nb, infra).contact_rate for nb in network.neighbors(infra)}
+        return {
+            node: max((n for n in network.neighbors(node) if n in lam), key=lam.get, default=None)
+            for node in network.mobile_nodes()
+        }
+
+    @cached_property
+    def routes(self) -> dict[int, dict[tuple[int, ...], PathSpec]]:
+        """Per mobile node, its :class:`NodeState` routes, shared by every task
+        (nodes are taken to have met their neighbors before any task): the
+        direct route, then one through each neighbor, in ascending id."""
+        network, infra = self.network, self.network.infrastructure_id
+        relays = set(network.neighbors(infra))
+        routes = {}
+        for node in network.mobile_nodes():
+            candidates = [(node, infra)] + [(node, nb, infra) for nb in network.neighbors(node)]
+            # a route is kept when its last hop reaches infrastructure
+            routes[node] = {r: route_path(network, r) for r in candidates if r[-2] in relays}
+        return routes
+
+
+_Runner = Callable[[_Context, TransmissionTask, _ContactSampler], tuple[bool, bool, float | None]]
+
 
 def _run_individual(
-    network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
+    context: _Context, task: TransmissionTask, sampler: _ContactSampler
 ) -> tuple[bool, bool, float | None]:
+    network = context.network
     infra = network.infrastructure_id
     params = network.edge_params(task.source, infra)
     if params is None:
@@ -234,16 +280,16 @@ def _run_individual(
 
 
 def _run_heuristic(
-    network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
+    context: _Context, task: TransmissionTask, sampler: _ContactSampler
 ) -> tuple[bool, bool, float | None]:
-    plan = plan_offload(network, task.source, task.size, task.deadline)
+    plan = plan_offload(context.network, task.source, task.size, task.deadline)
     if not plan.offloaded:
-        _, success, completion = _run_individual(network, task, sampler, hooks)
+        _, success, completion = _run_individual(context, task, sampler)
         return False, success, completion
     worst = 0.0
     for allocation in plan.allocations:
         completion = _drain_route(
-            allocation.route, allocation.assigned, sampler, network, task.deadline
+            allocation.route, allocation.assigned, sampler, context.network, task.deadline
         )
         if completion is None:
             return True, False, None
@@ -252,7 +298,7 @@ def _run_heuristic(
 
 
 def _replay(
-    network: Network,
+    context: _Context,
     task: TransmissionTask,
     sampler: _ContactSampler,
     strategy: _Carriers | _Distributed,
@@ -273,20 +319,12 @@ def _replay(
     end holds data.  A node that comes to hold data brings its idle edges
     back from the first contact after the current one.
     """
-    infra = network.infrastructure_id
     deadline = task.deadline
     done = task.size - _EPS * task.size
     inf, eps = math.inf, _EPS
     held = strategy.held
     meet, unload = strategy.meet, strategy.unload
-    keys = sorted(network.edges)
-    # the mobile end of an edge to infrastructure, -1 on an edge between mobiles
-    mobile_end = [b if a == infra else a if b == infra else -1 for a, b in keys]
-    incident: dict[int, list[int]] = {}
-    for rank, (a, b) in enumerate(keys):
-        incident.setdefault(a, []).append(rank)
-        incident.setdefault(b, []).append(rank)
-    rates = [network.edges[key].rate for key in keys]
+    keys, mobile_end, incident, rates = context.edge_index
     # per edge, built when first walked: contact starts closed by an inf start
     starts: list[list[float] | None] = [None] * len(keys)
     durations: list[list[float]] = [[]] * len(keys)
@@ -314,7 +352,7 @@ def _replay(
             live[r] = True
             heappush(heap, (s[i], r, i))
 
-    for node in network.mobile_nodes():
+    for node in context.network.mobile_nodes():
         if held(node) > eps:
             walk(node, -inf, -1)
     delivered = 0.0
@@ -359,27 +397,6 @@ def _replay(
                 walk(b, start, r)
 
 
-def _bootstrap_states(network: Network, task: TransmissionTask) -> dict[int, NodeState]:
-    """Node states with their routes built from the network parameters.
-
-    Nodes are assumed to have met their neighbors before the task was
-    released, so each node knows the routes of its two-hop neighborhood:
-    its direct route, then the route through each neighbor with an
-    infrastructure edge, in ascending neighbor id.  The routes stay fixed
-    for the task.
-    """
-    infra = network.infrastructure_id
-    states = {}
-    for node in network.mobile_nodes():
-        # the direct route, then one through each neighbor; a route is kept
-        # when its last hop reaches infrastructure
-        candidates = [(node, infra)]
-        candidates += [(node, nb, infra) for nb in network.neighbors(node) if nb != infra]
-        routes = {r: route_path(network, r) for r in candidates if network.has_edge(r[-2], infra)}
-        states[node] = NodeState(node, infra, task.source, routes)
-    return states
-
-
 class _Distributed:
     """The two-hop protocol's node states for one task.
 
@@ -387,11 +404,11 @@ class _Distributed:
         ProtocolError: the source has no path to infrastructure.
     """
 
-    def __init__(self, network: Network, task: TransmissionTask, hooks: _Hooks):
-        self.states = _bootstrap_states(network, task)
-        self.infra = network.infrastructure_id
+    def __init__(self, context: _Context, task: TransmissionTask):
+        self.context = context
+        self.infra = infra = context.network.infrastructure_id
+        self.states = {n: NodeState(n, infra, task.source, r) for n, r in context.routes.items()}
         self.deadline = task.deadline
-        self.hooks = hooks
         self.delivered = 0.0
         source = self.states[task.source]
         source.carried = task.size
@@ -402,7 +419,7 @@ class _Distributed:
         self, time: float, event: str, a: int, b: int, planned: float, actual: float
     ) -> None:
         """Log one protocol event and pass it to the monitor, when either is set."""
-        log, monitor = self.hooks.event_log, self.hooks.monitor
+        log, monitor = self.context.event_log, self.context.monitor
         if log is None and monitor is None:
             return
         states = self.states
@@ -436,21 +453,22 @@ class _Distributed:
 
 
 def _run_distributed(
-    network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
+    context: _Context, task: TransmissionTask, sampler: _ContactSampler
 ) -> tuple[bool, bool, float | None]:
     try:
-        strategy = _Distributed(network, task, hooks)
+        strategy = _Distributed(context, task)
     except ProtocolError:
         return False, False, None
-    return _replay(network, task, sampler, strategy)
+    return _replay(context, task, sampler, strategy)
 
 
 class _Carriers:
     """Data held per mobile node for one task; a node never hands data back
     to a node it received data from."""
 
-    def __init__(self, network: Network, task: TransmissionTask):
-        self.carried = dict.fromkeys(network.mobile_nodes(), 0.0)
+    def __init__(self, context: _Context, task: TransmissionTask):
+        self.context = context
+        self.carried = dict.fromkeys(context.network.mobile_nodes(), 0.0)
         self.carried[task.source] = task.size
         self.provenance: dict[int, set[int]] = {}
         # a plain dict lookup: the replay asks for nearly every contact
@@ -479,29 +497,12 @@ class _Spread(_Carriers):
 
 
 class _MaxRate(_Carriers):
-    def __init__(self, network: Network, task: TransmissionTask):
-        super().__init__(network, task)
-        infra = network.infrastructure_id
-        # per node: the neighbor with the strongest contact rate to infrastructure
-        self.best_relay: dict[int, int | None] = {}
-        for node in network.mobile_nodes():
-            best = None
-            best_rate = 0.0
-            for nb in network.neighbors(node):
-                if nb == infra:
-                    continue
-                link = network.edge_params(nb, infra)
-                if link is not None and link.contact_rate > best_rate:
-                    best = nb
-                    best_rate = link.contact_rate
-            self.best_relay[node] = best
-
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
         for sender, receiver in ((a, b), (b, a)):
             held = self.carried[sender]
             if (
                 held > _EPS
-                and self.best_relay[sender] == receiver
+                and self.context.best_relay[sender] == receiver
                 and self.hand(sender, receiver, min(held, capacity))
             ):
                 return True
@@ -509,15 +510,15 @@ class _MaxRate(_Carriers):
 
 
 def _run_spread(
-    network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
+    context: _Context, task: TransmissionTask, sampler: _ContactSampler
 ) -> tuple[bool, bool, float | None]:
-    return _replay(network, task, sampler, _Spread(network, task))
+    return _replay(context, task, sampler, _Spread(context, task))
 
 
 def _run_maxrate(
-    network: Network, task: TransmissionTask, sampler: _ContactSampler, hooks: _Hooks
+    context: _Context, task: TransmissionTask, sampler: _ContactSampler
 ) -> tuple[bool, bool, float | None]:
-    return _replay(network, task, sampler, _MaxRate(network, task))
+    return _replay(context, task, sampler, _MaxRate(context, task))
 
 
 _RUNNERS: dict[str, _Runner] = {
@@ -546,15 +547,20 @@ def simulate_strategy(
 
     Raises:
         ConfigError: unknown strategy name.
+        ValueError: a task's source is not a mobile node of the network.
     """
     runner = _RUNNERS.get(strategy)
     if runner is None:
         raise ConfigError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    hooks = _Hooks(event_log=event_log, monitor=monitor)
+    mobile = set(network.mobile_nodes())
+    for task in tasks:
+        if task.source not in mobile:
+            raise ValueError(f"task {task.task_id}: source {task.source!r} is not a mobile node")
+    context = _Context(network, event_log, monitor)
     outcomes: list[TaskOutcome] = []
     for task in tasks:
         sampler = _ContactSampler(network, seed, task.task_id, task.deadline)
-        offloaded, success, completion = runner(network, task, sampler, hooks)
+        offloaded, success, completion = runner(context, task, sampler)
         outcomes.append(
             TaskOutcome(
                 strategy=strategy,

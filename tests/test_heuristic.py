@@ -255,6 +255,11 @@ class TestPlanOffload:
         with pytest.raises(PlanningError):
             ol.plan_offload(net, 0, 5.0, 50.0)
 
+    @pytest.mark.parametrize("source", [99, -1])
+    def test_source_must_be_a_node(self, two_path_network, source):
+        with pytest.raises(ValueError, match=f"source {source} is not a node"):
+            ol.plan_offload(two_path_network, source, TWO_PATH_SIZE, TWO_PATH_DEADLINE)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_total_or_deadline_refused(self, two_path_network, bad):
         # the source has no direct edge: an infinite total would otherwise

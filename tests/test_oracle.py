@@ -86,3 +86,16 @@ class TestMalformedInputs:
     def test_size_granularity_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="finite and > 0"):
             ol.OracleConfig(size_granularity=bad)
+
+    @pytest.mark.parametrize("field", ["max_paths", "max_hops", "enumeration_cap"])
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, 0, -1])
+    def test_caps_must_be_integers_of_at_least_one(self, field, bad):
+        # a NaN cap used to pass and, as the enumeration cap, turn the
+        # size guard off; a fractional one failed inside the search
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            ol.OracleConfig(**{field: bad})
+
+    @pytest.mark.parametrize("source", [99, -1])
+    def test_source_must_be_a_node(self, two_path_network, source):
+        with pytest.raises(ValueError, match=f"source {source} is not a node"):
+            ol.brute_force_optimal(two_path_network, source, TWO_PATH_SIZE, TWO_PATH_DEADLINE)

@@ -127,6 +127,22 @@ class TestSimulateStrategy:
         with pytest.raises(ConfigError):
             ol.simulate_strategy(hot_link_network(), [], "flooding", seed=1)
 
+    @pytest.mark.parametrize("strategy", ol.STRATEGIES)
+    @pytest.mark.parametrize("source", [99, -1, "infrastructure"])
+    def test_source_must_be_a_mobile_node(self, strategy, source):
+        net = small_network()
+        if source == "infrastructure":
+            source = net.infrastructure_id
+        tasks = [
+            ol.TransmissionTask(task_id=0, source=0, size=10.0, deadline=200.0),
+            ol.TransmissionTask(task_id=7, source=source, size=10.0, deadline=200.0),
+        ]
+        log: list[dict] = []
+        hooks = {"event_log": log} if strategy == "distributed" else {}
+        with pytest.raises(ValueError, match=f"task 7: source {source} is not a mobile node"):
+            ol.simulate_strategy(net, tasks, strategy, seed=1, **hooks)
+        assert log == []  # refused before the first task ran
+
     def test_hot_link_makes_every_strategy_succeed(self):
         net = hot_link_network()
         tasks = [
@@ -353,6 +369,22 @@ class TestPinnedReplay:
         assert states == PINNED_LONG_STATES
 
 
+def test_network_is_derived_once_per_call(monkeypatch):
+    # the distributed routes are built once per simulate_strategy call, not
+    # once per task: 504 routes over the 49 mobile nodes of criterion 7
+    route_path = simulator.route_path
+    calls = []
+
+    def counted(network, route):
+        calls.append(route)
+        return route_path(network, route)
+
+    monkeypatch.setattr(simulator, "route_path", counted)
+    net = criterion_7_network()
+    ol.simulate_strategy(net, make_tasks(net, 20, size=10.0, deadline=200.0), "distributed", seed=7)
+    assert len(calls) == 504
+
+
 class StubSampler:
     """Hand-built contacts per edge, recording which edges were asked for."""
 
@@ -426,19 +458,21 @@ def replay_both_ways(network, task, contacts):
         pair = []
         for replay in (simulator._replay, merged_replay):
             log: list[dict] = []
+            context = simulator._Context(network, event_log=log)
             try:
                 if name == "distributed":
-                    hooks = simulator._Hooks(event_log=log)
-                    strategy = simulator._Distributed(network, task, hooks)
+                    strategy = simulator._Distributed(context, task)
                 elif name == "spread":
-                    strategy = simulator._Spread(network, task)
+                    strategy = simulator._Spread(context, task)
                 else:
-                    strategy = simulator._MaxRate(network, task)
+                    strategy = simulator._MaxRate(context, task)
             except ProtocolError:
                 break
             calls = recorded(strategy)
             sampler = StubSampler(contacts)
-            pair.append((replay(network, task, sampler, strategy), calls, log, sampler.asked))
+            # the walk reads the context; the reference reads the network
+            first = context if replay is simulator._replay else network
+            pair.append((replay(first, task, sampler, strategy), calls, log, sampler.asked))
         if pair:
             runs[name] = pair
     return runs
