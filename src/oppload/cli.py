@@ -24,6 +24,7 @@ from .heuristic import plan_offload, plan_to_json, route_path
 from .netgraph import (
     Network,
     SyntheticConfig,
+    _json_number,
     _params_from_json,
     generate_synthetic,
     ingest_trace,
@@ -171,10 +172,23 @@ def _build_tasks(
     return tasks
 
 
+def _config_number(config: dict, name: str, default: int) -> int:
+    """An integer field of an experiment config, ``default`` when absent."""
+    return _json_number(config.get(name, default), int, "config", name)
+
+
+def _config_numbers(config: dict, name: str) -> list[float]:
+    """A list-of-numbers field of an experiment config, empty when absent."""
+    values = config.get(name, [])
+    if not isinstance(values, list):
+        raise ConfigError(f"config field {name!r} must be a list of numbers, got {values!r}")
+    return [_json_number(value, float, "config", f"{name}[{i}]") for i, value in enumerate(values)]
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    runs = args.runs if args.runs is not None else int(config.get("runs", 1))
+    seed = args.seed if args.seed is not None else _config_number(config, "seed", 0)
+    runs = args.runs if args.runs is not None else _config_number(config, "runs", 1)
     strategies = config.get("strategies", "all")
     if strategies == "all":
         strategies = list(STRATEGIES)
@@ -186,8 +200,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     network = _load_simulation_network(config)
     tasks = _build_tasks(
         network,
-        [float(s) for s in config.get("sizes", [])],
-        [float(d) for d in config.get("deadlines", [])],
+        _config_numbers(config, "sizes"),
+        _config_numbers(config, "deadlines"),
         runs,
         seed,
     )
@@ -201,7 +215,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _path_spec_from_json(payload: dict) -> PathSpec:
-    return PathSpec(tuple(_params_from_json(hop) for hop in payload["hops"]))
+    return PathSpec(
+        tuple(_params_from_json(hop, f"hop {i}") for i, hop in enumerate(payload["hops"]))
+    )
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -19,23 +19,31 @@ build on each other:
 
 Delivery probabilities are evaluated by a :class:`PathKernel`, compiled once
 per (hops, data size) pair: the weights, gamma shapes and rates of every
-contact-count tuple depend on that pair only, so a query is one vectorised
-``gammainc`` call over them at the deadline's time budget.  Compiled kernels
-sit in an LRU cache of ``_KERNEL_CACHE`` entries.  A kernel keeps at most
-three arrays of ``_MAX_KEPT`` floats (the terms of one hop, or the per-hop
-vectors of several), so a full cache holds at most about 1.6 MB of arrays;
-multi-hop terms are built again from them, in blocks, on each query.  The
-kernel is bit-identical to summing the formula tuple by tuple: it visits
+contact-count tuple depend on that pair only, so a query is a ``gammainc``
+evaluation of them at the deadline's time budget.  :func:`evaluate_kernels`
+answers several kernels at one deadline in one batch, stacking the terms of
+the small ones for a single ``gammainc`` call; :meth:`PathKernel.prob` is
+its one-kernel case.  Compiled kernels sit in an LRU cache of
+``_KERNEL_CACHE`` entries.  A kernel keeps at most three arrays of
+``_MAX_KEPT`` floats (the terms of one hop, or the per-hop vectors of
+several), so a full cache holds at most about 1.6 MB of arrays; multi-hop
+terms are built again from them, in blocks, on each query.  The size-free
+part of a small multi-hop kernel, its tuples' gamma shapes and rates, depends
+only on the hops and the contact limits, and sits in an LRU cache of
+``_TUPLE_GAMMA_CACHE`` entries keyed by them; an entry holds at most
+``_SCALAR_TERMS`` tuples, at most about 1.5 kB, so a full cache holds at
+most about 0.4 MB.
+The kernel is bit-identical to summing the formula tuple by tuple: it visits
 tuples in ``itertools.product`` order, forms weights and the moments ``M``,
 ``V`` hop by hop, and sums left to right.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -66,8 +74,9 @@ _ALPHA_ONE_TOL = 1e-9
 
 _CEIL_GUARD = 1e-9
 
-# Kernels of at most this many terms stay Python floats and use scalar
-# gammainc calls: below it numpy's per-call overhead costs more than it saves.
+# Kernels of at most this many terms stay Python floats, and a batch of at
+# most this many such terms in all uses scalar gammainc calls: below it
+# numpy's per-call overhead costs more than it saves.
 _SCALAR_TERMS = 8
 # No kernel keeps an array longer than _MAX_KEPT, which bounds the cache's
 # memory.  Multi-hop terms are built again on every evaluation, about
@@ -75,6 +84,9 @@ _SCALAR_TERMS = 8
 _MAX_KEPT = 256
 _CHUNK = 1 << 14
 _KERNEL_CACHE = 256
+# Kept small: 2048 entries measured no faster on criterion-7 tasks, and raised
+# the peak memory of a process that imports the package afresh many times.
+_TUPLE_GAMMA_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -166,7 +178,7 @@ def availability(path: PathSpec, deadline: float) -> float:
     return reg_lower_incomplete_gamma(approx.gamma_shape, approx.delta_rate * deadline)
 
 
-@lru_cache(maxsize=65536)
+@functools.lru_cache(maxsize=65536)
 def _mean_max_ratio_cached(contact_count: int, alpha: float) -> float:
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
         return sum(1.0 / i for i in range(1, contact_count + 1))
@@ -201,7 +213,14 @@ def transfer_prob(hop: PairContactParams, contact_count: int, data_size: float) 
     """
     if not (math.isfinite(data_size) and data_size > 0):
         raise ValueError(f"data_size must be finite and > 0, got {data_size!r}")
-    ratio = hop.beta * mean_max_ratio(contact_count, hop.alpha) / data_size
+    return _transfer(hop, contact_count, data_size, mean_max_ratio(contact_count, hop.alpha))
+
+
+def _transfer(
+    hop: PairContactParams, contact_count: int, data_size: float, sum_to_max: float
+) -> float:
+    """:func:`transfer_prob`, given the sum-to-max ratio and checked inputs."""
+    ratio = hop.beta * sum_to_max / data_size
     if ratio >= 1.0:
         return 1.0
     miss = 1.0 - ratio**hop.alpha
@@ -223,8 +242,9 @@ def _exact_success(
     ``TP(n) >= 1``.
     """
     prev = 0.0
+    alpha = float(hop.alpha)
     for n in range(1, limit + 1):
-        success = transfer_prob(hop, n, data_size)
+        success = _transfer(hop, n, data_size, _mean_max_ratio_cached(n, alpha))
         yield success - prev
         if stop_when_certain and success >= 1.0:
             return
@@ -256,7 +276,11 @@ class PathKernel:
     The kernel is compiled on the first evaluation with a positive time
     budget; a compile that raises stores nothing, so the next query raises
     again.  It keeps the terms of a space of at most ``_SCALAR_TERMS``
-    tuples as Python floats, for scalar calls.  Otherwise it keeps at most
+    tuples as Python floats, for :func:`evaluate_kernels` to stack with
+    other kernels' terms; for several hops their shapes and rates come
+    from the cache of size-free parts, keyed by (hops, contact limits), so
+    a new data size computes only each hop's exact-success weights.
+    Otherwise it keeps at most
     three arrays of ``_MAX_KEPT`` floats: the terms of one hop, or the
     per-hop vectors of several.  From these, or from nothing when they
     would be longer, every evaluation builds the terms again in product
@@ -271,37 +295,25 @@ class PathKernel:
         self.limits = tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
         self.tuples = math.prod(self.limits)
         self._compiled = False
-        self._scalar: list[tuple[float, float, float]] | None = None
+        self._scalar: tuple[list[float], list[float], list[float]] | None = None
         self._onehop: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def prob(self, deadline: float) -> float:
-        """Delivery probability within ``deadline``.
+        """Delivery probability within ``deadline``: the one-kernel case of
+        :func:`evaluate_kernels`.
 
         Raises:
             ComplexityError: a multi-hop tuple space exceeds
                 ``DEFAULT_TUPLE_CAP`` (checked only once the deadline covers
                 ``T'``, and before any tuple is enumerated).
         """
-        budget = deadline - self.transmission
-        if budget <= 0:
-            return 0.0
+        return evaluate_kernels((self,), deadline)[0]
+
+    def _block_prob(self, budget: float) -> float:
+        """The probability at a positive time budget, summed block by block."""
         onehop = len(self.hops) == 1
-        if not onehop and self.tuples > DEFAULT_TUPLE_CAP:
-            raise ComplexityError(
-                f"path would require enumerating {self.tuples} contact tuples "
-                f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
-            )
-        if not self._compiled:
-            self._compile()
         total = 0.0
-        if self._scalar is not None:
-            for weight, shape, rate in self._scalar:
-                in_time = reg_lower_incomplete_gamma(shape, rate * budget)
-                if onehop and in_time == 0.0:
-                    break
-                total += weight * in_time
-            return min(max(total, 0.0), 1.0)
         for weight, shape, rate in self._blocks():
             x = rate * budget
             if not np.isfinite(x).all():
@@ -323,6 +335,11 @@ class PathKernel:
         return min(max(total, 0.0), 1.0)
 
     def _compile(self) -> None:
+        if len(self.hops) > 1 and self.tuples > DEFAULT_TUPLE_CAP:
+            raise ComplexityError(
+                f"path would require enumerating {self.tuples} contact tuples "
+                f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
+            )
         scalar = onehop = per_hop = None
         if self.tuples <= _SCALAR_TERMS:
             scalar = self._scalar_terms()
@@ -330,36 +347,37 @@ class PathKernel:
             if self.tuples <= _MAX_KEPT:
                 onehop = next(self._onehop_blocks())
                 if len(onehop[0]) <= _SCALAR_TERMS:
-                    scalar, onehop = list(zip(*(a.tolist() for a in onehop))), None
+                    scalar, onehop = tuple(a.tolist() for a in onehop), None
         elif sum(self.limits) <= _MAX_KEPT:
             per_hop = self._hop_vectors()
         self._scalar, self._onehop, self._per_hop = scalar, onehop, per_hop
         self._compiled = True
 
-    def _scalar_terms(self) -> list[tuple[float, float, float]]:
-        """The nonzero terms of a tuple space of at most ``_SCALAR_TERMS``
-        tuples, built with Python floats: numpy costs more at this size."""
+    def _scalar_terms(self) -> tuple[list[float], list[float], list[float]]:
+        """The weights, shapes and rates of the nonzero terms of a tuple
+        space of at most ``_SCALAR_TERMS`` tuples, built with Python floats:
+        numpy costs more at this size."""
         if len(self.hops) == 1:
             hop = self.hops[0]
             exact = _exact_success(hop, self.data_size, self.limits[0], stop_when_certain=True)
-            return [(w, float(n), hop.contact_rate) for n, w in enumerate(exact, 1)]
+            weights = list(exact)
+            count = len(weights)
+            return weights, [float(n) for n in range(1, count + 1)], [hop.contact_rate] * count
         exact = [
             list(_exact_success(hop, self.data_size, limit, stop_when_certain=False))
             for hop, limit in zip(self.hops, self.limits)
         ]
-        lambdas = [hop.contact_rate for hop in self.hops]
-        terms = []
-        for combo in itertools.product(*(range(1, limit + 1) for limit in self.limits)):
+        weights, shapes, rates = [], [], []
+        for combo, shape, rate in _tuple_gammas(self.hops, self.limits):
             weight = 1.0
-            mean = var = 0.0
-            for hop_exact, n, lam in zip(exact, combo, lambdas):
-                weight *= hop_exact[n - 1]
-                mean += n / lam
-                var += n / (lam * lam)
+            for hop_exact, i in zip(exact, combo):
+                weight *= hop_exact[i]
             if weight != 0.0:
-                _check_gamma(mean * mean / var, mean / var)
-                terms.append((weight, mean * mean / var, mean / var))
-        return terms
+                _check_gamma(shape, rate)
+                weights.append(weight)
+                shapes.append(shape)
+                rates.append(rate)
+        return weights, shapes, rates
 
     def _onehop_blocks(self):
         """Weights, shapes and rates of one hop's terms, ``_MAX_KEPT``
@@ -427,10 +445,84 @@ class PathKernel:
                 yield self._expand(per_hop, start, min(start + step, rows))
 
 
-@lru_cache(maxsize=_KERNEL_CACHE)
+@functools.lru_cache(maxsize=_KERNEL_CACHE)
 def path_kernel(hops: tuple[PairContactParams, ...], data_size: float) -> PathKernel:
     """The compiled kernel of ``(hops, data_size)``, from a bounded cache."""
     return PathKernel(hops, data_size)
+
+
+@functools.lru_cache(maxsize=_TUPLE_GAMMA_CACHE)
+def _tuple_gammas(
+    hops: tuple[PairContactParams, ...], limits: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], float, float], ...]:
+    """The size-free part of a small multi-hop kernel: every contact-count
+    tuple in product order, as 0-based indices, with its gamma shape and
+    rate (``M`` and ``V`` summed hop by hop).  Unchecked: a kernel checks
+    the shapes and rates of the tuples it keeps."""
+    lambdas = [hop.contact_rate for hop in hops]
+    gammas = []
+    for combo in itertools.product(*(range(limit) for limit in limits)):
+        mean = var = 0.0
+        for i, lam in zip(combo, lambdas):
+            mean += (i + 1) / lam
+            var += (i + 1) / (lam * lam)
+        gammas.append((combo, mean * mean / var, mean / var))
+    return tuple(gammas)
+
+
+def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[float]:
+    """Delivery probabilities of several kernels within one ``deadline``.
+
+    The kernels whose terms are kept as Python floats (at most
+    ``_SCALAR_TERMS`` each) are priced together: their terms are stacked,
+    their gamma CDFs come from scalar ``gammainc`` calls when there are at
+    most ``_SCALAR_TERMS`` terms in all and from one array call otherwise,
+    and each kernel's terms are then summed left to right in Python
+    floats.  Larger kernels are evaluated one by one, in blocks.  Every
+    answer is the kernel's tuple-by-tuple sum, whatever the batch.  A
+    kernel whose deadline does not cover its ``T'`` answers 0; a one-hop
+    sum ends at its first zero CDF.
+
+    Raises:
+        ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
+            (checked only once the deadline covers ``T'``, and before any
+            tuple is enumerated).
+        ValueError: a gamma argument ``rate * (deadline - T')`` is not finite.
+    """
+    probs = [0.0] * len(kernels)
+    small = []
+    shapes: list[float] = []
+    args: list[float] = []
+    for index, kernel in enumerate(kernels):
+        budget = deadline - kernel.transmission
+        if budget <= 0:
+            continue
+        if not kernel._compiled:
+            kernel._compile()
+        if kernel._scalar is None:
+            probs[index] = kernel._block_prob(budget)
+            continue
+        small.append((index, kernel))
+        shapes += kernel._scalar[1]
+        args += map(budget.__mul__, kernel._scalar[2])
+    if len(args) <= _SCALAR_TERMS:
+        in_time = [reg_lower_incomplete_gamma(a, x) for a, x in zip(shapes, args)]
+    elif all(map(math.isfinite, args)):
+        in_time = _special.gammainc(shapes, args).tolist()
+    else:
+        raise ValueError(f"gamma argument overflows at deadline {deadline!r}")
+    stop = 0
+    for index, kernel in small:
+        weights = kernel._scalar[0]
+        start, stop = stop, stop + len(weights)
+        cdf = in_time[start:stop]
+        if len(kernel.hops) == 1 and 0.0 in cdf:
+            cdf = cdf[: cdf.index(0.0)]
+        total = 0.0
+        for weight, p in zip(weights, cdf):
+            total += weight * p
+        probs[index] = min(max(total, 0.0), 1.0)
+    return probs
 
 
 def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:

@@ -16,11 +16,11 @@ the node it received it from, nor to the task source.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
-from .delivery import DeliveryQuery, PathSpec, availability, delivery_prob_path, path_capacity
+from .delivery import PathSpec, availability, evaluate_kernels, path_capacity, path_kernel
 from .errors import ProtocolError, TransferContractError
 
 __all__ = [
@@ -76,18 +76,40 @@ class ContactResult:
 
 
 def _route_prob(spec: PathSpec | None, size: float, deadline: float) -> float:
-    if size <= _EPS:
-        return 1.0
-    if spec is None or deadline <= 0:
-        return 0.0
-    return delivery_prob_path(spec, DeliveryQuery(data_size=size, deadline=deadline))
+    return _route_probs([(spec, size)], deadline)[0]
 
 
-def _log_joint(prob, holder: dict[Route, float], peer: dict[Route, float]) -> float:
-    """Log joint delivery probability of both sides' segments."""
-    return math.fsum(
-        math.log(max(prob(r, s), 1e-300)) for r, s in holder.items()
-    ) + math.fsum(math.log(max(prob(r, s), 1e-300)) for r, s in peer.items())
+def _route_probs(
+    queries: list[tuple[PathSpec | None, float]], deadline: float
+) -> list[float]:
+    """Delivery probability of each (spec, size) query within ``deadline``:
+    1 for a size of at most ``_EPS``, 0 without a spec or time left, else
+    the estimator's, priced for all such queries in one batch.
+
+    Raises:
+        ValueError: the estimator is asked about a deadline that is not
+            finite.
+    """
+    probs = [1.0 if size <= _EPS else 0.0 for _, size in queries]
+    asked = [i for i, (spec, size) in enumerate(queries) if spec is not None and size > _EPS]
+    if deadline <= 0 or not asked:
+        return probs
+    if not math.isfinite(deadline):
+        raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
+    kernels = [path_kernel(queries[i][0].hops, queries[i][1]) for i in asked]
+    for i, prob in zip(asked, evaluate_kernels(kernels, deadline)):
+        probs[i] = prob
+    return probs
+
+
+def _log_joint(
+    prob: dict[tuple[Route, float], float], holder: dict[Route, float], peer: dict[Route, float]
+) -> float:
+    """Log joint delivery probability of both sides' segments, with
+    ``prob`` holding each (route, size) probability."""
+    return math.fsum(math.log(max(prob[seg], 1e-300)) for seg in holder.items()) + math.fsum(
+        math.log(max(prob[seg], 1e-300)) for seg in peer.items()
+    )
 
 
 def criterion_assignment(state: NodeState, total: float, deadline: float) -> dict[Route, float]:
@@ -141,10 +163,14 @@ def realtime_adjustment(
     moved segment changes size, so the order holds), and each in turn is
     offered to whichever peer path improves the joint probability the
     most, comparing only the product over the affected paths; the loop
-    stops at the first non-improving move.  Each (route, size) probability
-    is asked of the estimator once per call.  Neither node's live state is
-    modified: the result carries the planned transfer and the peer's
-    tentative assignment including the planned placements.
+    stops at the first non-improving move.  Probabilities are priced in
+    batches: the holder's loaded segments together, then, for each offered
+    segment, every peer path at its planned size and at that size plus the
+    segment's.  The improvement in log joint probability is 0 when nothing
+    moves; only when something does are both sides' log joints summed,
+    before and after.  Neither node's live state is modified: the
+    result carries the planned transfer and the peer's tentative
+    assignment including the planned placements.
 
     Raises:
         ProtocolError: the peer is the destination, the task source, or the
@@ -161,13 +187,9 @@ def realtime_adjustment(
     remaining = dict(holder.assignment)
     planned = dict(peer.assignment)
 
-    @cache
-    def prob(route: Route, size: float) -> float:
+    def spec(route: Route) -> PathSpec | None:
         # a route starts at the node that owns it
-        owner = holder if route[0] == holder.node_id else peer
-        return _route_prob(owner.routes.get(route), size, t_remaining)
-
-    before = _log_joint(prob, remaining, planned)
+        return (holder if route[0] == holder.node_id else peer).routes.get(route)
 
     moved = 0.0
     direct_tail = (peer.node_id, holder.destination)
@@ -179,19 +201,19 @@ def realtime_adjustment(
                 remaining[route] = 0.0
 
     if peer_routes:
+        loaded = [(r, s) for r, s in remaining.items() if s > _EPS]
         ranked = sorted(
-            (r for r, s in remaining.items() if s > _EPS),
-            key=lambda r: (prob(r, remaining[r]), r),
+            zip(_route_probs([(spec(r), s) for r, s in loaded], t_remaining), loaded),
+            key=lambda item: (item[0], item[1][0]),
         )
-        for j_route in ranked:
-            j_size = remaining[j_route]
-            j_prob = prob(j_route, j_size)
+        peer_specs = [spec(k) for k in peer_routes]
+        for j_prob, (j_route, j_size) in ranked:
+            sizes = [planned.get(k, 0.0) for k in peer_routes]
+            grown = [(k_spec, s + j_size) for k_spec, s in zip(peer_specs, sizes)]
+            probs = _route_probs([*zip(peer_specs, sizes), *grown], t_remaining)
             best_route = None
             best_ratio = 0.0
-            for k_route in peer_routes:
-                k_size = planned.get(k_route, 0.0)
-                p_old = prob(k_route, k_size)
-                p_new = prob(k_route, k_size + j_size)
+            for k_route, p_old, p_new in zip(peer_routes, probs, probs[len(sizes) :]):
                 if p_old <= 0.0:
                     continue
                 ratio = p_new / p_old
@@ -204,6 +226,20 @@ def realtime_adjustment(
             remaining[j_route] = 0.0
             moved += j_size
 
+    if not moved:
+        return AdjustmentResult(planned=0.0, receiver_assignment=planned, improvement=0.0)
+    segments = list(
+        dict.fromkeys(
+            itertools.chain(
+                holder.assignment.items(),
+                peer.assignment.items(),
+                remaining.items(),
+                planned.items(),
+            )
+        )
+    )
+    prob = dict(zip(segments, _route_probs([(spec(r), s) for r, s in segments], t_remaining)))
+    before = _log_joint(prob, holder.assignment, peer.assignment)
     return AdjustmentResult(
         planned=moved,
         receiver_assignment=planned,

@@ -351,13 +351,32 @@ def network_to_json(network: Network) -> dict:
     }
 
 
-def _params_from_json(entry: dict) -> PairContactParams:
-    """Contact parameters from a ``{lambda, alpha, beta, rate}`` entry."""
+def _json_number(value, kind: type, where: str, name: str):
+    """``value`` as ``kind`` (``int`` or ``float``) when it is a JSON number
+    of that kind: an integer is a real number, a bool is neither.
+
+    Raises:
+        ConfigError: naming ``where`` and the field ``name``, for any other
+            value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a real number"
+        raise ConfigError(f"{where} field {name!r} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _params_from_json(entry: dict, where: str) -> PairContactParams:
+    """Contact parameters from a ``{lambda, alpha, beta, rate}`` entry,
+    named ``where`` in errors.
+
+    Raises:
+        ConfigError: a field is missing or is not a real number.
+    """
     return PairContactParams(
-        contact_rate=float(entry["lambda"]),
-        alpha=float(entry["alpha"]),
-        beta=float(entry["beta"]),
-        rate=float(entry["rate"]),
+        contact_rate=_json_number(entry.get("lambda"), float, where, "lambda"),
+        alpha=_json_number(entry.get("alpha"), float, where, "alpha"),
+        beta=_json_number(entry.get("beta"), float, where, "beta"),
+        rate=_json_number(entry.get("rate"), float, where, "rate"),
     )
 
 
@@ -365,18 +384,23 @@ def network_from_json(payload: dict) -> Network:
     """Rebuild a network from :func:`network_to_json` output.
 
     Raises:
-        ConfigError: an edge is listed twice, in either orientation.
+        ConfigError: an edge is listed twice, in either orientation; a node
+            id, ``nodes`` or ``infrastructure`` is not an integer; a contact
+            parameter is not a real number.
     """
     edges: dict[EdgeKey, PairContactParams] = {}
-    for entry in payload["edges"]:
-        a, b = int(entry["a"]), int(entry["b"])
+    for index, entry in enumerate(payload["edges"]):
+        a = _json_number(entry.get("a"), int, f"edge {index}", "a")
+        b = _json_number(entry.get("b"), int, f"edge {index}", "b")
         key = edge_key(a, b)
         if key in edges:
             raise ConfigError(f"edge ({a}, {b}) repeats edge {key}; list each node pair once")
-        edges[key] = _params_from_json(entry)
+        edges[key] = _params_from_json(entry, f"edge {index} ({a}, {b})")
     return Network(
-        node_count=int(payload["nodes"]),
-        infrastructure_id=int(payload["infrastructure"]),
+        node_count=_json_number(payload.get("nodes"), int, "network", "nodes"),
+        infrastructure_id=_json_number(
+            payload.get("infrastructure"), int, "network", "infrastructure"
+        ),
         edges=edges,
     )
 

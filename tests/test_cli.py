@@ -189,6 +189,34 @@ class TestSimulate:
         assert "error[VALIDATION]" in err and "size" in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("runs", 2.7),
+            ("runs", "2"),
+            ("seed", 9.0),
+            ("seed", True),
+            ("sizes", ["10"]),
+            ("sizes", 10.0),
+            ("deadlines", [200.0, False]),
+        ],
+    )
+    def test_malformed_config_values_are_rejected(
+        self, tmp_path, synth_config, capsys, monkeypatch, field, value
+    ):
+        config = self._config(
+            tmp_path, synth_config, str(tmp_path / "r.csv"), str(tmp_path / "s.csv")
+        )
+        payload = json.loads(open(config).read())
+        payload[field] = value
+        open(config, "w").write(json.dumps(payload))
+        ran = []
+        monkeypatch.setattr("oppload.cli.simulate_strategy", lambda *args: ran.append(args))
+        assert main(["simulate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "error[CONFIG]" in err and field in err
+        assert ran == []
+
     @pytest.mark.parametrize("strategies", ["heuristic", ["individual", "nosuch"], [1]])
     def test_strategies_checked_before_any_run(
         self, tmp_path, synth_config, capsys, monkeypatch, strategies
@@ -268,3 +296,16 @@ class TestValidate:
         )
         assert code != 0
         assert "error[CONFIG]" in capsys.readouterr().err
+
+    def test_string_hop_parameter_is_rejected(self, tmp_path, capsys):
+        hop = {"lambda": 0.05, "alpha": 3.0, "beta": 5.0, "rate": 10.0}
+        spec = write_json(tmp_path / "path.json", {"hops": [hop, dict(hop, **{"lambda": "0.02"})]})
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--path-spec", spec, "--sizes", "5", "--deadlines", "50",
+             "--runs", "1000", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error[CONFIG]" in err and "hop 1 field 'lambda'" in err
+        assert not out.exists()

@@ -6,7 +6,15 @@ import pytest
 
 import oppload as ol
 from oppload.contacts import reg_lower_incomplete_gamma
-from oppload.delivery import _CHUNK, _MAX_KEPT, DEFAULT_TUPLE_CAP, path_kernel
+from oppload.delivery import (
+    _CHUNK,
+    _MAX_KEPT,
+    _SCALAR_TERMS,
+    DEFAULT_TUPLE_CAP,
+    _tuple_gammas,
+    evaluate_kernels,
+    path_kernel,
+)
 from oppload.errors import ComplexityError
 
 
@@ -393,6 +401,96 @@ class TestPathKernel:
         kept = [kernel._onehop or (), *(kernel._per_hop or ())]
         assert kernel._scalar is None
         assert sum(len(v) for arrays in kept for v in arrays) <= 3 * _MAX_KEPT
+
+
+def random_hop(rng):
+    return hop(
+        lam=float(10 ** rng.uniform(-3, 0)),
+        alpha=float(rng.uniform(0.5, 8.0)),
+        beta=float(10 ** rng.uniform(-0.3, 1)),
+        rate=float(10 ** rng.uniform(-1, 2)),
+    )
+
+
+class TestEvaluateKernels:
+    """A batch answers each member exactly as the member asked alone."""
+
+    def check(self, members, deadline):
+        got = evaluate_kernels([path_kernel(hops, size) for hops, size in members], deadline)
+        for (hops, size), prob in zip(members, got):
+            query = ol.DeliveryQuery(size, deadline)
+            alone = (
+                ol.delivery_prob_onehop(hops[0], query)
+                if len(hops) == 1
+                else ol.delivery_prob_path(ol.PathSpec(hops), query)
+            )
+            assert prob == alone == reference_path(hops, size, deadline)
+        return got
+
+    def test_random_batches_match_single_queries(self):
+        rng = np.random.default_rng(61)
+        pool = [random_hop(rng) for _ in range(6)]
+        for _ in range(150):
+            members = []
+            for _ in range(int(rng.integers(1, 12))):
+                hops = tuple(pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 4))))
+                members.append((hops, float(10 ** rng.uniform(-1, 1.2))))
+            if rng.random() < 0.3:
+                members.append(members[0])  # a repeated (hops, size) pair
+            try:
+                self.check(members, float(10 ** rng.uniform(0, 3.5)))
+            except ComplexityError:
+                continue
+
+    def test_mixed_members(self):
+        # certain success at 21 of 30 contacts; at deadline 500 the Erlang
+        # CDF of the size-400 item underflows to 0 from 245 contacts on
+        certain = hop(lam=0.05, alpha=0.05, beta=1.0)
+        slow = hop(lam=0.05, alpha=0.4, beta=0.5)
+        # kept as Python floats: certain success at 7 of 10 contacts, and a
+        # CDF that underflows to 0 from 2 contacts on
+        certain_small = hop(lam=0.05, alpha=0.001, beta=1.0)
+        rare = hop(lam=1e-160, alpha=3.0, beta=1.0)
+        two = (hop(lam=0.03, alpha=3.0), hop(lam=0.07, alpha=5.0, beta=1.5))
+        members = [
+            ((certain,), 30.0),
+            ((slow,), 400.0),
+            (two, 2.0),
+            (two, 9.0),  # 5 x 6 tuples: evaluated in blocks
+            ((hop(rate=0.01),), 5.0),  # the deadline cannot cover T' = 500
+            (two, 2.0),
+            ((hop(lam=0.02),), 1.0),
+            ((certain_small,), 10.0),
+            ((rare,), 6.0),
+        ]
+        assert path_kernel(two, 9.0).tuples > _SCALAR_TERMS
+        for deadline in (50.0, 500.0, 5000.0):
+            got = self.check(members, deadline)
+            assert (got[4] == 0.0) == (deadline <= 500.0)
+            assert got[2] == got[5]
+        kernel = path_kernel(two, 9.0)
+        assert kernel._scalar is None and kernel._per_hop is not None
+        assert len(path_kernel((certain_small,), 10.0)._scalar[0]) == 7
+        assert len(path_kernel((rare,), 6.0)._scalar[0]) == 6
+
+    def test_over_cap_member_raises(self):
+        path = (hop(beta=1.0, rate=100.0), hop(beta=1.0, rate=100.0))
+        over = float(math.isqrt(DEFAULT_TUPLE_CAP) + 1)
+        members = [path_kernel(path, 2.0), path_kernel(path, over)]
+        with pytest.raises(ComplexityError):
+            evaluate_kernels(members, 500.0)
+        # below its transmission time the over-cap member answers 0 first
+        assert evaluate_kernels(members, 20.0)[1] == 0.0
+
+    def test_sizes_with_equal_limits_share_the_size_free_part(self):
+        hops = (hop(lam=0.03, beta=2.0), hop(lam=0.07, beta=2.5))
+        path_kernel.cache_clear()
+        _tuple_gammas.cache_clear()
+        first, second = path_kernel(hops, 3.1), path_kernel(hops, 3.9)
+        assert first.limits == second.limits == (2, 2)
+        evaluate_kernels([first, second], 300.0)
+        info = _tuple_gammas.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestPathCapacity:

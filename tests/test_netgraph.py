@@ -188,6 +188,36 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=rf"\({a}, {b}\)"):
             ol.network_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            ("edge", "a", 0.7),
+            ("edge", "b", True),
+            ("edge", "a", "3"),
+            ("network", "nodes", 9.5),
+            ("network", "infrastructure", False),
+            ("edge", "lambda", "0.17"),
+            ("edge", "alpha", True),
+            ("edge", "beta", None),
+            ("edge", "rate", [1.0]),
+        ],
+    )
+    def test_malformed_value_is_rejected(self, where, field, value):
+        net = ol.generate_synthetic(table_config(n=5, avg_degree=2, max_degree=3, seed=7))
+        payload = ol.network_to_json(net)
+        (payload if where == "network" else payload["edges"][1])[field] = value
+        name = "network" if where == "network" else "edge 1"
+        with pytest.raises(ConfigError, match=rf"{name}.*field '{field}'"):
+            ol.network_from_json(payload)
+
+    def test_integral_values_are_accepted_as_reals(self):
+        net = ol.generate_synthetic(table_config(n=5, avg_degree=2, max_degree=3, seed=7))
+        payload = ol.network_to_json(net)
+        payload["edges"][0]["rate"] = 2
+        assert ol.network_from_json(payload).edges[
+            edge_key(payload["edges"][0]["a"], payload["edges"][0]["b"])
+        ].rate == 2.0
+
     def test_trace_csv_round_trip(self, tmp_path):
         records = [
             ol.TraceRecord(0, 1, 1.5, 2.75),
