@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,13 +53,32 @@ def _load_json(path: str) -> dict:
 
 
 def _synthetic_config(payload: dict, seed: int | None) -> SyntheticConfig:
+    """The synthetic config of a JSON object, its seed replaced by ``seed``
+    unless that is None.  Checked values are passed on as given: an integer
+    ``rate`` is written to the network file as an integer.
+
+    Raises:
+        ConfigError: an unknown key; ``n``, ``max_degree`` or ``seed`` not
+            an integer; another scalar not a real number; a ``*_range`` not
+            a list of two real numbers.
+    """
     unknown = set(payload) - {f.name for f in dataclasses.fields(SyntheticConfig)}
     if unknown:
         raise ConfigError(f"unknown synthetic config keys: {sorted(unknown)}")
     kwargs = dict(payload)
     for key, value in kwargs.items():
-        if key.endswith("_range"):
-            kwargs[key] = tuple(value)
+        if not key.endswith("_range"):
+            kind = int if key in ("n", "max_degree", "seed") else float
+            _json_number(value, kind, "synthetic config", key)
+            continue
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigError(
+                f"synthetic config field {key!r} must be a list of two real numbers, "
+                f"got {value!r}"
+            )
+        for i, bound in enumerate(value):
+            _json_number(bound, float, "synthetic config", f"{key}[{i}]")
+        kwargs[key] = tuple(value)
     if seed is not None:
         kwargs["seed"] = seed
     return SyntheticConfig(**kwargs)
@@ -233,6 +253,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     sizes = [float(s) for s in args.sizes.split(",")]
     deadlines = [float(d) for d in args.deadlines.split(",")]
+    for size in sizes:
+        if not (math.isfinite(size) and size > 0):
+            raise ConfigError(f"--sizes must be finite and > 0, got {size!r}")
+    for deadline in deadlines:
+        if math.isnan(deadline) or deadline == math.inf:
+            raise ConfigError(f"--deadlines must not be NaN or +inf, got {deadline!r}")
     rows = []
     for size in sizes:
         for deadline in deadlines:

@@ -20,19 +20,16 @@ build on each other:
 Delivery probabilities are evaluated by a :class:`PathKernel`, compiled once
 per (hops, data size) pair: the weights, gamma shapes and rates of every
 contact-count tuple depend on that pair only, so a query is a ``gammainc``
-evaluation of them at the deadline's time budget.  :func:`evaluate_kernels`
-answers several kernels at one deadline in one batch, stacking the terms of
-the small ones for a single ``gammainc`` call; :meth:`PathKernel.prob` is
-its one-kernel case.  Compiled kernels sit in an LRU cache of
-``_KERNEL_CACHE`` entries.  A kernel keeps at most three arrays of
-``_MAX_KEPT`` floats (the terms of one hop, or the per-hop vectors of
-several), so a full cache holds at most about 1.6 MB of arrays; multi-hop
-terms are built again from them, in blocks, on each query.  The size-free
-part of a small multi-hop kernel, its tuples' gamma shapes and rates, depends
-only on the hops and the contact limits, and sits in an LRU cache of
-``_TUPLE_GAMMA_CACHE`` entries keyed by them; an entry holds at most
-``_SCALAR_TERMS`` tuples, at most about 1.5 kB, so a full cache holds at
-most about 0.4 MB.
+evaluation of them at the deadline's time budget.  A kernel keeps its terms
+in one of two layouts.  A tuple space of at most ``_MAX_KEPT`` tuples, one
+hop or several, keeps its nonzero terms as three lists of Python floats;
+:func:`evaluate_kernels` answers several kernels at one deadline by stacking
+these lists for a single array ``gammainc`` call, and :meth:`PathKernel.prob`
+is its one-kernel case.  A larger space keeps at most three arrays of
+``_MAX_KEPT`` floats (the per-hop vectors of several hops, or nothing) and
+builds its terms again, in blocks, on each query.  Compiled kernels sit in
+an LRU cache of ``_KERNEL_CACHE`` entries; three lists of ``_MAX_KEPT``
+Python floats take about 25 kB, so a full cache holds at most about 6.3 MB.
 The kernel is bit-identical to summing the formula tuple by tuple: it visits
 tuples in ``itertools.product`` order, forms weights and the moments ``M``,
 ``V`` hop by hop, and sums left to right.
@@ -74,19 +71,13 @@ _ALPHA_ONE_TOL = 1e-9
 
 _CEIL_GUARD = 1e-9
 
-# Kernels of at most this many terms stay Python floats, and a batch of at
-# most this many such terms in all uses scalar gammainc calls: below it
-# numpy's per-call overhead costs more than it saves.
-_SCALAR_TERMS = 8
-# No kernel keeps an array longer than _MAX_KEPT, which bounds the cache's
-# memory.  Multi-hop terms are built again on every evaluation, about
-# _CHUNK tuples (whole rows of the last hop's counts) at a time.
+# A kernel keeps the terms of a tuple space of at most _MAX_KEPT tuples, and
+# no list or array longer than _MAX_KEPT, which bounds the cache's memory.
+# Larger spaces build their terms again on every evaluation, about _CHUNK
+# tuples (whole rows of the last hop's counts) at a time.
 _MAX_KEPT = 256
 _CHUNK = 1 << 14
 _KERNEL_CACHE = 256
-# Kept small: 2048 entries measured no faster on criterion-7 tasks, and raised
-# the peak memory of a process that imports the package afresh many times.
-_TUPLE_GAMMA_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -275,17 +266,13 @@ class PathKernel:
 
     The kernel is compiled on the first evaluation with a positive time
     budget; a compile that raises stores nothing, so the next query raises
-    again.  It keeps the terms of a space of at most ``_SCALAR_TERMS``
-    tuples as Python floats, for :func:`evaluate_kernels` to stack with
-    other kernels' terms; for several hops their shapes and rates come
-    from the cache of size-free parts, keyed by (hops, contact limits), so
-    a new data size computes only each hop's exact-success weights.
-    Otherwise it keeps at most
-    three arrays of ``_MAX_KEPT`` floats: the terms of one hop, or the
-    per-hop vectors of several.  From these, or from nothing when they
-    would be longer, every evaluation builds the terms again in product
-    order and in blocks: ``_CHUNK`` tuples for several hops, ``_MAX_KEPT``
-    contact counts for one hop.
+    again.  A space of at most ``_MAX_KEPT`` tuples keeps its nonzero terms
+    as Python-float lists, for :func:`evaluate_kernels` to stack with other
+    kernels' terms.  A larger space keeps the per-hop vectors of several
+    hops when they hold at most ``_MAX_KEPT`` counts in all, and nothing
+    otherwise; from these every evaluation builds the terms again in
+    product order and in blocks: ``_CHUNK`` tuples for several hops,
+    ``_MAX_KEPT`` contact counts for one hop.
     """
 
     def __init__(self, hops: tuple[PairContactParams, ...], data_size: float) -> None:
@@ -295,8 +282,7 @@ class PathKernel:
         self.limits = tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
         self.tuples = math.prod(self.limits)
         self._compiled = False
-        self._scalar: tuple[list[float], list[float], list[float]] | None = None
-        self._onehop: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._kept: tuple[list[float], list[float], list[float]] | None = None
         self._per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def prob(self, deadline: float) -> float:
@@ -340,39 +326,39 @@ class PathKernel:
                 f"path would require enumerating {self.tuples} contact tuples "
                 f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
             )
-        scalar = onehop = per_hop = None
-        if self.tuples <= _SCALAR_TERMS:
-            scalar = self._scalar_terms()
-        elif len(self.hops) == 1:
-            if self.tuples <= _MAX_KEPT:
-                onehop = next(self._onehop_blocks())
-                if len(onehop[0]) <= _SCALAR_TERMS:
-                    scalar, onehop = tuple(a.tolist() for a in onehop), None
-        elif sum(self.limits) <= _MAX_KEPT:
+        kept = per_hop = None
+        if self.tuples <= _MAX_KEPT:
+            kept = self._kept_terms()
+        elif len(self.hops) > 1 and sum(self.limits) <= _MAX_KEPT:
             per_hop = self._hop_vectors()
-        self._scalar, self._onehop, self._per_hop = scalar, onehop, per_hop
+        self._kept, self._per_hop = kept, per_hop
         self._compiled = True
 
-    def _scalar_terms(self) -> tuple[list[float], list[float], list[float]]:
+    def _kept_terms(self) -> tuple[list[float], list[float], list[float]]:
         """The weights, shapes and rates of the nonzero terms of a tuple
-        space of at most ``_SCALAR_TERMS`` tuples, built with Python floats:
-        numpy costs more at this size."""
+        space of at most ``_MAX_KEPT`` tuples, in product order, as Python
+        floats."""
         if len(self.hops) == 1:
             hop = self.hops[0]
             exact = _exact_success(hop, self.data_size, self.limits[0], stop_when_certain=True)
             weights = list(exact)
             count = len(weights)
             return weights, [float(n) for n in range(1, count + 1)], [hop.contact_rate] * count
-        exact = [
-            list(_exact_success(hop, self.data_size, limit, stop_when_certain=False))
-            for hop, limit in zip(self.hops, self.limits)
-        ]
+        steps = []
+        for hop, limit in zip(self.hops, self.limits):
+            exact = _exact_success(hop, self.data_size, limit, stop_when_certain=False)
+            lam = hop.contact_rate
+            steps.append([(e, n / lam, n / (lam * lam)) for n, e in enumerate(exact, 1)])
         weights, shapes, rates = [], [], []
-        for combo, shape, rate in _tuple_gammas(self.hops, self.limits):
+        for combo in itertools.product(*steps):
             weight = 1.0
-            for hop_exact, i in zip(exact, combo):
-                weight *= hop_exact[i]
+            mean = var = 0.0
+            for success, mean_step, var_step in combo:
+                weight *= success
+                mean += mean_step
+                var += var_step
             if weight != 0.0:
+                shape, rate = mean * mean / var, mean / var
                 _check_gamma(shape, rate)
                 weights.append(weight)
                 shapes.append(shape)
@@ -433,9 +419,7 @@ class PathKernel:
         return weight, shape, rate
 
     def _blocks(self):
-        if self._onehop is not None:
-            yield self._onehop
-        elif len(self.hops) == 1:
+        if len(self.hops) == 1:
             yield from self._onehop_blocks()
         else:
             per_hop = self._per_hop or self._hop_vectors()
@@ -451,37 +435,17 @@ def path_kernel(hops: tuple[PairContactParams, ...], data_size: float) -> PathKe
     return PathKernel(hops, data_size)
 
 
-@functools.lru_cache(maxsize=_TUPLE_GAMMA_CACHE)
-def _tuple_gammas(
-    hops: tuple[PairContactParams, ...], limits: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], float, float], ...]:
-    """The size-free part of a small multi-hop kernel: every contact-count
-    tuple in product order, as 0-based indices, with its gamma shape and
-    rate (``M`` and ``V`` summed hop by hop).  Unchecked: a kernel checks
-    the shapes and rates of the tuples it keeps."""
-    lambdas = [hop.contact_rate for hop in hops]
-    gammas = []
-    for combo in itertools.product(*(range(limit) for limit in limits)):
-        mean = var = 0.0
-        for i, lam in zip(combo, lambdas):
-            mean += (i + 1) / lam
-            var += (i + 1) / (lam * lam)
-        gammas.append((combo, mean * mean / var, mean / var))
-    return tuple(gammas)
-
-
 def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[float]:
     """Delivery probabilities of several kernels within one ``deadline``.
 
     The kernels whose terms are kept as Python floats (at most
-    ``_SCALAR_TERMS`` each) are priced together: their terms are stacked,
-    their gamma CDFs come from scalar ``gammainc`` calls when there are at
-    most ``_SCALAR_TERMS`` terms in all and from one array call otherwise,
-    and each kernel's terms are then summed left to right in Python
-    floats.  Larger kernels are evaluated one by one, in blocks.  Every
-    answer is the kernel's tuple-by-tuple sum, whatever the batch.  A
-    kernel whose deadline does not cover its ``T'`` answers 0; a one-hop
-    sum ends at its first zero CDF.
+    ``_MAX_KEPT`` each) are priced together: their terms are stacked, their
+    gamma CDFs come from one array ``gammainc`` call, and each kernel's
+    terms are then summed left to right in Python floats.  Larger kernels
+    are evaluated one by one, in blocks.  Every answer is the kernel's
+    tuple-by-tuple sum, whatever the batch.  A kernel whose deadline does
+    not cover its ``T'`` answers 0; a one-hop sum ends at its first zero
+    CDF.
 
     Raises:
         ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
@@ -490,7 +454,7 @@ def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[flo
         ValueError: a gamma argument ``rate * (deadline - T')`` is not finite.
     """
     probs = [0.0] * len(kernels)
-    small = []
+    kept = []
     shapes: list[float] = []
     args: list[float] = []
     for index, kernel in enumerate(kernels):
@@ -499,21 +463,20 @@ def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[flo
             continue
         if not kernel._compiled:
             kernel._compile()
-        if kernel._scalar is None:
+        if kernel._kept is None:
             probs[index] = kernel._block_prob(budget)
             continue
-        small.append((index, kernel))
-        shapes += kernel._scalar[1]
-        args += map(budget.__mul__, kernel._scalar[2])
-    if len(args) <= _SCALAR_TERMS:
-        in_time = [reg_lower_incomplete_gamma(a, x) for a, x in zip(shapes, args)]
-    elif all(map(math.isfinite, args)):
-        in_time = _special.gammainc(shapes, args).tolist()
-    else:
+        kept.append((index, kernel))
+        shapes += kernel._kept[1]
+        args += map(budget.__mul__, kernel._kept[2])
+    if not args:
+        return probs
+    if not all(map(math.isfinite, args)):
         raise ValueError(f"gamma argument overflows at deadline {deadline!r}")
+    in_time = _special.gammainc(shapes, args).tolist()
     stop = 0
-    for index, kernel in small:
-        weights = kernel._scalar[0]
+    for index, kernel in kept:
+        weights = kernel._kept[0]
         start, stop = stop, stop + len(weights)
         cdf = in_time[start:stop]
         if len(kernel.hops) == 1 and 0.0 in cdf:

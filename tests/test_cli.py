@@ -64,6 +64,30 @@ class TestGenerate:
         assert code != 0
         assert "error[" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", True),
+            ("weight_scale", True),
+            ("avg_degree", "4"),
+            ("node_beta_range", [True, 3]),
+            ("node_alpha_range", [6.0, 8.0, 10.0]),
+            ("infra_lambda_range", 0.01),
+            ("max_degree", 6.0),
+            ("seed", 1.0),
+            ("n", None),
+        ],
+    )
+    def test_malformed_values_are_rejected(self, tmp_path, synth_config, capsys, field, value):
+        payload = json.loads(open(synth_config).read())
+        payload[field] = value
+        config = write_json(tmp_path / "bad.json", payload)
+        out = tmp_path / "net.json"
+        assert main(["generate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error[CONFIG]" in err and f"field '{field}" in err
+        assert not out.exists()
+
 
 class TestEstimateAndPlan:
     def test_two_path_instance_estimates(self, tmp_path, capsys):
@@ -217,6 +241,22 @@ class TestSimulate:
         assert "error[CONFIG]" in err and field in err
         assert ran == []
 
+    def test_malformed_synthetic_network_is_rejected(
+        self, tmp_path, synth_config, capsys, monkeypatch
+    ):
+        config = self._config(
+            tmp_path, synth_config, str(tmp_path / "r.csv"), str(tmp_path / "s.csv")
+        )
+        payload = json.loads(open(config).read())
+        payload["network"]["synthetic"]["rate"] = True
+        open(config, "w").write(json.dumps(payload))
+        ran = []
+        monkeypatch.setattr("oppload.cli.simulate_strategy", lambda *args: ran.append(args))
+        assert main(["simulate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "error[CONFIG]" in err and "field 'rate'" in err
+        assert ran == []
+
     @pytest.mark.parametrize("strategies", ["heuristic", ["individual", "nosuch"], [1]])
     def test_strategies_checked_before_any_run(
         self, tmp_path, synth_config, capsys, monkeypatch, strategies
@@ -309,3 +349,45 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error[CONFIG]" in err and "hop 1 field 'lambda'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sizes, deadlines, option",
+        [
+            ("-5,nan,inf,0", "0,-3", "--sizes"),
+            ("5,-5", "0", "--sizes"),
+            ("nan", "-3", "--sizes"),
+            ("inf", "10", "--sizes"),
+            ("0", "0", "--sizes"),
+            ("5", "10,nan", "--deadlines"),
+            ("5", "0,inf", "--deadlines"),
+        ],
+    )
+    def test_malformed_grid_is_rejected(self, tmp_path, capsys, sizes, deadlines, option):
+        spec = write_json(
+            tmp_path / "path.json",
+            {"hops": [{"lambda": 0.05, "alpha": 3.0, "beta": 5.0, "rate": 10.0}]},
+        )
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--path-spec", spec, f"--sizes={sizes}", f"--deadlines={deadlines}",
+             "--runs", "1000", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error[CONFIG]" in err and option in err
+        assert not out.exists()
+
+    def test_nonpositive_deadlines_give_zero_rows(self, tmp_path):
+        spec = write_json(
+            tmp_path / "path.json",
+            {"hops": [{"lambda": 0.05, "alpha": 3.0, "beta": 5.0, "rate": 10.0}]},
+        )
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--path-spec", spec, "--sizes", "5,7.5", "--deadlines=-inf,-3,0",
+             "--runs", "1000", "--out", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(float(value) == 0.0 for row in rows for value in row[2:])

@@ -9,9 +9,7 @@ from oppload.contacts import reg_lower_incomplete_gamma
 from oppload.delivery import (
     _CHUNK,
     _MAX_KEPT,
-    _SCALAR_TERMS,
     DEFAULT_TUPLE_CAP,
-    _tuple_gammas,
     evaluate_kernels,
     path_kernel,
 )
@@ -368,7 +366,8 @@ class TestPathKernel:
     @pytest.mark.parametrize("size", [4.0, 30.0, 100.0])
     def test_failed_compile_raises_again(self, size):
         # lambda**2 of the first hop underflows to 0; sizes 4, 30 and 100
-        # give tuple spaces of 4, 225 and 2500, one per way of keeping terms
+        # give tuple spaces of 4 and 225, which keep their terms, and 2500,
+        # which keeps its per-hop vectors
         path = ol.PathSpec((hop(lam=1e-170), hop(lam=0.1)))
         query = ol.DeliveryQuery(size, 1e4)
         errors = []
@@ -398,9 +397,8 @@ class TestPathKernel:
             )
         kernel = path_kernel(hops, size)
         assert kernel.tuples > _MAX_KEPT
-        kept = [kernel._onehop or (), *(kernel._per_hop or ())]
-        assert kernel._scalar is None
-        assert sum(len(v) for arrays in kept for v in arrays) <= 3 * _MAX_KEPT
+        assert kernel._kept is None
+        assert sum(len(v) for arrays in kernel._per_hop or () for v in arrays) <= 3 * _MAX_KEPT
 
 
 def random_hop(rng):
@@ -456,22 +454,22 @@ class TestEvaluateKernels:
             ((certain,), 30.0),
             ((slow,), 400.0),
             (two, 2.0),
-            (two, 9.0),  # 5 x 6 tuples: evaluated in blocks
+            (two, 9.0),  # 5 x 6 tuples: kept as Python floats
             ((hop(rate=0.01),), 5.0),  # the deadline cannot cover T' = 500
             (two, 2.0),
             ((hop(lam=0.02),), 1.0),
             ((certain_small,), 10.0),
             ((rare,), 6.0),
         ]
-        assert path_kernel(two, 9.0).tuples > _SCALAR_TERMS
+        assert path_kernel(two, 9.0).tuples == 30
         for deadline in (50.0, 500.0, 5000.0):
             got = self.check(members, deadline)
             assert (got[4] == 0.0) == (deadline <= 500.0)
             assert got[2] == got[5]
         kernel = path_kernel(two, 9.0)
-        assert kernel._scalar is None and kernel._per_hop is not None
-        assert len(path_kernel((certain_small,), 10.0)._scalar[0]) == 7
-        assert len(path_kernel((rare,), 6.0)._scalar[0]) == 6
+        assert kernel._kept is not None and kernel._per_hop is None
+        assert len(path_kernel((certain_small,), 10.0)._kept[0]) == 7
+        assert len(path_kernel((rare,), 6.0)._kept[0]) == 6
 
     def test_over_cap_member_raises(self):
         path = (hop(beta=1.0, rate=100.0), hop(beta=1.0, rate=100.0))
@@ -482,15 +480,30 @@ class TestEvaluateKernels:
         # below its transmission time the over-cap member answers 0 first
         assert evaluate_kernels(members, 20.0)[1] == 0.0
 
-    def test_sizes_with_equal_limits_share_the_size_free_part(self):
-        hops = (hop(lam=0.03, beta=2.0), hop(lam=0.07, beta=2.5))
-        path_kernel.cache_clear()
-        _tuple_gammas.cache_clear()
-        first, second = path_kernel(hops, 3.1), path_kernel(hops, 3.9)
-        assert first.limits == second.limits == (2, 2)
-        evaluate_kernels([first, second], 300.0)
-        info = _tuple_gammas.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    def test_kept_and_block_kernels_at_the_bound(self):
+        # one hop and two hops with exactly _MAX_KEPT tuples (kept as Python
+        # floats) and _MAX_KEPT + 1 (built in blocks), in one batch
+        one = hop(lam=0.05, alpha=2.0, beta=1.0)
+        inner = hop(lam=0.04, alpha=3.0, beta=1.0, rate=100.0)
+        wide = hop(lam=0.06, alpha=5.0, beta=300.0, rate=100.0)
+        members = [
+            ((one,), float(_MAX_KEPT)),
+            ((one,), float(_MAX_KEPT + 1)),
+            ((inner, inner), 16.0),
+            ((wide, inner), float(_MAX_KEPT + 1)),
+        ]
+        kernels = [path_kernel(hops, size) for hops, size in members]
+        assert [k.tuples for k in kernels] == [_MAX_KEPT, _MAX_KEPT + 1] * 2
+        # at deadline size + 100 the one-hop Erlang CDF underflows to 0 from
+        # 245 contacts on, which ends the kept kernel's sum
+        assert reg_lower_incomplete_gamma(245, one.contact_rate * 100.0) == 0.0
+        for deadline in (float(_MAX_KEPT + 100), 400.0, 2000.0, 6000.0):
+            got = evaluate_kernels(kernels, deadline)
+            assert got[:2] == [reference_onehop(one, size, deadline) for _, size in members[:2]]
+            assert got[2:] == [reference_path(hops, size, deadline) for hops, size in members[2:]]
+            assert 0.0 < got[0] < 1.0
+        assert [k._kept is not None for k in kernels] == [True, False] * 2
+        assert len(kernels[0]._kept[0]) == _MAX_KEPT
 
 
 class TestPathCapacity:
