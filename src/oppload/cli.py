@@ -152,13 +152,18 @@ def _load_simulation_network(config: dict) -> Network:
         return generate_synthetic(_synthetic_config(source["synthetic"], None))
     if "trace" in source:
         trace = source["trace"]
+        if not isinstance(trace, dict):
+            raise ConfigError(f"network source 'trace' must be an object, got {trace!r}")
+        unknown = set(trace) - {"file", "rate", "warmup", "min_contacts"}
+        if unknown:
+            raise ConfigError(f"unknown trace keys: {sorted(unknown)}")
+        if not isinstance(trace.get("file"), str):
+            raise ConfigError(f"trace field 'file' must be a string, got {trace.get('file')!r}")
+        warmup = _json_number(trace.get("warmup", 0.5), float, "trace", "warmup")
+        rate = _json_number(trace.get("rate"), float, "trace", "rate")
+        min_contacts = _json_number(trace.get("min_contacts", 5), int, "trace", "min_contacts")
         records = read_trace_csv(trace["file"])
-        network, _ = ingest_trace(
-            records,
-            trace.get("warmup", 0.5),
-            trace["rate"],
-            min_contacts=trace.get("min_contacts", 5),
-        )
+        network, _ = ingest_trace(records, warmup, rate, min_contacts=min_contacts)
         return network
     raise ConfigError("network source must be one of: file, synthetic, trace")
 
@@ -240,6 +245,23 @@ def _path_spec_from_json(payload: dict) -> PathSpec:
     )
 
 
+def _option_values(text: str, kind: type, option: str) -> list:
+    """The comma-separated values of a command-line option as ``kind``.
+
+    Raises:
+        ConfigError: naming ``option`` and the value, for a value that is
+            not a ``kind``.
+    """
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{option} value {part!r} is not {noun}") from None
+    return values
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.runs < 1000:
         raise ConfigError("validation needs at least 1000 Monte Carlo runs")
@@ -247,12 +269,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         spec = _path_spec_from_json(_load_json(args.path_spec))
     elif args.network and args.route:
         network = load_network(args.network)
-        spec = route_path(network, [int(part) for part in args.route.split(",")])
+        spec = route_path(network, _option_values(args.route, int, "--route"))
     else:
         raise ConfigError("validate needs --path-spec or both --network and --route")
 
-    sizes = [float(s) for s in args.sizes.split(",")]
-    deadlines = [float(d) for d in args.deadlines.split(",")]
+    sizes = _option_values(args.sizes, float, "--sizes")
+    deadlines = _option_values(args.deadlines, float, "--deadlines")
     for size in sizes:
         if not (math.isfinite(size) and size > 0):
             raise ConfigError(f"--sizes must be finite and > 0, got {size!r}")

@@ -42,7 +42,9 @@ class PairContactParams:
     """Contact-process parameters for one node pair.
 
     Attributes:
-        contact_rate: contacts per time unit (rate of the Poisson process).
+        contact_rate: contacts per time unit (rate of the Poisson process),
+            with a finite, nonzero square and reciprocal square: about
+            1e-154 to 1e154.
         alpha: Pareto shape of the per-contact transferable data.
         beta: Pareto scale, the minimum data amount any contact can carry.
         rate: data transmission rate in data units per time unit.
@@ -58,6 +60,13 @@ class PairContactParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        # the estimators divide by contact_rate**2 and by its reciprocal
+        square = self.contact_rate * self.contact_rate
+        if not (0 < square < math.inf and 1 / square < math.inf):
+            raise ValueError(
+                f"contact_rate must lie within about 1e-154..1e154, "
+                f"got {self.contact_rate!r}"
+            )
 
 
 def fit_exponential(inter_contact_samples: Sequence[float]) -> float:

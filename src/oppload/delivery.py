@@ -272,7 +272,8 @@ class PathKernel:
     hops when they hold at most ``_MAX_KEPT`` counts in all, and nothing
     otherwise; from these every evaluation builds the terms again in
     product order and in blocks: ``_CHUNK`` tuples for several hops,
-    ``_MAX_KEPT`` contact counts for one hop.
+    ``_MAX_KEPT`` contact counts for one hop.  Both layouts build the terms
+    of several hops from the Python floats of :meth:`_hop_steps`.
     """
 
     def __init__(self, hops: tuple[PairContactParams, ...], data_size: float) -> None:
@@ -344,13 +345,8 @@ class PathKernel:
             weights = list(exact)
             count = len(weights)
             return weights, [float(n) for n in range(1, count + 1)], [hop.contact_rate] * count
-        steps = []
-        for hop, limit in zip(self.hops, self.limits):
-            exact = _exact_success(hop, self.data_size, limit, stop_when_certain=False)
-            lam = hop.contact_rate
-            steps.append([(e, n / lam, n / (lam * lam)) for n, e in enumerate(exact, 1)])
         weights, shapes, rates = [], [], []
-        for combo in itertools.product(*steps):
+        for combo in itertools.product(*self._hop_steps()):
             weight = 1.0
             mean = var = 0.0
             for success, mean_step, var_step in combo:
@@ -380,17 +376,19 @@ class PathKernel:
             )
             start += count
 
-    @np.errstate(divide="ignore", over="ignore")
-    def _hop_vectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Each hop's exact-success, ``n / lambda`` and ``n / lambda**2``
-        vectors over n = 1..limit."""
-        vectors = []
+    def _hop_steps(self) -> list[list[tuple[float, float, float]]]:
+        """Each hop's ``(exact success, n / lambda, n / lambda**2)`` over
+        n = 1..limit, as Python floats."""
+        steps = []
         for hop, limit in zip(self.hops, self.limits):
             exact = _exact_success(hop, self.data_size, limit, stop_when_certain=False)
-            counts = np.arange(1.0, limit + 1.0)
             lam = hop.contact_rate
-            vectors.append((np.fromiter(exact, float, limit), counts / lam, counts / (lam * lam)))
-        return vectors
+            steps.append([(e, n / lam, n / (lam * lam)) for n, e in enumerate(exact, 1)])
+        return steps
+
+    def _hop_vectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The columns of :meth:`_hop_steps` as arrays, hop by hop."""
+        return [tuple(map(np.array, zip(*steps))) for steps in self._hop_steps()]
 
     @np.errstate(over="ignore", invalid="ignore")
     def _expand(

@@ -11,7 +11,10 @@ weakest first, and offered in that order to the peer's routes, each moving
 if that improves the joint delivery probability (real-time adjustment);
 after the transfer both sides reconcile their assignments with the amount
 actually moved (assignment update).  A node never sends task data back to
-the node it received it from, nor to the task source.
+the node it received it from, nor to the task source.  Handing data to the
+destination needs no decision: the caller moves it and :func:`_deliver`
+strips the holder's assignment to match.  Every delivery probability is
+priced through :func:`_route_probs`, in batches.
 """
 
 from __future__ import annotations
@@ -73,10 +76,6 @@ class ContactResult:
 
     planned: float
     transferred: float
-
-
-def _route_prob(spec: PathSpec | None, size: float, deadline: float) -> float:
-    return _route_probs([(spec, size)], deadline)[0]
 
 
 def _route_probs(
@@ -192,13 +191,13 @@ def realtime_adjustment(
         return (holder if route[0] == holder.node_id else peer).routes.get(route)
 
     moved = 0.0
+    # every route starts at its owner and ends at the destination
+    via_peer = (holder.node_id, peer.node_id, holder.destination)
     direct_tail = (peer.node_id, holder.destination)
-    for route in sorted(remaining):
-        if len(route) == 3 and route[1] == peer.node_id and remaining[route] > _EPS:
-            if direct_tail in peer_routes:
-                planned[direct_tail] = planned.get(direct_tail, 0.0) + remaining[route]
-                moved += remaining[route]
-                remaining[route] = 0.0
+    if remaining.get(via_peer, 0.0) > _EPS and direct_tail in peer_routes:
+        planned[direct_tail] = planned.get(direct_tail, 0.0) + remaining[via_peer]
+        moved += remaining[via_peer]
+        remaining[via_peer] = 0.0
 
     if peer_routes:
         loaded = [(r, s) for r, s in remaining.items() if s > _EPS]
@@ -254,11 +253,9 @@ def _strip(state: NodeState, amount: float, t_remaining: float) -> None:
     """
     if amount <= _EPS:
         return
-    ranked = sorted(
-        (r for r, s in state.assignment.items() if s > _EPS),
-        key=lambda r: (_route_prob(state.routes.get(r), state.assignment[r], t_remaining), r),
-    )
-    for route in ranked:
+    loaded = [(r, s) for r, s in state.assignment.items() if s > _EPS]
+    probs = _route_probs([(state.routes.get(r), s) for r, s in loaded], t_remaining)
+    for _, route in sorted(zip(probs, (r for r, _ in loaded))):
         size = state.assignment[route]
         take = min(size, amount)
         state.assignment[route] = size - take
@@ -310,31 +307,25 @@ def on_contact(
     contact_capacity: float,
     t_remaining: float,
 ) -> ContactResult:
-    """Full protocol handling of one contact.
+    """Full protocol handling of one contact between two mobile nodes.
 
-    Neither node's routes change.  A contact with the destination delivers
-    ``min(carried, capacity)`` outright and strips the holder's assignment
-    down to what it still carries.
-    Otherwise, if the pair may exchange data (neither received this task's
-    data from the other, neither is the source of the other's data), the
-    carrier with more to gain runs real-time adjustment and transfers up to
-    the contact capacity, after which both assignments are reconciled.
-    Returns the planned and actually transferred amounts.
+    Neither node's routes change.  If the pair may exchange data (neither
+    received this task's data from the other, neither is the source of the
+    other's data), the carrier with more to gain runs real-time adjustment
+    and transfers up to the contact capacity, after which both assignments
+    are reconciled.  Returns the planned and actually transferred amounts.
+    A contact with the destination is a delivery, which the caller makes
+    with :func:`_deliver`.
 
     Raises:
         ValueError: ``contact_capacity`` is NaN or negative.
+        ProtocolError: either node is the other's destination.
     """
     if not contact_capacity >= 0:
         raise ValueError(f"contact_capacity must be >= 0, got {contact_capacity!r}")
 
     if a.node_id == b.destination or b.node_id == a.destination:
-        holder, sink = (a, b) if b.node_id == a.destination else (b, a)
-        amount = min(holder.carried, contact_capacity)
-        if amount <= _EPS:
-            return ContactResult(0.0, 0.0)
-        _deliver(holder, amount, t_remaining)
-        sink.carried += amount
-        return ContactResult(amount, amount)
+        raise ProtocolError("contacts with the destination are deliveries, not exchanges")
 
     holders = [s for s in (a, b) if s.carried > _EPS]
     if not holders:

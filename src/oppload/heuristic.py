@@ -110,28 +110,24 @@ def _settle(
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """Yield ``(route, availability)`` for each node as the search settles it.
 
-    The source comes first with label 1.  A label carries its route's
+    The source comes first with label 1.  A heap entry carries its route's
     running ``M = sum(1/lambda)`` and ``V = sum(1/lambda**2)``, summed in
     route order as :func:`availability` sums them, so extending a route by
-    one hop gives that function's value without rebuilding the path.
+    one hop gives that function's value without rebuilding the path.  The
+    first entry popped for a node settles it with that entry's label, and
+    later entries for the node are skipped.  Each route is pushed at most
+    once, so no two entries tie.
     """
-    # node -> (availability, hops, route, M, V)
-    best: dict[int, tuple[float, int, tuple[int, ...], float, float]] = {
-        u: (1.0, 0, (u,), 0.0, 0.0)
-    }
     settled: set[int] = set()
     # heap orders by (-availability, hops, route)
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, (u,))]
+    heap = [(-1.0, 0, (u,), 0.0, 0.0)]
     while heap:
-        neg_q, hops, route = heapq.heappop(heap)
+        neg_q, hops, route, mean, var = heapq.heappop(heap)
         node = route[-1]
         if node in settled:
             continue
-        q, _, best_route, mean, var = best[node]
-        if (-neg_q, route) != (q, best_route):
-            continue
         settled.add(node)
-        yield route, q
+        yield route, -neg_q
         for neighbor in network.neighbors(node):
             if neighbor in settled or neighbor in route:
                 continue
@@ -143,15 +139,9 @@ def _settle(
             candidate_q = reg_lower_incomplete_gamma(
                 next_mean * next_mean / next_var, next_mean / next_var * deadline
             )
-            candidate = route + (neighbor,)
-            incumbent = best.get(neighbor)
-            if incumbent is None or (-candidate_q, hops + 1, candidate) < (
-                -incumbent[0],
-                incumbent[1],
-                incumbent[2],
-            ):
-                best[neighbor] = (candidate_q, hops + 1, candidate, next_mean, next_var)
-                heapq.heappush(heap, (-candidate_q, hops + 1, candidate))
+            heapq.heappush(
+                heap, (-candidate_q, hops + 1, route + (neighbor,), next_mean, next_var)
+            )
 
 
 def dijkstra_max_q(

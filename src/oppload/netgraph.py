@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -269,13 +270,15 @@ def ingest_trace(
 
     Raises:
         IngestionError: empty input or no pair survives fitting.
+        ValueError: ``warmup_fraction`` outside (0, 1), or ``rate`` not
+            finite and > 0.
     """
     if not records:
         raise IngestionError("empty trace")
     if not (0 < warmup_fraction < 1):
         raise ValueError(f"warmup_fraction must be in (0, 1), got {warmup_fraction!r}")
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate!r}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
 
     starts = np.array([r.t_start for r in records], dtype=float)
     cut = float(np.quantile(starts, warmup_fraction))

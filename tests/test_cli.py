@@ -155,6 +155,19 @@ class TestEstimateAndPlan:
         assert code == 1
         assert "error[VALIDATION]" in capsys.readouterr().err
 
+    def test_degenerate_contact_rate_is_one_error_line(self, tmp_path, capsys):
+        payload = ol.network_to_json(build_two_path_network())
+        payload["edges"][0]["lambda"] = 1e-200
+        net_path = write_json(tmp_path / "net.json", payload)
+        code = main(
+            ["plan", "--network", net_path, "--source", "0",
+             "--size", "10", "--deadline", "1e4"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[VALIDATION]") and "contact_rate" in err
+        assert len(err.splitlines()) == 1
+
     def test_plan_writes_json(self, tmp_path, capsys):
         net_path = tmp_path / "fig.json"
         save_network(build_two_path_network(), net_path)
@@ -275,26 +288,75 @@ class TestSimulate:
         assert not (tmp_path / "r.csv").exists()
 
 
+def write_star_trace(path):
+    """A contact trace of three pairs around node 0, sampled with fixed seeds."""
+    from oppload.netgraph import edge_key, write_trace_csv
+
+    rng_params = {
+        edge_key(0, 1): ol.PairContactParams(0.1, 3.0, 3.0, 50.0),
+        edge_key(0, 2): ol.PairContactParams(0.08, 2.5, 2.0, 50.0),
+        edge_key(0, 3): ol.PairContactParams(0.12, 3.5, 4.0, 50.0),
+    }
+    records = []
+    for i, (key, p) in enumerate(sorted(rng_params.items())):
+        for start, dur in ol.sample_contact_process(p, 4000.0, rng_seed=50 + i):
+            records.append(ol.TraceRecord(key[0], key[1], start, start + dur))
+    records.sort(key=lambda r: r.t_start)
+    write_trace_csv(records, path)
+    return str(path)
+
+
+class TestSimulateFromTrace:
+    def _config(self, tmp_path, trace):
+        return write_json(
+            tmp_path / "exp.json",
+            {
+                "network": {"trace": trace},
+                "sizes": [5.0],
+                "deadlines": [200.0],
+                "strategies": ["individual", "heuristic"],
+                "results_csv": str(tmp_path / "r.csv"),
+                "summary_csv": str(tmp_path / "s.csv"),
+            },
+        )
+
+    def test_trace_source_runs(self, tmp_path):
+        trace = {"file": write_star_trace(tmp_path / "t.csv"), "rate": 50, "min_contacts": 5}
+        assert main(["simulate", "--config", self._config(tmp_path, trace)]) == 0
+        assert len(open(tmp_path / "s.csv").read().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", True),
+            ("rate", "30"),
+            ("rate", None),
+            ("warmup", "0.5"),
+            ("min_contacts", 5.5),
+            ("file", 7),
+            ("seed", 3),
+        ],
+    )
+    def test_malformed_trace_values_are_rejected(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        trace = {"file": write_star_trace(tmp_path / "t.csv"), "rate": 50.0, field: value}
+        ran = []
+        monkeypatch.setattr("oppload.cli.simulate_strategy", lambda *args: ran.append(args))
+        assert main(["simulate", "--config", self._config(tmp_path, trace)]) == 1
+        err = capsys.readouterr().err
+        assert "error[CONFIG]" in err and f"'{field}'" in err
+        assert ran == []
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestFit:
     def test_trace_to_network(self, tmp_path):
-        from oppload.netgraph import edge_key, write_trace_csv
-
-        rng_params = {
-            edge_key(0, 1): ol.PairContactParams(0.1, 3.0, 3.0, 50.0),
-            edge_key(0, 2): ol.PairContactParams(0.08, 2.5, 2.0, 50.0),
-            edge_key(0, 3): ol.PairContactParams(0.12, 3.5, 4.0, 50.0),
-        }
-        records = []
-        for i, (key, p) in enumerate(sorted(rng_params.items())):
-            for start, dur in ol.sample_contact_process(p, 4000.0, rng_seed=50 + i):
-                records.append(ol.TraceRecord(key[0], key[1], start, start + dur))
-        records.sort(key=lambda r: r.t_start)
-        trace = tmp_path / "trace.csv"
-        write_trace_csv(records, trace)
+        trace = write_star_trace(tmp_path / "trace.csv")
         out = tmp_path / "net.json"
         eval_out = tmp_path / "eval.csv"
         code = main(
-            ["fit", "--trace", str(trace), "--rate", "50.0",
+            ["fit", "--trace", trace, "--rate", "50.0",
              "--out", str(out), "--eval-out", str(eval_out)]
         )
         assert code == 0
@@ -302,6 +364,15 @@ class TestFit:
         assert net.node_count == 4
         assert net.infrastructure_id == 0
         assert eval_out.exists()
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_rate_is_a_validation_error(self, tmp_path, capsys, rate):
+        trace = write_star_trace(tmp_path / "trace.csv")
+        out = tmp_path / "net.json"
+        assert main(["fit", "--trace", trace, f"--rate={rate}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error[VALIDATION]" in err and "rate must be finite" in err
+        assert not out.exists()
 
 
 class TestValidate:
@@ -360,6 +431,8 @@ class TestValidate:
             ("0", "0", "--sizes"),
             ("5", "10,nan", "--deadlines"),
             ("5", "0,inf", "--deadlines"),
+            ("5,abc", "10", "--sizes"),
+            ("5", "10,1e", "--deadlines"),
         ],
     )
     def test_malformed_grid_is_rejected(self, tmp_path, capsys, sizes, deadlines, option):
@@ -375,6 +448,40 @@ class TestValidate:
         assert code == 1
         err = capsys.readouterr().err
         assert "error[CONFIG]" in err and option in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, bad",
+        [("--sizes", "5,abc", "abc"), ("--deadlines", "10,,20", ""), ("--route", "0,x", "x")],
+    )
+    def test_unparsable_value_names_option_and_value(
+        self, tmp_path, capsys, option, value, bad
+    ):
+        net_path = tmp_path / "net.json"
+        save_network(build_two_path_network(), net_path)
+        grid = {"--route": "0,1,3", "--sizes": "5", "--deadlines": "10", option: value}
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--network", str(net_path), *(f"{k}={v}" for k, v in grid.items()),
+             "--runs", "1000", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG]") and f"{option} value {bad!r}" in err
+        assert not out.exists()
+
+    def test_degenerate_contact_rate_is_one_error_line(self, tmp_path, capsys):
+        hop = {"lambda": 0.1, "alpha": 3.0, "beta": 5.0, "rate": 10.0}
+        spec = write_json(tmp_path / "path.json", {"hops": [dict(hop, **{"lambda": 1e-200}), hop]})
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--path-spec", spec, "--sizes", "3", "--deadlines", "1e4",
+             "--runs", "1000", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[VALIDATION]") and "contact_rate" in err
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_nonpositive_deadlines_give_zero_rows(self, tmp_path):

@@ -7,6 +7,18 @@ import oppload as ol
 from oppload.errors import ComplexityError, FittingError
 
 
+class TestPairContactParams:
+    @pytest.mark.parametrize("lam", [1e-200, 1e-155, 1e155, 1e200])
+    def test_contact_rate_with_degenerate_square_is_rejected(self, lam):
+        # the estimators divide by lambda**2 and by its reciprocal
+        with pytest.raises(ValueError, match="contact_rate"):
+            ol.PairContactParams(lam, 3.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [1e-154, 1e154])
+    def test_extreme_contact_rates_within_range_are_kept(self, lam):
+        assert ol.PairContactParams(lam, 3.0, 2.0, 1.0).contact_rate == lam
+
+
 class TestFitExponential:
     def test_closed_form(self):
         assert ol.fit_exponential([1, 2, 3]) == pytest.approx(0.5)

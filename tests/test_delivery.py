@@ -365,10 +365,11 @@ class TestPathKernel:
 
     @pytest.mark.parametrize("size", [4.0, 30.0, 100.0])
     def test_failed_compile_raises_again(self, size):
-        # lambda**2 of the first hop underflows to 0; sizes 4, 30 and 100
-        # give tuple spaces of 4 and 225, which keep their terms, and 2500,
-        # which keeps its per-hop vectors
-        path = ol.PathSpec((hop(lam=1e-170), hop(lam=0.1)))
+        # n / lambda**2 of the first hop overflows from n = 2 on, so the
+        # gamma shape is 0; sizes 4, 30 and 100 give tuple spaces of 4 and
+        # 225, which keep their terms, and 2500, which keeps its per-hop
+        # vectors
+        path = ol.PathSpec((hop(lam=1e-154), hop(lam=0.1)))
         query = ol.DeliveryQuery(size, 1e4)
         errors = []
         for _ in range(2):
@@ -446,9 +447,9 @@ class TestEvaluateKernels:
         certain = hop(lam=0.05, alpha=0.05, beta=1.0)
         slow = hop(lam=0.05, alpha=0.4, beta=0.5)
         # kept as Python floats: certain success at 7 of 10 contacts, and a
-        # CDF that underflows to 0 from 2 contacts on
+        # CDF that underflows to 0 from 3 contacts on
         certain_small = hop(lam=0.05, alpha=0.001, beta=1.0)
-        rare = hop(lam=1e-160, alpha=3.0, beta=1.0)
+        rare = hop(lam=1e-154, alpha=3.0, beta=1.0)
         two = (hop(lam=0.03, alpha=3.0), hop(lam=0.07, alpha=5.0, beta=1.5))
         members = [
             ((certain,), 30.0),

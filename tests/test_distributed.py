@@ -240,13 +240,14 @@ class TestAssignmentUpdate:
 
 class TestOnContact:
     def test_delivery_to_destination(self):
+        # deliveries are the caller's; the protocol handles mobile pairs only
         holder = node(1, neighbors={DEST: params(beta=4.0)}, carried=3.0,
                       assignment={(1, DEST): 3.0})
         dest = node(DEST, neighbors={1: params(beta=4.0)})
-        result = ol.on_contact(holder, dest, contact_capacity=10.0, t_remaining=50.0)
-        assert result.transferred == pytest.approx(3.0)
-        assert holder.carried == 0.0
-        assert dest.carried == pytest.approx(3.0)
+        for a, b in ((holder, dest), (dest, holder)):
+            with pytest.raises(ProtocolError):
+                ol.on_contact(a, b, contact_capacity=10.0, t_remaining=50.0)
+        assert holder.carried == 3.0 and dest.carried == 0.0
 
     def test_contact_with_source_moves_nothing(self):
         source = node(SOURCE, neighbors={1: params(), DEST: params()}, carried=0.0)
@@ -326,12 +327,17 @@ class TestOnContact:
             assert route[-1] == DEST
 
 
+def route_prob(spec, size, deadline):
+    """One query of the protocol's batch pricing."""
+    return distributed._route_probs([(spec, size)], deadline)[0]
+
+
 def reference_adjustment(holder, peer, t_remaining):
     """Real-time adjustment as it was before it ranked the holder's segments
     once: the weakest loaded segment is searched for again after every
     move, and every probability is asked of the estimator where it is used.
     Returns (planned, receiver assignment, improvement)."""
-    route_prob, eps = distributed._route_prob, distributed._EPS
+    eps = distributed._EPS
     peer_routes = {
         route: spec
         for route, spec in peer.routes.items()
@@ -398,7 +404,7 @@ def reference_adjustment(holder, peer, t_remaining):
 def reference_strip(state, amount, deadline):
     """The assignment strip as it was before it ranked the routes once: the
     weakest loaded route is searched for again after every removal."""
-    route_prob, eps = distributed._route_prob, distributed._EPS
+    eps = distributed._EPS
     while amount > eps:
         loaded = [(r, s) for r, s in sorted(state.assignment.items()) if s > eps]
         if not loaded:

@@ -66,9 +66,9 @@ def criterion_7_network():
     )
 
 
-def reference_dijkstra(network, u, v, deadline):
+def reference_dijkstra(network, u, v, deadline, excluded=frozenset()):
     """The search with every label recomputed by ``availability`` on the
-    whole candidate route."""
+    whole candidate route, and a table of each node's best label so far."""
     best = {u: (1.0, 0, (u,))}
     settled = set()
     heap = [(-1.0, 0, (u,))]
@@ -82,6 +82,8 @@ def reference_dijkstra(network, u, v, deadline):
             return route
         for neighbor in network.neighbors(node):
             if neighbor in settled or neighbor in route:
+                continue
+            if edge_key(node, neighbor) in excluded:
                 continue
             candidate = route + (neighbor,)
             q = ol.availability(route_path(network, candidate), deadline)
@@ -110,6 +112,19 @@ class TestRunningMomentLabels:
             assert ol.dijkstra_max_q(net, source, infra, deadline) == reference_dijkstra(
                 net, source, infra, deadline
             )
+
+    @pytest.mark.parametrize("deadline", [300.0, 3000.0])
+    def test_routes_match_with_excluded_edges(self, deadline):
+        net = criterion_7_network()
+        infra = net.infrastructure_id
+        for source in net.mobile_nodes():
+            first = ol.dijkstra_max_q(net, source, infra, deadline)
+            excluded = {edge_key(a, b) for a, b in zip(first, first[1:])}
+            for route, q in list(_settle(net, source, deadline, excluded))[1:]:
+                assert q == ol.availability(route_path(net, route), deadline)
+            assert ol.dijkstra_max_q(
+                net, source, infra, deadline, excluded
+            ) == reference_dijkstra(net, source, infra, deadline, excluded)
 
 
 class TestAllocatePaths:
