@@ -147,7 +147,7 @@ def _load_simulation_network(config: dict) -> Network:
     if not isinstance(source, dict):
         raise ConfigError("config needs a 'network' object")
     if "file" in source:
-        return load_network(source["file"])
+        return load_network(_config_path(source, "file", "network"))
     if "synthetic" in source:
         return generate_synthetic(_synthetic_config(source["synthetic"], None))
     if "trace" in source:
@@ -157,12 +157,11 @@ def _load_simulation_network(config: dict) -> Network:
         unknown = set(trace) - {"file", "rate", "warmup", "min_contacts"}
         if unknown:
             raise ConfigError(f"unknown trace keys: {sorted(unknown)}")
-        if not isinstance(trace.get("file"), str):
-            raise ConfigError(f"trace field 'file' must be a string, got {trace.get('file')!r}")
+        path = _config_path(trace, "file", "trace")
         warmup = _json_number(trace.get("warmup", 0.5), float, "trace", "warmup")
         rate = _json_number(trace.get("rate"), float, "trace", "rate")
         min_contacts = _json_number(trace.get("min_contacts", 5), int, "trace", "min_contacts")
-        records = read_trace_csv(trace["file"])
+        records = read_trace_csv(path)
         network, _ = ingest_trace(records, warmup, rate, min_contacts=min_contacts)
         return network
     raise ConfigError("network source must be one of: file, synthetic, trace")
@@ -203,15 +202,44 @@ def _config_number(config: dict, name: str, default: int) -> int:
 
 
 def _config_numbers(config: dict, name: str) -> list[float]:
-    """A list-of-numbers field of an experiment config, empty when absent."""
+    """A list-of-numbers field of an experiment config, empty when absent.
+
+    Raises:
+        ConfigError: the field is not a list of real numbers.
+        ValueError: naming ``name[i]``, for a number that is not finite and > 0.
+    """
     values = config.get(name, [])
     if not isinstance(values, list):
         raise ConfigError(f"config field {name!r} must be a list of numbers, got {values!r}")
-    return [_json_number(value, float, "config", f"{name}[{i}]") for i, value in enumerate(values)]
+    numbers = [_json_number(v, float, "config", f"{name}[{i}]") for i, v in enumerate(values)]
+    for i, number in enumerate(numbers):
+        if not (math.isfinite(number) and number > 0):
+            raise ValueError(f"config field '{name}[{i}]' must be finite and > 0, got {number!r}")
+    return numbers
+
+
+def _config_path(config: dict, name: str, where: str, default: str | None = None) -> str:
+    """A file path field of a config object, ``default`` when absent.
+
+    Raises:
+        ConfigError: naming ``where`` and the field, for a value that is not
+            a string.
+    """
+    value = config.get(name, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} field {name!r} must be a string, got {value!r}")
+    return value
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
+    if not isinstance(config, dict):
+        raise ConfigError(f"{args.config} must hold a JSON object")
+    unknown = set(config) - {
+        "network", "sizes", "deadlines", "strategies", "runs", "seed", "results_csv", "summary_csv"
+    }
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     seed = args.seed if args.seed is not None else _config_number(config, "seed", 0)
     runs = args.runs if args.runs is not None else _config_number(config, "runs", 1)
     strategies = config.get("strategies", "all")
@@ -222,6 +250,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"strategies must be 'all' or a list of names from {list(STRATEGIES)}, "
             f"got {strategies!r}"
         )
+    results_csv = _config_path(config, "results_csv", "config", "results.csv")
+    summary_csv = _config_path(config, "summary_csv", "config", "summary.csv")
     network = _load_simulation_network(config)
     tasks = _build_tasks(
         network,
@@ -231,8 +261,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed,
     )
     results = [simulate_strategy(network, tasks, strategy, seed) for strategy in strategies]
-    results_path = args.results or config.get("results_csv", "results.csv")
-    summary_path = args.out or config.get("summary_csv", "summary.csv")
+    results_path, summary_path = args.results or results_csv, args.out or summary_csv
     write_results_csv(results, results_path)
     write_summary_csv(results, summary_path)
     print(f"wrote {results_path} and {summary_path}")

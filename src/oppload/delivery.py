@@ -105,10 +105,7 @@ class GammaApprox:
     delta_rate: float
 
     def __post_init__(self) -> None:
-        for name in ("gamma_shape", "delta_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        _check_gamma(self.gamma_shape, self.delta_rate)
 
 
 @dataclass(frozen=True)
@@ -259,17 +256,18 @@ class PathKernel:
     the same floats as evaluating the formula tuple by tuple.
 
     One hop uses shape ``n`` and rate ``lambda`` (the Erlang CDF), ends at
-    the first certain success and at the first zero CDF, and is never
-    capped.  Several hops use the moment-matched gamma of
-    :func:`gamma_approx`, with ``M`` and ``V`` summed hop by hop, and skip
-    zero-weight tuples.
+    the first certain success, and is never capped; the Erlang CDF falls as
+    ``n`` grows, so every term after its first zero adds 0.  Several hops
+    use the moment-matched gamma of :func:`gamma_approx`, with ``M`` and
+    ``V`` summed hop by hop, and skip zero-weight tuples.
 
-    The kernel is compiled on the first evaluation with a positive time
-    budget; a compile that raises stores nothing, so the next query raises
-    again.  A space of at most ``_MAX_KEPT`` tuples keeps its nonzero terms
-    as Python-float lists, for :func:`evaluate_kernels` to stack with other
-    kernels' terms.  A larger space keeps the per-hop vectors of several
-    hops when they hold at most ``_MAX_KEPT`` counts in all, and nothing
+    The kernel builds what it keeps on the first evaluation with a positive
+    time budget; a build that raises stores nothing, so the next query
+    raises again.  A space of at most ``_MAX_KEPT`` tuples keeps its
+    nonzero terms as Python-float lists (``_kept``), for
+    :func:`evaluate_kernels` to stack with other kernels' terms.  A larger
+    space keeps the per-hop vectors of several hops (``_per_hop``) when
+    they hold at most ``_MAX_KEPT`` counts in all, and nothing
     otherwise; from these every evaluation builds the terms again in
     product order and in blocks: ``_CHUNK`` tuples for several hops,
     ``_MAX_KEPT`` contact counts for one hop.  Both layouts build the terms
@@ -282,9 +280,6 @@ class PathKernel:
         self.transmission = sum(data_size / hop.rate for hop in hops)
         self.limits = tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
         self.tuples = math.prod(self.limits)
-        self._compiled = False
-        self._kept: tuple[list[float], list[float], list[float]] | None = None
-        self._per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def prob(self, deadline: float) -> float:
         """Delivery probability within ``deadline``: the one-kernel case of
@@ -321,24 +316,19 @@ class PathKernel:
         total += 0.0  # a sum started at +0.0 never ends at -0.0
         return min(max(total, 0.0), 1.0)
 
-    def _compile(self) -> None:
+    @functools.cached_property
+    def _kept(self) -> tuple[list[float], list[float], list[float]] | None:
+        """The weights, shapes and rates of the nonzero terms of a space of
+        at most ``_MAX_KEPT`` tuples, in product order, as Python floats;
+        None for a larger space.  Raises ``ComplexityError`` for a multi-hop
+        space over ``DEFAULT_TUPLE_CAP``, before enumerating any tuple."""
         if len(self.hops) > 1 and self.tuples > DEFAULT_TUPLE_CAP:
             raise ComplexityError(
                 f"path would require enumerating {self.tuples} contact tuples "
                 f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
             )
-        kept = per_hop = None
-        if self.tuples <= _MAX_KEPT:
-            kept = self._kept_terms()
-        elif len(self.hops) > 1 and sum(self.limits) <= _MAX_KEPT:
-            per_hop = self._hop_vectors()
-        self._kept, self._per_hop = kept, per_hop
-        self._compiled = True
-
-    def _kept_terms(self) -> tuple[list[float], list[float], list[float]]:
-        """The weights, shapes and rates of the nonzero terms of a tuple
-        space of at most ``_MAX_KEPT`` tuples, in product order, as Python
-        floats."""
+        if self.tuples > _MAX_KEPT:
+            return None
         if len(self.hops) == 1:
             hop = self.hops[0]
             exact = _exact_success(hop, self.data_size, self.limits[0], stop_when_certain=True)
@@ -389,6 +379,12 @@ class PathKernel:
     def _hop_vectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The columns of :meth:`_hop_steps` as arrays, hop by hop."""
         return [tuple(map(np.array, zip(*steps))) for steps in self._hop_steps()]
+
+    @functools.cached_property
+    def _per_hop(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+        """The :meth:`_hop_vectors` a space built in blocks keeps when its
+        hops hold at most ``_MAX_KEPT`` counts in all; None otherwise."""
+        return self._hop_vectors() if sum(self.limits) <= _MAX_KEPT else None
 
     @np.errstate(over="ignore", invalid="ignore")
     def _expand(
@@ -442,8 +438,7 @@ def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[flo
     terms are then summed left to right in Python floats.  Larger kernels
     are evaluated one by one, in blocks.  Every answer is the kernel's
     tuple-by-tuple sum, whatever the batch.  A kernel whose deadline does
-    not cover its ``T'`` answers 0; a one-hop sum ends at its first zero
-    CDF.
+    not cover its ``T'`` answers 0.
 
     Raises:
         ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
@@ -459,28 +454,23 @@ def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[flo
         budget = deadline - kernel.transmission
         if budget <= 0:
             continue
-        if not kernel._compiled:
-            kernel._compile()
-        if kernel._kept is None:
+        terms = kernel._kept
+        if terms is None:
             probs[index] = kernel._block_prob(budget)
             continue
-        kept.append((index, kernel))
-        shapes += kernel._kept[1]
-        args += map(budget.__mul__, kernel._kept[2])
+        kept.append((index, terms[0]))
+        shapes += terms[1]
+        args += map(budget.__mul__, terms[2])
     if not args:
         return probs
     if not all(map(math.isfinite, args)):
         raise ValueError(f"gamma argument overflows at deadline {deadline!r}")
     in_time = _special.gammainc(shapes, args).tolist()
     stop = 0
-    for index, kernel in kept:
-        weights = kernel._kept[0]
+    for index, weights in kept:
         start, stop = stop, stop + len(weights)
-        cdf = in_time[start:stop]
-        if len(kernel.hops) == 1 and 0.0 in cdf:
-            cdf = cdf[: cdf.index(0.0)]
         total = 0.0
-        for weight, p in zip(weights, cdf):
+        for weight, p in zip(weights, in_time[start:stop]):
             total += weight * p
         probs[index] = min(max(total, 0.0), 1.0)
     return probs

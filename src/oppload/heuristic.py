@@ -116,7 +116,8 @@ def _settle(
     one hop gives that function's value without rebuilding the path.  The
     first entry popped for a node settles it with that entry's label, and
     later entries for the node are skipped.  Each route is pushed at most
-    once, so no two entries tie.
+    once, so no two entries tie.  Every node of a popped route is settled,
+    so extending it to an unsettled neighbor never revisits a node.
     """
     settled: set[int] = set()
     # heap orders by (-availability, hops, route)
@@ -129,7 +130,7 @@ def _settle(
         settled.add(node)
         yield route, -neg_q
         for neighbor in network.neighbors(node):
-            if neighbor in settled or neighbor in route:
+            if neighbor in settled:
                 continue
             if edge_key(node, neighbor) in excluded:
                 continue

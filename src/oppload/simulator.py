@@ -28,14 +28,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .contacts import _sample_columns
-from .delivery import PathSpec
+from .delivery import PathSpec, _needed_contacts
 from .distributed import (
+    _EPS,
     NodeState,
     _deliver,
     criterion_assignment,
     on_contact,
 )
-from .errors import ConfigError, ProtocolError
+from .errors import ComplexityError, ConfigError, PlanningError, ProtocolError
 from .heuristic import plan_offload, route_path
 from .netgraph import EdgeKey, Network, edge_key
 
@@ -52,8 +53,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("individual", "heuristic", "distributed", "spread", "maxrate")
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ def run_monte_carlo_delivery(
     rng = np.random.default_rng(seed)
     ready = np.zeros(runs)
     for hop in path.hops:
-        contacts = max(1, math.ceil(data_size / hop.beta - 1e-9))
+        contacts = _needed_contacts(data_size, hop.beta)
         gaps = rng.exponential(1.0 / hop.contact_rate, size=(runs, contacts))
         starts = ready[:, None] + np.cumsum(gaps, axis=1)
         durations = (rng.pareto(hop.alpha, size=(runs, contacts)) + 1.0) * (
@@ -166,22 +165,18 @@ class _EdgeContacts:
 
 
 class _ContactSampler:
-    """Lazily samples one contact realization per (task, edge)."""
+    """Samples one contact realization per (task, edge), seeded from both;
+    the runners ask for each edge at most once per task."""
 
     def __init__(self, network: Network, seed: int, task_id: int, horizon: float):
         self._network = network
         self._seed = seed
         self._task_id = task_id
         self._horizon = horizon
-        self._cache: dict[EdgeKey, _EdgeContacts] = {}
 
     def events(self, key: EdgeKey) -> _EdgeContacts:
-        events = self._cache.get(key)
-        if events is None:
-            seed = np.random.SeedSequence((self._seed, self._task_id, key[0], key[1]))
-            events = _EdgeContacts(*_sample_columns(self._network.edges[key], self._horizon, seed))
-            self._cache[key] = events
-        return events
+        seed = np.random.SeedSequence((self._seed, self._task_id, key[0], key[1]))
+        return _EdgeContacts(*_sample_columns(self._network.edges[key], self._horizon, seed))
 
 
 def _drain_route(
@@ -232,10 +227,10 @@ class _Context:
         network, infra = self.network, self.network.infrastructure_id
         keys = sorted(network.edges)
         mobile_end = [b if a == infra else a if b == infra else -1 for a, b in keys]
-        incident: dict[int, list[int]] = {}
+        incident: dict[int, list[int]] = {node: [] for node in range(network.node_count)}
         for rank, (a, b) in enumerate(keys):
-            incident.setdefault(a, []).append(rank)
-            incident.setdefault(b, []).append(rank)
+            incident[a].append(rank)
+            incident[b].append(rank)
         return keys, mobile_end, incident, [network.edges[key].rate for key in keys]
 
     @cached_property
@@ -282,7 +277,10 @@ def _run_individual(
 def _run_heuristic(
     context: _Context, task: TransmissionTask, sampler: _ContactSampler
 ) -> tuple[bool, bool, float | None]:
-    plan = plan_offload(context.network, task.source, task.size, task.deadline)
+    try:
+        plan = plan_offload(context.network, task.source, task.size, task.deadline)
+    except (ComplexityError, PlanningError):
+        return False, False, None
     if not plan.offloaded:
         _, success, completion = _run_individual(context, task, sampler)
         return False, success, completion
@@ -543,7 +541,11 @@ def simulate_strategy(
     Each task sees a fresh contact realization derived from ``(seed,
     task_id, edge)``, identical across strategies.  ``event_log`` (filled
     with per-event rows) and ``monitor`` (called after every protocol
-    event) only apply to the distributed strategy.
+    event) only apply to the distributed strategy.  A task that its
+    strategy cannot start fails (not offloaded, no completion time): under
+    the heuristic a plan that raises ``ComplexityError`` or
+    ``PlanningError``, under the distributed protocol a source without a
+    route.
 
     Raises:
         ConfigError: unknown strategy name.

@@ -236,6 +236,12 @@ class TestSimulate:
             ("sizes", ["10"]),
             ("sizes", 10.0),
             ("deadlines", [200.0, False]),
+            ("seeds", 9),  # unknown keys
+            ("strategy", "all"),
+            # paths that are not strings; open() takes an integer for a file descriptor
+            ("results_csv", ["r.csv"]),
+            ("summary_csv", 7.0),
+            ("network", {"file": 7}),
         ],
     )
     def test_malformed_config_values_are_rejected(
@@ -252,6 +258,31 @@ class TestSimulate:
         assert main(["simulate", "--config", config]) == 1
         err = capsys.readouterr().err
         assert "error[CONFIG]" in err and field in err
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "field, values, index",
+        [
+            ("sizes", [10.0, 0], 1),
+            ("sizes", [-5.0], 0),
+            ("deadlines", [200.0, float("inf")], 1),
+            ("deadlines", [float("nan"), 200.0], 0),
+        ],
+    )
+    def test_sizes_and_deadlines_out_of_range_name_their_entry(
+        self, tmp_path, synth_config, capsys, monkeypatch, field, values, index
+    ):
+        config = self._config(
+            tmp_path, synth_config, str(tmp_path / "r.csv"), str(tmp_path / "s.csv")
+        )
+        payload = json.loads(open(config).read())
+        payload[field] = values
+        open(config, "w").write(json.dumps(payload))
+        ran = []
+        monkeypatch.setattr("oppload.cli.simulate_strategy", lambda *args: ran.append(args))
+        assert main(["simulate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "error[VALIDATION]" in err and f"'{field}[{index}]'" in err
         assert ran == []
 
     def test_malformed_synthetic_network_is_rejected(

@@ -468,7 +468,7 @@ class TestEvaluateKernels:
             assert (got[4] == 0.0) == (deadline <= 500.0)
             assert got[2] == got[5]
         kernel = path_kernel(two, 9.0)
-        assert kernel._kept is not None and kernel._per_hop is None
+        assert kernel._kept is not None and "_per_hop" not in vars(kernel)
         assert len(path_kernel((certain_small,), 10.0)._kept[0]) == 7
         assert len(path_kernel((rare,), 6.0)._kept[0]) == 6
 

@@ -7,7 +7,7 @@ import pytest
 
 import oppload as ol
 from oppload import simulator
-from oppload.errors import ConfigError, ProtocolError
+from oppload.errors import ConfigError, PlanningError, ProtocolError
 from oppload.netgraph import Network, edge_key
 
 
@@ -187,6 +187,57 @@ class TestSimulateStrategy:
                     task = tasks[outcome.task_id]
                     assert outcome.completion_time is not None
                     assert outcome.completion_time <= task.release + task.deadline + 1e-9
+
+    def test_task_without_any_route_fails_alone(self):
+        # node 1 has no edge at all, so its heuristic plan raises PlanningError
+        net = Network(
+            node_count=3,
+            infrastructure_id=2,
+            edges={edge_key(0, 2): params(lam=2.0, alpha=3.0, beta=100.0, rate=100.0)},
+        )
+        with pytest.raises(PlanningError):
+            ol.plan_offload(net, 1, 10.0, 50.0)
+        tasks = [
+            ol.TransmissionTask(task_id=0, source=1, size=10.0, deadline=50.0),
+            ol.TransmissionTask(task_id=1, source=0, size=10.0, deadline=50.0),
+        ]
+        for strategy in ol.STRATEGIES:
+            lost, sent = ol.simulate_strategy(net, tasks, strategy, seed=5).outcomes
+            assert (lost.offloaded, lost.success, lost.completion_time) == (False, False, None)
+            assert sent.success, strategy
+
+    def test_task_over_the_tuple_cap_fails_alone(self):
+        # source 47's size-120 plan at deadline 3000 reaches a route whose
+        # tuple space exceeds the estimator's cap
+        net = criterion_7_network()
+        tasks = [
+            ol.TransmissionTask(task_id=0, source=47, size=120.0, deadline=3000.0),
+            ol.TransmissionTask(task_id=1, source=5, size=60.0, deadline=3000.0),
+        ]
+        over, planned = ol.simulate_strategy(net, tasks, "heuristic", seed=1).outcomes
+        assert (over.offloaded, over.success, over.completion_time) == (False, False, None)
+        assert planned.offloaded and planned.success
+
+
+@pytest.mark.parametrize("strategy", ol.STRATEGIES)
+def test_each_edge_is_sampled_at_most_once_per_task(monkeypatch, strategy):
+    asked: dict[int, list] = {}  # per task, the edges its sampler was asked for
+    events = simulator._ContactSampler.events
+
+    def recording(sampler, key):
+        asked.setdefault(sampler._task_id, []).append(key)
+        return events(sampler, key)
+
+    monkeypatch.setattr(simulator._ContactSampler, "events", recording)
+    net = criterion_7_network()
+    tasks = make_tasks(net, 6, size=20.0, deadline=400.0) + [
+        ol.TransmissionTask(task_id=6 + i, source=source, size=60.0, deadline=3000.0)
+        for i, source in enumerate((5, 15))
+    ]
+    ol.simulate_strategy(net, tasks, strategy, seed=3)
+    assert sum(map(len, asked.values())) >= len(tasks)
+    for keys in asked.values():
+        assert len(keys) == len(set(keys)), strategy
 
 
 # Outcomes of one small replay, recorded before the strategy replays were
