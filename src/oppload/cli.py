@@ -268,10 +268,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _path_spec_from_json(payload: dict) -> PathSpec:
-    return PathSpec(
-        tuple(_params_from_json(hop, f"hop {i}") for i, hop in enumerate(payload["hops"]))
-    )
+def _path_spec_from_json(payload: object, path: str) -> PathSpec:
+    """The path spec of a ``{"hops": [...]}`` JSON value read from ``path``.
+
+    Raises:
+        ConfigError: naming ``path``, for a value that is not an object,
+            ``hops`` missing or not a non-empty list, or a hop that is not
+            an object; naming the hop and field, for a bad hop parameter.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {payload!r}")
+    hops = payload.get("hops")
+    if not (isinstance(hops, list) and hops):
+        raise ConfigError(f"{path} field 'hops' must be a non-empty list, got {hops!r}")
+    for i, hop in enumerate(hops):
+        if not isinstance(hop, dict):
+            raise ConfigError(f"{path} field 'hops[{i}]' must be an object, got {hop!r}")
+    return PathSpec(tuple(_params_from_json(hop, f"hop {i}") for i, hop in enumerate(hops)))
 
 
 def _option_values(text: str, kind: type, option: str) -> list:
@@ -295,7 +308,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.runs < 1000:
         raise ConfigError("validation needs at least 1000 Monte Carlo runs")
     if args.path_spec:
-        spec = _path_spec_from_json(_load_json(args.path_spec))
+        spec = _path_spec_from_json(_load_json(args.path_spec), args.path_spec)
     elif args.network and args.route:
         network = load_network(args.network)
         spec = route_path(network, _option_values(args.route, int, "--route"))
@@ -312,12 +325,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             raise ConfigError(f"--deadlines must not be NaN or +inf, got {deadline!r}")
     rows = []
     for size in sizes:
-        for deadline in deadlines:
-            if deadline <= 0:
-                estimated = simulated = 0.0
-            else:
+        simulated_all = run_monte_carlo_delivery(spec, size, deadlines, args.runs, args.seed)
+        for deadline, simulated in zip(deadlines, simulated_all):
+            estimated = 0.0
+            if deadline > 0:
                 estimated = delivery_prob_path(spec, DeliveryQuery(size, deadline))
-                simulated = run_monte_carlo_delivery(spec, size, deadline, args.runs, args.seed)
             row = (size, deadline, estimated, simulated, abs(estimated - simulated))
             rows.append([repr(value) for value in row])
     _write_csv(args.out, ["size", "deadline", "estimated", "simulated", "abs_error"], rows)

@@ -101,46 +101,53 @@ class SimResult:
 
 
 def run_monte_carlo_delivery(
-    path: PathSpec, data_size: float, deadline: float, runs: int, seed: int
-) -> float:
-    """Empirical delivery probability of one path.
+    path: PathSpec, data_size: float, deadlines: Sequence[float], runs: int, seed: int
+) -> list[float]:
+    """Empirical delivery probability of one path, one per deadline.
 
     Per run, each hop's contact process is sampled afresh from the moment
     the item fully arrives at that hop's sender; a contact moves
     ``min(remaining, duration * rate)`` and the item advances when the
-    cumulative amount reaches the item size.  Success means the final hop
-    completes by the deadline; a deadline <= 0 gives 0.
+    cumulative amount reaches the item size.  The runs' completion times
+    are drawn once, from ``seed`` alone, and every deadline reads the
+    share of runs whose final hop completes by it; a deadline <= 0 gives
+    0.  So each answer equals that of a call with that deadline alone, and
+    the answers never decrease as the deadline grows.  When no deadline is
+    positive nothing is drawn.
 
     Raises:
         ValueError: ``runs < 1``, ``data_size`` not finite and > 0, or a
-            NaN ``deadline``.
+            NaN deadline.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if not 0 < data_size < math.inf:
         raise ValueError(f"data_size must be finite and > 0, got {data_size!r}")
-    if math.isnan(deadline):
+    deadlines = [float(d) for d in deadlines]
+    if any(math.isnan(d) for d in deadlines):
         raise ValueError("deadline must not be NaN")
-    if deadline <= 0:
-        return 0.0
+    if not any(d > 0 for d in deadlines):
+        return [0.0] * len(deadlines)
     rng = np.random.default_rng(seed)
+    rows = np.arange(runs)
     ready = np.zeros(runs)
     for hop in path.hops:
         contacts = _needed_contacts(data_size, hop.beta)
         gaps = rng.exponential(1.0 / hop.contact_rate, size=(runs, contacts))
-        starts = ready[:, None] + np.cumsum(gaps, axis=1)
-        durations = (rng.pareto(hop.alpha, size=(runs, contacts)) + 1.0) * (
-            hop.beta / hop.rate
-        )
-        amounts = durations * hop.rate
-        cumulative = np.cumsum(amounts, axis=1)
+        np.cumsum(gaps, axis=1, out=gaps)
+        # durations, then the data they carry: the two scalings round as the
+        # oracle always has, so its answers stay bit for bit the same
+        amounts = rng.pareto(hop.alpha, size=(runs, contacts))
+        amounts += 1.0
+        amounts *= hop.beta / hop.rate
+        amounts *= hop.rate
+        np.cumsum(amounts, axis=1, out=amounts)
         # first contact index at which the cumulative amount covers the item
-        done = np.argmax(cumulative >= data_size - 1e-12, axis=1)
-        rows = np.arange(runs)
-        carried_before = np.where(done > 0, cumulative[rows, np.maximum(done - 1, 0)], 0.0)
+        done = np.argmax(amounts >= data_size - 1e-12, axis=1)
+        carried_before = np.where(done > 0, amounts[rows, np.maximum(done - 1, 0)], 0.0)
         needed = data_size - carried_before
-        ready = starts[rows, done] + needed / hop.rate
-    return float(np.mean(ready <= deadline))
+        ready = (ready + gaps[rows, done]) + needed / hop.rate
+    return [float(np.mean(ready <= d)) if d > 0 else 0.0 for d in deadlines]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,25 @@ def build_two_path_network(with_direct: bool = False) -> Network:
     return Network(node_count=4, infrastructure_id=3, edges=edges)
 
 
+def criterion_7_network() -> Network:
+    """The acceptance criterion-7 network: 50 nodes, 277 edges, seed 42."""
+    return ol.generate_synthetic(
+        ol.SyntheticConfig(
+            n=50,
+            avg_degree=10,
+            max_degree=15,
+            weight_exponent=2.0,
+            node_alpha_range=(6.0, 10.0),
+            node_beta_range=(2.0, 3.0),
+            infra_alpha_range=(3.0, 4.0),
+            infra_beta_range=(2.0, 3.0),
+            infra_lambda_range=(0.002, 0.02),
+            rate=1.0,
+            seed=42,
+        )
+    )
+
+
 @pytest.fixture(scope="session")
 def two_path_network() -> Network:
     return build_two_path_network(with_direct=False)

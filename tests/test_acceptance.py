@@ -69,8 +69,8 @@ def test_criterion_2_estimator_validation():
         size = float(rng.uniform(10.0, 40.0))
         deadline = float(rng.uniform(250.0, 400.0))
         estimated = ol.delivery_prob_onehop(hop, ol.DeliveryQuery(size, deadline))
-        simulated = ol.run_monte_carlo_delivery(
-            ol.PathSpec((hop,)), size, deadline, runs=20_000, seed=900 + i
+        (simulated,) = ol.run_monte_carlo_delivery(
+            ol.PathSpec((hop,)), size, [deadline], runs=20_000, seed=900 + i
         )
         worst_one = max(worst_one, abs(estimated - simulated))
         assert abs(estimated - simulated) <= 0.05
@@ -97,7 +97,9 @@ def test_criterion_2_estimator_validation():
         size = float(rng.uniform(2.0, 10.0))
         deadline = float(rng.uniform(250.0, 400.0))
         estimated = ol.delivery_prob_path(path, ol.DeliveryQuery(size, deadline))
-        simulated = ol.run_monte_carlo_delivery(path, size, deadline, runs=20_000, seed=3000 + i)
+        (simulated,) = ol.run_monte_carlo_delivery(
+            path, size, [deadline], runs=20_000, seed=3000 + i
+        )
         worst_two = max(worst_two, abs(estimated - simulated))
         assert abs(estimated - simulated) <= 0.08
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,12 @@ import oppload as ol
 from oppload.cli import main
 from oppload.netgraph import save_network
 
-from conftest import TWO_PATH_DEADLINE, TWO_PATH_SIZE, build_two_path_network
+from conftest import (
+    TWO_PATH_DEADLINE,
+    TWO_PATH_SIZE,
+    build_two_path_network,
+    criterion_7_network,
+)
 
 
 def write_json(path, payload):
@@ -451,6 +457,61 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error[CONFIG]" in err and "hop 1 field 'lambda'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ([1], "must hold a JSON object"),
+            ({}, "field 'hops'"),
+            ({"hops": 5}, "field 'hops'"),
+            ({"hops": []}, "field 'hops'"),
+            ({"hops": [5]}, "field 'hops[0]'"),
+        ],
+    )
+    def test_malformed_path_spec_names_file_and_field(self, tmp_path, capsys, payload, field):
+        spec = write_json(tmp_path / "path.json", payload)
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--path-spec", spec, "--sizes", "5", "--deadlines", "50",
+             "--runs", "1000", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG]") and spec in err and field in err
+        assert not out.exists()
+
+    def test_simulated_column_rises_with_deadline(self, tmp_path):
+        # one draw per size answers every deadline, so at each size the
+        # Monte Carlo never reads less at a later deadline
+        net_path = tmp_path / "net.json"
+        save_network(criterion_7_network(), net_path)
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--network", str(net_path), "--route", "0,2,50",
+             "--sizes", "2,10,25", "--deadlines", "600,50,0,250,1000,100,400",
+             "--runs", "1000", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
+        for size in ("2.0", "10.0", "25.0"):
+            column = sorted((float(r[1]), float(r[3])) for r in rows if r[0] == size)
+            simulated = [sim for _, sim in column]
+            assert simulated == sorted(simulated)
+            assert 0.0 < simulated[-1] and simulated[0] == 0.0
+
+    def test_pinned_network_route_csv(self, tmp_path):
+        # the digest of this CSV from when each deadline drew its own samples
+        net_path = tmp_path / "net.json"
+        save_network(criterion_7_network(), net_path)
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--network", str(net_path), "--route", "0,2,5,50",
+             "--sizes", "20,2.5,40", "--deadlines", "1000,0,250,2000,400,250",
+             "--runs", "2000", "--seed", "11", "--out", str(out)]
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "9a34dbf6efa7b0c241be3127489a0031502ecd6ae96832f4244fe228074887ee"
 
     @pytest.mark.parametrize(
         "sizes, deadlines, option",

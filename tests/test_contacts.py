@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,19 @@ class TestPairContactParams:
     @pytest.mark.parametrize("lam", [1e-154, 1e154])
     def test_extreme_contact_rates_within_range_are_kept(self, lam):
         assert ol.PairContactParams(lam, 3.0, 2.0, 1.0).contact_rate == lam
+
+    def test_cached_hash_is_the_field_tuple_hash(self):
+        # the hash is computed once, and is the value a dataclass computes
+        # from the four fields; equality still compares the fields
+        fields = (0.1, 3.0, 2.5, 1.0)
+        hop = ol.PairContactParams(*fields)
+        assert hash(hop) == hash(fields)
+        assert hop == ol.PairContactParams(*fields)
+        assert hop != ol.PairContactParams(0.1, 3.0, 2.5, 2.0)
+        assert {hop: 1}[ol.PairContactParams(*fields)] == 1
+        assert repr(hop) == "PairContactParams(contact_rate=0.1, alpha=3.0, beta=2.5, rate=1.0)"
+        moved = dataclasses.replace(hop, rate=2.0)
+        assert hash(moved) == hash((0.1, 3.0, 2.5, 2.0))
 
 
 class TestFitExponential:

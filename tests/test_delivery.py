@@ -148,8 +148,8 @@ class TestDeliveryOneHop:
     def test_matches_monte_carlo(self):
         h = hop(lam=0.05, alpha=2.0, beta=5.0, rate=1.0)
         estimated = ol.delivery_prob_onehop(h, ol.DeliveryQuery(12.0, 200.0))
-        simulated = ol.run_monte_carlo_delivery(
-            ol.PathSpec((h,)), 12.0, 200.0, runs=20_000, seed=42
+        (simulated,) = ol.run_monte_carlo_delivery(
+            ol.PathSpec((h,)), 12.0, [200.0], runs=20_000, seed=42
         )
         assert abs(estimated - simulated) <= 0.05
 
@@ -181,7 +181,7 @@ class TestDeliveryPath:
             (hop(lam=0.05, alpha=2, beta=5, rate=1), hop(lam=0.08, alpha=2, beta=5, rate=1))
         )
         estimated = ol.delivery_prob_path(path, ol.DeliveryQuery(8.0, 300.0))
-        simulated = ol.run_monte_carlo_delivery(path, 8.0, 300.0, runs=20_000, seed=7)
+        (simulated,) = ol.run_monte_carlo_delivery(path, 8.0, [300.0], runs=20_000, seed=7)
         assert abs(estimated - simulated) <= 0.08
 
     def test_tuple_cap_refused(self):

@@ -9,7 +9,12 @@ from oppload.errors import PlanningError
 from oppload.heuristic import _alloc_prob, _settle, route_path
 from oppload.netgraph import Network, edge_key
 
-from conftest import TWO_PATH_DEADLINE, TWO_PATH_SIZE, random_small_instance
+from conftest import (
+    TWO_PATH_DEADLINE,
+    TWO_PATH_SIZE,
+    criterion_7_network,
+    random_small_instance,
+)
 
 
 def params(lam=0.1, alpha=3.0, beta=5.0, rate=100.0):
@@ -46,24 +51,6 @@ class TestDijkstraMaxQ:
         net = simple_net({(0, 1): params(), (1, 2): params()}, n=3, infra=2)
         route = ol.dijkstra_max_q(net, 0, 2, 100.0, excluded_edges={(1, 2)})
         assert route is None
-
-
-def criterion_7_network():
-    return ol.generate_synthetic(
-        ol.SyntheticConfig(
-            n=50,
-            avg_degree=10,
-            max_degree=15,
-            weight_exponent=2.0,
-            node_alpha_range=(6.0, 10.0),
-            node_beta_range=(2.0, 3.0),
-            infra_alpha_range=(3.0, 4.0),
-            infra_beta_range=(2.0, 3.0),
-            infra_lambda_range=(0.002, 0.02),
-            rate=1.0,
-            seed=42,
-        )
-    )
 
 
 def reference_dijkstra(network, u, v, deadline, excluded=frozenset()):

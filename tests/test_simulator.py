@@ -1,5 +1,6 @@
 import hashlib
 import math
+from math import inf
 from operator import itemgetter
 
 import numpy as np
@@ -10,9 +11,40 @@ from oppload import simulator
 from oppload.errors import ConfigError, PlanningError, ProtocolError
 from oppload.netgraph import Network, edge_key
 
+from conftest import criterion_7_network
+
 
 def params(lam=0.1, alpha=3.0, beta=5.0, rate=100.0):
     return ol.PairContactParams(contact_rate=lam, alpha=alpha, beta=beta, rate=rate)
+
+
+def reference_monte_carlo(path, data_size, deadline, runs, seed):
+    """The Monte Carlo oracle answering one deadline from a fresh draw, as
+    it did before one draw answered every deadline."""
+    if deadline <= 0:
+        return 0.0
+    return float(np.mean(reference_completion_times(path, data_size, runs, seed) <= deadline))
+
+
+def reference_completion_times(path, data_size, runs, seed):
+    """The runs' completion times, drawn as that oracle drew them."""
+    rng = np.random.default_rng(seed)
+    ready = np.zeros(runs)
+    for hop in path.hops:
+        contacts = math.ceil(data_size / hop.beta - 1e-9)
+        gaps = rng.exponential(1.0 / hop.contact_rate, size=(runs, contacts))
+        starts = ready[:, None] + np.cumsum(gaps, axis=1)
+        durations = (rng.pareto(hop.alpha, size=(runs, contacts)) + 1.0) * (
+            hop.beta / hop.rate
+        )
+        amounts = durations * hop.rate
+        cumulative = np.cumsum(amounts, axis=1)
+        done = np.argmax(cumulative >= data_size - 1e-12, axis=1)
+        rows = np.arange(runs)
+        carried_before = np.where(done > 0, cumulative[rows, np.maximum(done - 1, 0)], 0.0)
+        needed = data_size - carried_before
+        ready = starts[rows, done] + needed / hop.rate
+    return ready
 
 
 class TestMonteCarloDelivery:
@@ -20,24 +52,76 @@ class TestMonteCarloDelivery:
         # with an effectively infinite data rate the run reduces to "does
         # the first contact happen in time"
         hop = params(lam=0.1, alpha=2.0, beta=5.0, rate=1e9)
-        got = ol.run_monte_carlo_delivery(ol.PathSpec((hop,)), 4.0, 10.0, 20_000, seed=1)
+        (got,) = ol.run_monte_carlo_delivery(ol.PathSpec((hop,)), 4.0, [10.0], 20_000, seed=1)
         assert got == pytest.approx(1 - math.exp(-1), abs=0.02)
 
     def test_zero_deadline(self):
         hop = params()
-        assert ol.run_monte_carlo_delivery(ol.PathSpec((hop,)), 4.0, 0.0, 100, seed=2) == 0.0
+        assert ol.run_monte_carlo_delivery(ol.PathSpec((hop,)), 4.0, [0.0], 100, seed=2) == [0.0]
 
     @pytest.mark.parametrize("size, deadline", [(4.0, math.nan), (math.inf, 10.0), (math.nan, 10.0)])
     def test_nan_deadline_and_non_finite_size_refused(self, size, deadline):
         path = ol.PathSpec((params(),))
         with pytest.raises(ValueError):
-            ol.run_monte_carlo_delivery(path, size, deadline, 100, seed=2)
+            ol.run_monte_carlo_delivery(path, size, [deadline], 100, seed=2)
+
+    def test_nan_among_deadlines_refused(self):
+        path = ol.PathSpec((params(),))
+        with pytest.raises(ValueError, match="NaN"):
+            ol.run_monte_carlo_delivery(path, 4.0, [10.0, 0.0, math.nan], 100, seed=2)
 
     def test_deterministic(self):
         path = ol.PathSpec((params(lam=0.05, rate=1.0), params(lam=0.08, rate=1.0)))
-        a = ol.run_monte_carlo_delivery(path, 8.0, 120.0, 5000, seed=9)
-        b = ol.run_monte_carlo_delivery(path, 8.0, 120.0, 5000, seed=9)
+        a = ol.run_monte_carlo_delivery(path, 8.0, [120.0], 5000, seed=9)
+        b = ol.run_monte_carlo_delivery(path, 8.0, [120.0], 5000, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "hops, size",
+        [
+            ((params(lam=0.05, alpha=2.0, beta=5.0, rate=1.0),), 12.0),
+            ((params(lam=0.05, alpha=2.0, beta=5.0, rate=1.0),), 5.0),
+            (
+                (
+                    params(lam=0.1, alpha=8.0, beta=2.5, rate=1.7),
+                    params(lam=0.01, alpha=3.0, beta=2.0, rate=1.0),
+                ),
+                7.3,
+            ),
+            (
+                (
+                    params(lam=0.08, alpha=6.0, beta=2.0, rate=3.0),
+                    params(lam=0.05, alpha=9.0, beta=3.0, rate=0.7),
+                    params(lam=0.02, alpha=3.5, beta=2.5, rate=1.3),
+                ),
+                20.0,
+            ),
+        ],
+    )
+    def test_one_draw_matches_a_draw_per_deadline(self, hops, size):
+        # unsorted and repeated deadlines, and deadlines <= 0, each read
+        # bit for bit what a fresh draw for that deadline alone reads
+        path = ol.PathSpec(hops)
+        deadlines = [400.0, -inf, 50.0, 0.0, 1000.0, 25.0, 50.0, 150.0, -3.0, 600.0, 3000.0, inf]
+        got = ol.run_monte_carlo_delivery(path, size, deadlines, 3000, seed=21)
+        want = [reference_monte_carlo(path, size, d, 3000, 21) for d in deadlines]
+        assert got == want
+        assert all(type(value) is float for value in got)
+        # a deadline at each run's completion time and one just below it:
+        # the answers move if any run's time moves by one ulp either way
+        ready = reference_completion_times(path, size, 3000, 21)
+        edges = np.concatenate([ready, np.nextafter(ready, -inf)]).tolist()
+        got = ol.run_monte_carlo_delivery(path, size, edges, 3000, seed=21)
+        assert got == [float(np.mean(ready <= d)) for d in edges]
+
+    def test_no_positive_deadline_draws_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew samples for no positive deadline")
+
+        monkeypatch.setattr(simulator.np.random, "default_rng", refuse)
+        path = ol.PathSpec((params(),))
+        assert ol.run_monte_carlo_delivery(path, 4.0, [0.0, -1.0, -inf], 100, seed=2) == [0.0] * 3
+        assert ol.run_monte_carlo_delivery(path, 4.0, [], 100, seed=2) == []
 
     def test_agrees_with_estimator(self):
         # Monte Carlo noise at 20k runs is ~3 binomial standard errors
@@ -55,8 +139,8 @@ class TestMonteCarloDelivery:
             size = float(rng.uniform(5.0, 20.0))
             deadline = float(rng.uniform(250.0, 400.0))
             estimated = ol.delivery_prob_onehop(hop, ol.DeliveryQuery(size, deadline))
-            simulated = ol.run_monte_carlo_delivery(
-                ol.PathSpec((hop,)), size, deadline, runs, seed=int(rng.integers(1 << 30))
+            (simulated,) = ol.run_monte_carlo_delivery(
+                ol.PathSpec((hop,)), size, [deadline], runs, seed=int(rng.integers(1 << 30))
             )
             se = math.sqrt(max(estimated * (1 - estimated), 1e-4) / runs)
             assert abs(estimated - simulated) <= max(3 * se, 0.05)
@@ -340,24 +424,6 @@ PINNED_LONG_EVENT_LOG = (
     "2dbffb4b3a6044eab210631e3b16be128f2f569844d403e7ab25fbc14da70969",
 )
 PINNED_LONG_STATES = "eec7caea700be1d1813e755678c178c96ad8a347e82b37d027e67b7fc9837425"
-
-
-def criterion_7_network():
-    return ol.generate_synthetic(
-        ol.SyntheticConfig(
-            n=50,
-            avg_degree=10,
-            max_degree=15,
-            weight_exponent=2.0,
-            node_alpha_range=(6.0, 10.0),
-            node_beta_range=(2.0, 3.0),
-            infra_alpha_range=(3.0, 4.0),
-            infra_beta_range=(2.0, 3.0),
-            infra_lambda_range=(0.002, 0.02),
-            rate=1.0,
-            seed=42,
-        )
-    )
 
 
 def replay_all(net, tasks, seed):
