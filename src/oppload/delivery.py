@@ -22,17 +22,29 @@ per (hops, data size) pair: the weights, gamma shapes and rates of every
 contact-count tuple depend on that pair only, so a query is a ``gammainc``
 evaluation of them at the deadline's time budget.  A kernel keeps its terms
 in one of two layouts.  A tuple space of at most ``_MAX_KEPT`` tuples, one
-hop or several, keeps its nonzero terms as three lists of Python floats;
-:func:`evaluate_kernels` answers several kernels at one deadline by stacking
-these lists for a single array ``gammainc`` call, and :meth:`PathKernel.prob`
-is its one-kernel case.  A larger space keeps at most three arrays of
-``_MAX_KEPT`` floats (the per-hop vectors of several hops, or nothing) and
-builds its terms again, in blocks, on each query.  Compiled kernels sit in
-an LRU cache of ``_KERNEL_CACHE`` entries; three lists of ``_MAX_KEPT``
-Python floats take about 25 kB, so a full cache holds at most about 6.3 MB.
-The kernel is bit-identical to summing the formula tuple by tuple: it visits
-tuples in ``itertools.product`` order, forms weights and the moments ``M``,
-``V`` hop by hop, and sums left to right.
+hop or several, keeps its nonzero terms as three arrays of doubles
+(:func:`_kept_terms`); :func:`evaluate_kernels` answers several kernels at
+one deadline by stacking these for a single array ``gammainc`` call
+(:func:`_sum_stacked`), and :meth:`PathKernel.prob` is its one-kernel case.
+A larger space keeps at most three arrays of ``_MAX_KEPT`` floats (the
+per-hop vectors of several hops, or nothing) and builds its terms again, in
+blocks, on each query.  :func:`delivery_prob_path` and
+:func:`delivery_prob_onehop`, which the heuristic planner and the CLI's
+``estimate`` and ``validate`` ask, take their kernels from an LRU cache of
+``_KERNEL_CACHE`` entries; three arrays of ``_MAX_KEPT`` doubles take about
+6.3 kB, so a full cache holds at most about 1.6 MB.
+
+The distributed protocol asks one route about many sizes instead, and
+prices from the route's :class:`RouteTerms` (``PathSpec.terms``) without the
+LRU.  The route keeps its hops' contact rates and, per contact-count
+``limits``, the gamma shape and rate of every tuple (:func:`_tuple_gammas`),
+which do not depend on the size.  For each size asked since its memo was
+last cleared it keeps ``T'`` and the kept terms, or, for a space of more
+than ``_MAX_KEPT`` tuples, that size's own :class:`PathKernel`.  Both paths
+build their terms with the same routines, so they give the same floats.
+Every kernel is bit-identical to summing the formula tuple by tuple: it
+visits tuples in ``itertools.product`` order, forms weights and the moments
+``M``, ``V`` hop by hop, and sums left to right.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -95,6 +108,11 @@ class PathSpec:
 
     def __len__(self) -> int:
         return len(self.hops)
+
+    @functools.cached_property
+    def terms(self) -> RouteTerms:
+        """The path's :class:`RouteTerms`, built on first use."""
+        return RouteTerms(self.hops)
 
 
 @dataclass(frozen=True)
@@ -244,6 +262,75 @@ def _check_gamma(shape: float, rate: float) -> None:
         raise ValueError(f"gamma shape and rate must be finite and > 0, got ({shape!r}, {rate!r})")
 
 
+def _transmission(hops: Sequence[PairContactParams], data_size: float) -> float:
+    """The serial transmission time ``T' = sum(D / rate_i)``, in hop order."""
+    return sum(data_size / hop.rate for hop in hops)
+
+
+def _limits(hops: Sequence[PairContactParams], data_size: float) -> tuple[int, ...]:
+    """Each hop's :func:`_needed_contacts`."""
+    return tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
+
+
+def _tuple_gammas(lambdas: Sequence[float], limits: tuple[int, ...]) -> tuple[array, array]:
+    """The gamma shape and rate of every contact-count tuple, in
+    ``itertools.product`` order; they depend on the counts and the contact
+    rates only, not on the data size.
+
+    One hop takes the Erlang CDF's shape ``n`` and rate ``lambda``.  Several
+    hops take the moment-matched gamma of :func:`gamma_approx`, with ``M``
+    and ``V`` summed hop by hop from 0.0.
+    """
+    if len(limits) == 1:
+        return array("d", range(1, limits[0] + 1)), array("d", lambdas) * limits[0]
+    means = variances = [0.0]
+    for lam, limit in zip(lambdas, limits):
+        counts = range(1, limit + 1)
+        means = [mean + n / lam for mean in means for n in counts]
+        variances = [var + n / (lam * lam) for var in variances for n in counts]
+    pairs = list(zip(means, variances))
+    shapes = array("d", [mean * mean / var for mean, var in pairs])
+    return shapes, array("d", [mean / var for mean, var in pairs])
+
+
+def _kept_terms(
+    hops: Sequence[PairContactParams],
+    data_size: float,
+    limits: tuple[int, ...],
+    gammas: tuple[array, array],
+) -> tuple[array, array, array]:
+    """The weights, shapes and rates of a tuple space's nonzero terms, in
+    product order, as arrays of doubles, given the :func:`_tuple_gammas` of
+    its ``limits``.
+
+    One hop keeps its terms up to the first certain success.  Several hops
+    weigh each tuple by the product of its hops' exact successes, multiplied
+    hop by hop from 1.0, and keep the tuples of nonzero weight, each of
+    whose gammas must pass :func:`_check_gamma`.
+    """
+    shapes, rates = gammas
+    if len(hops) == 1:
+        weights = array("d", _exact_success(hops[0], data_size, limits[0], stop_when_certain=True))
+        count = len(weights)
+        if count < limits[0]:
+            shapes, rates = shapes[:count], rates[:count]
+        return weights, shapes, rates
+    weights = [1.0]
+    for hop, limit in zip(hops, limits):
+        exact = list(_exact_success(hop, data_size, limit, stop_when_certain=False))
+        weights = [weight * success for weight in weights for success in exact]
+    if 0.0 in weights:
+        kept = [weight != 0.0 for weight in weights]
+        shapes = array("d", itertools.compress(shapes, kept))
+        rates = array("d", itertools.compress(rates, kept))
+        weights = array("d", itertools.compress(weights, kept))
+    else:
+        weights = array("d", weights)
+    for shape, rate in zip(shapes, rates):
+        _check_gamma(shape, rate)
+    return weights, shapes, rates
+
+
 class PathKernel:
     """The delivery estimator of one (hops, data size) pair, any deadline.
 
@@ -264,21 +351,22 @@ class PathKernel:
     The kernel builds what it keeps on the first evaluation with a positive
     time budget; a build that raises stores nothing, so the next query
     raises again.  A space of at most ``_MAX_KEPT`` tuples keeps its
-    nonzero terms as Python-float lists (``_kept``), for
+    nonzero terms as arrays of doubles (``_kept``), for
     :func:`evaluate_kernels` to stack with other kernels' terms.  A larger
     space keeps the per-hop vectors of several hops (``_per_hop``) when
     they hold at most ``_MAX_KEPT`` counts in all, and nothing
     otherwise; from these every evaluation builds the terms again in
     product order and in blocks: ``_CHUNK`` tuples for several hops,
-    ``_MAX_KEPT`` contact counts for one hop.  Both layouts build the terms
-    of several hops from the Python floats of :meth:`_hop_steps`.
+    ``_MAX_KEPT`` contact counts for one hop.  The kept terms come from
+    :func:`_tuple_gammas` and :func:`_kept_terms`, which :class:`RouteTerms`
+    shares.
     """
 
     def __init__(self, hops: tuple[PairContactParams, ...], data_size: float) -> None:
         self.hops = hops
         self.data_size = data_size
-        self.transmission = sum(data_size / hop.rate for hop in hops)
-        self.limits = tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
+        self.transmission = _transmission(hops, data_size)
+        self.limits = _limits(hops, data_size)
         self.tuples = math.prod(self.limits)
 
     def prob(self, deadline: float) -> float:
@@ -317,11 +405,11 @@ class PathKernel:
         return min(max(total, 0.0), 1.0)
 
     @functools.cached_property
-    def _kept(self) -> tuple[list[float], list[float], list[float]] | None:
-        """The weights, shapes and rates of the nonzero terms of a space of
-        at most ``_MAX_KEPT`` tuples, in product order, as Python floats;
-        None for a larger space.  Raises ``ComplexityError`` for a multi-hop
-        space over ``DEFAULT_TUPLE_CAP``, before enumerating any tuple."""
+    def _kept(self) -> tuple[array, array, array] | None:
+        """The :func:`_kept_terms` of a space of at most ``_MAX_KEPT``
+        tuples; None for a larger space.  Raises ``ComplexityError`` for a
+        multi-hop space over ``DEFAULT_TUPLE_CAP``, before enumerating any
+        tuple."""
         if len(self.hops) > 1 and self.tuples > DEFAULT_TUPLE_CAP:
             raise ComplexityError(
                 f"path would require enumerating {self.tuples} contact tuples "
@@ -329,27 +417,8 @@ class PathKernel:
             )
         if self.tuples > _MAX_KEPT:
             return None
-        if len(self.hops) == 1:
-            hop = self.hops[0]
-            exact = _exact_success(hop, self.data_size, self.limits[0], stop_when_certain=True)
-            weights = list(exact)
-            count = len(weights)
-            return weights, [float(n) for n in range(1, count + 1)], [hop.contact_rate] * count
-        weights, shapes, rates = [], [], []
-        for combo in itertools.product(*self._hop_steps()):
-            weight = 1.0
-            mean = var = 0.0
-            for success, mean_step, var_step in combo:
-                weight *= success
-                mean += mean_step
-                var += var_step
-            if weight != 0.0:
-                shape, rate = mean * mean / var, mean / var
-                _check_gamma(shape, rate)
-                weights.append(weight)
-                shapes.append(shape)
-                rates.append(rate)
-        return weights, shapes, rates
+        gammas = _tuple_gammas([hop.contact_rate for hop in self.hops], self.limits)
+        return _kept_terms(self.hops, self.data_size, self.limits, gammas)
 
     def _onehop_blocks(self):
         """Weights, shapes and rates of one hop's terms, ``_MAX_KEPT``
@@ -366,19 +435,22 @@ class PathKernel:
             )
             start += count
 
-    def _hop_steps(self) -> list[list[tuple[float, float, float]]]:
-        """Each hop's ``(exact success, n / lambda, n / lambda**2)`` over
-        n = 1..limit, as Python floats."""
-        steps = []
+    def _hop_vectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each hop's exact successes, ``n / lambda`` and ``n / lambda**2``
+        over n = 1..limit, as arrays."""
+        vectors = []
         for hop, limit in zip(self.hops, self.limits):
             exact = _exact_success(hop, self.data_size, limit, stop_when_certain=False)
             lam = hop.contact_rate
-            steps.append([(e, n / lam, n / (lam * lam)) for n, e in enumerate(exact, 1)])
-        return steps
-
-    def _hop_vectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The columns of :meth:`_hop_steps` as arrays, hop by hop."""
-        return [tuple(map(np.array, zip(*steps))) for steps in self._hop_steps()]
+            counts = range(1, limit + 1)
+            vectors.append(
+                (
+                    np.array(list(exact)),
+                    np.array([n / lam for n in counts]),
+                    np.array([n / (lam * lam) for n in counts]),
+                )
+            )
+        return vectors
 
     @functools.cached_property
     def _per_hop(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
@@ -432,13 +504,11 @@ def path_kernel(hops: tuple[PairContactParams, ...], data_size: float) -> PathKe
 def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[float]:
     """Delivery probabilities of several kernels within one ``deadline``.
 
-    The kernels whose terms are kept as Python floats (at most
-    ``_MAX_KEPT`` each) are priced together: their terms are stacked, their
-    gamma CDFs come from one array ``gammainc`` call, and each kernel's
-    terms are then summed left to right in Python floats.  Larger kernels
-    are evaluated one by one, in blocks.  Every answer is the kernel's
-    tuple-by-tuple sum, whatever the batch.  A kernel whose deadline does
-    not cover its ``T'`` answers 0.
+    The kernels whose terms are kept (at most ``_MAX_KEPT`` each) are
+    priced together by :func:`_sum_stacked`.
+    Larger kernels are evaluated one by one, in blocks.  Every answer is
+    the kernel's tuple-by-tuple sum, whatever the batch.  A kernel whose
+    deadline does not cover its ``T'`` answers 0.
 
     Raises:
         ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
@@ -447,9 +517,7 @@ def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[flo
         ValueError: a gamma argument ``rate * (deadline - T')`` is not finite.
     """
     probs = [0.0] * len(kernels)
-    kept = []
-    shapes: list[float] = []
-    args: list[float] = []
+    stacked = []
     for index, kernel in enumerate(kernels):
         budget = deadline - kernel.transmission
         if budget <= 0:
@@ -457,23 +525,89 @@ def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[flo
         terms = kernel._kept
         if terms is None:
             probs[index] = kernel._block_prob(budget)
-            continue
-        kept.append((index, terms[0]))
-        shapes += terms[1]
-        args += map(budget.__mul__, terms[2])
+        else:
+            stacked.append((index, budget, terms))
+    _sum_stacked(probs, stacked, deadline)
+    return probs
+
+
+def _sum_stacked(
+    probs: list[float],
+    stacked: list[tuple[int, float, tuple[array, array, array]]],
+    deadline: float,
+) -> None:
+    """Set ``probs[index]`` for each ``(index, budget, kept terms)``.
+
+    The terms are stacked, their gamma CDFs come from one array
+    ``gammainc`` call, and each member's terms are then summed left to
+    right in Python floats.
+
+    Raises:
+        ValueError: a gamma argument ``rate * budget`` is not finite.
+    """
+    shapes = array("d")
+    args: list[float] = []
+    for _, budget, (_, member_shapes, rates) in stacked:
+        shapes += member_shapes
+        args += map(budget.__mul__, rates)
     if not args:
-        return probs
+        return
     if not all(map(math.isfinite, args)):
         raise ValueError(f"gamma argument overflows at deadline {deadline!r}")
     in_time = _special.gammainc(shapes, args).tolist()
     stop = 0
-    for index, weights in kept:
+    for index, _, (weights, _, _) in stacked:
         start, stop = stop, stop + len(weights)
         total = 0.0
         for weight, p in zip(weights, in_time[start:stop]):
             total += weight * p
         probs[index] = min(max(total, 0.0), 1.0)
-    return probs
+
+
+class RouteTerms:
+    """The size-free parts of one route's kernels, and its terms per size.
+
+    A route that is asked about many sizes (a node's route in the
+    distributed protocol) keeps, once for all sizes, the
+    :func:`_tuple_gammas` of every contact-count ``limits`` it has met,
+    and in ``memo``, for each size asked since the memo was last cleared, the
+    entry ``(T', kept terms, None)``, or ``(T', None, PathKernel)`` for a
+    space of more than ``_MAX_KEPT`` tuples.  An entry is the
+    :class:`PathKernel` of the route's hops and that size, taken apart:
+    the same :func:`_transmission`, :func:`_limits` and
+    :func:`_kept_terms`, so a price from it is the same float.  The
+    simulator clears every route's memo when a task starts, since a task's
+    segment sizes are its own.
+    """
+
+    __slots__ = ("hops", "lambdas", "gammas", "memo")
+
+    def __init__(self, hops: tuple[PairContactParams, ...]) -> None:
+        self.hops = hops
+        self.lambdas = [hop.contact_rate for hop in hops]
+        self.gammas: dict[tuple[int, ...], tuple[array, array]] = {}
+        self.memo: dict[float, tuple] = {}
+
+    def entry(self, data_size: float, deadline: float) -> tuple | None:
+        """The memo entry of ``data_size``, built and stored when missing;
+        None, with nothing built, when ``deadline`` does not cover ``T'``."""
+        entry = self.memo.get(data_size)
+        if entry is not None:
+            return entry
+        hops = self.hops
+        transmission = _transmission(hops, data_size)
+        if deadline - transmission <= 0:
+            return None
+        limits = _limits(hops, data_size)
+        if math.prod(limits) > _MAX_KEPT:
+            entry = (transmission, None, PathKernel(hops, data_size))
+        else:
+            gammas = self.gammas.get(limits)
+            if gammas is None:
+                gammas = self.gammas[limits] = _tuple_gammas(self.lambdas, limits)
+            entry = (transmission, _kept_terms(hops, data_size, limits, gammas), None)
+        self.memo[data_size] = entry
+        return entry
 
 
 def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:

@@ -14,7 +14,12 @@ actually moved (assignment update).  A node never sends task data back to
 the node it received it from, nor to the task source.  Handing data to the
 destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
-priced through :func:`_route_probs`, in batches.
+priced through :func:`_route_probs`, in batches, from the terms the route
+itself holds (its spec's :class:`~oppload.delivery.RouteTerms`): the gamma
+shapes and rates of each contact-count tuple, kept for all sizes, and each
+size's weights, memoized until the simulator starts the next task.  The
+answers are the path kernel's floats; a repeated query costs one dictionary
+lookup.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .delivery import PathSpec, availability, evaluate_kernels, path_capacity, path_kernel
+from .delivery import PathSpec, _sum_stacked, availability, path_capacity
 from .errors import ProtocolError, TransferContractError
 
 __all__ = [
@@ -83,7 +88,8 @@ def _route_probs(
 ) -> list[float]:
     """Delivery probability of each (spec, size) query within ``deadline``:
     1 for a size of at most ``_EPS``, 0 without a spec or time left, else
-    the estimator's, priced for all such queries in one batch.
+    the estimator's, from the spec's :class:`~oppload.delivery.RouteTerms`
+    entry of that size, all such queries priced in one batch.
 
     Raises:
         ValueError: the estimator is asked about a deadline that is not
@@ -95,9 +101,21 @@ def _route_probs(
         return probs
     if not math.isfinite(deadline):
         raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
-    kernels = [path_kernel(queries[i][0].hops, queries[i][1]) for i in asked]
-    for i, prob in zip(asked, evaluate_kernels(kernels, deadline)):
-        probs[i] = prob
+    stacked = []
+    for i in asked:
+        spec, size = queries[i]
+        entry = spec.terms.entry(size, deadline)
+        if entry is None:
+            continue
+        transmission, kept, kernel = entry
+        budget = deadline - transmission
+        if budget <= 0:
+            continue
+        if kept is None:
+            probs[i] = kernel.prob(deadline)
+        else:
+            stacked.append((i, budget, kept))
+    _sum_stacked(probs, stacked, deadline)
     return probs
 
 

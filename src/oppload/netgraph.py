@@ -383,16 +383,24 @@ def _params_from_json(entry: dict, where: str) -> PairContactParams:
     )
 
 
-def network_from_json(payload: dict) -> Network:
+def network_from_json(payload: object) -> Network:
     """Rebuild a network from :func:`network_to_json` output.
 
     Raises:
-        ConfigError: an edge is listed twice, in either orientation; a node
-            id, ``nodes`` or ``infrastructure`` is not an integer; a contact
-            parameter is not a real number.
+        ConfigError: the payload is not an object, ``edges`` is not a list
+            or an edge is not an object; an edge is listed twice, in either
+            orientation; a node id, ``nodes`` or ``infrastructure`` is not an
+            integer; a contact parameter is not a real number.
     """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"network must be a JSON object, got {payload!r}")
+    entries = payload.get("edges")
+    if not isinstance(entries, list):
+        raise ConfigError(f"network field 'edges' must be a list, got {entries!r}")
     edges: dict[EdgeKey, PairContactParams] = {}
-    for index, entry in enumerate(payload["edges"]):
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"network field 'edges[{index}]' must be an object, got {entry!r}")
         a = _json_number(entry.get("a"), int, f"edge {index}", "a")
         b = _json_number(entry.get("b"), int, f"edge {index}", "b")
         key = edge_key(a, b)
@@ -416,7 +424,16 @@ def save_network(network: Network, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> Network:
-    return network_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The network saved at ``path`` by :func:`save_network`.
+
+    Raises:
+        ConfigError: naming ``path``, for any error of
+            :func:`network_from_json`.
+    """
+    try:
+        return network_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:

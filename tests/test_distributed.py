@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import oppload as ol
-from oppload import distributed
+from oppload import distributed, simulator
+from oppload.delivery import _CEIL_GUARD, _MAX_KEPT, DEFAULT_TUPLE_CAP, path_kernel
 from oppload.distributed import NodeState, realtime_adjustment
-from oppload.errors import ProtocolError, TransferContractError
+from oppload.errors import ComplexityError, ProtocolError, TransferContractError
+
+from conftest import criterion_7_network
 
 
 def params(lam=0.1, alpha=3.0, beta=5.0, rate=100.0):
@@ -495,3 +498,98 @@ class TestAdjustmentEquivalence:
                     assert list(new.assignment.items()) == list(ref.assignment.items())
         # the draws exercise both outcomes of an adjustment
         assert compared > 200 and 20 < moved < compared
+
+
+def kernel_prob(hops, size, deadline):
+    """The path kernel's answer, or the type and text of what it raised."""
+    try:
+        return path_kernel(hops, size).prob(deadline)
+    except (ComplexityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def route_prob_or_error(spec, size, deadline):
+    try:
+        return route_prob(spec, size, deadline)
+    except (ComplexityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def sizes_to_check(spec, rng):
+    """Sizes at and around each hop's beta and the ceiling guard, random
+    sizes, and one size over ``_MAX_KEPT`` tuples."""
+    sizes = []
+    for hop in spec.hops:
+        guarded = hop.beta * (1 + _CEIL_GUARD)
+        sizes += [
+            hop.beta,
+            math.nextafter(hop.beta, math.inf),
+            math.nextafter(guarded, 0.0),
+            guarded,
+            math.nextafter(guarded, math.inf),
+        ]
+    sizes += (10 ** rng.uniform(-1.5, 1.6, size=12)).tolist()
+    # just over _MAX_KEPT tuples: the kernel builds its terms in blocks
+    size = min(hop.beta for hop in spec.hops)
+    while path_kernel(spec.hops, size).tuples <= _MAX_KEPT:
+        size *= 1.25
+    return sizes + [size]
+
+
+class TestRoutePricer:
+    """The protocol prices a (route, size) from the route's terms exactly
+    as the path kernel of the route's hops and that size does."""
+
+    def test_bit_identical_to_the_path_kernel_on_every_criterion_7_route(self):
+        specs = [
+            spec
+            for routes in simulator._Context(criterion_7_network()).routes.values()
+            for spec in routes.values()
+        ]
+        assert len(specs) == 504
+        rng = np.random.default_rng(2026)
+        checked = 0
+        below_one = []
+        for spec in specs:
+            sizes = sizes_to_check(spec, rng)
+            checked += len(sizes)
+            # the memo answers repeats: every deadline asks every size again
+            for budget in [0.0, -1e-9, *(10 ** rng.uniform(0, 3.5, size=3)).tolist()]:
+                for size in sizes:
+                    deadline = path_kernel(spec.hops, size).transmission + budget
+                    want = kernel_prob(spec.hops, size, deadline)
+                    assert route_prob_or_error(spec, size, deadline) == want
+                    if budget <= 0:
+                        assert want == 0.0
+            # one batch prices every size as each size alone
+            deadline = float(rng.uniform(50.0, 3000.0))
+            want = [kernel_prob(spec.hops, size, deadline) for size in sizes]
+            if not any(isinstance(p, tuple) for p in want):
+                assert distributed._route_probs([(spec, s) for s in sizes], deadline) == want
+            # one ulp over a one-hop route's beta the ceiling guard keeps
+            # one contact, which carries the item with probability below 1
+            size = math.nextafter(spec.hops[0].beta, math.inf)
+            if len(spec.hops) == 1:
+                weights = spec.terms.memo[size][1][0]
+                below_one.append(weights[0] < 1.0)
+        assert checked >= 10_000
+        # the one-contact weight is computed, not taken to be 1
+        assert any(below_one)
+
+    def test_over_the_tuple_cap_raises_only_once_the_deadline_covers_t_prime(self):
+        for spec in [
+            spec
+            for routes in simulator._Context(criterion_7_network()).routes.values()
+            for spec in routes.values()
+            if len(spec.hops) == 2
+        ][:20]:
+            size = 2.0 * math.isqrt(DEFAULT_TUPLE_CAP) * max(hop.beta for hop in spec.hops)
+            kernel = path_kernel(spec.hops, size)
+            assert kernel.tuples > DEFAULT_TUPLE_CAP
+            transmission = kernel.transmission
+            assert route_prob(spec, size, transmission) == 0.0
+            assert route_prob(spec, size, math.nextafter(transmission, 0.0)) == 0.0
+            for deadline in (math.nextafter(transmission, math.inf), transmission + 100.0):
+                want = kernel_prob(spec.hops, size, deadline)
+                assert want[0] is ComplexityError
+                assert route_prob_or_error(spec, size, deadline) == want

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import oppload as ol
+from oppload.cli import main
 from oppload.errors import ConfigError, IngestionError
 from oppload.netgraph import edge_key
 
@@ -209,6 +211,25 @@ class TestSerialization:
         name = "network" if where == "network" else "edge 1"
         with pytest.raises(ConfigError, match=rf"{name}.*field '{field}'"):
             ol.network_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ([1], "network must be a JSON object"),
+            ({"nodes": 3, "infrastructure": 2}, "field 'edges'"),
+            ({"nodes": 3, "infrastructure": 2, "edges": 5}, "field 'edges'"),
+            ({"nodes": 3, "infrastructure": 2, "edges": [5]}, "field 'edges[0]'"),
+        ],
+    )
+    def test_malformed_network_file_is_rejected(self, tmp_path, capsys, payload, field):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*{re.escape(field)}"):
+            ol.load_network(path)
+        argv = ["plan", "--network", str(path), "--source", "0", "--size", "5", "--deadline", "200"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
 
     def test_integral_values_are_accepted_as_reals(self):
         net = ol.generate_synthetic(table_config(n=5, avg_degree=2, max_degree=3, seed=7))
