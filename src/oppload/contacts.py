@@ -67,8 +67,7 @@ class PairContactParams:
                 f"contact_rate must lie within about 1e-154..1e154, "
                 f"got {self.contact_rate!r}"
             )
-        # the estimator's kernel caches hash every hop on every lookup; this
-        # is the value the dataclass would compute on each call
+        # computed once: the value the dataclass would compute on each call
         object.__setattr__(
             self, "_hash", hash((self.contact_rate, self.alpha, self.beta, self.rate))
         )

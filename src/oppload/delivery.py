@@ -17,34 +17,27 @@ build on each other:
   the path within the deadline, summing over the number of contacts each
   hop needs.
 
-Delivery probabilities are evaluated by a :class:`PathKernel`, compiled once
-per (hops, data size) pair: the weights, gamma shapes and rates of every
-contact-count tuple depend on that pair only, so a query is a ``gammainc``
-evaluation of them at the deadline's time budget.  A kernel keeps its terms
-in one of two layouts.  A tuple space of at most ``_MAX_KEPT`` tuples, one
-hop or several, keeps its nonzero terms as three arrays of doubles
-(:func:`_kept_terms`); :func:`evaluate_kernels` answers several kernels at
-one deadline by stacking these for a single array ``gammainc`` call
-(:func:`_sum_stacked`), and :meth:`PathKernel.prob` is its one-kernel case.
-A larger space keeps at most three arrays of ``_MAX_KEPT`` floats (the
-per-hop vectors of several hops, or nothing) and builds its terms again, in
-blocks, on each query.  :func:`delivery_prob_path` and
-:func:`delivery_prob_onehop`, which the heuristic planner and the CLI's
-``estimate`` and ``validate`` ask, take their kernels from an LRU cache of
-``_KERNEL_CACHE`` entries; three arrays of ``_MAX_KEPT`` doubles take about
-6.3 kB, so a full cache holds at most about 1.6 MB.
-
-The distributed protocol asks one route about many sizes instead, and
-prices from the route's :class:`RouteTerms` (``PathSpec.terms``) without the
-LRU.  The route keeps its hops' contact rates and, per contact-count
-``limits``, the gamma shape and rate of every tuple (:func:`_tuple_gammas`),
-which do not depend on the size.  For each size asked since its memo was
-last cleared it keeps ``T'`` and the kept terms, or, for a space of more
-than ``_MAX_KEPT`` tuples, that size's own :class:`PathKernel`.  Both paths
-build their terms with the same routines, so they give the same floats.
-Every kernel is bit-identical to summing the formula tuple by tuple: it
-visits tuples in ``itertools.product`` order, forms weights and the moments
-``M``, ``V`` hop by hop, and sums left to right.
+Every delivery probability is priced from the path's :class:`RouteTerms`
+(``PathSpec.terms``) by one routine, :func:`delivery_probs`, which
+:func:`delivery_prob_path`, :func:`delivery_prob_onehop` and the
+distributed protocol's batches all call.  A route keeps, once for all
+sizes, its hops' contact rates and, per contact-count ``limits``, the gamma
+shape and rate of every tuple (:func:`_tuple_gammas`), which do not depend
+on the size.  For each size asked since its memo was last cleared it keeps
+``T'`` and that size's terms, so a query is a ``gammainc`` evaluation of
+them at the deadline's time budget.  A tuple space of at most ``_MAX_KEPT``
+tuples, one hop or several, keeps its nonzero terms as three arrays of
+doubles (:func:`_kept_terms`), and a batch prices all such terms with one
+array ``gammainc`` call (:func:`_sum_stacked`).  A larger space keeps at
+most three arrays of ``_MAX_KEPT`` floats (the per-hop vectors of several
+hops, or nothing) and builds its terms again, in blocks, on each query
+(:class:`_BlockTerms`).  A memo entry thus holds at most three arrays of
+``_MAX_KEPT`` doubles, about 6.3 kB, and the memo lives as long as its
+spec: one plan of the heuristic, one route of ``validate``, one task of
+the distributed protocol (the simulator clears it when a task starts).
+Every price is bit-identical to summing the formula tuple by tuple: the
+terms visit tuples in ``itertools.product`` order, form weights and the
+moments ``M``, ``V`` hop by hop, and sum left to right.
 """
 
 from __future__ import annotations
@@ -72,6 +65,7 @@ __all__ = [
     "transfer_prob",
     "delivery_prob_onehop",
     "delivery_prob_path",
+    "delivery_probs",
     "path_capacity",
     "DEFAULT_TUPLE_CAP",
 ]
@@ -84,13 +78,12 @@ _ALPHA_ONE_TOL = 1e-9
 
 _CEIL_GUARD = 1e-9
 
-# A kernel keeps the terms of a tuple space of at most _MAX_KEPT tuples, and
-# no list or array longer than _MAX_KEPT, which bounds the cache's memory.
+# A memo entry keeps the terms of a tuple space of at most _MAX_KEPT tuples,
+# and no list or array longer than _MAX_KEPT, which bounds its memory.
 # Larger spaces build their terms again on every evaluation, about _CHUNK
 # tuples (whole rows of the last hop's counts) at a time.
 _MAX_KEPT = 256
 _CHUNK = 1 << 14
-_KERNEL_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -331,56 +324,32 @@ def _kept_terms(
     return weights, shapes, rates
 
 
-class PathKernel:
-    """The delivery estimator of one (hops, data size) pair, any deadline.
+class _BlockTerms:
+    """The terms of one (hops, data size) pair whose tuple space exceeds
+    ``_MAX_KEPT`` tuples, built again in blocks on every query.
 
-    Everything but the deadline is fixed by the pair: the serial
-    transmission time ``T' = sum(D / rate_i)``, each hop's probability of
-    succeeding at exactly ``n`` contacts, and every contact-count tuple's
-    weight, gamma shape and gamma rate.  :meth:`prob` answers a deadline
-    ``T`` as ``sum(w * gammainc(shape, rate * (T - T')))`` over the tuples
-    in ``itertools.product`` order, summed left to right, so it returns
-    the same floats as evaluating the formula tuple by tuple.
-
-    One hop uses shape ``n`` and rate ``lambda`` (the Erlang CDF), ends at
-    the first certain success, and is never capped; the Erlang CDF falls as
-    ``n`` grows, so every term after its first zero adds 0.  Several hops
-    use the moment-matched gamma of :func:`gamma_approx`, with ``M`` and
-    ``V`` summed hop by hop, and skip zero-weight tuples.
-
-    The kernel builds what it keeps on the first evaluation with a positive
-    time budget; a build that raises stores nothing, so the next query
-    raises again.  A space of at most ``_MAX_KEPT`` tuples keeps its
-    nonzero terms as arrays of doubles (``_kept``), for
-    :func:`evaluate_kernels` to stack with other kernels' terms.  A larger
-    space keeps the per-hop vectors of several hops (``_per_hop``) when
-    they hold at most ``_MAX_KEPT`` counts in all, and nothing
-    otherwise; from these every evaluation builds the terms again in
-    product order and in blocks: ``_CHUNK`` tuples for several hops,
-    ``_MAX_KEPT`` contact counts for one hop.  The kept terms come from
-    :func:`_tuple_gammas` and :func:`_kept_terms`, which :class:`RouteTerms`
-    shares.
+    It keeps the per-hop vectors of several hops (``per_hop``) when they
+    hold at most ``_MAX_KEPT`` counts in all, and nothing otherwise; from
+    these every query builds the terms again in product order: ``_CHUNK``
+    tuples at a time for several hops, ``_MAX_KEPT`` contact counts at a
+    time for one hop, which ends at the first certain success.  The Erlang
+    CDF of one hop falls as ``n`` grows, so every term after its first zero
+    adds 0.
     """
 
-    def __init__(self, hops: tuple[PairContactParams, ...], data_size: float) -> None:
+    __slots__ = ("hops", "data_size", "limits", "per_hop")
+
+    def __init__(
+        self, hops: tuple[PairContactParams, ...], data_size: float, limits: tuple[int, ...]
+    ) -> None:
         self.hops = hops
         self.data_size = data_size
-        self.transmission = _transmission(hops, data_size)
-        self.limits = _limits(hops, data_size)
-        self.tuples = math.prod(self.limits)
+        self.limits = limits
+        self.per_hop = (
+            self._hop_vectors() if len(hops) > 1 and sum(limits) <= _MAX_KEPT else None
+        )
 
-    def prob(self, deadline: float) -> float:
-        """Delivery probability within ``deadline``: the one-kernel case of
-        :func:`evaluate_kernels`.
-
-        Raises:
-            ComplexityError: a multi-hop tuple space exceeds
-                ``DEFAULT_TUPLE_CAP`` (checked only once the deadline covers
-                ``T'``, and before any tuple is enumerated).
-        """
-        return evaluate_kernels((self,), deadline)[0]
-
-    def _block_prob(self, budget: float) -> float:
+    def prob(self, budget: float) -> float:
         """The probability at a positive time budget, summed block by block."""
         onehop = len(self.hops) == 1
         total = 0.0
@@ -403,22 +372,6 @@ class PathKernel:
                 break
         total += 0.0  # a sum started at +0.0 never ends at -0.0
         return min(max(total, 0.0), 1.0)
-
-    @functools.cached_property
-    def _kept(self) -> tuple[array, array, array] | None:
-        """The :func:`_kept_terms` of a space of at most ``_MAX_KEPT``
-        tuples; None for a larger space.  Raises ``ComplexityError`` for a
-        multi-hop space over ``DEFAULT_TUPLE_CAP``, before enumerating any
-        tuple."""
-        if len(self.hops) > 1 and self.tuples > DEFAULT_TUPLE_CAP:
-            raise ComplexityError(
-                f"path would require enumerating {self.tuples} contact tuples "
-                f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
-            )
-        if self.tuples > _MAX_KEPT:
-            return None
-        gammas = _tuple_gammas([hop.contact_rate for hop in self.hops], self.limits)
-        return _kept_terms(self.hops, self.data_size, self.limits, gammas)
 
     def _onehop_blocks(self):
         """Weights, shapes and rates of one hop's terms, ``_MAX_KEPT``
@@ -452,12 +405,6 @@ class PathKernel:
             )
         return vectors
 
-    @functools.cached_property
-    def _per_hop(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-        """The :meth:`_hop_vectors` a space built in blocks keeps when its
-        hops hold at most ``_MAX_KEPT`` counts in all; None otherwise."""
-        return self._hop_vectors() if sum(self.limits) <= _MAX_KEPT else None
-
     @np.errstate(over="ignore", invalid="ignore")
     def _expand(
         self, per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]], start: int, stop: int
@@ -488,47 +435,11 @@ class PathKernel:
         if len(self.hops) == 1:
             yield from self._onehop_blocks()
         else:
-            per_hop = self._per_hop or self._hop_vectors()
-            rows = self.tuples // self.limits[-1]
+            per_hop = self.per_hop or self._hop_vectors()
+            rows = math.prod(self.limits[:-1])
             step = max(1, _CHUNK // self.limits[-1])
             for start in range(0, rows, step):
                 yield self._expand(per_hop, start, min(start + step, rows))
-
-
-@functools.lru_cache(maxsize=_KERNEL_CACHE)
-def path_kernel(hops: tuple[PairContactParams, ...], data_size: float) -> PathKernel:
-    """The compiled kernel of ``(hops, data_size)``, from a bounded cache."""
-    return PathKernel(hops, data_size)
-
-
-def evaluate_kernels(kernels: Sequence[PathKernel], deadline: float) -> list[float]:
-    """Delivery probabilities of several kernels within one ``deadline``.
-
-    The kernels whose terms are kept (at most ``_MAX_KEPT`` each) are
-    priced together by :func:`_sum_stacked`.
-    Larger kernels are evaluated one by one, in blocks.  Every answer is
-    the kernel's tuple-by-tuple sum, whatever the batch.  A kernel whose
-    deadline does not cover its ``T'`` answers 0.
-
-    Raises:
-        ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
-            (checked only once the deadline covers ``T'``, and before any
-            tuple is enumerated).
-        ValueError: a gamma argument ``rate * (deadline - T')`` is not finite.
-    """
-    probs = [0.0] * len(kernels)
-    stacked = []
-    for index, kernel in enumerate(kernels):
-        budget = deadline - kernel.transmission
-        if budget <= 0:
-            continue
-        terms = kernel._kept
-        if terms is None:
-            probs[index] = kernel._block_prob(budget)
-        else:
-            stacked.append((index, budget, terms))
-    _sum_stacked(probs, stacked, deadline)
-    return probs
 
 
 def _sum_stacked(
@@ -565,19 +476,15 @@ def _sum_stacked(
 
 
 class RouteTerms:
-    """The size-free parts of one route's kernels, and its terms per size.
+    """The size-free parts of one path's estimator, and its terms per size.
 
-    A route that is asked about many sizes (a node's route in the
-    distributed protocol) keeps, once for all sizes, the
-    :func:`_tuple_gammas` of every contact-count ``limits`` it has met,
-    and in ``memo``, for each size asked since the memo was last cleared, the
-    entry ``(T', kept terms, None)``, or ``(T', None, PathKernel)`` for a
-    space of more than ``_MAX_KEPT`` tuples.  An entry is the
-    :class:`PathKernel` of the route's hops and that size, taken apart:
-    the same :func:`_transmission`, :func:`_limits` and
-    :func:`_kept_terms`, so a price from it is the same float.  The
-    simulator clears every route's memo when a task starts, since a task's
-    segment sizes are its own.
+    Kept once for all sizes: the :func:`_tuple_gammas` of every
+    contact-count ``limits`` the path has met.  Kept in ``memo``, for each
+    size asked since the memo was last cleared: ``T'`` and that size's
+    terms, either the :func:`_kept_terms` of a space of at most
+    ``_MAX_KEPT`` tuples or the :class:`_BlockTerms` of a larger one.  The
+    entry's layout is private to this module; :func:`delivery_probs` reads
+    it.
     """
 
     __slots__ = ("hops", "lambdas", "gammas", "memo")
@@ -589,8 +496,16 @@ class RouteTerms:
         self.memo: dict[float, tuple] = {}
 
     def entry(self, data_size: float, deadline: float) -> tuple | None:
-        """The memo entry of ``data_size``, built and stored when missing;
-        None, with nothing built, when ``deadline`` does not cover ``T'``."""
+        """The memo entry ``(T', terms)`` of ``data_size``, built and stored
+        when missing; None, with nothing built, when ``deadline`` does not
+        cover ``T'``.  A build that raises stores nothing, so the next
+        query raises again.
+
+        Raises:
+            ComplexityError: a multi-hop tuple space exceeds
+                ``DEFAULT_TUPLE_CAP`` (checked before any tuple is
+                enumerated).
+        """
         entry = self.memo.get(data_size)
         if entry is not None:
             return entry
@@ -599,15 +514,63 @@ class RouteTerms:
         if deadline - transmission <= 0:
             return None
         limits = _limits(hops, data_size)
-        if math.prod(limits) > _MAX_KEPT:
-            entry = (transmission, None, PathKernel(hops, data_size))
+        tuples = math.prod(limits)
+        if len(hops) > 1 and tuples > DEFAULT_TUPLE_CAP:
+            raise ComplexityError(
+                f"path would require enumerating {tuples} contact tuples "
+                f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
+            )
+        if tuples > _MAX_KEPT:
+            terms = _BlockTerms(hops, data_size, limits)
         else:
             gammas = self.gammas.get(limits)
             if gammas is None:
                 gammas = self.gammas[limits] = _tuple_gammas(self.lambdas, limits)
-            entry = (transmission, _kept_terms(hops, data_size, limits, gammas), None)
-        self.memo[data_size] = entry
+            terms = _kept_terms(hops, data_size, limits, gammas)
+        entry = self.memo[data_size] = (transmission, terms)
         return entry
+
+
+def delivery_probs(queries: Sequence[tuple[PathSpec, float]], deadline: float) -> list[float]:
+    """Delivery probability of each ``(path, data size)`` query within one
+    ``deadline``, priced from each path's :class:`RouteTerms`.
+
+    A query is answered as ``sum(w * gammainc(shape, rate * (T - T')))``
+    over its terms in ``itertools.product`` order, summed left to right: one
+    hop uses shape ``n`` and rate ``lambda`` (the Erlang CDF), several hops
+    the moment-matched gamma of :func:`gamma_approx`.  A query whose
+    deadline does not cover its ``T'`` answers 0, as does every query at a
+    deadline of at most 0.  The kept terms of the batch are priced together
+    by :func:`_sum_stacked`; larger spaces one by one, in blocks.  Every
+    answer is the path's tuple-by-tuple sum, whatever the batch.
+
+    Raises:
+        ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
+            (checked only once the deadline covers ``T'``, and before any
+            tuple is enumerated).
+        ValueError: the deadline is NaN or +inf, or a gamma argument
+            ``rate * (deadline - T')`` is not finite.
+    """
+    probs = [0.0] * len(queries)
+    if deadline <= 0 or not queries:
+        return probs
+    if not math.isfinite(deadline):
+        raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
+    stacked = []
+    for index, (path, data_size) in enumerate(queries):
+        entry = path.terms.entry(data_size, deadline)
+        if entry is None:
+            continue
+        transmission, terms = entry
+        budget = deadline - transmission
+        if budget <= 0:
+            continue
+        if isinstance(terms, _BlockTerms):
+            probs[index] = terms.prob(budget)
+        else:
+            stacked.append((index, budget, terms))
+    _sum_stacked(probs, stacked, deadline)
+    return probs
 
 
 def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:
@@ -625,9 +588,10 @@ def delivery_prob_onehop(hop: PairContactParams, query: DeliveryQuery) -> float:
     within-i-contacts success events are nested, so consecutive increments
     decompose them disjointly).  The sum ends at the first ``i`` with
     ``TP(i) = 1`` or a zero in-time factor.  Returns 0 when the deadline
-    cannot even cover the transmission time.
+    cannot even cover the transmission time.  Priced by
+    :func:`delivery_probs` from a one-hop path of its own.
     """
-    return path_kernel((hop,), query.data_size).prob(query.deadline)
+    return delivery_probs([(PathSpec((hop,)), query.data_size)], query.deadline)[0]
 
 
 def delivery_prob_path(path: PathSpec, query: DeliveryQuery) -> float:
@@ -640,13 +604,14 @@ def delivery_prob_path(path: PathSpec, query: DeliveryQuery) -> float:
     contact waiting time fits in the deadline minus the serial transmission
     time ``T' = sum(D / rate_i)``, evaluated through the moment-matched
     gamma for that tuple.  Single-hop paths reduce to
-    :func:`delivery_prob_onehop` and are not capped.  Evaluated by the
-    cached :class:`PathKernel` of ``(path.hops, query.data_size)``.
+    :func:`delivery_prob_onehop` and are not capped.  Priced by
+    :func:`delivery_probs` from ``path.terms``, so the path's memo answers
+    a repeated size at any deadline.
 
     Raises:
         ComplexityError: the tuple space exceeds ``DEFAULT_TUPLE_CAP``.
     """
-    return path_kernel(path.hops, query.data_size).prob(query.deadline)
+    return delivery_probs([(path, query.data_size)], query.deadline)[0]
 
 
 def path_capacity(path: PathSpec) -> float:

@@ -14,12 +14,11 @@ actually moved (assignment update).  A node never sends task data back to
 the node it received it from, nor to the task source.  Handing data to the
 destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
-priced through :func:`_route_probs`, in batches, from the terms the route
-itself holds (its spec's :class:`~oppload.delivery.RouteTerms`): the gamma
-shapes and rates of each contact-count tuple, kept for all sizes, and each
-size's weights, memoized until the simulator starts the next task.  The
-answers are the path kernel's floats; a repeated query costs one dictionary
-lookup.
+priced through :func:`_route_probs`, in batches, by
+:func:`~oppload.delivery.delivery_probs` from the terms each route's spec
+holds: the gamma shapes and rates of each contact-count tuple, kept for
+all sizes, and each size's terms, memoized until the simulator starts the
+next task.  A repeated query costs one dictionary lookup.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .delivery import PathSpec, _sum_stacked, availability, path_capacity
+from .delivery import PathSpec, availability, delivery_probs, path_capacity
 from .errors import ProtocolError, TransferContractError
 
 __all__ = [
@@ -87,35 +86,18 @@ def _route_probs(
     queries: list[tuple[PathSpec | None, float]], deadline: float
 ) -> list[float]:
     """Delivery probability of each (spec, size) query within ``deadline``:
-    1 for a size of at most ``_EPS``, 0 without a spec or time left, else
-    the estimator's, from the spec's :class:`~oppload.delivery.RouteTerms`
-    entry of that size, all such queries priced in one batch.
+    1 for a size of at most ``_EPS``, 0 without a spec, else the
+    estimator's, all such queries priced in one
+    :func:`~oppload.delivery.delivery_probs` batch.
 
     Raises:
-        ValueError: the estimator is asked about a deadline that is not
-            finite.
+        ValueError: the estimator is asked about a deadline that is NaN or
+            +inf.
     """
     probs = [1.0 if size <= _EPS else 0.0 for _, size in queries]
     asked = [i for i, (spec, size) in enumerate(queries) if spec is not None and size > _EPS]
-    if deadline <= 0 or not asked:
-        return probs
-    if not math.isfinite(deadline):
-        raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
-    stacked = []
-    for i in asked:
-        spec, size = queries[i]
-        entry = spec.terms.entry(size, deadline)
-        if entry is None:
-            continue
-        transmission, kept, kernel = entry
-        budget = deadline - transmission
-        if budget <= 0:
-            continue
-        if kept is None:
-            probs[i] = kernel.prob(deadline)
-        else:
-            stacked.append((i, budget, kept))
-    _sum_stacked(probs, stacked, deadline)
+    for i, prob in zip(asked, delivery_probs([queries[i] for i in asked], deadline)):
+        probs[i] = prob
     return probs
 
 

@@ -81,9 +81,6 @@ class Network:
     def degree(self, node: int) -> int:
         return len(self._adjacency[node])
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return edge_key(a, b) in self.edges
-
     def edge_params(self, a: int, b: int) -> PairContactParams | None:
         return self.edges.get(edge_key(a, b))
 

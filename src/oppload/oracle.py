@@ -105,6 +105,8 @@ def brute_force_optimal(
         granularity = min(p.beta for p in network.edges.values()) / 2.0
 
     routes = _enumerate_routes(network, u, v, config.max_hops)
+    # one spec per route, so its memo serves every permutation and grid point
+    specs_of = {route: route_path(network, route) for route in routes}
     grid = [granularity * k for k in range(1, int(total / granularity) + 1)]
     grid = [g for g in grid if g < total - 1e-12]
 
@@ -125,7 +127,7 @@ def brute_force_optimal(
         for subset in itertools.permutations(routes, m):
             if not _edge_disjoint(subset):
                 continue
-            specs = [route_path(network, route) for route in subset]
+            specs = [specs_of[route] for route in subset]
             for head in itertools.product(grid, repeat=m - 1):
                 remainder = total - math.fsum(head)
                 if remainder <= 1e-12:
@@ -153,7 +155,7 @@ def brute_force_optimal(
         )
 
     allocations = tuple(
-        Allocation(route=route, path=route_path(network, route), assigned=size)
+        Allocation(route=route, path=specs_of[route], assigned=size)
         for route, size in zip(best, best_sizes)
     )
     direct_only = len(best) == 1 and best[0] == (u, v)

@@ -45,7 +45,9 @@ class TestGenerate:
         assert main(["generate", "--config", synth_config, "--out", str(out)]) == 0
         net = ol.load_network(out)
         assert net.node_count == 21
-        assert all(net.has_edge(n, net.infrastructure_id) for n in net.mobile_nodes())
+        assert all(
+            net.edge_params(n, net.infrastructure_id) is not None for n in net.mobile_nodes()
+        )
 
     def test_table_defaults_give_100_nodes(self, tmp_path):
         config = write_json(

@@ -10,8 +10,8 @@ from oppload.delivery import (
     _CHUNK,
     _MAX_KEPT,
     DEFAULT_TUPLE_CAP,
-    evaluate_kernels,
-    path_kernel,
+    _BlockTerms,
+    delivery_probs,
 )
 from oppload.errors import ComplexityError
 
@@ -287,6 +287,8 @@ def reference_path(hops, size, deadline):
 
 
 class TestPathKernel:
+    """A single query, priced from its path's terms, is the scalar sum."""
+
     def test_bit_identical_to_scalar_reference(self):
         rng = np.random.default_rng(53)
         for _ in range(150):
@@ -335,21 +337,22 @@ class TestPathKernel:
                     h, size, deadline
                 )
 
-    def test_cold_and_warm_cache_agree(self):
+    def test_one_spec_builds_one_entry_for_every_deadline(self):
         hops = (hop(lam=0.03, alpha=3.0), hop(lam=0.07, alpha=5.0, beta=1.5))
         deadlines = [120.0, 40.0, 600.0, 250.0, 40.0, 1e4]
         path = ol.PathSpec(hops)
-        cold = []
-        for deadline in deadlines:
-            path_kernel.cache_clear()
-            cold.append(ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, deadline)))
-        path_kernel.cache_clear()
         warm = [ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, d)) for d in deadlines]
+        entry = path.terms.memo[9.0]
         interleaved = [
             ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, d)) for d in reversed(deadlines)
         ]
-        assert cold == warm == interleaved[::-1]
-        assert path_kernel.cache_info().hits >= len(deadlines) * 2 - 1
+        # every deadline was answered from the one entry built for size 9
+        assert list(path.terms.memo) == [9.0] and path.terms.memo[9.0] is entry
+        fresh = [
+            ol.delivery_prob_path(ol.PathSpec(hops), ol.DeliveryQuery(9.0, d)) for d in deadlines
+        ]
+        assert fresh == warm == interleaved[::-1]
+        assert warm == [reference_path(hops, 9.0, d) for d in deadlines]
 
     def test_cap_holds_after_smaller_queries_are_cached(self):
         path = ol.PathSpec((hop(beta=1.0, rate=100.0), hop(beta=1.0, rate=100.0)))
@@ -362,6 +365,10 @@ class TestPathKernel:
         # a deadline below the transmission time answers 0 before the cap
         assert ol.delivery_prob_path(path, ol.DeliveryQuery(over, 20.0)) == 0.0
         assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0)) == small
+        # the failed build stored nothing, so the cap raises again
+        assert list(path.terms.memo) == [20.0]
+        with pytest.raises(ComplexityError):
+            ol.delivery_prob_path(path, ol.DeliveryQuery(over, 500.0))
 
     @pytest.mark.parametrize("size", [4.0, 30.0, 100.0])
     def test_failed_compile_raises_again(self, size):
@@ -388,18 +395,18 @@ class TestPathKernel:
         ],
     )
     def test_kept_arrays_are_bounded(self, hops, size):
-        path_kernel.cache_clear()
+        path = ol.PathSpec(hops)
         for deadline in (500.0, 5000.0):
             query = ol.DeliveryQuery(size, deadline)
-            assert ol.delivery_prob_path(ol.PathSpec(hops), query) == (
+            assert ol.delivery_prob_path(path, query) == (
                 reference_onehop(hops[0], size, deadline)
                 if len(hops) == 1
                 else reference_path(hops, size, deadline)
             )
-        kernel = path_kernel(hops, size)
-        assert kernel.tuples > _MAX_KEPT
-        assert kernel._kept is None
-        assert sum(len(v) for arrays in kernel._per_hop or () for v in arrays) <= 3 * _MAX_KEPT
+        assert math.prod(needed(size, h.beta) for h in hops) > _MAX_KEPT
+        (_, terms), = path.terms.memo.values()
+        assert isinstance(terms, _BlockTerms)
+        assert sum(len(v) for arrays in terms.per_hop or () for v in arrays) <= 3 * _MAX_KEPT
 
 
 def random_hop(rng):
@@ -412,10 +419,14 @@ def random_hop(rng):
 
 
 class TestEvaluateKernels:
-    """A batch answers each member exactly as the member asked alone."""
+    """:func:`delivery_probs` answers each member of a batch exactly as the
+    member asked alone."""
 
-    def check(self, members, deadline):
-        got = evaluate_kernels([path_kernel(hops, size) for hops, size in members], deadline)
+    def check(self, members, deadline, specs=None):
+        """Price ``members``, (hops, size) pairs, in one batch of ``specs``
+        (one fresh spec per member by default)."""
+        specs = specs or [ol.PathSpec(hops) for hops, _ in members]
+        got = delivery_probs([(spec, size) for spec, (_, size) in zip(specs, members)], deadline)
         for (hops, size), prob in zip(members, got):
             query = ol.DeliveryQuery(size, deadline)
             alone = (
@@ -436,8 +447,12 @@ class TestEvaluateKernels:
                 members.append((hops, float(10 ** rng.uniform(-1, 1.2))))
             if rng.random() < 0.3:
                 members.append(members[0])  # a repeated (hops, size) pair
+            # equal hops share one spec, so a batch also asks its memo again
+            shared = {hops: ol.PathSpec(hops) for hops, _ in members}
             try:
-                self.check(members, float(10 ** rng.uniform(0, 3.5)))
+                self.check(
+                    members, float(10 ** rng.uniform(0, 3.5)), [shared[h] for h, _ in members]
+                )
             except ComplexityError:
                 continue
 
@@ -462,24 +477,33 @@ class TestEvaluateKernels:
             ((certain_small,), 10.0),
             ((rare,), 6.0),
         ]
-        assert path_kernel(two, 9.0).tuples == 30
+        assert needed(9.0, two[0].beta) * needed(9.0, two[1].beta) == 30
+        specs = [ol.PathSpec(hops) for hops, _ in members]
         for deadline in (50.0, 500.0, 5000.0):
-            got = self.check(members, deadline)
+            got = self.check(members, deadline, specs)
             assert (got[4] == 0.0) == (deadline <= 500.0)
             assert got[2] == got[5]
-        kernel = path_kernel(two, 9.0)
-        assert kernel._kept is not None and "_per_hop" not in vars(kernel)
-        assert len(path_kernel((certain_small,), 10.0)._kept[0]) == 7
-        assert len(path_kernel((rare,), 6.0)._kept[0]) == 6
+
+        def kept(index):
+            """The kept terms member ``index``'s spec holds for its size."""
+            terms = specs[index].terms.memo[members[index][1]][1]
+            assert not isinstance(terms, _BlockTerms)
+            return terms
+
+        assert len(kept(3)[0]) <= 30
+        assert len(kept(7)[0]) == 7
+        assert len(kept(8)[0]) == 6
 
     def test_over_cap_member_raises(self):
-        path = (hop(beta=1.0, rate=100.0), hop(beta=1.0, rate=100.0))
+        path = ol.PathSpec((hop(beta=1.0, rate=100.0), hop(beta=1.0, rate=100.0)))
         over = float(math.isqrt(DEFAULT_TUPLE_CAP) + 1)
-        members = [path_kernel(path, 2.0), path_kernel(path, over)]
-        with pytest.raises(ComplexityError):
-            evaluate_kernels(members, 500.0)
+        members = [(path, 2.0), (path, over)]
+        for _ in range(2):
+            with pytest.raises(ComplexityError):
+                delivery_probs(members, 500.0)
         # below its transmission time the over-cap member answers 0 first
-        assert evaluate_kernels(members, 20.0)[1] == 0.0
+        assert delivery_probs(members, 20.0)[1] == 0.0
+        assert over not in path.terms.memo
 
     def test_kept_and_block_kernels_at_the_bound(self):
         # one hop and two hops with exactly _MAX_KEPT tuples (kept as Python
@@ -493,18 +517,22 @@ class TestEvaluateKernels:
             ((inner, inner), 16.0),
             ((wide, inner), float(_MAX_KEPT + 1)),
         ]
-        kernels = [path_kernel(hops, size) for hops, size in members]
-        assert [k.tuples for k in kernels] == [_MAX_KEPT, _MAX_KEPT + 1] * 2
+        assert [
+            math.prod(needed(size, h.beta) for h in hops) for hops, size in members
+        ] == [_MAX_KEPT, _MAX_KEPT + 1] * 2
+        specs = [ol.PathSpec(hops) for hops, _ in members]
+        queries = [(spec, size) for spec, (_, size) in zip(specs, members)]
         # at deadline size + 100 the one-hop Erlang CDF underflows to 0 from
-        # 245 contacts on, which ends the kept kernel's sum
+        # 245 contacts on, which ends the kept terms' sum
         assert reg_lower_incomplete_gamma(245, one.contact_rate * 100.0) == 0.0
         for deadline in (float(_MAX_KEPT + 100), 400.0, 2000.0, 6000.0):
-            got = evaluate_kernels(kernels, deadline)
+            got = delivery_probs(queries, deadline)
             assert got[:2] == [reference_onehop(one, size, deadline) for _, size in members[:2]]
             assert got[2:] == [reference_path(hops, size, deadline) for hops, size in members[2:]]
             assert 0.0 < got[0] < 1.0
-        assert [k._kept is not None for k in kernels] == [True, False] * 2
-        assert len(kernels[0]._kept[0]) == _MAX_KEPT
+        terms = [spec.terms.memo[size][1] for spec, size in queries]
+        assert [isinstance(t, _BlockTerms) for t in terms] == [False, True] * 2
+        assert len(terms[0][0]) == _MAX_KEPT
 
 
 class TestPathCapacity:

@@ -6,11 +6,12 @@ import pytest
 
 import oppload as ol
 from oppload import distributed, simulator
-from oppload.delivery import _CEIL_GUARD, _MAX_KEPT, DEFAULT_TUPLE_CAP, path_kernel
+from oppload.delivery import _CEIL_GUARD, _MAX_KEPT, DEFAULT_TUPLE_CAP
 from oppload.distributed import NodeState, realtime_adjustment
 from oppload.errors import ComplexityError, ProtocolError, TransferContractError
 
 from conftest import criterion_7_network
+from test_delivery import needed, reference_path
 
 
 def params(lam=0.1, alpha=3.0, beta=5.0, rate=100.0):
@@ -500,19 +501,9 @@ class TestAdjustmentEquivalence:
         assert compared > 200 and 20 < moved < compared
 
 
-def kernel_prob(hops, size, deadline):
-    """The path kernel's answer, or the type and text of what it raised."""
-    try:
-        return path_kernel(hops, size).prob(deadline)
-    except (ComplexityError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def route_prob_or_error(spec, size, deadline):
-    try:
-        return route_prob(spec, size, deadline)
-    except (ComplexityError, ValueError) as exc:
-        return type(exc), str(exc)
+def transmission(spec, size):
+    """The serial transmission time ``T'`` of ``size`` over ``spec``."""
+    return sum(size / hop.rate for hop in spec.hops)
 
 
 def sizes_to_check(spec, rng):
@@ -529,18 +520,18 @@ def sizes_to_check(spec, rng):
             math.nextafter(guarded, math.inf),
         ]
     sizes += (10 ** rng.uniform(-1.5, 1.6, size=12)).tolist()
-    # just over _MAX_KEPT tuples: the kernel builds its terms in blocks
+    # just over _MAX_KEPT tuples: the terms are built in blocks
     size = min(hop.beta for hop in spec.hops)
-    while path_kernel(spec.hops, size).tuples <= _MAX_KEPT:
+    while math.prod(needed(size, hop.beta) for hop in spec.hops) <= _MAX_KEPT:
         size *= 1.25
     return sizes + [size]
 
 
 class TestRoutePricer:
     """The protocol prices a (route, size) from the route's terms exactly
-    as the path kernel of the route's hops and that size does."""
+    as the scalar reference sums the route's hops at that size."""
 
-    def test_bit_identical_to_the_path_kernel_on_every_criterion_7_route(self):
+    def test_bit_identical_to_the_scalar_reference_on_every_criterion_7_route(self):
         specs = [
             spec
             for routes in simulator._Context(criterion_7_network()).routes.values()
@@ -556,16 +547,15 @@ class TestRoutePricer:
             # the memo answers repeats: every deadline asks every size again
             for budget in [0.0, -1e-9, *(10 ** rng.uniform(0, 3.5, size=3)).tolist()]:
                 for size in sizes:
-                    deadline = path_kernel(spec.hops, size).transmission + budget
-                    want = kernel_prob(spec.hops, size, deadline)
-                    assert route_prob_or_error(spec, size, deadline) == want
+                    deadline = transmission(spec, size) + budget
+                    want = reference_path(spec.hops, size, deadline)
+                    assert route_prob(spec, size, deadline) == want
                     if budget <= 0:
                         assert want == 0.0
             # one batch prices every size as each size alone
             deadline = float(rng.uniform(50.0, 3000.0))
-            want = [kernel_prob(spec.hops, size, deadline) for size in sizes]
-            if not any(isinstance(p, tuple) for p in want):
-                assert distributed._route_probs([(spec, s) for s in sizes], deadline) == want
+            want = [reference_path(spec.hops, size, deadline) for size in sizes]
+            assert distributed._route_probs([(spec, s) for s in sizes], deadline) == want
             # one ulp over a one-hop route's beta the ceiling guard keeps
             # one contact, which carries the item with probability below 1
             size = math.nextafter(spec.hops[0].beta, math.inf)
@@ -584,12 +574,13 @@ class TestRoutePricer:
             if len(spec.hops) == 2
         ][:20]:
             size = 2.0 * math.isqrt(DEFAULT_TUPLE_CAP) * max(hop.beta for hop in spec.hops)
-            kernel = path_kernel(spec.hops, size)
-            assert kernel.tuples > DEFAULT_TUPLE_CAP
-            transmission = kernel.transmission
-            assert route_prob(spec, size, transmission) == 0.0
-            assert route_prob(spec, size, math.nextafter(transmission, 0.0)) == 0.0
-            for deadline in (math.nextafter(transmission, math.inf), transmission + 100.0):
-                want = kernel_prob(spec.hops, size, deadline)
-                assert want[0] is ComplexityError
-                assert route_prob_or_error(spec, size, deadline) == want
+            assert math.prod(needed(size, hop.beta) for hop in spec.hops) > DEFAULT_TUPLE_CAP
+            t_prime = transmission(spec, size)
+            assert route_prob(spec, size, t_prime) == 0.0
+            assert route_prob(spec, size, math.nextafter(t_prime, 0.0)) == 0.0
+            for deadline in (math.nextafter(t_prime, math.inf), t_prime + 100.0):
+                # a failed build stores nothing, so every query raises
+                for _ in range(2):
+                    with pytest.raises(ComplexityError):
+                        route_prob(spec, size, deadline)
+            assert size not in spec.terms.memo

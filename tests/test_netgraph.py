@@ -52,7 +52,7 @@ class TestGenerateSynthetic:
         net = ol.generate_synthetic(table_config(seed=2))
         infra = net.infrastructure_id
         for node in net.mobile_nodes():
-            assert net.has_edge(node, infra)
+            assert net.edge_params(node, infra) is not None
 
     def test_parameters_inside_ranges(self):
         cfg = table_config(seed=3)
