@@ -119,9 +119,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         individual = delivery_prob_onehop(
             direct, DeliveryQuery(data_size=args.size, deadline=args.deadline)
         )
-    cooperative = max(plan.joint_probability, individual)
     print(f"individual {individual:.6f}")
-    print(f"cooperative {cooperative:.6f}")
+    print(f"cooperative {plan.joint_probability:.6f}")
     if args.out:
         Path(args.out).write_text(
             json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"

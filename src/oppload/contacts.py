@@ -67,13 +67,6 @@ class PairContactParams:
                 f"contact_rate must lie within about 1e-154..1e154, "
                 f"got {self.contact_rate!r}"
             )
-        # computed once: the value the dataclass would compute on each call
-        object.__setattr__(
-            self, "_hash", hash((self.contact_rate, self.alpha, self.beta, self.rate))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def fit_exponential(inter_contact_samples: Sequence[float]) -> float:

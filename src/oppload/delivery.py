@@ -17,27 +17,9 @@ build on each other:
   the path within the deadline, summing over the number of contacts each
   hop needs.
 
-Every delivery probability is priced from the path's :class:`RouteTerms`
-(``PathSpec.terms``) by one routine, :func:`delivery_probs`, which
-:func:`delivery_prob_path`, :func:`delivery_prob_onehop` and the
-distributed protocol's batches all call.  A route keeps, once for all
-sizes, its hops' contact rates and, per contact-count ``limits``, the gamma
-shape and rate of every tuple (:func:`_tuple_gammas`), which do not depend
-on the size.  For each size asked since its memo was last cleared it keeps
-``T'`` and that size's terms, so a query is a ``gammainc`` evaluation of
-them at the deadline's time budget.  A tuple space of at most ``_MAX_KEPT``
-tuples, one hop or several, keeps its nonzero terms as three arrays of
-doubles (:func:`_kept_terms`), and a batch prices all such terms with one
-array ``gammainc`` call (:func:`_sum_stacked`).  A larger space keeps at
-most three arrays of ``_MAX_KEPT`` floats (the per-hop vectors of several
-hops, or nothing) and builds its terms again, in blocks, on each query
-(:class:`_BlockTerms`).  A memo entry thus holds at most three arrays of
-``_MAX_KEPT`` doubles, about 6.3 kB, and the memo lives as long as its
-spec: one plan of the heuristic, one route of ``validate``, one task of
-the distributed protocol (the simulator clears it when a task starts).
-Every price is bit-identical to summing the formula tuple by tuple: the
-terms visit tuples in ``itertools.product`` order, form weights and the
-moments ``M``, ``V`` hop by hop, and sum left to right.
+Every delivery probability is priced by one routine, :func:`delivery_probs`,
+from the terms each path keeps; :class:`RouteTerms` (``PathSpec.terms``)
+says which terms a path keeps, and for how long.
 """
 
 from __future__ import annotations
@@ -177,6 +159,8 @@ def availability(path: PathSpec, deadline: float) -> float:
     return reg_lower_incomplete_gamma(approx.gamma_shape, approx.delta_rate * deadline)
 
 
+# Every size and route of a hop asks again for the same (count, alpha)
+# pairs, so nearly every call hits.
 @functools.lru_cache(maxsize=65536)
 def _mean_max_ratio_cached(contact_count: int, alpha: float) -> float:
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
@@ -265,19 +249,22 @@ def _limits(hops: Sequence[PairContactParams], data_size: float) -> tuple[int, .
     return tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
 
 
-def _tuple_gammas(lambdas: Sequence[float], limits: tuple[int, ...]) -> tuple[array, array]:
+def _tuple_gammas(
+    hops: Sequence[PairContactParams], limits: tuple[int, ...]
+) -> tuple[array, array]:
     """The gamma shape and rate of every contact-count tuple, in
-    ``itertools.product`` order; they depend on the counts and the contact
-    rates only, not on the data size.
+    ``itertools.product`` order; they depend on the counts and the hops'
+    contact rates only, not on the data size.
 
     One hop takes the Erlang CDF's shape ``n`` and rate ``lambda``.  Several
     hops take the moment-matched gamma of :func:`gamma_approx`, with ``M``
     and ``V`` summed hop by hop from 0.0.
     """
     if len(limits) == 1:
-        return array("d", range(1, limits[0] + 1)), array("d", lambdas) * limits[0]
+        return array("d", range(1, limits[0] + 1)), array("d", [hops[0].contact_rate]) * limits[0]
     means = variances = [0.0]
-    for lam, limit in zip(lambdas, limits):
+    for hop, limit in zip(hops, limits):
+        lam = hop.contact_rate
         counts = range(1, limit + 1)
         means = [mean + n / lam for mean in means for n in counts]
         variances = [var + n / (lam * lam) for var in variances for n in counts]
@@ -478,20 +465,37 @@ def _sum_stacked(
 class RouteTerms:
     """The size-free parts of one path's estimator, and its terms per size.
 
-    Kept once for all sizes: the :func:`_tuple_gammas` of every
-    contact-count ``limits`` the path has met.  Kept in ``memo``, for each
-    size asked since the memo was last cleared: ``T'`` and that size's
-    terms, either the :func:`_kept_terms` of a space of at most
-    ``_MAX_KEPT`` tuples or the :class:`_BlockTerms` of a larger one.  The
-    entry's layout is private to this module; :func:`delivery_probs` reads
-    it.
+    Kept in ``gammas``, once for all sizes: the :func:`_tuple_gammas` of
+    every contact-count ``limits`` the path has met, the gamma shape and
+    rate of each tuple.  A distributed route lives for a whole
+    :func:`~oppload.simulator.simulate_strategy` call and meets few
+    distinct ``limits``, so nearly every lookup there hits.
+
+    Kept in ``memo``, for each size asked since the memo was last cleared:
+    ``T'`` and that size's terms, so a query is a ``gammainc`` evaluation of
+    them at the deadline's time budget.  A tuple space of at most
+    ``_MAX_KEPT`` tuples, one hop or several, keeps its nonzero terms as
+    three arrays of doubles (:func:`_kept_terms`), and
+    :func:`delivery_probs` prices all such terms of a batch with one array
+    ``gammainc`` call (:func:`_sum_stacked`).  A larger space keeps a
+    :class:`_BlockTerms`: at most three arrays of ``_MAX_KEPT`` floats (the
+    per-hop vectors of several hops, or nothing), from which each query
+    builds its terms again, in blocks.  An entry thus holds at most three
+    arrays of ``_MAX_KEPT`` doubles, about 6.3 kB.  The entry's layout is
+    private to this module.
+
+    The memo lives as long as its spec: one plan of the heuristic, one
+    route of ``validate``, one task of the distributed protocol (the
+    simulator clears it when a task starts).  Every price is bit-identical
+    to summing the formula tuple by tuple: the terms visit tuples in
+    ``itertools.product`` order, form weights and the moments ``M``, ``V``
+    hop by hop, and sum left to right.
     """
 
-    __slots__ = ("hops", "lambdas", "gammas", "memo")
+    __slots__ = ("hops", "gammas", "memo")
 
     def __init__(self, hops: tuple[PairContactParams, ...]) -> None:
         self.hops = hops
-        self.lambdas = [hop.contact_rate for hop in hops]
         self.gammas: dict[tuple[int, ...], tuple[array, array]] = {}
         self.memo: dict[float, tuple] = {}
 
@@ -525,7 +529,7 @@ class RouteTerms:
         else:
             gammas = self.gammas.get(limits)
             if gammas is None:
-                gammas = self.gammas[limits] = _tuple_gammas(self.lambdas, limits)
+                gammas = self.gammas[limits] = _tuple_gammas(hops, limits)
             terms = _kept_terms(hops, data_size, limits, gammas)
         entry = self.memo[data_size] = (transmission, terms)
         return entry
@@ -540,9 +544,8 @@ def delivery_probs(queries: Sequence[tuple[PathSpec, float]], deadline: float) -
     hop uses shape ``n`` and rate ``lambda`` (the Erlang CDF), several hops
     the moment-matched gamma of :func:`gamma_approx`.  A query whose
     deadline does not cover its ``T'`` answers 0, as does every query at a
-    deadline of at most 0.  The kept terms of the batch are priced together
-    by :func:`_sum_stacked`; larger spaces one by one, in blocks.  Every
-    answer is the path's tuple-by-tuple sum, whatever the batch.
+    deadline of at most 0.  Every answer is the path's tuple-by-tuple sum,
+    whatever the batch.
 
     Raises:
         ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``

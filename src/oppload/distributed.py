@@ -14,11 +14,8 @@ actually moved (assignment update).  A node never sends task data back to
 the node it received it from, nor to the task source.  Handing data to the
 destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
-priced through :func:`_route_probs`, in batches, by
-:func:`~oppload.delivery.delivery_probs` from the terms each route's spec
-holds: the gamma shapes and rates of each contact-count tuple, kept for
-all sizes, and each size's terms, memoized until the simulator starts the
-next task.  A repeated query costs one dictionary lookup.
+priced in batches by :func:`~oppload.delivery.delivery_probs`, from the
+terms each route's spec keeps (see :class:`~oppload.delivery.RouteTerms`).
 """
 
 from __future__ import annotations

@@ -267,8 +267,8 @@ def ingest_trace(
 
     Raises:
         IngestionError: empty input or no pair survives fitting.
-        ValueError: ``warmup_fraction`` outside (0, 1), or ``rate`` not
-            finite and > 0.
+        ValueError: ``warmup_fraction`` outside (0, 1), ``rate`` not
+            finite and > 0, or ``min_contacts`` below 1.
     """
     if not records:
         raise IngestionError("empty trace")
@@ -276,6 +276,8 @@ def ingest_trace(
         raise ValueError(f"warmup_fraction must be in (0, 1), got {warmup_fraction!r}")
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and > 0, got {rate!r}")
+    if min_contacts < 1:
+        raise ValueError(f"min_contacts must be >= 1, got {min_contacts!r}")
 
     starts = np.array([r.t_start for r in records], dtype=float)
     cut = float(np.quantile(starts, warmup_fraction))

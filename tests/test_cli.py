@@ -176,6 +176,29 @@ class TestEstimateAndPlan:
         assert err.startswith("error[VALIDATION]") and "contact_rate" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("offloads", [True, False])
+    def test_estimate_writes_the_plan_and_prints_its_probability(
+        self, tmp_path, capsys, offloads
+    ):
+        from oppload.netgraph import Network, edge_key
+
+        net = build_two_path_network(with_direct=True)
+        if not offloads:
+            # only the direct edge: the plan keeps the item on it
+            net = Network(2, 1, {edge_key(0, 1): net.edge_params(0, net.infrastructure_id)})
+        net_path = tmp_path / "net.json"
+        save_network(net, net_path)
+        est, plan = tmp_path / "est.json", tmp_path / "plan.json"
+        query = ["--network", str(net_path), "--source", "0",
+                 "--size", str(TWO_PATH_SIZE), "--deadline", str(TWO_PATH_DEADLINE)]
+        assert main(["estimate", *query, "--out", str(est)]) == 0
+        cooperative = capsys.readouterr().out.splitlines()[1]
+        assert main(["plan", *query, "--out", str(plan)]) == 0
+        assert est.read_bytes() == plan.read_bytes()
+        written = json.loads(plan.read_text())
+        assert written["offloaded"] is offloads
+        assert cooperative == f"cooperative {written['probability']:.6f}"
+
     def test_plan_writes_json(self, tmp_path, capsys):
         net_path = tmp_path / "fig.json"
         save_network(build_two_path_network(), net_path)
@@ -364,6 +387,17 @@ class TestSimulateFromTrace:
         assert main(["simulate", "--config", self._config(tmp_path, trace)]) == 0
         assert len(open(tmp_path / "s.csv").read().strip().splitlines()) == 3
 
+    def test_trace_min_contacts_below_one_is_a_validation_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        trace = {"file": write_star_trace(tmp_path / "t.csv"), "rate": 50.0, "min_contacts": 0}
+        ran = []
+        monkeypatch.setattr("oppload.cli.simulate_strategy", lambda *args: ran.append(args))
+        assert main(["simulate", "--config", self._config(tmp_path, trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[VALIDATION]") and "min_contacts" in err
+        assert ran == []
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -411,6 +445,19 @@ class TestFit:
         assert main(["fit", "--trace", trace, f"--rate={rate}", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error[VALIDATION]" in err and "rate must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("min_contacts", ["0", "-1"])
+    def test_min_contacts_below_one_is_a_validation_error(self, tmp_path, capsys, min_contacts):
+        trace = write_star_trace(tmp_path / "trace.csv")
+        out = tmp_path / "net.json"
+        code = main(
+            ["fit", "--trace", trace, "--rate", "50", f"--min-contacts={min_contacts}",
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[VALIDATION]") and "min_contacts" in err
         assert not out.exists()
 
 

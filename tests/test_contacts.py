@@ -19,9 +19,9 @@ class TestPairContactParams:
     def test_extreme_contact_rates_within_range_are_kept(self, lam):
         assert ol.PairContactParams(lam, 3.0, 2.0, 1.0).contact_rate == lam
 
-    def test_cached_hash_is_the_field_tuple_hash(self):
-        # the hash is computed once, and is the value a dataclass computes
-        # from the four fields; equality still compares the fields
+    def test_hash_is_the_field_tuple_hash(self):
+        # the hash is the value a dataclass computes from the four fields;
+        # equality compares the fields
         fields = (0.1, 3.0, 2.5, 1.0)
         hop = ol.PairContactParams(*fields)
         assert hash(hop) == hash(fields)

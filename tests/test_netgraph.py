@@ -145,6 +145,14 @@ class TestIngestTrace:
         with pytest.raises(IngestionError):
             ol.ingest_trace(records, 0.5, rate=1.0, min_contacts=5)
 
+    @pytest.mark.parametrize("min_contacts", [0, -3])
+    def test_min_contacts_below_one_is_rejected(self, min_contacts):
+        records = [
+            ol.TraceRecord(0, 1, float(t), float(t) + 1.0) for t in range(0, 400, 10)
+        ]
+        with pytest.raises(ValueError, match="min_contacts"):
+            ol.ingest_trace(records, 0.5, rate=1.0, min_contacts=min_contacts)
+
     def test_empty_trace(self):
         with pytest.raises(IngestionError):
             ol.ingest_trace([], 0.5, rate=1.0)
