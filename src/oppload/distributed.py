@@ -16,6 +16,10 @@ destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
 priced in batches by :func:`~oppload.delivery.delivery_probs`, from the
 terms each route's spec keeps (see :class:`~oppload.delivery.RouteTerms`).
+A contact that provably cannot move data skips the peer's batch: a segment
+that is already certain cannot gain on a peer route that carries nothing,
+because such a route prices at exactly 1 before and at most 1 after (see
+:func:`realtime_adjustment`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .delivery import PathSpec, availability, delivery_probs, path_capacity
 from .errors import ProtocolError, TransferContractError
@@ -61,6 +66,12 @@ class NodeState:
     assignment: dict[Route, float] = field(default_factory=dict)
     provenance: set[int] = field(default_factory=set)
 
+    @cached_property
+    def sorted_routes(self) -> tuple[Route, ...]:
+        """The routes in ascending order, sorted once: they stay fixed for
+        the task."""
+        return tuple(sorted(self.routes))
+
 
 @dataclass(frozen=True)
 class AdjustmentResult:
@@ -91,8 +102,10 @@ def _route_probs(
         ValueError: the estimator is asked about a deadline that is NaN or
             +inf.
     """
-    probs = [1.0 if size <= _EPS else 0.0 for _, size in queries]
     asked = [i for i, (spec, size) in enumerate(queries) if spec is not None and size > _EPS]
+    if len(asked) == len(queries):
+        return delivery_probs(queries, deadline)
+    probs = [1.0 if size <= _EPS else 0.0 for _, size in queries]
     for i, prob in zip(asked, delivery_probs([queries[i] for i in asked], deadline)):
         probs[i] = prob
     return probs
@@ -162,11 +175,16 @@ def realtime_adjustment(
     stops at the first non-improving move.  Probabilities are priced in
     batches: the holder's loaded segments together, then, for each offered
     segment, every peer path at its planned size and at that size plus the
-    segment's.  The improvement in log joint probability is 0 when nothing
-    moves; only when something does are both sides' log joints summed,
-    before and after.  Neither node's live state is modified: the
-    result carries the planned transfer and the peer's tentative
-    assignment including the planned placements.
+    segment's.  That second batch is skipped when it cannot find a move:
+    the offered segment is certain (``p_j + 1e-12 >= 1``) and every peer
+    path is empty.  An empty path prices at exactly 1 and any path at most
+    1, so no ratio could exceed ``p_j + 1e-12``: the decision is the same
+    on the computed floats, and only a peer path whose grown tuple space
+    is over the cap no longer raises ``ComplexityError``.  The improvement
+    in log joint probability is 0 when nothing moves; only when something
+    does are both sides' log joints summed, before and after.  Neither
+    node's live state is modified: the result carries the planned transfer
+    and the peer's tentative assignment including the planned placements.
 
     Raises:
         ProtocolError: the peer is the destination, the task source, or the
@@ -179,7 +197,7 @@ def realtime_adjustment(
     if peer.node_id in holder.provenance or holder.node_id in peer.provenance:
         raise ProtocolError("this pair already exchanged data for the task")
 
-    peer_routes = sorted(r for r in peer.routes if len(r) == 2 or r[1] != holder.node_id)
+    peer_routes = [r for r in peer.sorted_routes if len(r) == 2 or r[1] != holder.node_id]
     remaining = dict(holder.assignment)
     planned = dict(peer.assignment)
 
@@ -191,7 +209,7 @@ def realtime_adjustment(
     # every route starts at its owner and ends at the destination
     via_peer = (holder.node_id, peer.node_id, holder.destination)
     direct_tail = (peer.node_id, holder.destination)
-    if remaining.get(via_peer, 0.0) > _EPS and direct_tail in peer_routes:
+    if remaining.get(via_peer, 0.0) > _EPS and direct_tail in peer.routes:
         planned[direct_tail] = planned.get(direct_tail, 0.0) + remaining[via_peer]
         moved += remaining[via_peer]
         remaining[via_peer] = 0.0
@@ -202,9 +220,13 @@ def realtime_adjustment(
             zip(_route_probs([(spec(r), s) for r, s in loaded], t_remaining), loaded),
             key=lambda item: (item[0], item[1][0]),
         )
-        peer_specs = [spec(k) for k in peer_routes]
+        peer_specs = [peer.routes[k] for k in peer_routes]
         for j_prob, (j_route, j_size) in ranked:
             sizes = [planned.get(k, 0.0) for k in peer_routes]
+            # an empty peer route prices at exactly 1 and a grown one at
+            # most 1, so no ratio can beat a segment that is already certain
+            if j_prob + 1e-12 >= 1.0 and all(s <= _EPS for s in sizes):
+                break
             grown = [(k_spec, s + j_size) for k_spec, s in zip(peer_specs, sizes)]
             probs = _route_probs([*zip(peer_specs, sizes), *grown], t_remaining)
             best_route = None

@@ -136,6 +136,32 @@ class TestRealtimeAdjustment:
         assert result.receiver_assignment[(2, DEST)] == pytest.approx(4.0)
         assert result.improvement > 0
 
+    def test_a_certain_segment_is_not_priced_on_an_empty_peer(self):
+        # the peer's only route has a grown tuple space over the cap:
+        # ceil(12 / 0.01) = 1200 contacts on each of its two hops
+        tiny = params(lam=1.0, beta=0.01)
+        peer = node(2, neighbors={3: tiny}, second_hop={3: {DEST: tiny}})
+        spec = peer.routes[(2, 3, DEST)]
+        assert math.prod(needed(12.0, hop.beta) for hop in spec.hops) > DEFAULT_TUPLE_CAP
+        with pytest.raises(ComplexityError):
+            route_prob(spec, 12.0, 1000.0)
+
+        # a segment that is certain is never offered to a peer carrying
+        # nothing, so the peer route is not priced and nothing raises
+        holder = node(1, neighbors={DEST: params(lam=1.0, beta=100.0)}, carried=12.0,
+                      assignment={(1, DEST): 12.0})
+        assert route_prob(holder.routes[(1, DEST)], 12.0, 1000.0) == 1.0
+        result = realtime_adjustment(holder, peer, 1000.0)
+        assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
+        assert 12.0 not in spec.terms.memo
+
+        # an uncertain segment is offered, and the peer route raises as before
+        holder = node(1, neighbors={DEST: params(lam=0.001, beta=100.0)}, carried=12.0,
+                      assignment={(1, DEST): 12.0})
+        assert route_prob(holder.routes[(1, DEST)], 12.0, 1000.0) < 1.0
+        with pytest.raises(ComplexityError):
+            realtime_adjustment(holder, peer, 1000.0)
+
     def test_dedup_pair_is_rejected(self):
         holder = node(1, neighbors={2: params(), DEST: params()}, carried=1.0,
                       assignment={(1, DEST): 1.0})
@@ -422,13 +448,14 @@ def reference_strip(state, amount, deadline):
         amount -= take
 
 
-def random_neighbourhood(rng):
+def random_neighbourhood(rng, lam_exponents=(-3, -0.5)):
     """A holder (node 1) meeting a peer (node 2), both with two-hop tables
     over relays 3-7.  Hop parameters come from a small pool, so equal
-    probabilities, and the tie-breaks between them, are common."""
+    probabilities, and the tie-breaks between them, are common; contact
+    rates are ``10 ** uniform(*lam_exponents)``."""
     pool = [
         params(
-            lam=float(10 ** rng.uniform(-3, -0.5)),
+            lam=float(10 ** rng.uniform(*lam_exponents)),
             beta=float(rng.choice([2.0, 3.0, 5.0])),
             rate=float(rng.choice([1.0, 100.0])),
         )
@@ -452,13 +479,14 @@ def random_neighbourhood(rng):
     ]
 
 
-def load(state, rng):
-    """Give ``state`` a criterion assignment of a random total with some
+def load(state, rng, most=14.0, deadline=300.0):
+    """Give ``state`` a criterion assignment of a random total up to
+    ``most``, made for a random deadline up to ``deadline``, with some
     segments emptied, halved or shrunk below the protocol's epsilon, so
     segments of every size occur; False when the node has no path."""
-    total = float(rng.uniform(0.5, 14.0))
+    total = float(rng.uniform(0.5, most))
     try:
-        state.assignment = ol.criterion_assignment(state, total, float(rng.uniform(50.0, 300.0)))
+        state.assignment = ol.criterion_assignment(state, total, float(rng.uniform(50.0, deadline)))
     except ProtocolError:
         return False
     for route in list(state.assignment):
@@ -466,6 +494,26 @@ def load(state, rng):
             state.assignment[route] *= float(rng.choice([0.0, 0.5, 1e-10]))
     state.carried = math.fsum(state.assignment.values())
     return True
+
+
+def certain_offer_to_an_empty_peer(holder, peer, t_remaining):
+    """``(probability, size)`` of the holder's weakest loaded segment when
+    real-time adjustment may skip pricing the peer: that segment is certain,
+    and no peer route open to the holder's data carries more than the
+    protocol's epsilon, even after the segment through the peer moves;
+    None otherwise."""
+    eps = distributed._EPS
+    open_routes = [r for r in peer.routes if r[1] != holder.node_id]
+    loaded = [(r, s) for r, s in holder.assignment.items() if s > eps]
+    if not open_routes or not loaded:
+        return None
+    through_peer = holder.assignment.get((holder.node_id, peer.node_id, DEST), 0.0)
+    if through_peer > eps and (peer.node_id, DEST) in peer.routes:
+        return None
+    if any(peer.assignment.get(r, 0.0) > eps for r in open_routes):
+        return None
+    j_prob, _, j_size = min((route_prob(holder.routes[r], s, t_remaining), r, s) for r, s in loaded)
+    return (j_prob, j_size) if j_prob + 1e-12 >= 1.0 else None
 
 
 class TestAdjustmentEquivalence:
@@ -499,6 +547,54 @@ class TestAdjustmentEquivalence:
                     assert list(new.assignment.items()) == list(ref.assignment.items())
         # the draws exercise both outcomes of an adjustment
         assert compared > 200 and 20 < moved < compared
+
+    def test_long_budgets_skip_only_what_cannot_move(self, monkeypatch):
+        # long budgets and large totals, as at the long-haul deadline: the
+        # holder's weakest segment is often certain and the peer often empty
+        route_probs = distributed._route_probs
+        batches = []
+
+        def counted(queries, deadline):
+            batches.append(len(queries))
+            return route_probs(queries, deadline)
+
+        rng = np.random.default_rng(3000)
+        compared = moved = skipped = 0
+        for _ in range(400):
+            holder, peer = random_neighbourhood(rng, lam_exponents=(-1.5, -0.5))
+            if not load(holder, rng, most=120.0, deadline=3000.0):
+                continue
+            if rng.random() < 0.2:
+                load(peer, rng, most=120.0, deadline=3000.0)
+            t_remaining = float(rng.uniform(1000.0, 3000.0))
+            want = reference_adjustment(holder, peer, t_remaining)
+            batches.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(distributed, "_route_probs", counted)
+                got = realtime_adjustment(holder, peer, t_remaining)
+            assert got.planned == want[0]
+            assert list(got.receiver_assignment.items()) == list(want[1].items())
+            assert got.improvement == want[2]
+            compared += 1
+            moved += got.planned > 0
+
+            offer = certain_offer_to_an_empty_peer(holder, peer, t_remaining)
+            # only the holder's batch is priced exactly when the test fires
+            assert (offer is not None) == (len(batches) == 1 and batches[0] > 0)
+            if offer is None:
+                continue
+            skipped += 1
+            # pricing the peer routes anyway finds no move
+            j_prob, j_size = offer
+            for route, spec in peer.routes.items():
+                if route[1] == holder.node_id:
+                    continue
+                size = peer.assignment.get(route, 0.0)
+                assert route_prob(spec, size, t_remaining) == 1.0
+                assert route_prob(spec, size + j_size, t_remaining) <= j_prob + 1e-12
+        assert compared > 300 and 100 < moved < compared
+        # the no-move test fires in at least 5 % of the draws
+        assert skipped >= 0.05 * compared
 
 
 def transmission(spec, size):
