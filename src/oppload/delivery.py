@@ -62,8 +62,9 @@ _CEIL_GUARD = 1e-9
 
 # A memo entry keeps the terms of a tuple space of at most _MAX_KEPT tuples,
 # and no list or array longer than _MAX_KEPT, which bounds its memory.
-# Larger spaces build their terms again on every evaluation, about _CHUNK
-# tuples (whole rows of the last hop's counts) at a time.
+# Larger spaces build their terms again on every evaluation, in blocks of at
+# most _CHUNK tuples (prefix rows times the inner hops' counts; see
+# _BlockTerms).
 _MAX_KEPT = 256
 _CHUNK = 1 << 14
 
@@ -317,11 +318,19 @@ class _BlockTerms:
 
     It keeps the per-hop vectors of several hops (``per_hop``) when they
     hold at most ``_MAX_KEPT`` counts in all, and nothing otherwise; from
-    these every query builds the terms again in product order: ``_CHUNK``
-    tuples at a time for several hops, ``_MAX_KEPT`` contact counts at a
-    time for one hop, which ends at the first certain success.  The Erlang
-    CDF of one hop falls as ``n`` grows, so every term after its first zero
-    adds 0.
+    these every query builds the terms again in product order.  One hop
+    takes ``_MAX_KEPT`` contact counts at a time and ends at the first
+    certain success; its Erlang CDF falls as ``n`` grows, so every term
+    after its first zero adds 0.
+
+    Several hops split at the first hop ``s >= 1`` from which the remaining
+    hops' counts multiply to at most ``_CHUNK`` (the last hop when none
+    does).  A block is a run of prefix rows, each one count tuple of hops
+    ``0..s-1`` gathered from their vectors, times every count of the inner
+    hops ``s..k-1``, expanded hop by hop by outer products.  So a block
+    holds at most ``_CHUNK`` tuples, or one row of a last hop whose counts
+    alone exceed it.  Either way weights multiply and ``M``, ``V`` add hop
+    by hop in hop order, so block boundaries change no term.
     """
 
     __slots__ = ("hops", "data_size", "limits", "per_hop")
@@ -394,22 +403,28 @@ class _BlockTerms:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _expand(
-        self, per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]], start: int, stop: int
+        self,
+        per_hop: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        split: int,
+        start: int,
+        stop: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights, shapes and rates of the nonzero-weight tuples in rows
-        ``start..stop-1`` of the product order, a row being every count of
-        the last hop after one count tuple of the hops before it."""
-        *outer, (last_exact, last_mean, last_var) = per_hop
-        index = np.unravel_index(np.arange(start, stop), self.limits[:-1])
-        (exact, mean_step, var_step), *rest = outer
+        """Weights, shapes and rates of the nonzero-weight tuples in prefix
+        rows ``start..stop-1`` of the product order, a prefix row being one
+        count tuple of the hops before ``split``, followed by every count of
+        the hops from ``split`` on."""
+        prefix, inner = per_hop[:split], per_hop[split:]
+        index = np.unravel_index(np.arange(start, stop), self.limits[:split])
+        (exact, mean_step, var_step), *rest = prefix
         weight, mean, var = exact[index[0]], mean_step[index[0]], var_step[index[0]]
         for (exact, mean_step, var_step), i in zip(rest, index[1:]):
             weight = weight * exact[i]
             mean = mean + mean_step[i]
             var = var + var_step[i]
-        weight = np.multiply.outer(weight, last_exact).ravel()
-        mean = np.add.outer(mean, last_mean).ravel()
-        var = np.add.outer(var, last_var).ravel()
+        for exact, mean_step, var_step in inner:
+            weight = np.multiply.outer(weight, exact).ravel()
+            mean = np.add.outer(mean, mean_step).ravel()
+            var = np.add.outer(var, var_step).ravel()
         keep = weight != 0.0
         weight, mean, var = weight[keep], mean[keep], var[keep]
         shape, rate = mean * mean / var, mean / var
@@ -423,10 +438,15 @@ class _BlockTerms:
             yield from self._onehop_blocks()
         else:
             per_hop = self.per_hop or self._hop_vectors()
-            rows = math.prod(self.limits[:-1])
-            step = max(1, _CHUNK // self.limits[-1])
+            limits = self.limits
+            split = next(
+                (i for i in range(1, len(limits)) if math.prod(limits[i:]) <= _CHUNK),
+                len(limits) - 1,
+            )
+            rows = math.prod(limits[:split])
+            step = max(1, _CHUNK // math.prod(limits[split:]))
             for start in range(0, rows, step):
-                yield self._expand(per_hop, start, min(start + step, rows))
+                yield self._expand(per_hop, split, start, min(start + step, rows))
 
 
 def _sum_stacked(

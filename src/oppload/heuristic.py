@@ -221,6 +221,26 @@ def _alloc_prob(alloc: Allocation, deadline: float) -> float:
     return delivery_prob_path(alloc.path, query)
 
 
+class _Prices:
+    """:func:`_alloc_prob` at one plan's deadline, priced once for each
+    distinct (route, assigned size): within a plan a route names one path,
+    and growth and reallocation ask for the same pairs again and again.
+    Made afresh for each plan, so nothing outlives it."""
+
+    __slots__ = ("deadline", "memo")
+
+    def __init__(self, deadline: float) -> None:
+        self.deadline = deadline
+        self.memo: dict[tuple[tuple[int, ...], float], float] = {}
+
+    def __call__(self, alloc: Allocation) -> float:
+        key = (alloc.route, alloc.assigned)
+        prob = self.memo.get(key)
+        if prob is None:
+            prob = self.memo[key] = _alloc_prob(alloc, self.deadline)
+        return prob
+
+
 def _growth_step(alloc: Allocation) -> float:
     """Next data increment for a path, following its beta ladder.
 
@@ -234,10 +254,9 @@ def _growth_step(alloc: Allocation) -> float:
     return betas[0]
 
 
-def _grow_onto(
-    allocations: list[Allocation], pool: float, deadline: float
-) -> list[Allocation]:
-    """Distribute ``pool`` over ``allocations`` by the growth rule.
+def _grow_onto(allocations: list[Allocation], pool: float, price: _Prices) -> list[Allocation]:
+    """Distribute ``pool`` over ``allocations`` by the growth rule, with
+    ``price`` giving each allocation's delivery probability.
 
     The path with the highest delivery probability of its assigned data
     grows step by step while its probability stays at or above the
@@ -253,12 +272,12 @@ def _grow_onto(
         current[0] = replace(current[0], assigned=current[0].assigned + pool)
         pool = 0.0
     while pool > _SIZE_EPS:
-        probs = [_alloc_prob(a, deadline) for a in current]
+        probs = [price(a) for a in current]
         p = max(range(len(current)), key=lambda i: (probs[i], -i))
         q = max((i for i in range(len(current)) if i != p), key=lambda i: (probs[i], -i))
         stepped = False
         while pool > _SIZE_EPS:
-            if stepped and _alloc_prob(current[p], deadline) < probs[q]:
+            if stepped and price(current[p]) < probs[q]:
                 break
             step = min(_growth_step(current[p]), pool)
             current[p] = replace(current[p], assigned=current[p].assigned + step)
@@ -280,7 +299,7 @@ def assign_remaining(
     assigned = math.fsum(a.assigned for a in allocations)
     if assigned > total + _SIZE_EPS:
         raise ValueError(f"already assigned {assigned} exceeds total {total}")
-    return _grow_onto(list(allocations), total - assigned, deadline)
+    return _grow_onto(list(allocations), total - assigned, _Prices(deadline))
 
 
 def reallocate(allocations: Sequence[Allocation], deadline: float) -> list[Allocation]:
@@ -294,14 +313,19 @@ def reallocate(allocations: Sequence[Allocation], deadline: float) -> list[Alloc
     """
     if not allocations:
         raise ValueError("no allocations to reallocate")
-    current = list(allocations)
+    return _retire_weak(list(allocations), _Prices(deadline))
+
+
+def _retire_weak(current: list[Allocation], price: _Prices) -> list[Allocation]:
+    """:func:`reallocate`, with ``price`` giving each allocation's
+    delivery probability."""
     while len(current) > 1:
-        probs = [_alloc_prob(a, deadline) for a in current]
+        probs = [price(a) for a in current]
         j = min(range(len(current)), key=lambda i: (probs[i], i))
         rest = [a for i, a in enumerate(current) if i != j]
-        candidate = _grow_onto(rest, current[j].assigned, deadline)
+        candidate = _grow_onto(rest, current[j].assigned, price)
         before = math.prod(probs)
-        after = math.prod(_alloc_prob(a, deadline) for a in candidate)
+        after = math.prod(map(price, candidate))
         if before < after:
             current = candidate
         else:
@@ -337,9 +361,11 @@ def plan_offload(network: Network, u: int, total: float, deadline: float) -> Off
     if direct is None and not allocations:
         raise PlanningError(f"node {u} has no path of any kind to infrastructure")
     if allocations:
-        allocations = assign_remaining(allocations, total, deadline)
-        allocations = reallocate(allocations, deadline)
-        joint = math.prod(_alloc_prob(a, deadline) for a in allocations)
+        # one pricer for the growth, the reallocation and the joint product
+        price = _Prices(deadline)
+        pool = total - math.fsum(a.assigned for a in allocations)
+        allocations = _retire_weak(_grow_onto(allocations, pool, price), price)
+        joint = math.prod(map(price, allocations))
         if joint > direct_prob:
             return OffloadPlan(
                 allocations=tuple(allocations),

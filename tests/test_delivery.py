@@ -322,6 +322,39 @@ class TestPathKernel:
                 assert got == reference_path(hops, size, deadline)
                 assert 0.0 < got < 1.0
 
+    @pytest.mark.parametrize(
+        "hops, deadlines, blocks",
+        [
+            # 2**10 tuples: the first hop's two prefix rows, one block
+            (
+                tuple(hop(lam=0.05 + 0.01 * i, alpha=1.5 + i % 3, beta=1.0) for i in range(10)),
+                (300.0, 3000.0),
+                [1024],
+            ),
+            # 2**16 tuples: prefix rows of two hops, 14 hops expanded, four blocks
+            (
+                tuple(hop(lam=0.08 + 0.005 * i, alpha=1.5 + i % 4, beta=1.0) for i in range(16)),
+                (300.0,),
+                [_CHUNK] * 4,
+            ),
+            # the last hop's 20,000 counts alone exceed _CHUNK: a block per row
+            (
+                (hop(lam=0.05, beta=1.0), hop(lam=20.0, beta=1e-4, rate=1000.0)),
+                (600.0, 3000.0),
+                [20000, 20000],
+            ),
+        ],
+        ids=["one-block", "split-in-the-middle", "wide-last-hop"],
+    )
+    def test_many_hop_block_layouts_match_the_reference(self, hops, deadlines, blocks):
+        path = ol.PathSpec(hops)
+        for deadline in deadlines:
+            got = ol.delivery_prob_path(path, ol.DeliveryQuery(2.0, deadline))
+            assert got == reference_path(hops, 2.0, deadline)
+            assert 0.0 < got < 1.0
+        (_, terms), = path.terms.memo.values()
+        assert [len(weights) for weights, _, _ in terms._blocks()] == blocks
+
     def test_one_hop_certain_success_ends_the_sum(self):
         # small shapes make the transfer probability round to 1 well before
         # ceil(D / beta) contacts: at 21 of 30, 70 of 100 and 424 of 800

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import oppload as ol
-from oppload.errors import PlanningError
+from oppload import delivery
+from oppload.errors import ComplexityError, PlanningError
 from oppload.heuristic import _alloc_prob, _settle, route_path
 from oppload.netgraph import Network, edge_key
 
@@ -316,3 +317,104 @@ class TestPlanOffload:
         assert payload["offloaded"] is True
         assert payload["probability"] == pytest.approx(plan.joint_probability)
         assert sorted(p["route"] for p in payload["allocations"]) == [[0, 1, 3], [0, 2, 3]]
+
+
+# The longhaul panel's plans at deadline 3000 (sources other than 2 and 47,
+# every fifth of the mobile nodes; sizes 60 and 120): (source, size) ->
+# (routes, repr of the assigned sizes, repr of the joint probability).
+LONGHAUL_PLANS = {
+    (0, 60.0): ([], "()", "0.9022167748005154"),
+    (6, 60.0): ([], "()", "0.8848030114028639"),
+    (11, 60.0): ([], "()", "0.885555179903415"),
+    (16, 60.0): ([], "()", "0.8679325379750853"),
+    (21, 60.0): ([], "()", "0.8948349477667368"),
+    (26, 60.0): ([], "()", "0.9096162349483802"),
+    (31, 60.0): ([], "()", "0.882524236499567"),
+    (36, 60.0): ([], "()", "0.9044112240212316"),
+    (41, 60.0): ([], "()", "0.8652665415081915"),
+    (46, 60.0): (
+        [(46, 1, 50), (46, 6, 50), (46, 8, 50), (46, 18, 50), (46, 33, 23, 50),
+         (46, 34, 10, 50), (46, 50)],
+        "(9.836938798780025, 11.13286687090119, 4.68928784313832, 18.816042338734782, "
+        "5.121595607334634, 5.448867274545198, 4.954401266565849)",
+        "0.5454958157654956",
+    ),
+    (0, 120.0): ([], "()", "0.8614015955755328"),
+    (6, 120.0): ([], "()", "0.8733714908188615"),
+    (11, 120.0): (
+        [(11, 32, 50), (11, 48, 50), (11, 50)],
+        "(16.01961171219108, 34.14745866630226, 69.83292962150668)",
+        "0.6646609413513369",
+    ),
+    (16, 120.0): ([], "()", "0.23678931351910076"),
+    (21, 120.0): ([], "()", "0.86812662734927"),
+    (26, 120.0): ([], "()", "0.6273301129696618"),
+    (31, 120.0): ([], "()", "0.5082411258363397"),
+    (36, 120.0): ([], "()", "0.8452838963706191"),
+    (41, 120.0): ([], "()", "0.28543988355815386"),
+    (46, 120.0): (
+        [(46, 1, 50), (46, 6, 50), (46, 8, 50), (46, 18, 50), (46, 2, 0, 50),
+         (46, 31, 3, 50), (46, 33, 23, 50), (46, 34, 10, 50), (46, 50)],
+        "(23.989259506964046, 23.854394989660605, 4.68928784313832, 26.728869279421932, "
+        "10.935616738592252, 5.866849151589754, 13.532453949522045, 5.448867274545198, "
+        "4.954401266565849)",
+        "0.2900627713932261",
+    ),
+}
+
+
+class TestLonghaulPlans:
+    """The planner at deadline 3000 on the criterion-7 network, where routes
+    run to 22 hops and tuple spaces to 10**6."""
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return criterion_7_network()
+
+    def test_panel_plans_are_pinned(self, network):
+        mobile = [n for n in range(network.node_count) if n != network.infrastructure_id]
+        panel = [n for n in mobile if n not in (2, 47)][::5]
+        assert sorted({source for source, _ in LONGHAUL_PLANS}) == panel
+        for (source, size), (routes, assigned, joint) in LONGHAUL_PLANS.items():
+            plan = ol.plan_offload(network, source, size, 3000.0)
+            assert plan.offloaded == bool(routes)
+            assert [a.route for a in plan.allocations] == routes
+            assert repr(tuple(a.assigned for a in plan.allocations)) == assigned
+            assert repr(plan.joint_probability) == joint
+
+    def test_source_47_still_reaches_the_cap(self, network):
+        with pytest.raises(ComplexityError, match="enumerating 1048576 contact tuples"):
+            ol.plan_offload(network, 47, 120.0, 3000.0)
+
+
+class TestPricesOncePerPlan:
+    @pytest.mark.parametrize("task", ["two-path", "longhaul-11"])
+    def test_each_route_and_size_reaches_the_estimator_once(
+        self, monkeypatch, two_path_network, task
+    ):
+        if task == "two-path":
+            network, source, size, deadline = (
+                two_path_network, 0, TWO_PATH_SIZE, TWO_PATH_DEADLINE
+            )
+        else:
+            network, source, size, deadline = criterion_7_network(), 11, 120.0, 3000.0
+        asked = []
+        price = delivery.delivery_probs
+
+        def counted(queries, due):
+            # a plan builds one path per route; holding each keeps ids apart
+            asked.extend(queries)
+            return price(queries, due)
+
+        monkeypatch.setattr(delivery, "delivery_probs", counted)
+        counts = []
+        for _ in range(2):
+            plan = ol.plan_offload(network, source, size, deadline)
+            assert plan.offloaded
+            pairs = [(id(path), assigned) for path, assigned in asked]
+            assert {id(a.path) for a in plan.allocations} <= {key for key, _ in pairs}
+            assert len(pairs) == len(set(pairs))
+            counts.append(len(pairs))
+            asked.clear()
+        # a second plan of the same task prices every pair again
+        assert counts[0] == counts[1] > len(plan.allocations)
