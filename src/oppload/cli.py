@@ -249,6 +249,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"strategies must be 'all' or a list of names from {list(STRATEGIES)}, "
             f"got {strategies!r}"
         )
+    if not strategies:
+        raise ConfigError("strategies must name at least one strategy, got []")
+    for i, strategy in enumerate(strategies):
+        if strategy in strategies[:i]:
+            raise ConfigError(f"strategies names {strategy!r} more than once")
     results_csv = _config_path(config, "results_csv", "config", "results.csv")
     summary_csv = _config_path(config, "summary_csv", "config", "summary.csv")
     network = _load_simulation_network(config)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush, heapreplace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -51,9 +51,6 @@ __all__ = [
     "write_summary_csv",
     "write_event_log_csv",
 ]
-
-STRATEGIES = ("individual", "heuristic", "distributed", "spread", "maxrate")
-
 
 @dataclass(frozen=True)
 class TransmissionTask:
@@ -155,8 +152,8 @@ def run_monte_carlo_delivery(
 
 
 class _EdgeContacts:
-    """One edge's contacts as two lists ordered by start; iterating yields
-    ``(start, duration)`` pairs and ``len`` counts the contacts."""
+    """One edge's contacts as two lists ordered by start; ``len`` counts the
+    contacts."""
 
     __slots__ = ("starts", "durations")
 
@@ -166,9 +163,6 @@ class _EdgeContacts:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return zip(self.starts, self.durations)
 
 
 class _ContactSampler:
@@ -199,7 +193,8 @@ def _drain_route(
         params = network.edge_params(a, b)
         remaining = size
         completed = None
-        for start, duration in sampler.events(edge_key(a, b)):
+        contacts = sampler.events(edge_key(a, b))
+        for start, duration in zip(contacts.starts, contacts.durations):
             if start < ready or start >= deadline:
                 continue
             # the contact carries data until it ends or the deadline passes
@@ -264,9 +259,6 @@ class _Context:
             # a route is kept when its last hop reaches infrastructure
             routes[node] = {r: route_path(network, r) for r in candidates if r[-2] in relays}
         return routes
-
-
-_Runner = Callable[[_Context, TransmissionTask, _ContactSampler], tuple[bool, bool, float | None]]
 
 
 def _run_individual(
@@ -531,13 +523,19 @@ def _run_maxrate(
     return _replay(context, task, sampler, _MaxRate(context, task))
 
 
-_RUNNERS: dict[str, _Runner] = {
+# The strategies, in the order "all" runs them.  The annotation stays an
+# unevaluated string: ``typing`` memoizes a ``Callable[...]`` built at import
+# under its argument classes, which would keep every earlier import alive.
+_RUNNERS: dict[
+    str, Callable[[_Context, TransmissionTask, _ContactSampler], tuple[bool, bool, float | None]]
+] = {
     "individual": _run_individual,
     "heuristic": _run_heuristic,
     "distributed": _run_distributed,
     "spread": _run_spread,
     "maxrate": _run_maxrate,
 }
+STRATEGIES = tuple(_RUNNERS)
 
 
 def simulate_strategy(

@@ -349,6 +349,28 @@ class TestSimulate:
         assert ran == []
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            ([], "at least one strategy"),
+            (["maxrate", "spread", "maxrate"], "'maxrate' more than once"),
+        ],
+        ids=["empty", "repeated"],
+    )
+    def test_strategies_name_each_strategy_once(
+        self, tmp_path, synth_config, capsys, strategies, message
+    ):
+        config = self._config(
+            tmp_path, synth_config, str(tmp_path / "r.csv"), str(tmp_path / "s.csv")
+        )
+        payload = json.loads(open(config).read())
+        payload["strategies"] = strategies
+        open(config, "w").write(json.dumps(payload))
+        assert main(["simulate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG]") and message in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 def write_star_trace(path):
     """A contact trace of three pairs around node 0, sampled with fixed seeds."""

@@ -286,7 +286,7 @@ def reference_path(hops, size, deadline):
     return min(max(total, 0.0), 1.0)
 
 
-class TestPathKernel:
+class TestRouteTerms:
     """A single query, priced from its path's terms, is the scalar sum."""
 
     def test_bit_identical_to_scalar_reference(self):
@@ -451,7 +451,7 @@ def random_hop(rng):
     )
 
 
-class TestEvaluateKernels:
+class TestDeliveryProbs:
     """:func:`delivery_probs` answers each member of a batch exactly as the
     member asked alone."""
 
@@ -538,7 +538,7 @@ class TestEvaluateKernels:
         assert delivery_probs(members, 20.0)[1] == 0.0
         assert over not in path.terms.memo
 
-    def test_kept_and_block_kernels_at_the_bound(self):
+    def test_kept_and_block_terms_at_the_bound(self):
         # one hop and two hops with exactly _MAX_KEPT tuples (kept as Python
         # floats) and _MAX_KEPT + 1 (built in blocks), in one batch
         one = hop(lam=0.05, alpha=2.0, beta=1.0)

@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from math import inf
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,6 +526,52 @@ def test_route_terms_live_for_one_task():
     assert min(held_during) > 0
 
 
+# Runs in a fresh interpreter, so the suite's own import of oppload is untouched.
+FRESH_IMPORT_PROBE = """
+import gc, sys, weakref
+
+def replay_once():
+    import oppload as ol
+    from oppload import delivery, simulator
+    net = ol.generate_synthetic(ol.SyntheticConfig(n=12, avg_degree=4, max_degree=6, seed=21))
+    tasks = [
+        ol.TransmissionTask(task_id=i, source=s, size=10.0, deadline=250.0)
+        for i, s in enumerate(net.mobile_nodes()[:4])
+    ]
+    for strategy in ol.STRATEGIES:
+        ol.simulate_strategy(net, tasks, strategy, seed=3)
+    return {
+        "delivery_prob_path": weakref.ref(delivery.delivery_prob_path),
+        "_mean_max_ratio_cached": weakref.ref(delivery._mean_max_ratio_cached),
+        "_ContactSampler": weakref.ref(simulator._ContactSampler),
+    }
+
+refs = replay_once()
+for name in [n for n in sys.modules if n == "oppload" or n.startswith("oppload.")]:
+    del sys.modules[name]
+import oppload
+gc.collect()
+print(sorted(name for name, ref in refs.items() if ref() is not None))
+"""
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    # nothing the package builds at import may keep an earlier import's
+    # functions, caches or classes alive once its modules are dropped
+    env = dict(os.environ)
+    src = str(Path(ol.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class StubSampler:
     """Hand-built contacts per edge, recording which edges were asked for."""
 
@@ -545,7 +595,7 @@ def merged_replay(network, task, sampler, strategy):
     merged = [
         (start, a, b, duration)
         for a, b in sorted(edges)
-        for start, duration in sampler.events((a, b))
+        for start, duration in zip(*attrgetter("starts", "durations")(sampler.events((a, b))))
     ]
     merged.sort(key=itemgetter(0))
     delivered = 0.0
