@@ -68,6 +68,13 @@ _CEIL_GUARD = 1e-9
 _MAX_KEPT = 256
 _CHUNK = 1 << 14
 
+# What RouteTerms.ceiling adds to a kept price.  As its argument grows,
+# gammainc falls by a few last bits near some arguments (up to 7.2e-15 on
+# criterion-7 shapes), which moves a price by far less than this.
+_PRICE_MARGIN = 1e-9
+# The kept price of a size that gets no ceiling: a deadline no query reaches.
+_NO_CEILING = (-math.inf, 1.0)
+
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -504,20 +511,68 @@ class RouteTerms:
     arrays of ``_MAX_KEPT`` doubles, about 6.3 kB.  The entry's layout is
     private to this module.
 
-    The memo lives as long as its spec: one plan of the heuristic, one
-    route of ``validate``, one task of the distributed protocol (the
-    simulator clears it when a task starts).  Every price is bit-identical
-    to summing the formula tuple by tuple: the terms visit tuples in
-    ``itertools.product`` order, form weights and the moments ``M``, ``V``
-    hop by hop, and sum left to right.
+    Kept in ``prices``, for each size :meth:`keep_price` was given a price
+    of: that price and the deadline it was taken at, when the size's kept
+    terms have no negative weight, else ``(-inf, 1.0)`` (checked once, at
+    the first price).  Such a price can only fall as the deadline falls, so
+    :meth:`ceiling` bounds the price at any shorter deadline without
+    pricing.  The distributed protocol is the one writer and the one reader
+    (see :func:`~oppload.distributed.realtime_adjustment`), so nothing else
+    does any work for them.
+
+    The memo and the prices live as long as their spec: one plan of the
+    heuristic, one route of ``validate``, one task of the distributed
+    protocol (the simulator clears both when a task starts).  Every price
+    is bit-identical to summing the formula tuple by tuple: the terms visit
+    tuples in ``itertools.product`` order, form weights and the moments
+    ``M``, ``V`` hop by hop, and sum left to right.
     """
 
-    __slots__ = ("hops", "gammas", "memo")
+    __slots__ = ("hops", "gammas", "memo", "prices")
 
     def __init__(self, hops: tuple[PairContactParams, ...]) -> None:
         self.hops = hops
         self.gammas: dict[tuple[int, ...], tuple[array, array]] = {}
         self.memo: dict[float, tuple] = {}
+        self.prices: dict[float, tuple[float, float]] = {}
+
+    def clear(self) -> None:
+        """Drop every size's terms and prices; the gammas stay."""
+        self.memo.clear()
+        self.prices.clear()
+
+    def ceiling(self, data_size: float, deadline: float) -> float:
+        """An upper bound on the price of ``data_size`` at ``deadline``:
+        ``min(1, p + 1e-9)`` when ``prices`` holds a price ``p`` of that
+        size taken at a deadline no shorter, else 1.
+
+        A kept price is a clamped, left-to-right sum of ``w * gammainc(a,
+        r * (d - T'))`` with every ``w >= 0``, and float differences,
+        products and sums are monotone, so the price can rise as ``d``
+        falls only by what ``gammainc`` falls as its argument grows: a few
+        last bits, which the margin covers.  The bound thus holds on the
+        computed floats as long as ``gammainc`` never falls by more.
+        """
+        then, price = self.prices.get(data_size, _NO_CEILING)
+        return min(1.0, price + _PRICE_MARGIN) if deadline <= then else 1.0
+
+    def keep_price(self, data_size: float, deadline: float, price: float) -> None:
+        """Keep ``price``, the price of ``data_size`` at ``deadline``, for
+        :meth:`ceiling`, unless that size is built in blocks or its kept
+        terms have a negative weight; nothing is kept for a size whose
+        terms are not built."""
+        kept = self.prices.get(data_size)
+        if kept is None:
+            entry = self.memo.get(data_size)
+            if entry is None:
+                return
+            terms = entry[1]
+            if isinstance(terms, _BlockTerms) or not min(terms[0], default=0.0) >= 0.0:
+                self.prices[data_size] = _NO_CEILING
+                return
+        elif kept is _NO_CEILING:
+            return
+        self.prices[data_size] = (deadline, price)
 
     def entry(self, data_size: float, deadline: float) -> tuple | None:
         """The memo entry ``(T', terms)`` of ``data_size``, built and stored

@@ -16,9 +16,13 @@ destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
 priced in batches by :func:`~oppload.delivery.delivery_probs`, from the
 terms each route's spec keeps (see :class:`~oppload.delivery.RouteTerms`).
-A contact that provably cannot move data skips the peer's batch: a segment
-that is already certain cannot gain on a peer route that carries nothing,
-because such a route prices at exactly 1 before and at most 1 after (see
+One no-move rule skips the peer's batch when earlier prices prove that an
+offer to a peer carrying nothing cannot win: such a route prices at exactly
+1 before, so it gains only if its grown price beats the segment's, and each
+route's ceiling (:meth:`~oppload.delivery.RouteTerms.ceiling`) bounds that
+price by one taken at a remaining time no shorter, plus a 1e-9 margin, or
+by 1.  The rule is exact as long as ``scipy.special.gammainc`` falls by no
+more than a few last bits as its argument grows (see
 :func:`realtime_adjustment`).
 """
 
@@ -175,16 +179,29 @@ def realtime_adjustment(
     stops at the first non-improving move.  Probabilities are priced in
     batches: the holder's loaded segments together, then, for each offered
     segment, every peer path at its planned size and at that size plus the
-    segment's.  That second batch is skipped when it cannot find a move:
-    the offered segment is certain (``p_j + 1e-12 >= 1``) and every peer
-    path is empty.  An empty path prices at exactly 1 and any path at most
-    1, so no ratio could exceed ``p_j + 1e-12``: the decision is the same
-    on the computed floats, and only a peer path whose grown tuple space
-    is over the cap no longer raises ``ComplexityError``.  The improvement
-    in log joint probability is 0 when nothing moves; only when something
-    does are both sides' log joints summed, before and after.  Neither
-    node's live state is modified: the result carries the planned transfer
-    and the peer's tentative assignment including the planned placements.
+    segment's.
+
+    That second batch is skipped when it cannot find a move: every peer
+    path is empty and each path's ceiling at the grown size is at most
+    ``p_j + 1e-12``.  An empty path prices at exactly 1, so its ratio is
+    its grown price, which the ceiling bounds: ``min(1, p + 1e-9)`` for a
+    price ``p`` of that size kept at a remaining time no shorter than now
+    (:meth:`~oppload.delivery.RouteTerms.ceiling`), else 1.  A kept price
+    is a clamped, left-to-right float sum of ``w * gammainc(a, r * (d -
+    T'))`` with every ``w >= 0``, so as the remaining time ``d`` falls it
+    can rise only by what ``gammainc`` falls as its argument grows, a few
+    last bits, which the 1e-9 margin covers; the decision is then the same
+    on the computed floats.  A certain segment needs no lookup, since no
+    ceiling exceeds 1, and with nothing kept the rule is that test alone.
+    The grown prices of an empty peer are kept whenever that batch is
+    priced.  A skipped path whose grown tuple space is over the cap does
+    not raise ``ComplexityError``.
+
+    The improvement in log joint probability is 0 when nothing moves; only
+    when something does are both sides' log joints summed, before and
+    after.  Neither node's live state is modified: the result carries the
+    planned transfer and the peer's tentative assignment including the
+    planned placements.
 
     Raises:
         ProtocolError: the peer is the destination, the task source, or the
@@ -223,12 +240,23 @@ def realtime_adjustment(
         peer_specs = [peer.routes[k] for k in peer_routes]
         for j_prob, (j_route, j_size) in ranked:
             sizes = [planned.get(k, 0.0) for k in peer_routes]
-            # an empty peer route prices at exactly 1 and a grown one at
-            # most 1, so no ratio can beat a segment that is already certain
-            if j_prob + 1e-12 >= 1.0 and all(s <= _EPS for s in sizes):
+            empty = all(s <= _EPS for s in sizes)
+            # an empty peer route prices at exactly 1, so no ratio can beat
+            # the segment when no grown price can; no ceiling exceeds 1
+            bound = j_prob + 1e-12
+            if empty and (
+                bound >= 1.0
+                or all(
+                    k_spec.terms.ceiling(s + j_size, t_remaining) <= bound
+                    for k_spec, s in zip(peer_specs, sizes)
+                )
+            ):
                 break
-            grown = [(k_spec, s + j_size) for k_spec, s in zip(peer_specs, sizes)]
-            probs = _route_probs([*zip(peer_specs, sizes), *grown], t_remaining)
+            grown = [s + j_size for s in sizes]
+            probs = _route_probs([*zip(peer_specs, sizes), *zip(peer_specs, grown)], t_remaining)
+            if empty:
+                for k_spec, size, price in zip(peer_specs, grown, probs[len(sizes) :]):
+                    k_spec.terms.keep_price(size, t_remaining, price)
             best_route = None
             best_ratio = 0.0
             for k_route, p_old, p_new in zip(peer_routes, probs, probs[len(sizes) :]):
@@ -238,7 +266,7 @@ def realtime_adjustment(
                 if ratio > best_ratio:
                     best_ratio = ratio
                     best_route = k_route
-            if best_route is None or best_ratio <= j_prob + 1e-12:
+            if best_route is None or best_ratio <= bound:
                 break
             planned[best_route] = planned.get(best_route, 0.0) + j_size
             remaining[j_route] = 0.0

@@ -116,10 +116,16 @@ def _settle(
     one hop gives that function's value without rebuilding the path.  The
     first entry popped for a node settles it with that entry's label, and
     later entries for the node are skipped.  Each route is pushed at most
-    once, so no two entries tie.  Every node of a popped route is settled,
-    so extending it to an unsettled neighbor never revisits a node.
+    once, so no two entries tie, and an entry is not pushed at all when the
+    smallest one pushed for its node is smaller on the key
+    ``(-availability, hops, route)``: that one pops first, so this one
+    would only be skipped.  Every node of a popped route is settled, so
+    extending it to an unsettled neighbor never revisits a node.
     """
     settled: set[int] = set()
+    # each node's smallest entry pushed so far; routes differ, so entries
+    # compare on their keys alone
+    pushed: dict[int, tuple] = {}
     # heap orders by (-availability, hops, route)
     heap = [(-1.0, 0, (u,), 0.0, 0.0)]
     while heap:
@@ -140,9 +146,12 @@ def _settle(
             candidate_q = reg_lower_incomplete_gamma(
                 next_mean * next_mean / next_var, next_mean / next_var * deadline
             )
-            heapq.heappush(
-                heap, (-candidate_q, hops + 1, route + (neighbor,), next_mean, next_var)
-            )
+            entry = (-candidate_q, hops + 1, route + (neighbor,), next_mean, next_var)
+            best = pushed.get(neighbor)
+            if best is not None and best < entry:
+                continue
+            pushed[neighbor] = entry
+            heapq.heappush(heap, entry)
 
 
 def dijkstra_max_q(

@@ -404,7 +404,7 @@ class TestRouteTerms:
             ol.delivery_prob_path(path, ol.DeliveryQuery(over, 500.0))
 
     @pytest.mark.parametrize("size", [4.0, 30.0, 100.0])
-    def test_failed_compile_raises_again(self, size):
+    def test_failed_build_raises_again(self, size):
         # n / lambda**2 of the first hop overflows from n = 2 on, so the
         # gamma shape is 0; sizes 4, 30 and 100 give tuple spaces of 4 and
         # 225, which keep their terms, and 2500, which keeps its per-hop

@@ -1,14 +1,18 @@
 import copy
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import oppload as ol
-from oppload import distributed, simulator
-from oppload.delivery import _CEIL_GUARD, _MAX_KEPT, DEFAULT_TUPLE_CAP
+from oppload import delivery, distributed, simulator
+from oppload.cli import _build_tasks
+from oppload.delivery import _CEIL_GUARD, _MAX_KEPT, DEFAULT_TUPLE_CAP, RouteTerms, _BlockTerms
 from oppload.distributed import NodeState, realtime_adjustment
 from oppload.errors import ComplexityError, ProtocolError, TransferContractError
+
+from scipy import special
 
 from conftest import criterion_7_network
 from test_delivery import needed, reference_path
@@ -595,6 +599,237 @@ class TestAdjustmentEquivalence:
         assert compared > 300 and 100 < moved < compared
         # the no-move test fires in at least 5 % of the draws
         assert skipped >= 0.05 * compared
+
+
+def adjust_counted(monkeypatch, holder, peer, t_remaining):
+    """Real-time adjustment, and the size of each batch it priced."""
+    route_probs = distributed._route_probs
+    batches = []
+
+    def counted(queries, deadline):
+        batches.append(len(queries))
+        return route_probs(queries, deadline)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(distributed, "_route_probs", counted)
+        return realtime_adjustment(holder, peer, t_remaining), batches
+
+
+def assert_matches_reference(got, holder, peer, t_remaining):
+    want = reference_adjustment(holder, peer, t_remaining)
+    assert got.planned == want[0]
+    assert list(got.receiver_assignment.items()) == list(want[1].items())
+    assert got.improvement == want[2]
+
+
+def skipped_beyond_a_certain_segment(holder, peer, t_remaining, batches):
+    """Whether the adjustment priced only the holder's batch although the
+    offered segment was not certain: the ceilings of kept prices, not the
+    certain-segment case, skipped the peer's batch."""
+    priced_holder_only = len(batches) == 1 and batches[0] > 0
+    return priced_holder_only and certain_offer_to_an_empty_peer(holder, peer, t_remaining) is None
+
+
+def meetings(rng, count):
+    """``count`` random loaded neighbourhoods, each a (holder, peer) pair
+    that meets again and again with unchanged assignments."""
+    pairs = []
+    while len(pairs) < count:
+        holder, peer = random_neighbourhood(rng)
+        if not load(holder, rng):
+            continue
+        if rng.random() < 0.3:
+            load(peer, rng)
+        pairs.append((holder, peer))
+    return pairs
+
+
+def replay_distributed(monkeypatch, net, tasks, seed):
+    """The outcomes, event log and monitor-state digest of a distributed
+    replay, the number of adjustments, and the number that priced only the
+    holder's batch."""
+    log = []
+    states_digest = hashlib.sha256()
+    counts = {"adjustments": 0, "holder_only": 0}
+    route_probs, adjust = distributed._route_probs, distributed.realtime_adjustment
+    batches = []
+
+    def counted_probs(queries, deadline):
+        batches.append(len(queries))
+        return route_probs(queries, deadline)
+
+    def counted_adjust(holder, peer, t_remaining):
+        batches.clear()
+        result = adjust(holder, peer, t_remaining)
+        counts["adjustments"] += 1
+        counts["holder_only"] += len(batches) == 1 and batches[0] > 0
+        return result
+
+    def monitor(row, states, delivered):
+        loaded = [
+            (node, s.carried, list(s.assignment.items()))
+            for node, s in sorted(states.items())
+            if s.carried or s.assignment
+        ]
+        states_digest.update(repr((delivered, loaded)).encode())
+
+    with monkeypatch.context() as patched:
+        patched.setattr(distributed, "_route_probs", counted_probs)
+        patched.setattr(distributed, "realtime_adjustment", counted_adjust)
+        result = ol.simulate_strategy(
+            net, tasks, "distributed", seed=seed, event_log=log, monitor=monitor
+        )
+    outcomes = [(o.offloaded, o.success, repr(o.completion_time)) for o in result.outcomes]
+    return (outcomes, repr(log), states_digest.hexdigest()), counts
+
+
+class TestNoMoveRule:
+    """An offer to a peer carrying nothing is not priced when the ceilings of
+    prices kept at a remaining time no shorter prove it cannot win, and the
+    decision is the one pricing it would make."""
+
+    def test_falling_remaining_times_skip_on_kept_prices(self, monkeypatch):
+        # the same pair met again and again as the deadline nears, as in a
+        # replay: what each meeting prices bounds the next meeting's prices
+        rng = np.random.default_rng(4242)
+        compared = beyond = 0
+        for holder, peer in meetings(rng, 60):
+            t_remaining = float(rng.uniform(100.0, 300.0))
+            for _ in range(8):
+                got, batches = adjust_counted(monkeypatch, holder, peer, t_remaining)
+                assert_matches_reference(got, holder, peer, t_remaining)
+                compared += 1
+                beyond += skipped_beyond_a_certain_segment(holder, peer, t_remaining, batches)
+                t_remaining *= float(rng.uniform(0.9, 1.0))
+        # the ceilings skip where certain segments alone would not (53 of
+        # the 480 meetings)
+        assert compared == 480 and beyond >= 0.05 * compared
+
+    def test_a_price_kept_at_a_shorter_remaining_time_is_never_used(self, monkeypatch):
+        def rising_meetings():
+            # the same pairs met at ever longer remaining times: every kept
+            # price was taken at a shorter one
+            rng = np.random.default_rng(4242)
+            beyond = differing = 0
+            for holder, peer in meetings(rng, 60):
+                t_remaining = float(rng.uniform(20.0, 100.0))
+                for _ in range(8):
+                    got, batches = adjust_counted(monkeypatch, holder, peer, t_remaining)
+                    want = reference_adjustment(holder, peer, t_remaining)
+                    differing += (got.planned, got.receiver_assignment) != want[:2]
+                    beyond += skipped_beyond_a_certain_segment(holder, peer, t_remaining, batches)
+                    t_remaining *= float(rng.uniform(1.0, 1.1))
+            return beyond, differing
+
+        assert rising_meetings() == (0, 0)
+
+        # a ceiling that ignored when its price was taken would use them
+        def timeless(terms, data_size, deadline):
+            return min(1.0, terms.prices.get(data_size, (math.inf, 1.0))[1] + 1e-9)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(RouteTerms, "ceiling", timeless)
+            beyond, _ = rising_meetings()
+        assert beyond > 0
+
+    def test_ceiling_bounds_prices_at_shorter_deadlines_only(self):
+        spec = ol.PathSpec((params(lam=0.02, beta=3.0), params(lam=0.05, beta=2.0)))
+        terms = spec.terms
+        # nothing is kept for a size that was never built
+        terms.keep_price(10.0, 200.0, 0.25)
+        assert terms.prices == {} and terms.ceiling(10.0, 100.0) == 1.0
+        price = route_prob(spec, 10.0, 200.0)
+        assert 0.0 < price < 1.0
+        # built and not yet given a price
+        assert terms.prices == {} and terms.ceiling(10.0, 200.0) == 1.0
+        terms.keep_price(10.0, 200.0, price)
+        for deadline in (200.0, 150.0, 30.0, 0.0):
+            assert terms.ceiling(10.0, deadline) == price + 1e-9
+            assert route_prob(spec, 10.0, deadline) <= terms.ceiling(10.0, deadline)
+        assert terms.ceiling(10.0, math.nextafter(200.0, math.inf)) == 1.0
+        assert terms.ceiling(10.5, 100.0) == 1.0
+        # a price near 1 is capped at 1
+        terms.keep_price(10.0, 200.0, 1.0 - 1e-12)
+        assert terms.ceiling(10.0, 100.0) == 1.0
+        terms.clear()
+        assert terms.prices == {} and terms.memo == {}
+
+    def test_a_negative_kept_weight_gets_no_ceiling(self, monkeypatch):
+        exact_success = delivery._exact_success
+
+        def tilted(hop, data_size, limit, stop_when_certain):
+            # the second contact's increment turned negative
+            for n, success in enumerate(exact_success(hop, data_size, limit, stop_when_certain)):
+                yield -abs(success) if n == 1 else success
+
+        monkeypatch.setattr(delivery, "_exact_success", tilted)
+        for hops in ((params(lam=0.02, beta=3.0),), (params(beta=3.0), params(beta=4.0))):
+            spec = ol.PathSpec(hops)
+            price = route_prob(spec, 10.0, 200.0)
+            weights = spec.terms.memo[10.0][1][0]
+            assert min(weights) < 0.0
+            # the first price finds the negative weight, and no later one is kept
+            for _ in range(2):
+                spec.terms.keep_price(10.0, 200.0, price)
+                assert spec.terms.ceiling(10.0, 100.0) == 1.0
+
+    def test_a_block_term_size_gets_no_ceiling(self):
+        # ceil(12 / 0.01) = 1200 contacts, more than _MAX_KEPT
+        spec = ol.PathSpec((params(lam=1.0, beta=0.01),))
+        price = route_prob(spec, 12.0, 1000.0)
+        assert isinstance(spec.terms.memo[12.0][1], _BlockTerms)
+        for _ in range(2):
+            spec.terms.keep_price(12.0, 1000.0, price)
+            assert spec.terms.ceiling(12.0, 500.0) == 1.0
+
+    def test_criterion_7_replay_is_unchanged_by_the_ceilings(self, monkeypatch):
+        net = criterion_7_network()
+        tasks = _build_tasks(net, [10.0, 20.0], [200.0, 300.0, 400.0, 500.0, 600.0], 2, 1000)
+        with monkeypatch.context() as patched:
+            patched.setattr(RouteTerms, "ceiling", lambda self, data_size, deadline: 1.0)
+            unbounded, plain = replay_distributed(monkeypatch, net, tasks, seed=7)
+        bounded, counts = replay_distributed(monkeypatch, net, tasks, seed=7)
+        assert bounded == unbounded
+        # with every ceiling 1 only certain segments skip, and none does here
+        assert plain["holder_only"] == 0
+        assert counts["adjustments"] == plain["adjustments"] > 1000
+        assert counts["holder_only"] >= 0.4 * counts["adjustments"]
+
+    def test_gammainc_falls_far_less_than_the_ceiling_margin(self):
+        # the one assumption of the ceilings: as its argument grows,
+        # gammainc never falls by more than a few last bits, which the 1e-9
+        # margin covers (a denser scan saw falls of up to 7.2e-15 near x = a).
+        # Scanned: shapes 1-64 and every kept shape of the criterion-7
+        # routes at sizes 10, 20 and 60, on a grid up to where the CDF is
+        # 1, and a few ulps to 1e-6 on each side of the arguments where
+        # scipy switches its method (x = 1, a, 0.7a and 1.3a)
+        shapes = set()
+        for routes in simulator._Context(criterion_7_network()).routes.values():
+            for spec in routes.values():
+                for size in (10.0, 20.0, 60.0):
+                    entry = spec.terms.entry(size, 1e6)
+                    if entry is not None and not isinstance(entry[1], _BlockTerms):
+                        shapes.update(entry[1][1])
+        assert len(shapes) > 10_000
+        offsets = np.concatenate([[0.0], np.geomspace(1e-16, 1e-6, 6)])
+        offsets = np.concatenate([-offsets[1:], offsets])
+
+        def largest_fall(shape, points):
+            top = shape + 12.0 * np.sqrt(shape) + 40.0
+            switches = np.stack([np.ones_like(shape), shape, 0.7 * shape, 1.3 * shape], axis=1)
+            near = switches[:, :, None] * (1.0 + offsets)
+            x = np.concatenate(
+                [top[:, None] * np.linspace(0.0, 1.0, points), near.reshape(len(shape), -1)],
+                axis=1,
+            )
+            x.sort(axis=1)
+            in_time = special.gammainc(shape[:, None], x)
+            return float((np.maximum.accumulate(in_time, axis=1) - in_time).max())
+
+        falls = [largest_fall(np.arange(1.0, 65.0), 20_000)]
+        kept = np.array(sorted(shapes))
+        falls += [largest_fall(kept[i : i + 4096], 200) for i in range(0, len(kept), 4096)]
+        assert max(falls) <= 1e-12
 
 
 def transmission(spec, size):

@@ -507,23 +507,26 @@ def test_network_is_derived_once_per_call(monkeypatch):
 
 
 def test_route_terms_live_for_one_task():
-    # every route's memo of sized terms is empty when a task starts, so a
-    # call's memory does not grow with its number of tasks
+    # every route's memo of sized terms, and its kept prices, are empty when
+    # a task starts, so a call's memory does not grow with its number of
+    # tasks
     net = criterion_7_network()
     held_at_start = []
     held_during = []
 
     def monitor(row, states, delivered):
-        held = sum(len(spec.terms.memo) for s in states.values() for spec in s.routes.values())
+        terms = [spec.terms for s in states.values() for spec in s.routes.values()]
+        held = (sum(len(t.memo) for t in terms), sum(len(t.prices) for t in terms))
         if row["event"] == "start":
             held_at_start.append(held)
-            held_during.append(0)
-        held_during[-1] = max(held_during[-1], held)
+            held_during.append((0, 0))
+        held_during[-1] = tuple(map(max, held_during[-1], held))
 
     tasks = make_tasks(net, 6, size=10.0, deadline=300.0)
     ol.simulate_strategy(net, tasks, "distributed", seed=7, monitor=monitor)
-    assert held_at_start == [0] * len(tasks)
-    assert min(held_during) > 0
+    assert held_at_start == [(0, 0)] * len(tasks)
+    assert min(memo for memo, _ in held_during) > 0
+    assert min(prices for _, prices in held_during) > 0
 
 
 # Runs in a fresh interpreter, so the suite's own import of oppload is untouched.
