@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import special as _special
@@ -35,6 +35,15 @@ __all__ = [
 
 # sample_contact_process refuses a window expected to hold more contacts
 MAX_EXPECTED_CONTACTS = 1_000_000
+
+
+def _serial_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, on every Python: builtin
+    ``sum`` compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,7 @@ def fit_exponential(inter_contact_samples: Sequence[float]) -> float:
         raise FittingError(f"need at least 2 inter-contact samples, got {len(samples)}")
     if any(not math.isfinite(s) or s < 0 for s in samples):
         raise FittingError("inter-contact samples must be finite and >= 0")
-    mean = sum(samples) / len(samples)
+    mean = _serial_sum(samples) / len(samples)
     if mean <= 0:
         raise FittingError("inter-contact samples have zero mean; rate undefined")
     return 1.0 / mean
@@ -116,7 +125,7 @@ def fit_pareto(per_contact_data_samples: Sequence[float]) -> tuple[float, float]
     if any(not math.isfinite(s) or s <= 0 for s in samples):
         raise FittingError("per-contact data samples must be finite and > 0")
     beta = min(samples)
-    log_sum = sum(math.log(s / beta) for s in samples)
+    log_sum = _serial_sum(math.log(s / beta) for s in samples)
     if log_sum <= 0:
         raise FittingError("all samples equal; Pareto shape undefined")
     return len(samples) / log_sum, beta

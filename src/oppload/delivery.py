@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import special as _special
 
-from .contacts import PairContactParams, log_beta, reg_lower_incomplete_gamma
+from .contacts import PairContactParams, _serial_sum, log_beta, reg_lower_incomplete_gamma
 from .errors import ComplexityError
 
 __all__ = [
@@ -172,7 +172,7 @@ def availability(path: PathSpec, deadline: float) -> float:
 @functools.lru_cache(maxsize=65536)
 def _mean_max_ratio_cached(contact_count: int, alpha: float) -> float:
     if abs(alpha - 1.0) < _ALPHA_ONE_TOL:
-        return sum(1.0 / i for i in range(1, contact_count + 1))
+        return _serial_sum(1.0 / i for i in range(1, contact_count + 1))
     b = math.exp(log_beta(contact_count, 1.0 / alpha))
     value = (1.0 - contact_count * b) / (1.0 - alpha)
     # the exact value lies in [1, c]; trim float drift at the boundaries
@@ -249,7 +249,7 @@ def _check_gamma(shape: float, rate: float) -> None:
 
 def _transmission(hops: Sequence[PairContactParams], data_size: float) -> float:
     """The serial transmission time ``T' = sum(D / rate_i)``, in hop order."""
-    return sum(data_size / hop.rate for hop in hops)
+    return _serial_sum(data_size / hop.rate for hop in hops)
 
 
 def _limits(hops: Sequence[PairContactParams], data_size: float) -> tuple[int, ...]:

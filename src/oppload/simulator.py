@@ -4,7 +4,8 @@ Two entry points: :func:`run_monte_carlo_delivery` empirically estimates
 the delivery probability of one path (the validation oracle for the
 analytic estimators), and :func:`simulate_strategy` replays whole
 transmission tasks on a network under one of five strategies, reporting
-per-task outcomes.
+per-task outcomes.  Its task loop alone turns a ``ComplexityError`` or
+``PlanningError`` into a failed task; a ``ProtocolError`` propagates.
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
@@ -36,7 +37,7 @@ from .distributed import (
     criterion_assignment,
     on_contact,
 )
-from .errors import ComplexityError, ConfigError, PlanningError, ProtocolError
+from .errors import ComplexityError, ConfigError, PlanningError
 from .heuristic import plan_offload, route_path
 from .netgraph import EdgeKey, Network, edge_key
 
@@ -210,7 +211,8 @@ def _drain_route(
 
 
 # ---------------------------------------------------------------------------
-# strategy runners; each returns (offloaded, success, completion or None)
+# strategy runners; each returns (offloaded, success, completion or None),
+# or raises ComplexityError or PlanningError for a task it cannot run
 
 
 @dataclass
@@ -266,9 +268,8 @@ def _run_individual(
 ) -> tuple[bool, bool, float | None]:
     network = context.network
     infra = network.infrastructure_id
-    params = network.edge_params(task.source, infra)
-    if params is None:
-        return False, False, None
+    if network.edge_params(task.source, infra) is None:
+        raise PlanningError(f"node {task.source} has no edge to infrastructure")
     completion = _drain_route((task.source, infra), task.size, sampler, network, task.deadline)
     return False, completion is not None, completion
 
@@ -276,13 +277,9 @@ def _run_individual(
 def _run_heuristic(
     context: _Context, task: TransmissionTask, sampler: _ContactSampler
 ) -> tuple[bool, bool, float | None]:
-    try:
-        plan = plan_offload(context.network, task.source, task.size, task.deadline)
-    except (ComplexityError, PlanningError):
-        return False, False, None
+    plan = plan_offload(context.network, task.source, task.size, task.deadline)
     if not plan.offloaded:
-        _, success, completion = _run_individual(context, task, sampler)
-        return False, success, completion
+        return _run_individual(context, task, sampler)
     worst = 0.0
     for allocation in plan.allocations:
         completion = _drain_route(
@@ -398,10 +395,14 @@ class _Distributed:
     """The two-hop protocol's node states for one task.
 
     Raises:
-        ProtocolError: the source has no path to infrastructure.
+        PlanningError: the source has no route, checked before any state is
+            built; so ``criterion_assignment`` never raises ``ProtocolError``
+            here, and one that leaves a replay is a protocol fault.
     """
 
     def __init__(self, context: _Context, task: TransmissionTask):
+        if not context.routes[task.source]:
+            raise PlanningError(f"node {task.source} has no route to infrastructure")
         self.context = context
         self.infra = infra = context.network.infrastructure_id
         self.states = {n: NodeState(n, infra, task.source, r) for n, r in context.routes.items()}
@@ -454,16 +455,6 @@ class _Distributed:
         return contact.transferred > _EPS
 
 
-def _run_distributed(
-    context: _Context, task: TransmissionTask, sampler: _ContactSampler
-) -> tuple[bool, bool, float | None]:
-    try:
-        strategy = _Distributed(context, task)
-    except ProtocolError:
-        return False, False, None
-    return _replay(context, task, sampler, strategy)
-
-
 class _Carriers:
     """Data held per mobile node for one task; a node never hands data back
     to a node it received data from."""
@@ -511,16 +502,15 @@ class _MaxRate(_Carriers):
         return False
 
 
-def _run_spread(
-    context: _Context, task: TransmissionTask, sampler: _ContactSampler
-) -> tuple[bool, bool, float | None]:
-    return _replay(context, task, sampler, _Spread(context, task))
+def _replaying(strategy: type[_Distributed] | type[_Carriers]):
+    """The runner that replays each task under a fresh ``strategy``."""
 
+    def run(
+        context: _Context, task: TransmissionTask, sampler: _ContactSampler
+    ) -> tuple[bool, bool, float | None]:
+        return _replay(context, task, sampler, strategy(context, task))
 
-def _run_maxrate(
-    context: _Context, task: TransmissionTask, sampler: _ContactSampler
-) -> tuple[bool, bool, float | None]:
-    return _replay(context, task, sampler, _MaxRate(context, task))
+    return run
 
 
 # The strategies, in the order "all" runs them.  The annotation stays an
@@ -531,9 +521,9 @@ _RUNNERS: dict[
 ] = {
     "individual": _run_individual,
     "heuristic": _run_heuristic,
-    "distributed": _run_distributed,
-    "spread": _run_spread,
-    "maxrate": _run_maxrate,
+    "distributed": _replaying(_Distributed),
+    "spread": _replaying(_Spread),
+    "maxrate": _replaying(_MaxRate),
 }
 STRATEGIES = tuple(_RUNNERS)
 
@@ -551,11 +541,14 @@ def simulate_strategy(
     Each task sees a fresh contact realization derived from ``(seed,
     task_id, edge)``, identical across strategies.  ``event_log`` (filled
     with per-event rows) and ``monitor`` (called after every protocol
-    event) only apply to the distributed strategy.  A task that its
-    strategy cannot start fails (not offloaded, no completion time): under
-    the heuristic a plan that raises ``ComplexityError`` or
-    ``PlanningError``, under the distributed protocol a source without a
-    route.
+    event) only apply to the distributed strategy.
+
+    A task the program cannot run fails alone (not offloaded, no completion
+    time): the task loop catches any runner's ``ComplexityError`` (the
+    planner's tuple cap, the estimator's cap in a replay, or the sampler's
+    ``MAX_EXPECTED_CONTACTS`` on an edge the strategy walks) or
+    ``PlanningError`` (a source without the route its strategy needs).  A
+    ``ProtocolError`` is a protocol fault and propagates.
 
     Raises:
         ConfigError: unknown strategy name.
@@ -572,7 +565,10 @@ def simulate_strategy(
     outcomes: list[TaskOutcome] = []
     for task in tasks:
         sampler = _ContactSampler(network, seed, task.task_id, task.deadline)
-        offloaded, success, completion = runner(context, task, sampler)
+        try:
+            offloaded, success, completion = runner(context, task, sampler)
+        except (ComplexityError, PlanningError):
+            offloaded, success, completion = False, False, None
         outcomes.append(
             TaskOutcome(
                 strategy=strategy,

@@ -11,9 +11,19 @@ from oppload.delivery import (
     _MAX_KEPT,
     DEFAULT_TUPLE_CAP,
     _BlockTerms,
+    _transmission,
     delivery_probs,
 )
 from oppload.errors import ComplexityError
+
+
+def serial_sum(values):
+    """``values`` added left to right from 0.0, as builtin ``sum`` adds
+    floats before Python 3.12 (it compensates from 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def hop(lam=0.1, alpha=2.0, beta=2.0, rate=1.0):
@@ -176,6 +186,20 @@ class TestDeliveryPath:
         # serial transmission needs 6 + 3 = 9 time units
         assert ol.delivery_prob_path(path, ol.DeliveryQuery(6.0, 9.0)) == 0.0
 
+    def test_transmission_adds_hops_left_to_right(self):
+        # builtin sum compensates float sums from Python 3.12 on, which would
+        # price these routes differently on different Pythons
+        rng = np.random.default_rng(31)
+        rounded = 0
+        for _ in range(2000):
+            rates = rng.uniform(0.1, 10.0, size=rng.integers(3, 6)).tolist()
+            hops = [hop(rate=rate) for rate in rates]
+            size = float(rng.uniform(0.5, 50.0))
+            expected = serial_sum(size / rate for rate in rates)
+            assert _transmission(hops, size) == expected
+            rounded += expected != math.fsum(size / rate for rate in rates)
+        assert rounded > 0  # some routes do round, so the order matters
+
     def test_two_hop_matches_monte_carlo(self):
         path = ol.PathSpec(
             (hop(lam=0.05, alpha=2, beta=5, rate=1), hop(lam=0.08, alpha=2, beta=5, rate=1))
@@ -267,7 +291,7 @@ def reference_path(hops, size, deadline):
     """The k-hop estimator summed tuple by tuple in product order."""
     if len(hops) == 1:
         return reference_onehop(hops[0], size, deadline)
-    budget = deadline - sum(size / h.rate for h in hops)
+    budget = deadline - serial_sum(size / h.rate for h in hops)
     if budget <= 0:
         return 0.0
     exact = []

@@ -15,7 +15,7 @@ from oppload.errors import ComplexityError, ProtocolError, TransferContractError
 from scipy import special
 
 from conftest import criterion_7_network
-from test_delivery import needed, reference_path
+from test_delivery import needed, reference_path, serial_sum
 
 
 def params(lam=0.1, alpha=3.0, beta=5.0, rate=100.0):
@@ -834,7 +834,7 @@ class TestNoMoveRule:
 
 def transmission(spec, size):
     """The serial transmission time ``T'`` of ``size`` over ``spec``."""
-    return sum(size / hop.rate for hop in spec.hops)
+    return serial_sum(size / hop.rate for hop in spec.hops)
 
 
 def sizes_to_check(spec, rng):

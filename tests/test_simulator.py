@@ -306,6 +306,36 @@ class TestSimulateStrategy:
         assert (over.offloaded, over.success, over.completion_time) == (False, False, None)
         assert planned.offloaded and planned.success
 
+    def test_task_over_the_contact_cap_fails_alone(self):
+        # at deadline 6e6 a strong mobile edge of source 3 expects more than
+        # MAX_EXPECTED_CONTACTS contacts, so only the replays, which walk
+        # it, cannot sample the task; the direct edge stays under the cap
+        net = criterion_7_network()
+        tasks = [
+            ol.TransmissionTask(task_id=0, source=3, size=10.0, deadline=400.0),
+            ol.TransmissionTask(task_id=1, source=3, size=10.0, deadline=6e6),
+        ]
+        for strategy in ol.STRATEGIES:
+            first, long = ol.simulate_strategy(net, tasks, strategy, seed=1).outcomes
+            (alone,) = ol.simulate_strategy(net, tasks[:1], strategy, seed=1).outcomes
+            assert first == alone, strategy
+            outcome = (long.offloaded, long.success, long.completion_time)
+            if strategy in ("individual", "heuristic"):
+                assert outcome == (False, True, pytest.approx(108.4, abs=0.1)), strategy
+            else:
+                assert outcome == (False, False, None), strategy
+
+    def test_protocol_error_in_a_replay_propagates(self, monkeypatch):
+        # only a task the program cannot run fails alone; a protocol fault
+        # stops the call
+        def faulty(*args):
+            raise ProtocolError("injected protocol fault")
+
+        monkeypatch.setattr(simulator, "on_contact", faulty)
+        task = ol.TransmissionTask(task_id=0, source=3, size=10.0, deadline=400.0)
+        with pytest.raises(ProtocolError, match="injected protocol fault"):
+            ol.simulate_strategy(criterion_7_network(), [task], "distributed", seed=1)
+
 
 @pytest.mark.parametrize("strategy", ol.STRATEGIES)
 def test_each_edge_is_sampled_at_most_once_per_task(monkeypatch, strategy):
@@ -656,7 +686,7 @@ def replay_both_ways(network, task, contacts):
                     strategy = simulator._Spread(context, task)
                 else:
                     strategy = simulator._MaxRate(context, task)
-            except ProtocolError:
+            except PlanningError:
                 break
             calls = recorded(strategy)
             sampler = StubSampler(contacts)
