@@ -16,7 +16,9 @@ need.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +37,17 @@ __all__ = [
 
 # sample_contact_process refuses a window expected to hold more contacts
 MAX_EXPECTED_CONTACTS = 1_000_000
+
+# NumPy's SeedSequence (O'Neill's seed_seq hashing into a pool of four 32-bit
+# words) and PCG64's 128-bit multiplier: fixed integer arithmetic, so
+# _pcg64_states derives the generators of many seeds in one pass
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _serial_sum(values: Iterable[float]) -> float:
@@ -156,13 +169,14 @@ def sample_contact_process(
         ComplexityError: ``contact_rate * horizon`` exceeds
             ``MAX_EXPECTED_CONTACTS``; checked before any draw.
     """
-    return list(zip(*_sample_columns(params, horizon, rng_seed)))
+    return list(zip(*_sample_columns(params, horizon, np.random.default_rng(rng_seed))))
 
 
 def _sample_columns(
-    params: PairContactParams, horizon: float, rng_seed: int | np.random.SeedSequence
+    params: PairContactParams, horizon: float, rng: np.random.Generator
 ) -> tuple[list[float], list[float]]:
-    """:func:`sample_contact_process` as two lists: starts and durations."""
+    """:func:`sample_contact_process` as two lists, starts and durations,
+    drawn from ``rng``."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     if params.contact_rate * horizon > MAX_EXPECTED_CONTACTS:
@@ -170,25 +184,114 @@ def _sample_columns(
             f"contact_rate {params.contact_rate!r} over horizon {horizon!r} expects "
             f"{params.contact_rate * horizon:.3g} contacts, above {MAX_EXPECTED_CONTACTS}"
         )
-    rng = np.random.default_rng(rng_seed)
     mean_gap = 1.0 / params.contact_rate
 
     starts: list[float] = []
     t = 0.0
     while True:
         # cumsum adds left to right, as a running ``t += gap`` would
-        gaps = rng.exponential(mean_gap, size=64)
-        gaps[0] += t
-        chunk = np.cumsum(gaps)
-        kept = int(np.searchsorted(chunk, horizon, side="right"))
-        starts.extend(chunk[:kept].tolist())
-        if kept < len(chunk):
-            break
+        chunk = rng.exponential(mean_gap, size=64)
+        chunk[0] += t
+        chunk.cumsum(out=chunk)
         t = float(chunk[-1])
+        if t > horizon:
+            starts.extend(chunk[: chunk.searchsorted(horizon, side="right")].tolist())
+            break
+        starts.extend(chunk.tolist())
 
-    scale = params.beta / params.rate
-    durations = (rng.pareto(params.alpha, size=len(starts)) + 1.0) * scale
+    durations = rng.pareto(params.alpha, size=len(starts))
+    durations += 1.0
+    durations *= params.beta / params.rate
     return starts, durations.tolist()
+
+
+def _entropy_words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant first,
+    as SeedSequence splits each entry of its entropy (0 is one word).
+
+    Raises:
+        ValueError: ``value`` is negative, as SeedSequence raises.
+    """
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value!r}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 for ``k = 0..count``, as a uint32 column."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values`` under ``count`` successive hash
+    constants from index ``first``: one row per constant."""
+    mixed = values ^ constants[first : first + count]
+    mixed *= constants[first + 1 : first + count + 1]
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two words."""
+    mixed = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _pcg64_states(
+    seed: int, task_id: int, edges: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``SeedSequence((seed, task_id, a, b))``
+    seeds, for each edge ``(a, b)`` in order, derived for all edges at once.
+
+    Follows NumPy's ``SeedSequence`` and ``PCG64`` step for step, on uint32
+    arrays with one column per edge.  The entropy is ``seed`` and
+    ``task_id`` split into 32-bit words (any number of them), then ``a`` and
+    ``b``, one word each (node ids lie below 2**32).  It is hashed into the
+    pool of four words, and ``generate_state(4, uint64)`` gives the 128-bit
+    seed and stream; PCG64's ``srandom`` step then runs in Python ints.
+
+    Raises:
+        ValueError: ``seed`` or ``task_id`` is negative.
+    """
+    prefix = _entropy_words(seed) + _entropy_words(task_id)
+    entropy = np.empty((len(prefix) + 2, len(edges)), dtype=np.uint32)
+    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[len(prefix) :] = np.fromiter(
+        chain.from_iterable(edges), dtype=np.uint32, count=2 * len(edges)
+    ).reshape(-1, 2).T
+    # one constant per hashmix: the first words, the pool's cross mixes, and
+    # each further word mixed into every pool word
+    extra = len(entropy) - _POOL_SIZE
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * extra)
+    pool = _hashmix(entropy[:_POOL_SIZE], constants, 0, _POOL_SIZE)
+    used = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, used, len(dst)))
+        used += len(dst)
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, constants, used, _POOL_SIZE))
+        used += _POOL_SIZE
+    # generate_state(4, uint64): the pool cycled to eight words, hashed, and
+    # paired into 64-bit words, low word first
+    words = _hashmix(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
+    words = words.astype(np.uint64)
+    halves = words[0::2] | words[1::2] << np.uint64(32)
+    states = []
+    for seed_hi, seed_lo, stream_hi, stream_lo in halves.T.tolist():
+        inc = ((stream_hi << 64 | stream_lo) << 1 | 1) & _MASK128
+        states.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
 
 
 def reg_lower_incomplete_gamma(shape: float, x: float) -> float:

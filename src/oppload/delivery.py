@@ -242,8 +242,12 @@ def _exact_success(
         prev = success
 
 
+def _gamma_ok(shape: float, rate: float) -> bool:
+    return math.isfinite(shape) and shape > 0 and math.isfinite(rate) and rate > 0
+
+
 def _check_gamma(shape: float, rate: float) -> None:
-    if not (math.isfinite(shape) and shape > 0 and math.isfinite(rate) and rate > 0):
+    if not _gamma_ok(shape, rate):
         raise ValueError(f"gamma shape and rate must be finite and > 0, got ({shape!r}, {rate!r})")
 
 
@@ -259,17 +263,19 @@ def _limits(hops: Sequence[PairContactParams], data_size: float) -> tuple[int, .
 
 def _tuple_gammas(
     hops: Sequence[PairContactParams], limits: tuple[int, ...]
-) -> tuple[array, array]:
+) -> tuple[array, array, tuple[int, ...]]:
     """The gamma shape and rate of every contact-count tuple, in
-    ``itertools.product`` order; they depend on the counts and the hops'
-    contact rates only, not on the data size.
+    ``itertools.product`` order, and the indices of the tuples whose pair
+    fails :func:`_check_gamma`, ascending; they depend on the counts and the
+    hops' contact rates only, not on the data size.
 
-    One hop takes the Erlang CDF's shape ``n`` and rate ``lambda``.  Several
-    hops take the moment-matched gamma of :func:`gamma_approx`, with ``M``
-    and ``V`` summed hop by hop from 0.0.
+    One hop takes the Erlang CDF's shape ``n`` and rate ``lambda``, which
+    always pass.  Several hops take the moment-matched gamma of
+    :func:`gamma_approx`, with ``M`` and ``V`` summed hop by hop from 0.0.
     """
     if len(limits) == 1:
-        return array("d", range(1, limits[0] + 1)), array("d", [hops[0].contact_rate]) * limits[0]
+        shapes = array("d", range(1, limits[0] + 1))
+        return shapes, array("d", [hops[0].contact_rate]) * limits[0], ()
     means = variances = [0.0]
     for hop, limit in zip(hops, limits):
         lam = hop.contact_rate
@@ -278,14 +284,16 @@ def _tuple_gammas(
         variances = [var + n / (lam * lam) for var in variances for n in counts]
     pairs = list(zip(means, variances))
     shapes = array("d", [mean * mean / var for mean, var in pairs])
-    return shapes, array("d", [mean / var for mean, var in pairs])
+    rates = array("d", [mean / var for mean, var in pairs])
+    failing = tuple(i for i, pair in enumerate(zip(shapes, rates)) if not _gamma_ok(*pair))
+    return shapes, rates, failing
 
 
 def _kept_terms(
     hops: Sequence[PairContactParams],
     data_size: float,
     limits: tuple[int, ...],
-    gammas: tuple[array, array],
+    gammas: tuple[array, array, tuple[int, ...]],
 ) -> tuple[array, array, array]:
     """The weights, shapes and rates of a tuple space's nonzero terms, in
     product order, as arrays of doubles, given the :func:`_tuple_gammas` of
@@ -294,9 +302,10 @@ def _kept_terms(
     One hop keeps its terms up to the first certain success.  Several hops
     weigh each tuple by the product of its hops' exact successes, multiplied
     hop by hop from 1.0, and keep the tuples of nonzero weight, each of
-    whose gammas must pass :func:`_check_gamma`.
+    whose gammas must pass :func:`_check_gamma`: the first kept tuple in
+    product order among those :func:`_tuple_gammas` found failing raises.
     """
-    shapes, rates = gammas
+    shapes, rates, failing = gammas
     if len(hops) == 1:
         weights = array("d", _exact_success(hops[0], data_size, limits[0], stop_when_certain=True))
         count = len(weights)
@@ -307,6 +316,9 @@ def _kept_terms(
     for hop, limit in zip(hops, limits):
         exact = list(_exact_success(hop, data_size, limit, stop_when_certain=False))
         weights = [weight * success for weight in weights for success in exact]
+    for i in failing:
+        if weights[i] != 0.0:
+            _check_gamma(shapes[i], rates[i])
     if 0.0 in weights:
         kept = [weight != 0.0 for weight in weights]
         shapes = array("d", itertools.compress(shapes, kept))
@@ -314,8 +326,6 @@ def _kept_terms(
         weights = array("d", itertools.compress(weights, kept))
     else:
         weights = array("d", weights)
-    for shape, rate in zip(shapes, rates):
-        _check_gamma(shape, rate)
     return weights, shapes, rates
 
 
@@ -494,9 +504,11 @@ class RouteTerms:
 
     Kept in ``gammas``, once for all sizes: the :func:`_tuple_gammas` of
     every contact-count ``limits`` the path has met, the gamma shape and
-    rate of each tuple.  A distributed route lives for a whole
-    :func:`~oppload.simulator.simulate_strategy` call and meets few
-    distinct ``limits``, so nearly every lookup there hits.
+    rate of each tuple and which tuples fail :func:`_check_gamma`, so each
+    tuple is checked once per ``limits``, not once per size.  A distributed
+    route lives for a whole :func:`~oppload.simulator.simulate_strategy`
+    call and meets few distinct ``limits``, so nearly every lookup there
+    hits.
 
     Kept in ``memo``, for each size asked since the memo was last cleared:
     ``T'`` and that size's terms, so a query is a ``gammainc`` evaluation of
@@ -532,7 +544,7 @@ class RouteTerms:
 
     def __init__(self, hops: tuple[PairContactParams, ...]) -> None:
         self.hops = hops
-        self.gammas: dict[tuple[int, ...], tuple[array, array]] = {}
+        self.gammas: dict[tuple[int, ...], tuple[array, array, tuple[int, ...]]] = {}
         self.memo: dict[float, tuple] = {}
         self.prices: dict[float, tuple[float, float]] = {}
 

@@ -9,7 +9,10 @@ per-task outcomes.  Its task loop alone turns a ``ComplexityError`` or
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
-rerun with the same seed reproduces results exactly.  What depends on the
+rerun with the same seed reproduces results exactly: edge ``(a, b)`` draws
+from the PCG64 generator that ``SeedSequence((seed, task_id, a, b))``
+seeds, and a task derives those generator states for all edges in one pass
+the first time it asks for an edge.  What depends on the
 network alone (the replay's edge ranks, maxrate's best relays, the
 distributed routes) is derived once per :func:`simulate_strategy` call,
 the first time a task needs it, and shared by its tasks.
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .contacts import _sample_columns
+from .contacts import _pcg64_states, _sample_columns
 from .delivery import PathSpec, _needed_contacts
 from .distributed import (
     _EPS,
@@ -64,6 +67,8 @@ class TransmissionTask:
     release: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.task_id < 0:
+            raise ValueError(f"task_id must be >= 0, got {self.task_id!r}")
         for name in ("size", "deadline", "release"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -167,18 +172,37 @@ class _EdgeContacts:
 
 
 class _ContactSampler:
-    """Samples one contact realization per (task, edge), seeded from both;
-    the runners ask for each edge at most once per task."""
+    """Samples one contact realization per (task, edge) over the task's
+    deadline; the runners ask for each edge at most once per task.
+
+    An edge ``(a, b)`` draws its contacts from the PCG64 generator that
+    ``SeedSequence((seed, task_id, a, b))`` seeds.  The first request
+    derives those generator states for every edge of the network in one
+    pass (:func:`~oppload.contacts._pcg64_states`), and each edge loads its
+    state into the task's one ``Generator``; nothing outlives the task.
+    """
 
     def __init__(self, network: Network, seed: int, task_id: int, horizon: float):
         self._network = network
         self._seed = seed
         self._task_id = task_id
         self._horizon = horizon
+        self._states: dict[EdgeKey, tuple[int, int]] | None = None
+        self._rng: np.random.Generator | None = None
 
     def events(self, key: EdgeKey) -> _EdgeContacts:
-        seed = np.random.SeedSequence((self._seed, self._task_id, key[0], key[1]))
-        return _EdgeContacts(*_sample_columns(self._network.edges[key], self._horizon, seed))
+        if self._states is None:
+            edges = list(self._network.edges)
+            self._states = dict(zip(edges, _pcg64_states(self._seed, self._task_id, edges)))
+            self._rng = np.random.default_rng(0)  # each edge loads its own state
+        state, inc = self._states[key]
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return _EdgeContacts(*_sample_columns(self._network.edges[key], self._horizon, self._rng))
 
 
 def _drain_route(
@@ -552,11 +576,15 @@ def simulate_strategy(
 
     Raises:
         ConfigError: unknown strategy name.
-        ValueError: a task's source is not a mobile node of the network.
+        ValueError: ``seed`` is not a non-negative integer (``bool`` and
+            NumPy integers count, as ``SeedSequence`` takes them), or a
+            task's source is not a mobile node of the network.
     """
     runner = _RUNNERS.get(strategy)
     if runner is None:
         raise ConfigError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     mobile = set(network.mobile_nodes())
     for task in tasks:
         if task.source not in mobile:

@@ -11,7 +11,10 @@ from oppload.delivery import (
     _MAX_KEPT,
     DEFAULT_TUPLE_CAP,
     _BlockTerms,
+    _kept_terms,
+    _limits,
     _transmission,
+    _tuple_gammas,
     delivery_probs,
 )
 from oppload.errors import ComplexityError
@@ -441,6 +444,37 @@ class TestRouteTerms:
                 ol.delivery_prob_path(path, query)
             errors.append((caught.type, str(caught.value)))
         assert errors[0] == errors[1]
+
+    def test_first_kept_failing_tuple_raises(self):
+        # the mean squared overflows at 14 contacts on the first hop, so
+        # tuples (14, 1..7) fail the gamma check; the second hop's huge
+        # shape gives (14, 1..6) zero weight, so (14, 7) raises, as a check
+        # of each kept tuple in product order would
+        hops = (hop(lam=1e-153, beta=1.0), hop(lam=1e-150, alpha=1e6))
+        limits = _limits(hops, 14.0)
+        shapes, rates, failing = gammas = _tuple_gammas(hops, limits)
+        assert (limits, failing) == ((14, 7), tuple(range(91, 98)))
+        message = (
+            f"gamma shape and rate must be finite and > 0, got ({shapes[97]!r}, {rates[97]!r})"
+        )
+        assert rates[91] != rates[97]
+        with pytest.raises(ValueError) as caught:
+            _kept_terms(hops, 14.0, limits, gammas)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            ol.delivery_prob_path(ol.PathSpec(hops), ol.DeliveryQuery(14.0, 1e4))
+        assert str(caught.value) == message
+
+    def test_failing_tuples_of_zero_weight_do_not_raise(self):
+        # the first hop is certain at one contact, so every tuple past it has
+        # zero weight, among them (2, 1..2) and (3, 1..2), whose gammas fail
+        hops = (hop(lam=1e-154, alpha=1e-20, beta=1.0), hop(lam=0.1))
+        limits = _limits(hops, 3.0)
+        gammas = _tuple_gammas(hops, limits)
+        assert (limits, gammas[2]) == ((3, 2), (2, 3, 4, 5))
+        weights, shapes, rates = _kept_terms(hops, 3.0, limits, gammas)
+        assert (list(shapes), list(rates)) == ([1.0, 1.0], [1e-154, 1e-154])
+        assert 0.0 < ol.delivery_prob_path(ol.PathSpec(hops), ol.DeliveryQuery(3.0, 1e4)) < 1.0
 
     @pytest.mark.parametrize(
         "hops, size",

@@ -209,11 +209,31 @@ class TestTransmissionTask:
     def test_zero_release_is_accepted(self):
         assert ol.TransmissionTask(task_id=0, source=0, size=1.0, deadline=1.0).release == 0.0
 
+    def test_negative_task_id_is_rejected(self):
+        # a task's contacts are seeded from its id, which must be >= 0
+        with pytest.raises(ValueError, match="task_id must be >= 0, got -3"):
+            ol.TransmissionTask(task_id=-3, source=0, size=10.0, deadline=100.0)
+
 
 class TestSimulateStrategy:
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             ol.simulate_strategy(hot_link_network(), [], "flooding", seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.0, 2.5, "3", None])
+    def test_malformed_seed_is_rejected(self, seed):
+        tasks = [ol.TransmissionTask(task_id=0, source=0, size=10.0, deadline=200.0)]
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ol.simulate_strategy(hot_link_network(), tasks, "individual", seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed, same", [(True, 1), (np.int64(7), 7), (np.uint64(2**64 - 1), 2**64 - 1)]
+    )
+    def test_bool_and_numpy_integer_seeds_are_accepted(self, seed, same):
+        net = small_network()
+        tasks = make_tasks(net, 3, size=20.0, deadline=400.0)
+        got = ol.simulate_strategy(net, tasks, "spread", seed=seed)
+        assert got == ol.simulate_strategy(net, tasks, "spread", seed=same)
 
     @pytest.mark.parametrize("strategy", ol.STRATEGIES)
     @pytest.mark.parametrize("source", [99, -1, "infrastructure"])
@@ -356,6 +376,25 @@ def test_each_edge_is_sampled_at_most_once_per_task(monkeypatch, strategy):
     assert sum(map(len, asked.values())) >= len(tasks)
     for keys in asked.values():
         assert len(keys) == len(set(keys)), strategy
+
+
+@pytest.mark.parametrize("deadline", [400.0, 3000.0])
+def test_sampler_draws_each_edge_from_its_own_seed_sequence(deadline):
+    # every edge's contacts are those of SeedSequence((seed, task, a, b)),
+    # whichever edge the task asks for first
+    net = criterion_7_network()
+    keys = sorted(net.edges)
+    forward = simulator._ContactSampler(net, 5, 499, deadline)
+    backward = simulator._ContactSampler(net, 5, 499, deadline)
+    got = {key: forward.events(key) for key in keys}
+    got_backward = {key: backward.events(key) for key in reversed(keys)}
+    for (a, b), contacts in got.items():
+        expected = ol.sample_contact_process(
+            net.edges[a, b], deadline, np.random.SeedSequence((5, 499, a, b))
+        )
+        assert list(zip(contacts.starts, contacts.durations)) == expected
+        reverse = got_backward[a, b]
+        assert (reverse.starts, reverse.durations) == (contacts.starts, contacts.durations)
 
 
 # Outcomes of one small replay, recorded before the strategy replays were
