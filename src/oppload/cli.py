@@ -52,6 +52,18 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _check_seed(seed: int) -> int:
+    """``seed``, checked before any draw: NumPy seeds with non-negative
+    integers only, and its own error does not name the seed.
+
+    Raises:
+        ValueError: naming ``seed``, for a negative value.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _synthetic_config(payload: dict, seed: int | None) -> SyntheticConfig:
     """The synthetic config of a JSON object, its seed replaced by ``seed``
     unless that is None.  Checked values are passed on as given: an integer
@@ -61,6 +73,7 @@ def _synthetic_config(payload: dict, seed: int | None) -> SyntheticConfig:
         ConfigError: an unknown key; ``n``, ``max_degree`` or ``seed`` not
             an integer; another scalar not a real number; a ``*_range`` not
             a list of two real numbers.
+        ValueError: naming ``seed``, for a negative seed.
     """
     unknown = set(payload) - {f.name for f in dataclasses.fields(SyntheticConfig)}
     if unknown:
@@ -81,7 +94,9 @@ def _synthetic_config(payload: dict, seed: int | None) -> SyntheticConfig:
         kwargs[key] = tuple(value)
     if seed is not None:
         kwargs["seed"] = seed
-    return SyntheticConfig(**kwargs)
+    config = SyntheticConfig(**kwargs)
+    _check_seed(config.seed)
+    return config
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -239,7 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seed = args.seed if args.seed is not None else _config_number(config, "seed", 0)
+    seed = _check_seed(args.seed if args.seed is not None else _config_number(config, "seed", 0))
     runs = args.runs if args.runs is not None else _config_number(config, "runs", 1)
     strategies = config.get("strategies", "all")
     if strategies == "all":
@@ -309,6 +324,7 @@ def _option_values(text: str, kind: type, option: str) -> list:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     if args.runs < 1000:
         raise ConfigError("validation needs at least 1000 Monte Carlo runs")
     if args.path_spec:

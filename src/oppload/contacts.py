@@ -40,7 +40,7 @@ MAX_EXPECTED_CONTACTS = 1_000_000
 
 # NumPy's SeedSequence (O'Neill's seed_seq hashing into a pool of four 32-bit
 # words) and PCG64's 128-bit multiplier: fixed integer arithmetic, so
-# _pcg64_states derives the generators of many seeds in one pass
+# _pcg64_seeds hashes the seeds of many edges in one pass
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
@@ -247,18 +247,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed
 
 
-def _pcg64_states(
-    seed: int, task_id: int, edges: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` that ``SeedSequence((seed, task_id, a, b))``
-    seeds, for each edge ``(a, b)`` in order, derived for all edges at once.
+def _pcg64_seeds(seed: int, task_id: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The words ``[seed_hi, seed_lo, stream_hi, stream_lo]`` that
+    ``SeedSequence((seed, task_id, a, b)).generate_state(4, uint64)`` gives
+    PCG64, for each edge ``(a, b)`` in order, hashed for all edges at once;
+    :func:`_pcg64_state` turns one edge's words into its generator state.
 
-    Follows NumPy's ``SeedSequence`` and ``PCG64`` step for step, on uint32
-    arrays with one column per edge.  The entropy is ``seed`` and
-    ``task_id`` split into 32-bit words (any number of them), then ``a`` and
-    ``b``, one word each (node ids lie below 2**32).  It is hashed into the
-    pool of four words, and ``generate_state(4, uint64)`` gives the 128-bit
-    seed and stream; PCG64's ``srandom`` step then runs in Python ints.
+    Follows NumPy's ``SeedSequence`` step for step, on uint32 arrays with
+    one column per edge.  The entropy is ``seed`` and ``task_id`` split into
+    32-bit words (any number of them), then ``a`` and ``b``, one word each
+    (node ids lie below 2**32).  It is hashed into the pool of four words,
+    from which ``generate_state`` draws.
 
     Raises:
         ValueError: ``seed`` or ``task_id`` is negative.
@@ -287,11 +286,14 @@ def _pcg64_states(
     words = _hashmix(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
     words = words.astype(np.uint64)
     halves = words[0::2] | words[1::2] << np.uint64(32)
-    states = []
-    for seed_hi, seed_lo, stream_hi, stream_lo in halves.T.tolist():
-        inc = ((stream_hi << 64 | stream_lo) << 1 | 1) & _MASK128
-        states.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    return halves.T.tolist()
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, stream_hi: int, stream_lo: int) -> tuple[int, int]:
+    """The PCG64 ``(state, inc)`` of one edge's :func:`_pcg64_seeds` words:
+    PCG64's ``srandom`` step, in Python ints."""
+    inc = ((stream_hi << 64 | stream_lo) << 1 | 1) & _MASK128
+    return (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def reg_lower_incomplete_gamma(shape: float, x: float) -> float:
@@ -303,11 +305,31 @@ def reg_lower_incomplete_gamma(shape: float, x: float) -> float:
     Raises:
         ValueError: nonfinite input, ``shape <= 0`` or ``x < 0``.
     """
+    _check_gamma_args(shape, x)
+    return float(_special.gammainc(shape, x))
+
+
+def _reg_lower_incomplete_gammas(shapes: list[float], xs: list[float]) -> list[float]:
+    """:func:`reg_lower_incomplete_gamma` at each ``(shapes[i], xs[i])``,
+    from one array ``gammainc`` call.  Scalar and array calls run the same
+    ufunc kernel, so each value equals the scalar call's.
+
+    Raises:
+        ValueError: as the scalar call raises, for the first pair that fails
+            its checks.
+    """
+    for shape, x in zip(shapes, xs):
+        # _check_gamma_args's test, inlined for the common case; NaN fails it
+        if not (0 < shape < math.inf and 0 <= x < math.inf):
+            _check_gamma_args(shape, x)
+    return _special.gammainc(shapes, xs).tolist()
+
+
+def _check_gamma_args(shape: float, x: float) -> None:
     if not (math.isfinite(shape) and shape > 0):
         raise ValueError(f"shape must be finite and > 0, got {shape!r}")
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"x must be finite and >= 0, got {x!r}")
-    return float(_special.gammainc(shape, x))
 
 
 def log_beta(a: float, b: float) -> float:

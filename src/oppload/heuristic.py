@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-from .contacts import reg_lower_incomplete_gamma
+from .contacts import _reg_lower_incomplete_gammas
 from .delivery import (
     DeliveryQuery,
     PathSpec,
@@ -113,14 +113,19 @@ def _settle(
     The source comes first with label 1.  A heap entry carries its route's
     running ``M = sum(1/lambda)`` and ``V = sum(1/lambda**2)``, summed in
     route order as :func:`availability` sums them, so extending a route by
-    one hop gives that function's value without rebuilding the path.  The
-    first entry popped for a node settles it with that entry's label, and
-    later entries for the node are skipped.  Each route is pushed at most
-    once, so no two entries tie, and an entry is not pushed at all when the
-    smallest one pushed for its node is smaller on the key
+    one hop gives that function's value without rebuilding the path.  When
+    a node settles, its unsettled neighbors over edges not in ``excluded``
+    (read from :meth:`Network.incident`) are labelled together, with one
+    array gamma call that applies the scalar call's checks to every label.
+    The first entry popped for a node settles it with that entry's label,
+    and later entries for the node are skipped.  Each route is pushed at
+    most once, so no two entries tie, and an entry is not pushed at all
+    when the smallest one pushed for its node is smaller on the key
     ``(-availability, hops, route)``: that one pops first, so this one
-    would only be skipped.  Every node of a popped route is settled, so
-    extending it to an unsettled neighbor never revisits a node.
+    would only be skipped.  The route is built only for a label that is
+    not already beaten on ``(-availability, hops)``.  Every node of a
+    popped route is settled, so extending it to an unsettled neighbor
+    never revisits a node.
     """
     settled: set[int] = set()
     # each node's smallest entry pushed so far; routes differ, so entries
@@ -135,19 +140,25 @@ def _settle(
             continue
         settled.add(node)
         yield route, -neg_q
-        for neighbor in network.neighbors(node):
-            if neighbor in settled:
+        moments = []
+        for neighbor, key, params in network.incident(node):
+            if neighbor in settled or key in excluded:
                 continue
-            if edge_key(node, neighbor) in excluded:
-                continue
-            lam = network.edge_params(node, neighbor).contact_rate
-            next_mean = mean + 1 / lam
-            next_var = var + 1 / (lam * lam)
-            candidate_q = reg_lower_incomplete_gamma(
-                next_mean * next_mean / next_var, next_mean / next_var * deadline
-            )
-            entry = (-candidate_q, hops + 1, route + (neighbor,), next_mean, next_var)
+            lam = params.contact_rate
+            moments.append((neighbor, mean + 1 / lam, var + 1 / (lam * lam)))
+        if not moments:
+            continue
+        labels = _reg_lower_incomplete_gammas(
+            [m * m / v for _, m, v in moments], [m / v * deadline for _, m, v in moments]
+        )
+        next_hops = hops + 1
+        for (neighbor, next_mean, next_var), q in zip(moments, labels):
             best = pushed.get(neighbor)
+            # (-q, hops) sorts before every entry that starts with it, so
+            # this skips only labels beaten outright; a tie needs the route
+            if best is not None and best < (-q, next_hops):
+                continue
+            entry = (-q, next_hops, route + (neighbor,), next_mean, next_var)
             if best is not None and best < entry:
                 continue
             pushed[neighbor] = entry

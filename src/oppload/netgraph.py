@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,20 +51,26 @@ class Network:
 
     Node identifiers are ``0 .. node_count - 1``; ``infrastructure_id`` is
     one of them.  ``edges`` maps canonical unordered pairs to contact
-    parameters.  Instances are treated as immutable once built.
+    parameters.  Instances are treated as immutable once built, so the
+    per-node tables built with them stay valid.
     """
 
     node_count: int
     infrastructure_id: int
     edges: dict[EdgeKey, PairContactParams]
     _adjacency: dict[int, list[int]] = field(init=False, repr=False)
+    _incident: dict[int, list[tuple[int, EdgeKey, PairContactParams]]] = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not (0 <= self.infrastructure_id < self.node_count):
             raise ValueError(
                 f"infrastructure id {self.infrastructure_id} outside 0..{self.node_count - 1}"
             )
-        adjacency: dict[int, list[int]] = {i: [] for i in range(self.node_count)}
+        incident: dict[int, list[tuple[int, EdgeKey, PairContactParams]]] = {
+            i: [] for i in range(self.node_count)
+        }
         for (a, b), params in self.edges.items():
             if edge_key(a, b) != (a, b):
                 raise ValueError(f"edge key {(a, b)} is not canonical")
@@ -71,12 +78,18 @@ class Network:
                 raise ValueError(f"edge {(a, b)} references unknown nodes")
             if not isinstance(params, PairContactParams):
                 raise TypeError(f"edge {(a, b)} carries {type(params)!r}")
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        self._adjacency = {node: sorted(nbrs) for node, nbrs in adjacency.items()}
+            incident[a].append((b, (a, b), params))
+            incident[b].append((a, (a, b), params))
+        self._incident = {node: sorted(rows, key=itemgetter(0)) for node, rows in incident.items()}
+        self._adjacency = {node: [nb for nb, _, _ in rows] for node, rows in self._incident.items()}
 
     def neighbors(self, node: int) -> list[int]:
         return self._adjacency[node]
+
+    def incident(self, node: int) -> list[tuple[int, EdgeKey, PairContactParams]]:
+        """``(neighbor, edge key, edge params)`` for each edge of ``node``,
+        in ascending neighbor order, as :meth:`neighbors` lists them."""
+        return self._incident[node]
 
     def degree(self, node: int) -> int:
         return len(self._adjacency[node])

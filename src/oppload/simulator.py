@@ -11,8 +11,9 @@ Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
 rerun with the same seed reproduces results exactly: edge ``(a, b)`` draws
 from the PCG64 generator that ``SeedSequence((seed, task_id, a, b))``
-seeds, and a task derives those generator states for all edges in one pass
-the first time it asks for an edge.  What depends on the
+seeds.  A task hashes those seeds for all edges in one pass the first
+time it asks for an edge, and derives a generator state only for each edge
+it asks for.  What depends on the
 network alone (the replay's edge ranks, maxrate's best relays, the
 distributed routes) is derived once per :func:`simulate_strategy` call,
 the first time a task needs it, and shared by its tasks.
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .contacts import _pcg64_states, _sample_columns
+from .contacts import _pcg64_seeds, _pcg64_state, _sample_columns
 from .delivery import PathSpec, _needed_contacts
 from .distributed import (
     _EPS,
@@ -177,9 +178,10 @@ class _ContactSampler:
 
     An edge ``(a, b)`` draws its contacts from the PCG64 generator that
     ``SeedSequence((seed, task_id, a, b))`` seeds.  The first request
-    derives those generator states for every edge of the network in one
-    pass (:func:`~oppload.contacts._pcg64_states`), and each edge loads its
-    state into the task's one ``Generator``; nothing outlives the task.
+    hashes those seeds for every edge of the network in one pass
+    (:func:`~oppload.contacts._pcg64_seeds`); each request then derives its
+    own edge's generator state (:func:`~oppload.contacts._pcg64_state`) and
+    loads it into the task's one ``Generator``.  Nothing outlives the task.
     """
 
     def __init__(self, network: Network, seed: int, task_id: int, horizon: float):
@@ -187,15 +189,15 @@ class _ContactSampler:
         self._seed = seed
         self._task_id = task_id
         self._horizon = horizon
-        self._states: dict[EdgeKey, tuple[int, int]] | None = None
+        self._seeds: dict[EdgeKey, list[int]] | None = None
         self._rng: np.random.Generator | None = None
 
     def events(self, key: EdgeKey) -> _EdgeContacts:
-        if self._states is None:
+        if self._seeds is None:
             edges = list(self._network.edges)
-            self._states = dict(zip(edges, _pcg64_states(self._seed, self._task_id, edges)))
+            self._seeds = dict(zip(edges, _pcg64_seeds(self._seed, self._task_id, edges)))
             self._rng = np.random.default_rng(0)  # each edge loads its own state
-        state, inc = self._states[key]
+        state, inc = _pcg64_state(*self._seeds[key])
         self._rng.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},

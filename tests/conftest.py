@@ -82,6 +82,25 @@ def criterion_7_network() -> Network:
     )
 
 
+def criterion_6_network() -> Network:
+    """The acceptance criterion-6 network: 100 nodes, seed 23."""
+    return ol.generate_synthetic(
+        ol.SyntheticConfig(
+            n=100,
+            avg_degree=10,
+            max_degree=15,
+            weight_exponent=2.0,
+            node_alpha_range=(6.0, 10.0),
+            node_beta_range=(2.0, 3.0),
+            infra_alpha_range=(3.0, 4.0),
+            infra_beta_range=(2.0, 3.0),
+            infra_lambda_range=(0.001, 0.01),
+            rate=1.0,
+            seed=23,
+        )
+    )
+
+
 @pytest.fixture(scope="session")
 def two_path_network() -> Network:
     return build_two_path_network(with_direct=False)

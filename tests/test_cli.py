@@ -661,3 +661,57 @@ class TestValidate:
         rows = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
         assert len(rows) == 6
         assert all(float(value) == 0.0 for row in rows for value in row[2:])
+
+
+class TestNegativeSeed:
+    """A negative seed is refused before any draw, by one message that names it."""
+
+    @pytest.mark.parametrize(
+        "command, where, seed",
+        [
+            ("generate", "option", -2),
+            ("generate", "config", -2),
+            ("simulate", "option", -1),
+            ("simulate", "config", -3),
+            ("simulate", "synthetic network", -1),
+            ("validate", "option", -1),
+        ],
+    )
+    def test_refused_naming_the_seed(
+        self, tmp_path, synth_config, capsys, monkeypatch, command, where, seed
+    ):
+        synthetic = json.loads(open(synth_config).read())
+        if command == "generate":
+            if where == "config":
+                synthetic["seed"] = seed
+            argv = ["generate", "--config", write_json(tmp_path / "synth.json", synthetic)]
+        elif command == "simulate":
+            if where == "synthetic network":
+                synthetic["seed"] = seed
+            payload = {
+                "network": {"synthetic": synthetic},
+                "sizes": [10.0],
+                "deadlines": [200.0],
+                "seed": seed if where == "config" else 9,
+                "results_csv": str(tmp_path / "r.csv"),
+            }
+            argv = ["simulate", "--config", write_json(tmp_path / "exp.json", payload)]
+        else:
+            spec = write_json(
+                tmp_path / "path.json",
+                {"hops": [{"lambda": 0.05, "alpha": 3.0, "beta": 5.0, "rate": 10.0}]},
+            )
+            argv = ["validate", "--path-spec", spec, "--sizes", "5", "--deadlines", "100",
+                    "--runs", "1000"]
+        if where == "option":
+            argv += ["--seed", str(seed)]
+        argv += ["--out", str(tmp_path / "out")]
+        drawn = []
+        for name in ("generate_synthetic", "_build_tasks", "simulate_strategy",
+                     "run_monte_carlo_delivery"):
+            monkeypatch.setattr(f"oppload.cli.{name}", lambda *args, **kw: drawn.append(args))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[VALIDATION]: seed must be a non-negative integer, got {seed}\n"
+        assert drawn == []
+        assert not (tmp_path / "out").exists() and not (tmp_path / "r.csv").exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oppload as ol
-from oppload.contacts import _pcg64_states
+from oppload.contacts import _pcg64_seeds, _pcg64_state, _reg_lower_incomplete_gammas
 from oppload.errors import ComplexityError, FittingError
 
 
@@ -138,7 +138,7 @@ class TestPcg64States:
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**70, np.int64(7)])
     @pytest.mark.parametrize("task_id", [0, 499, 2**32 + 1])
     def test_equals_numpy_seeding(self, seed, task_id):
-        got = _pcg64_states(seed, task_id, self.EDGES)
+        got = [_pcg64_state(*words) for words in _pcg64_seeds(seed, task_id, self.EDGES)]
         expected = []
         for a, b in self.EDGES:
             state = np.random.PCG64(np.random.SeedSequence((seed, task_id, a, b))).state
@@ -148,7 +148,7 @@ class TestPcg64States:
     @pytest.mark.parametrize("seed, task_id", [(-1, 0), (0, -3)])
     def test_negative_entropy_is_rejected(self, seed, task_id):
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            _pcg64_states(seed, task_id, self.EDGES)
+            _pcg64_seeds(seed, task_id, self.EDGES)
 
 
 class TestRegLowerIncompleteGamma:
@@ -181,6 +181,27 @@ class TestRegLowerIncompleteGamma:
     def test_domain_errors(self, shape, x):
         with pytest.raises(ValueError):
             ol.reg_lower_incomplete_gamma(shape, x)
+
+
+class TestRegLowerIncompleteGammas:
+    def test_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        shapes = rng.uniform(0.05, 60.0, size=500).tolist()
+        xs = (rng.uniform(0.0, 2.0, size=500) * shapes).tolist()
+        xs[:3] = [0.0, 1e-300, 1e6]
+        assert _reg_lower_incomplete_gammas(shapes, xs) == [
+            ol.reg_lower_incomplete_gamma(a, x) for a, x in zip(shapes, xs)
+        ]
+
+    @pytest.mark.parametrize(
+        "shape,x", [(0, 1), (-1, 1), (1, -1), (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf)]
+    )
+    def test_raises_as_the_scalar_call_does(self, shape, x):
+        with pytest.raises(ValueError) as scalar:
+            ol.reg_lower_incomplete_gamma(shape, x)
+        with pytest.raises(ValueError) as batch:
+            _reg_lower_incomplete_gammas([2.0, shape, 3.0], [1.0, x, 1.0])
+        assert str(batch.value) == str(scalar.value)
 
 
 class TestLogBeta:

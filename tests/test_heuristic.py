@@ -13,6 +13,7 @@ from oppload.netgraph import Network, edge_key
 from conftest import (
     TWO_PATH_DEADLINE,
     TWO_PATH_SIZE,
+    criterion_6_network,
     criterion_7_network,
     random_small_instance,
 )
@@ -113,6 +114,38 @@ class TestRunningMomentLabels:
             assert ol.dijkstra_max_q(
                 net, source, infra, deadline, excluded
             ) == reference_dijkstra(net, source, infra, deadline, excluded)
+
+
+class TestBatchedLabels:
+    """A settled node's neighbors are labelled by one array gamma call."""
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return criterion_6_network()
+
+    # at deadline 0 every label is 0, so hops and routes break every tie
+    @pytest.mark.parametrize("deadline", [0.0, 400.0])
+    @pytest.mark.parametrize("exclude_first", [False, True])
+    def test_labels_and_routes_on_criterion_6(self, network, exclude_first, deadline):
+        infra = network.infrastructure_id
+        for source in network.mobile_nodes():
+            excluded = set()
+            if exclude_first:
+                first = ol.dijkstra_max_q(network, source, infra, deadline)
+                excluded = {edge_key(a, b) for a, b in zip(first, first[1:])}
+            settled = list(_settle(network, source, deadline, excluded))
+            assert settled[0] == ((source,), 1.0)
+            for route, q in settled[1:]:
+                assert q == ol.availability(route_path(network, route), deadline)
+            assert ol.dijkstra_max_q(
+                network, source, infra, deadline, excluded
+            ) == reference_dijkstra(network, source, infra, deadline, excluded)
+
+    def test_overflowing_variance_still_raises(self):
+        # 1/lambda**2 is 1e308 per hop, so V overflows on the second hop
+        net = simple_net({(0, 1): params(lam=1e-154), (1, 2): params(lam=1e-154)}, n=3, infra=2)
+        with pytest.raises(ValueError, match="shape must be finite and > 0"):
+            ol.dijkstra_max_q(net, 0, 2, 100.0)
 
 
 class TestAllocatePaths:

@@ -98,6 +98,28 @@ def star_params(rng, edges, rate=100.0):
     }
 
 
+class TestIncidentTable:
+    @pytest.mark.parametrize("seed", [4, 23])
+    def test_every_entry_equals_edge_params(self, seed):
+        net = ol.generate_synthetic(table_config(seed=seed))
+        entries = 0
+        for node in range(net.node_count):
+            table = net.incident(node)
+            assert [nb for nb, _, _ in table] == net.neighbors(node)
+            for neighbor, key, params in table:
+                assert key == edge_key(node, neighbor)
+                assert params is net.edge_params(node, neighbor)
+            entries += len(table)
+        assert entries == 2 * len(net.edges)
+
+    def test_isolated_node_has_no_entries(self):
+        params = ol.PairContactParams(contact_rate=0.1, alpha=3.0, beta=2.0, rate=1.0)
+        net = ol.Network(node_count=3, infrastructure_id=2, edges={(1, 2): params})
+        assert net.incident(0) == []
+        assert net.incident(1) == [(2, (1, 2), params)]
+        assert net.incident(2) == [(1, (1, 2), params)]
+
+
 class TestIngestTrace:
     def test_round_trip_recovers_rates(self):
         rng = np.random.default_rng(8)
