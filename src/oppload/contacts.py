@@ -16,9 +16,7 @@ need.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,17 +35,6 @@ __all__ = [
 
 # sample_contact_process refuses a window expected to hold more contacts
 MAX_EXPECTED_CONTACTS = 1_000_000
-
-# NumPy's SeedSequence (O'Neill's seed_seq hashing into a pool of four 32-bit
-# words) and PCG64's 128-bit multiplier: fixed integer arithmetic, so
-# _pcg64_seeds hashes the seeds of many edges in one pass
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _serial_sum(values: Iterable[float]) -> float:
@@ -203,97 +190,6 @@ def _sample_columns(
     durations += 1.0
     durations *= params.beta / params.rate
     return starts, durations.tolist()
-
-
-def _entropy_words(value: int) -> list[int]:
-    """The 32-bit words of a non-negative integer, least significant first,
-    as SeedSequence splits each entry of its entropy (0 is one word).
-
-    Raises:
-        ValueError: ``value`` is negative, as SeedSequence raises.
-    """
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value!r}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k`` mod 2**32 for ``k = 0..count``, as a uint32 column."""
-    constants = [init]
-    for _ in range(count):
-        constants.append(constants[-1] * mult & _MASK32)
-    return np.array(constants, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, constants: np.ndarray, first: int, count: int) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of ``values`` under ``count`` successive hash
-    constants from index ``first``: one row per constant."""
-    mixed = values ^ constants[first : first + count]
-    mixed *= constants[first + 1 : first + count + 1]
-    mixed ^= mixed >> 16
-    return mixed
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``mix`` of two words."""
-    mixed = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    mixed ^= mixed >> 16
-    return mixed
-
-
-def _pcg64_seeds(seed: int, task_id: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """The words ``[seed_hi, seed_lo, stream_hi, stream_lo]`` that
-    ``SeedSequence((seed, task_id, a, b)).generate_state(4, uint64)`` gives
-    PCG64, for each edge ``(a, b)`` in order, hashed for all edges at once;
-    :func:`_pcg64_state` turns one edge's words into its generator state.
-
-    Follows NumPy's ``SeedSequence`` step for step, on uint32 arrays with
-    one column per edge.  The entropy is ``seed`` and ``task_id`` split into
-    32-bit words (any number of them), then ``a`` and ``b``, one word each
-    (node ids lie below 2**32).  It is hashed into the pool of four words,
-    from which ``generate_state`` draws.
-
-    Raises:
-        ValueError: ``seed`` or ``task_id`` is negative.
-    """
-    prefix = _entropy_words(seed) + _entropy_words(task_id)
-    entropy = np.empty((len(prefix) + 2, len(edges)), dtype=np.uint32)
-    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[len(prefix) :] = np.fromiter(
-        chain.from_iterable(edges), dtype=np.uint32, count=2 * len(edges)
-    ).reshape(-1, 2).T
-    # one constant per hashmix: the first words, the pool's cross mixes, and
-    # each further word mixed into every pool word
-    extra = len(entropy) - _POOL_SIZE
-    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * extra)
-    pool = _hashmix(entropy[:_POOL_SIZE], constants, 0, _POOL_SIZE)
-    used = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, used, len(dst)))
-        used += len(dst)
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, constants, used, _POOL_SIZE))
-        used += _POOL_SIZE
-    # generate_state(4, uint64): the pool cycled to eight words, hashed, and
-    # paired into 64-bit words, low word first
-    words = _hashmix(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
-    words = words.astype(np.uint64)
-    halves = words[0::2] | words[1::2] << np.uint64(32)
-    return halves.T.tolist()
-
-
-def _pcg64_state(seed_hi: int, seed_lo: int, stream_hi: int, stream_lo: int) -> tuple[int, int]:
-    """The PCG64 ``(state, inc)`` of one edge's :func:`_pcg64_seeds` words:
-    PCG64's ``srandom`` step, in Python ints."""
-    inc = ((stream_hi << 64 | stream_lo) << 1 | 1) & _MASK128
-    return (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def reg_lower_incomplete_gamma(shape: float, x: float) -> float:

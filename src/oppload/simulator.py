@@ -9,14 +9,13 @@ per-task outcomes.  Its task loop alone turns a ``ComplexityError`` or
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
-rerun with the same seed reproduces results exactly: edge ``(a, b)`` draws
-from the PCG64 generator that ``SeedSequence((seed, task_id, a, b))``
-seeds.  A task hashes those seeds for all edges in one pass the first
-time it asks for an edge, and derives a generator state only for each edge
-it asks for.  What depends on the
-network alone (the replay's edge ranks, maxrate's best relays, the
-distributed routes) is derived once per :func:`simulate_strategy` call,
-the first time a task needs it, and shared by its tasks.
+rerun with the same seed reproduces results exactly: a task's Philox key
+is ``SeedSequence((seed, task_id)).generate_state(2, uint64)``, and edge
+``(a, b)`` draws from Philox under that key from counter ``(0, 0, a, b)``.
+What depends on the network alone (the replay's edge ranks, maxrate's best
+relays, the distributed routes) is derived once per
+:func:`simulate_strategy` call, the first time a task needs it, and shared
+by its tasks.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .contacts import _pcg64_seeds, _pcg64_state, _sample_columns
+from .contacts import _sample_columns
 from .delivery import PathSpec, _needed_contacts
 from .distributed import (
     _EPS,
@@ -176,12 +175,11 @@ class _ContactSampler:
     """Samples one contact realization per (task, edge) over the task's
     deadline; the runners ask for each edge at most once per task.
 
-    An edge ``(a, b)`` draws its contacts from the PCG64 generator that
-    ``SeedSequence((seed, task_id, a, b))`` seeds.  The first request
-    hashes those seeds for every edge of the network in one pass
-    (:func:`~oppload.contacts._pcg64_seeds`); each request then derives its
-    own edge's generator state (:func:`~oppload.contacts._pcg64_state`) and
-    loads it into the task's one ``Generator``.  Nothing outlives the task.
+    The task's Philox key is ``SeedSequence((seed, task_id))``'s first two
+    64-bit words.  Edge ``(a, b)`` draws from Philox under that key from
+    counter ``(0, 0, a, b)``: Philox steps only the lowest counter word per
+    block, so no two edges' streams overlap.  Each request loads its edge's
+    counter into the task's one ``Generator``.  Nothing outlives the task.
     """
 
     def __init__(self, network: Network, seed: int, task_id: int, horizon: float):
@@ -189,18 +187,16 @@ class _ContactSampler:
         self._seed = seed
         self._task_id = task_id
         self._horizon = horizon
-        self._seeds: dict[EdgeKey, list[int]] | None = None
-        self._rng: np.random.Generator | None = None
+        self._key = np.random.SeedSequence((seed, task_id)).generate_state(2, np.uint64)
+        self._rng = np.random.Generator(np.random.Philox(key=self._key))
 
     def events(self, key: EdgeKey) -> _EdgeContacts:
-        if self._seeds is None:
-            edges = list(self._network.edges)
-            self._seeds = dict(zip(edges, _pcg64_seeds(self._seed, self._task_id, edges)))
-            self._rng = np.random.default_rng(0)  # each edge loads its own state
-        state, inc = _pcg64_state(*self._seeds[key])
+        # the state of a fresh Philox(key=..., counter=(0, 0, a, b))
         self._rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, *key), "key": self._key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }

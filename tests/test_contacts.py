@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oppload as ol
-from oppload.contacts import _pcg64_seeds, _pcg64_state, _reg_lower_incomplete_gammas
+from oppload.contacts import _reg_lower_incomplete_gammas
 from oppload.errors import ComplexityError, FittingError
 
 
@@ -129,26 +129,6 @@ class TestSampleContactProcess:
         events = ol.sample_contact_process(self.PARAMS, 1000.0, rng_seed=9)
         starts = [s for s, _ in events]
         assert starts == sorted(starts)
-
-
-class TestPcg64States:
-    # edges with node 0 and with the infrastructure id (50) of criterion 7's network
-    EDGES = [(0, 1), (0, 50), (3, 17), (49, 50)]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**70, np.int64(7)])
-    @pytest.mark.parametrize("task_id", [0, 499, 2**32 + 1])
-    def test_equals_numpy_seeding(self, seed, task_id):
-        got = [_pcg64_state(*words) for words in _pcg64_seeds(seed, task_id, self.EDGES)]
-        expected = []
-        for a, b in self.EDGES:
-            state = np.random.PCG64(np.random.SeedSequence((seed, task_id, a, b))).state
-            expected.append((state["state"]["state"], state["state"]["inc"]))
-        assert got == expected
-
-    @pytest.mark.parametrize("seed, task_id", [(-1, 0), (0, -3)])
-    def test_negative_entropy_is_rejected(self, seed, task_id):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            _pcg64_seeds(seed, task_id, self.EDGES)
 
 
 class TestRegLowerIncompleteGamma:

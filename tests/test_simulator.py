@@ -12,7 +12,8 @@ import pytest
 
 import oppload as ol
 from oppload import simulator
-from oppload.errors import ConfigError, PlanningError, ProtocolError
+from oppload.contacts import _sample_columns
+from oppload.errors import ComplexityError, ConfigError, PlanningError, ProtocolError
 from oppload.netgraph import Network, edge_key
 
 from conftest import criterion_7_network
@@ -186,6 +187,26 @@ def make_tasks(network, count, size, deadline, seed=3):
     ]
 
 
+def pcg64_events(sampler, key):
+    """Reference for ``_ContactSampler.events`` on the stream the sampler
+    drew before its Philox key: edge ``(a, b)`` from the PCG64 generator that
+    ``SeedSequence((seed, task_id, a, b))`` seeds."""
+    a, b = key
+    contacts = ol.sample_contact_process(
+        sampler._network.edges[key],
+        sampler._horizon,
+        np.random.SeedSequence((sampler._seed, sampler._task_id, a, b)),
+    )
+    return simulator._EdgeContacts([s for s, _ in contacts], [d for _, d in contacts])
+
+
+@pytest.fixture
+def pcg64_stream(monkeypatch):
+    """Replays on :func:`pcg64_events`, so that values recorded on that
+    stream keep pinning the strategy rules alone."""
+    monkeypatch.setattr(simulator._ContactSampler, "events", pcg64_events)
+
+
 class TestTransmissionTask:
     @pytest.mark.parametrize("field", ["size", "deadline", "release"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -326,10 +347,12 @@ class TestSimulateStrategy:
         assert (over.offloaded, over.success, over.completion_time) == (False, False, None)
         assert planned.offloaded and planned.success
 
+    @pytest.mark.usefixtures("pcg64_stream")
     def test_task_over_the_contact_cap_fails_alone(self):
         # at deadline 6e6 a strong mobile edge of source 3 expects more than
         # MAX_EXPECTED_CONTACTS contacts, so only the replays, which walk
-        # it, cannot sample the task; the direct edge stays under the cap
+        # it, cannot sample the task; the direct edge stays under the cap.
+        # The completion time 108.4 was recorded on the PCG64 stream.
         net = criterion_7_network()
         tasks = [
             ol.TransmissionTask(task_id=0, source=3, size=10.0, deadline=400.0),
@@ -379,27 +402,57 @@ def test_each_edge_is_sampled_at_most_once_per_task(monkeypatch, strategy):
 
 
 @pytest.mark.parametrize("deadline", [400.0, 3000.0])
-def test_sampler_draws_each_edge_from_its_own_seed_sequence(deadline):
-    # every edge's contacts are those of SeedSequence((seed, task, a, b)),
-    # whichever edge the task asks for first
+@pytest.mark.parametrize("task_id", [0, 499, 2**32 + 1])
+@pytest.mark.parametrize("seed", [0, 5, 2**32, 2**70, np.int64(7)])
+def test_sampler_draws_each_edge_from_its_own_philox_counter(seed, task_id, deadline):
+    # every edge's contacts are those of Philox under the task's key from
+    # counter (0, 0, a, b), whichever edge the task asks for first
     net = criterion_7_network()
     keys = sorted(net.edges)
-    forward = simulator._ContactSampler(net, 5, 499, deadline)
-    backward = simulator._ContactSampler(net, 5, 499, deadline)
+    task_key = np.random.SeedSequence((seed, task_id)).generate_state(2, np.uint64)
+    forward = simulator._ContactSampler(net, seed, task_id, deadline)
+    backward = simulator._ContactSampler(net, seed, task_id, deadline)
     got = {key: forward.events(key) for key in keys}
     got_backward = {key: backward.events(key) for key in reversed(keys)}
     for (a, b), contacts in got.items():
-        expected = ol.sample_contact_process(
-            net.edges[a, b], deadline, np.random.SeedSequence((5, 499, a, b))
-        )
-        assert list(zip(contacts.starts, contacts.durations)) == expected
+        rng = np.random.Generator(np.random.Philox(key=task_key, counter=(0, 0, a, b)))
+        expected = _sample_columns(net.edges[a, b], deadline, rng)
+        assert (contacts.starts, contacts.durations) == expected
         reverse = got_backward[a, b]
-        assert (reverse.starts, reverse.durations) == (contacts.starts, contacts.durations)
+        assert (reverse.starts, reverse.durations) == expected
 
 
-# Outcomes of one small replay, recorded before the strategy replays were
-# merged into one event loop; any change to them is a change to the
-# random stream or to a strategy's rule.
+def test_sampler_refuses_an_edge_over_the_contact_cap():
+    # at horizon 6e6 source 3's strong mobile edge expects about 1.18e6
+    # contacts; its direct edge to infrastructure expects about 68k
+    net = criterion_7_network()
+    sampler = simulator._ContactSampler(net, 1, 1, 6e6)
+    with pytest.raises(ComplexityError, match="above 1000000"):
+        sampler.events(edge_key(3, 30))
+    assert len(sampler.events(edge_key(3, 50))) > 0
+
+
+# sha256 of tasks 0-2's contacts on every criterion-7 edge at seed 17 and
+# horizon 400, in sorted edge order: any change to it is a change to the
+# random stream, which CHANGES.md must announce.
+PINNED_STREAM = "872ba2b139b5fb7c57a2e97d5d4a7dcc6a32dfcac8a740fc23db0b4630d95e4e"
+
+
+def test_sampler_stream_is_pinned():
+    net = criterion_7_network()
+    digest = hashlib.sha256()
+    for task_id in range(3):
+        sampler = simulator._ContactSampler(net, 17, task_id, 400.0)
+        for key in sorted(net.edges):
+            contacts = sampler.events(key)
+            digest.update(repr((key, contacts.starts, contacts.durations)).encode())
+    assert digest.hexdigest() == PINNED_STREAM
+
+
+# Outcomes of one small replay, recorded on the PCG64 stream (see
+# pcg64_events) before the strategy replays were merged into one event
+# loop.  The tests replay on that stream, so any change to them is a change
+# to a strategy's rule.
 PINNED_OUTCOMES = {
     "individual": [
         (False, True, "47.737194892282886"),
@@ -458,8 +511,8 @@ PINNED_EVENT_LOG = (415, "fd3c54c07c4b7cd8f8982d9d1cad76a17c90fd64f4393b230854f7
 # segments once.
 PINNED_STATES = "c0400b8ebd22debaf5306d39cc3f6a53e6af3e15a99e570ccca573da32f28d38"
 
-# Criterion 7's network at deadline 3000, sizes 60 and 120, recorded before
-# the replay walked only the edges touching data.
+# Criterion 7's network at deadline 3000, sizes 60 and 120, recorded on the
+# PCG64 stream before the replay walked only the edges touching data.
 PINNED_LONG_OUTCOMES = {
     "individual": [
         (False, False, "None"),
@@ -526,6 +579,7 @@ def replay_all(net, tasks, seed):
     return outcomes, log_digest, states_digest.hexdigest()
 
 
+@pytest.mark.usefixtures("pcg64_stream")
 class TestPinnedReplay:
     def test_outcomes_and_event_log_are_unchanged(self):
         net = ol.generate_synthetic(
