@@ -21,7 +21,7 @@ import numpy as np
 
 from .delivery import DeliveryQuery, PathSpec, delivery_prob_onehop, delivery_prob_path
 from .errors import ConfigError, OppLoadError
-from .heuristic import plan_offload, plan_to_json, route_path
+from .heuristic import OffloadPlan, plan_offload, plan_to_json, route_path
 from .netgraph import (
     Network,
     SyntheticConfig,
@@ -124,11 +124,18 @@ def _resolve_node(network: Network, node: int) -> int:
     return node
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _plan_json(args: argparse.Namespace) -> tuple[Network, OffloadPlan, str]:
+    """The network of an ``estimate`` or ``plan`` command, the offload plan
+    of its ``--source``, ``--size`` and ``--deadline``, and that plan as the
+    JSON text both commands write."""
     network = load_network(args.network)
-    source = _resolve_node(network, args.source)
-    plan = plan_offload(network, source, args.size, args.deadline)
-    direct = network.edge_params(source, network.infrastructure_id)
+    plan = plan_offload(network, _resolve_node(network, args.source), args.size, args.deadline)
+    return network, plan, json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n"
+
+
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    network, plan, text = _plan_json(args)
+    direct = network.edge_params(args.source, network.infrastructure_id)
     individual = 0.0
     if direct is not None:
         individual = delivery_prob_onehop(
@@ -137,22 +144,17 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     print(f"individual {individual:.6f}")
     print(f"cooperative {plan.joint_probability:.6f}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    network = load_network(args.network)
-    source = _resolve_node(network, args.source)
-    plan = plan_offload(network, source, args.size, args.deadline)
-    payload = json.dumps(plan_to_json(plan), indent=2, sort_keys=True)
+    _, _, text = _plan_json(args)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
-        print(payload)
+        print(text, end="")
     return 0
 
 

@@ -156,8 +156,9 @@ def gamma_approx(
 def availability(path: PathSpec, deadline: float) -> float:
     """Probability the path materializes (one contact per hop) in time.
 
-    For a single hop this is exactly the exponential CDF ``1 - exp(-lambda
-    * deadline)``; multi-hop paths use the moment-matched gamma.
+    For a single hop this equals the exponential CDF ``1 - exp(-lambda *
+    deadline)`` up to rounding (the moment-matched shape ``M**2 / V`` may
+    round off 1); multi-hop paths use the moment-matched gamma.
     """
     if not (math.isfinite(deadline) and deadline >= 0):
         raise ValueError(f"deadline must be finite and >= 0, got {deadline!r}")
@@ -242,6 +243,25 @@ def _exact_success(
         prev = success
 
 
+def _onehop_terms(
+    hop: PairContactParams, data_size: float, limit: int
+) -> Iterator[tuple[array, array, array]]:
+    """The weights, shapes and rates of one hop's terms, as arrays of
+    doubles, in blocks of at most ``_MAX_KEPT`` contact counts.
+
+    The weights are the hop's exact successes up to the first certain
+    success; the shapes ``n`` and rate ``lambda`` are the Erlang CDF's,
+    which always pass :func:`_check_gamma`.
+    """
+    exact = _exact_success(hop, data_size, limit, stop_when_certain=True)
+    rate = array("d", [hop.contact_rate])
+    start = 1
+    while weights := array("d", itertools.islice(exact, _MAX_KEPT)):
+        count = len(weights)
+        yield weights, array("d", range(start, start + count)), rate * count
+        start += count
+
+
 def _gamma_ok(shape: float, rate: float) -> bool:
     return math.isfinite(shape) and shape > 0 and math.isfinite(rate) and rate > 0
 
@@ -264,18 +284,14 @@ def _limits(hops: Sequence[PairContactParams], data_size: float) -> tuple[int, .
 def _tuple_gammas(
     hops: Sequence[PairContactParams], limits: tuple[int, ...]
 ) -> tuple[array, array, tuple[int, ...]]:
-    """The gamma shape and rate of every contact-count tuple, in
-    ``itertools.product`` order, and the indices of the tuples whose pair
-    fails :func:`_check_gamma`, ascending; they depend on the counts and the
-    hops' contact rates only, not on the data size.
+    """The moment-matched gamma shape and rate of every contact-count tuple
+    of several hops, in ``itertools.product`` order, and the indices of the
+    tuples whose pair fails :func:`_check_gamma`, ascending; they depend on
+    the counts and the hops' contact rates only, not on the data size.
 
-    One hop takes the Erlang CDF's shape ``n`` and rate ``lambda``, which
-    always pass.  Several hops take the moment-matched gamma of
-    :func:`gamma_approx`, with ``M`` and ``V`` summed hop by hop from 0.0.
+    The gamma is :func:`gamma_approx`'s, with ``M`` and ``V`` summed hop by
+    hop from 0.0.
     """
-    if len(limits) == 1:
-        shapes = array("d", range(1, limits[0] + 1))
-        return shapes, array("d", [hops[0].contact_rate]) * limits[0], ()
     means = variances = [0.0]
     for hop, limit in zip(hops, limits):
         lam = hop.contact_rate
@@ -295,23 +311,16 @@ def _kept_terms(
     limits: tuple[int, ...],
     gammas: tuple[array, array, tuple[int, ...]],
 ) -> tuple[array, array, array]:
-    """The weights, shapes and rates of a tuple space's nonzero terms, in
-    product order, as arrays of doubles, given the :func:`_tuple_gammas` of
-    its ``limits``.
+    """The weights, shapes and rates of a multi-hop tuple space's nonzero
+    terms, in product order, as arrays of doubles, given the
+    :func:`_tuple_gammas` of its ``limits``.
 
-    One hop keeps its terms up to the first certain success.  Several hops
-    weigh each tuple by the product of its hops' exact successes, multiplied
-    hop by hop from 1.0, and keep the tuples of nonzero weight, each of
-    whose gammas must pass :func:`_check_gamma`: the first kept tuple in
+    Each tuple weighs the product of its hops' exact successes, multiplied
+    hop by hop from 1.0; the tuples of nonzero weight are kept, and each of
+    their gammas must pass :func:`_check_gamma`: the first kept tuple in
     product order among those :func:`_tuple_gammas` found failing raises.
     """
     shapes, rates, failing = gammas
-    if len(hops) == 1:
-        weights = array("d", _exact_success(hops[0], data_size, limits[0], stop_when_certain=True))
-        count = len(weights)
-        if count < limits[0]:
-            shapes, rates = shapes[:count], rates[:count]
-        return weights, shapes, rates
     weights = [1.0]
     for hop, limit in zip(hops, limits):
         exact = list(_exact_success(hop, data_size, limit, stop_when_certain=False))
@@ -336,9 +345,8 @@ class _BlockTerms:
     It keeps the per-hop vectors of several hops (``per_hop``) when they
     hold at most ``_MAX_KEPT`` counts in all, and nothing otherwise; from
     these every query builds the terms again in product order.  One hop
-    takes ``_MAX_KEPT`` contact counts at a time and ends at the first
-    certain success; its Erlang CDF falls as ``n`` grows, so every term
-    after its first zero adds 0.
+    walks the blocks of :func:`_onehop_terms`; its Erlang CDF falls as
+    ``n`` grows, so every term after its first zero adds 0.
 
     Several hops split at the first hop ``s >= 1`` from which the remaining
     hops' counts multiply to at most ``_CHUNK`` (the last hop when none
@@ -367,7 +375,8 @@ class _BlockTerms:
         onehop = len(self.hops) == 1
         total = 0.0
         for weight, shape, rate in self._blocks():
-            x = rate * budget
+            with np.errstate(over="ignore"):
+                x = rate * budget
             if not np.isfinite(x).all():
                 raise ValueError(f"gamma argument overflows at time budget {budget!r}")
             in_time = _special.gammainc(shape, x)
@@ -385,21 +394,6 @@ class _BlockTerms:
                 break
         total += 0.0  # a sum started at +0.0 never ends at -0.0
         return min(max(total, 0.0), 1.0)
-
-    def _onehop_blocks(self):
-        """Weights, shapes and rates of one hop's terms, ``_MAX_KEPT``
-        contact counts at a time, ending at the first certain success."""
-        hop = self.hops[0]
-        exact = _exact_success(hop, self.data_size, self.limits[0], stop_when_certain=True)
-        start = 1
-        while block := list(itertools.islice(exact, _MAX_KEPT)):
-            count = len(block)
-            yield (
-                np.array(block),
-                np.arange(start, start + count, dtype=float),
-                np.full(count, hop.contact_rate),
-            )
-            start += count
 
     def _hop_vectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Each hop's exact successes, ``n / lambda`` and ``n / lambda**2``
@@ -452,7 +446,8 @@ class _BlockTerms:
 
     def _blocks(self):
         if len(self.hops) == 1:
-            yield from self._onehop_blocks()
+            for block in _onehop_terms(self.hops[0], self.data_size, self.limits[0]):
+                yield tuple(map(np.asarray, block))
         else:
             per_hop = self.per_hop or self._hop_vectors()
             limits = self.limits
@@ -503,18 +498,18 @@ class RouteTerms:
     """The size-free parts of one path's estimator, and its terms per size.
 
     Kept in ``gammas``, once for all sizes: the :func:`_tuple_gammas` of
-    every contact-count ``limits`` the path has met, the gamma shape and
-    rate of each tuple and which tuples fail :func:`_check_gamma`, so each
-    tuple is checked once per ``limits``, not once per size.  A distributed
-    route lives for a whole :func:`~oppload.simulator.simulate_strategy`
-    call and meets few distinct ``limits``, so nearly every lookup there
-    hits.
+    every multi-hop contact-count ``limits`` the path has met, the gamma
+    shape and rate of each tuple and which tuples fail :func:`_check_gamma`,
+    so each tuple is checked once per ``limits``, not once per size; a
+    one-hop path keeps none.  A distributed route lives for a whole
+    :func:`~oppload.simulator.simulate_strategy` call and meets few distinct
+    ``limits``, so nearly every lookup there hits.
 
     Kept in ``memo``, for each size asked since the memo was last cleared:
     ``T'`` and that size's terms, so a query is a ``gammainc`` evaluation of
     them at the deadline's time budget.  A tuple space of at most
-    ``_MAX_KEPT`` tuples, one hop or several, keeps its nonzero terms as
-    three arrays of doubles (:func:`_kept_terms`), and
+    ``_MAX_KEPT`` tuples keeps its nonzero terms as three arrays of doubles
+    (:func:`_onehop_terms` for one hop, :func:`_kept_terms` for several), and
     :func:`delivery_probs` prices all such terms of a batch with one array
     ``gammainc`` call (:func:`_sum_stacked`).  A larger space keeps a
     :class:`_BlockTerms`: at most three arrays of ``_MAX_KEPT`` floats (the
@@ -613,6 +608,8 @@ class RouteTerms:
             )
         if tuples > _MAX_KEPT:
             terms = _BlockTerms(hops, data_size, limits)
+        elif len(hops) == 1:
+            terms = next(_onehop_terms(hops[0], data_size, limits[0]))
         else:
             gammas = self.gammas.get(limits)
             if gammas is None:

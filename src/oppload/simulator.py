@@ -67,6 +67,9 @@ class TransmissionTask:
     release: float = 0.0
 
     def __post_init__(self) -> None:
+        # the id seeds the task's contacts, which NumPy takes as an integer
+        if not isinstance(self.task_id, (int, np.integer)):
+            raise ValueError(f"task_id must be a non-negative integer, got {self.task_id!r}")
         if self.task_id < 0:
             raise ValueError(f"task_id must be >= 0, got {self.task_id!r}")
         for name in ("size", "deadline", "release"):

@@ -445,6 +445,25 @@ class TestRouteTerms:
             errors.append((caught.type, str(caught.value)))
         assert errors[0] == errors[1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "hops, size, where",
+        [
+            ((hop(lam=1e10),) * 2, 3.0, "deadline"),  # 2 x 2 tuples: kept
+            ((hop(lam=1e10, beta=0.1),), 40.0, "time budget"),  # 400 contacts
+            ((hop(lam=1e10, beta=0.1),) * 2, 40.0, "time budget"),  # 400 x 400 tuples
+        ],
+    )
+    def test_gamma_argument_overflow_raises_again(self, hops, size, where):
+        # rate * budget overflows to inf: kept and block terms alike raise
+        # the same ValueError each time, and numpy warns of nothing
+        path = ol.PathSpec(hops)
+        for _ in range(2):
+            with pytest.raises(ValueError) as caught:
+                ol.delivery_prob_path(path, ol.DeliveryQuery(size, 1e300))
+            assert str(caught.value) == f"gamma argument overflows at {where} 1e+300"
+        assert size in path.terms.memo
+
     def test_first_kept_failing_tuple_raises(self):
         # the mean squared overflows at 14 contacts on the first hop, so
         # tuples (14, 1..7) fail the gamma check; the second hop's huge

@@ -16,7 +16,7 @@ from oppload.contacts import _sample_columns
 from oppload.errors import ComplexityError, ConfigError, PlanningError, ProtocolError
 from oppload.netgraph import Network, edge_key
 
-from conftest import criterion_7_network
+from conftest import TWO_PATH_DEADLINE, TWO_PATH_SIZE, criterion_7_network
 
 
 def params(lam=0.1, alpha=3.0, beta=5.0, rate=100.0):
@@ -234,6 +234,16 @@ class TestTransmissionTask:
         # a task's contacts are seeded from its id, which must be >= 0
         with pytest.raises(ValueError, match="task_id must be >= 0, got -3"):
             ol.TransmissionTask(task_id=-3, source=0, size=10.0, deadline=100.0)
+
+    @pytest.mark.parametrize("task_id", [1.5, 2.0, "3"])
+    def test_non_integer_task_id_is_rejected(self, task_id):
+        # the id seeds the task's contacts, which take integers only
+        with pytest.raises(ValueError, match="task_id must be a non-negative integer"):
+            ol.TransmissionTask(task_id=task_id, source=0, size=10.0, deadline=100.0)
+
+    def test_numpy_integer_task_id_is_accepted(self):
+        task = ol.TransmissionTask(task_id=np.int64(7), source=0, size=10.0, deadline=100.0)
+        assert task.task_id == 7
 
 
 class TestSimulateStrategy:
@@ -793,6 +803,28 @@ def replay_both_ways(network, task, contacts):
 
 def uniform_params(lam=0.05):
     return ol.PairContactParams(contact_rate=lam, alpha=3.0, beta=2.0, rate=1.0)
+
+
+class TestHeuristicRunner:
+    # relays 1 and 2 each carry one half of the two-path plan; the sender's
+    # contacts hand each half over at time 5
+    CONTACTS = {(0, 1): [(5.0, 1.0)], (1, 3): [(20.0, 1.0)], (0, 2): [(5.0, 1.0)]}
+
+    def run(self, network, contacts):
+        task = ol.TransmissionTask(
+            task_id=0, source=0, size=TWO_PATH_SIZE, deadline=TWO_PATH_DEADLINE
+        )
+        return simulator._run_heuristic(simulator._Context(network), task, StubSampler(contacts))
+
+    def test_an_allocation_that_misses_the_deadline_fails_the_plan(self, two_path_network):
+        # relay 2 meets infrastructure only after the deadline
+        contacts = {**self.CONTACTS, (2, 3): [(TWO_PATH_DEADLINE + 50.0, 1.0)]}
+        assert self.run(two_path_network, contacts) == (True, False, None)
+
+    def test_the_last_allocation_to_arrive_completes_the_plan(self, two_path_network):
+        contacts = {**self.CONTACTS, (2, 3): [(30.0, 1.0)]}
+        half = TWO_PATH_SIZE / 2 / two_path_network.edge_params(2, 3).rate
+        assert self.run(two_path_network, contacts) == (True, True, 30.0 + half)
 
 
 class TestWalkEquivalence:
