@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .delivery import DeliveryQuery, PathSpec, delivery_prob_onehop, delivery_prob_path
-from .errors import ConfigError, OppLoadError
+from .errors import ConfigError, OppLoadError, check_index, check_positive, check_seed
 from .heuristic import OffloadPlan, plan_offload, plan_to_json, route_path
 from .netgraph import (
     Network,
@@ -50,18 +50,6 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _check_seed(seed: int) -> int:
-    """``seed``, checked before any draw: NumPy seeds with non-negative
-    integers only, and its own error does not name the seed.
-
-    Raises:
-        ValueError: naming ``seed``, for a negative value.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
 
 
 def _synthetic_config(payload: dict, seed: int | None) -> SyntheticConfig:
@@ -94,9 +82,7 @@ def _synthetic_config(payload: dict, seed: int | None) -> SyntheticConfig:
         kwargs[key] = tuple(value)
     if seed is not None:
         kwargs["seed"] = seed
-    config = SyntheticConfig(**kwargs)
-    _check_seed(config.seed)
-    return config
+    return SyntheticConfig(**kwargs)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -118,18 +104,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_node(network: Network, node: int) -> int:
-    if not (0 <= node < network.node_count):
-        raise ConfigError(f"unknown node {node}; network has nodes 0..{network.node_count - 1}")
-    return node
-
-
 def _plan_json(args: argparse.Namespace) -> tuple[Network, OffloadPlan, str]:
     """The network of an ``estimate`` or ``plan`` command, the offload plan
     of its ``--source``, ``--size`` and ``--deadline``, and that plan as the
     JSON text both commands write."""
     network = load_network(args.network)
-    plan = plan_offload(network, _resolve_node(network, args.source), args.size, args.deadline)
+    plan = plan_offload(network, args.source, args.size, args.deadline)
     return network, plan, json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n"
 
 
@@ -188,8 +168,7 @@ def _build_tasks(
 ) -> list[TransmissionTask]:
     if not sizes or not deadlines:
         raise ConfigError("task grid needs at least one size and one deadline")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    check_index("runs", runs, start=1)
     rng = np.random.default_rng(seed)
     mobile = network.mobile_nodes()
     tasks = []
@@ -228,10 +207,7 @@ def _config_numbers(config: dict, name: str) -> list[float]:
     if not isinstance(values, list):
         raise ConfigError(f"config field {name!r} must be a list of numbers, got {values!r}")
     numbers = [_json_number(v, float, "config", f"{name}[{i}]") for i, v in enumerate(values)]
-    for i, number in enumerate(numbers):
-        if not (math.isfinite(number) and number > 0):
-            raise ValueError(f"config field '{name}[{i}]' must be finite and > 0, got {number!r}")
-    return numbers
+    return [check_positive(f"config field '{name}[{i}]'", n) for i, n in enumerate(numbers)]
 
 
 def _config_path(config: dict, name: str, where: str, default: str | None = None) -> str:
@@ -256,7 +232,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seed = _check_seed(args.seed if args.seed is not None else _config_number(config, "seed", 0))
+    seed = check_seed(args.seed if args.seed is not None else _config_number(config, "seed", 0))
     runs = args.runs if args.runs is not None else _config_number(config, "runs", 1)
     strategies = config.get("strategies", "all")
     if strategies == "all":
@@ -326,7 +302,7 @@ def _option_values(text: str, kind: type, option: str) -> list:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)
     if args.runs < 1000:
         raise ConfigError("validation needs at least 1000 Monte Carlo runs")
     if args.path_spec:
@@ -337,11 +313,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("validate needs --path-spec or both --network and --route")
 
-    sizes = _option_values(args.sizes, float, "--sizes")
+    try:
+        sizes = [check_positive("--sizes", s) for s in _option_values(args.sizes, float, "--sizes")]
+    except ValueError as exc:  # a grid error is a config error, parsed or checked
+        raise ConfigError(str(exc)) from None
     deadlines = _option_values(args.deadlines, float, "--deadlines")
-    for size in sizes:
-        if not (math.isfinite(size) and size > 0):
-            raise ConfigError(f"--sizes must be finite and > 0, got {size!r}")
     for deadline in deadlines:
         if math.isnan(deadline) or deadline == math.inf:
             raise ConfigError(f"--deadlines must not be NaN or +inf, got {deadline!r}")

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special as _special
 
-from .errors import ComplexityError, FittingError
+from .errors import ComplexityError, FittingError, check_nonnegative, check_positive, check_seed
 
 __all__ = [
     "PairContactParams",
@@ -66,9 +66,7 @@ class PairContactParams:
 
     def __post_init__(self) -> None:
         for name in ("contact_rate", "alpha", "beta", "rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            check_positive(name, getattr(self, name))
         # the estimators divide by contact_rate**2 and by its reciprocal
         square = self.contact_rate * self.contact_rate
         if not (0 < square < math.inf and 1 / square < math.inf):
@@ -145,17 +143,20 @@ def sample_contact_process(
     Args:
         params: pair parameters.
         horizon: length of the sampling window, > 0.
-        rng_seed: seed or seed sequence; a fixed seed reproduces the event
-            list exactly.
+        rng_seed: a non-negative integer seed or a seed sequence; a fixed
+            seed reproduces the event list exactly.
 
     Returns:
         List of ``(start, duration)`` pairs ordered by start time.
 
     Raises:
-        ValueError: ``horizon`` is not finite and > 0.
+        ValueError: ``horizon`` is not finite and > 0, or a malformed ``rng_seed``.
         ComplexityError: ``contact_rate * horizon`` exceeds
             ``MAX_EXPECTED_CONTACTS``; checked before any draw.
     """
+    check_positive("horizon", horizon)
+    if not isinstance(rng_seed, np.random.SeedSequence):
+        check_seed(rng_seed)
     return list(zip(*_sample_columns(params, horizon, np.random.default_rng(rng_seed))))
 
 
@@ -163,9 +164,7 @@ def _sample_columns(
     params: PairContactParams, horizon: float, rng: np.random.Generator
 ) -> tuple[list[float], list[float]]:
     """:func:`sample_contact_process` as two lists, starts and durations,
-    drawn from ``rng``."""
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    drawn from ``rng``; ``horizon`` is a checked deadline."""
     if params.contact_rate * horizon > MAX_EXPECTED_CONTACTS:
         raise ComplexityError(
             f"contact_rate {params.contact_rate!r} over horizon {horizon!r} expects "
@@ -201,7 +200,8 @@ def reg_lower_incomplete_gamma(shape: float, x: float) -> float:
     Raises:
         ValueError: nonfinite input, ``shape <= 0`` or ``x < 0``.
     """
-    _check_gamma_args(shape, x)
+    check_positive("shape", shape)
+    check_nonnegative("x", x)
     return float(_special.gammainc(shape, x))
 
 
@@ -215,17 +215,11 @@ def _reg_lower_incomplete_gammas(shapes: list[float], xs: list[float]) -> list[f
             its checks.
     """
     for shape, x in zip(shapes, xs):
-        # _check_gamma_args's test, inlined for the common case; NaN fails it
+        # the scalar call's checks, inlined for the common case; NaN fails it
         if not (0 < shape < math.inf and 0 <= x < math.inf):
-            _check_gamma_args(shape, x)
+            check_positive("shape", shape)
+            check_nonnegative("x", x)
     return _special.gammainc(shapes, xs).tolist()
-
-
-def _check_gamma_args(shape: float, x: float) -> None:
-    if not (math.isfinite(shape) and shape > 0):
-        raise ValueError(f"shape must be finite and > 0, got {shape!r}")
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
 
 
 def log_beta(a: float, b: float) -> float:
@@ -234,6 +228,6 @@ def log_beta(a: float, b: float) -> float:
     Raises:
         ValueError: nonfinite or nonpositive input.
     """
-    if not (math.isfinite(a) and a > 0) or not (math.isfinite(b) and b > 0):
-        raise ValueError(f"log_beta arguments must be finite and > 0, got ({a!r}, {b!r})")
+    check_positive("a", a)
+    check_positive("b", b)
     return float(_special.betaln(a, b))

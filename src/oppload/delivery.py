@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special as _special
 
 from .contacts import PairContactParams, _serial_sum, log_beta, reg_lower_incomplete_gamma
-from .errors import ComplexityError
+from .errors import ComplexityError, check_index, check_nonnegative, check_positive
 
 __all__ = [
     "PathSpec",
@@ -117,10 +117,8 @@ class DeliveryQuery:
     deadline: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.data_size) and self.data_size > 0):
-            raise ValueError(f"data_size must be finite and > 0, got {self.data_size!r}")
-        if not (math.isfinite(self.deadline) and self.deadline > 0):
-            raise ValueError(f"deadline must be finite and > 0, got {self.deadline!r}")
+        check_positive("data_size", self.data_size)
+        check_positive("deadline", self.deadline)
 
 
 def gamma_approx(
@@ -135,7 +133,7 @@ def gamma_approx(
     and variance equal ``M`` and ``V`` exactly.
 
     Raises:
-        ValueError: length mismatch, empty input, or nonpositive entries.
+        ValueError: length mismatch, empty input, or a malformed count or rate.
     """
     if len(contact_counts) != len(lambdas):
         raise ValueError(
@@ -145,9 +143,9 @@ def gamma_approx(
         raise ValueError("need at least one hop")
     mean = 0.0
     var = 0.0
-    for n, lam in zip(contact_counts, lambdas):
-        if not (n > 0 and math.isfinite(lam) and lam > 0):
-            raise ValueError(f"invalid hop entry (n={n!r}, lambda={lam!r})")
+    for i, (n, lam) in enumerate(zip(contact_counts, lambdas)):
+        check_index(f"contact_counts[{i}]", n, start=1)
+        check_positive(f"lambdas[{i}]", lam)
         mean += n / lam
         var += n / (lam * lam)
     return GammaApprox(gamma_shape=mean * mean / var, delta_rate=mean / var)
@@ -160,9 +158,7 @@ def availability(path: PathSpec, deadline: float) -> float:
     deadline)`` up to rounding (the moment-matched shape ``M**2 / V`` may
     round off 1); multi-hop paths use the moment-matched gamma.
     """
-    if not (math.isfinite(deadline) and deadline >= 0):
-        raise ValueError(f"deadline must be finite and >= 0, got {deadline!r}")
-    if deadline == 0:
+    if check_nonnegative("deadline", deadline) == 0:
         return 0.0
     approx = gamma_approx([1] * len(path), [hop.contact_rate for hop in path.hops])
     return reg_lower_incomplete_gamma(approx.gamma_shape, approx.delta_rate * deadline)
@@ -188,10 +184,8 @@ def mean_max_ratio(contact_count: int, alpha: float) -> float:
     ``H_c`` as the ``alpha = 1`` limit (shapes within 1e-9 of 1 use that
     branch).  The value always lies in ``[1, c]``.
     """
-    if contact_count < 1 or int(contact_count) != contact_count:
-        raise ValueError(f"contact_count must be a positive integer, got {contact_count!r}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    check_index("contact_count", contact_count, start=1)
+    check_positive("alpha", alpha)
     return _mean_max_ratio_cached(int(contact_count), float(alpha))
 
 
@@ -203,8 +197,7 @@ def transfer_prob(hop: PairContactParams, contact_count: int, data_size: float) 
     ``1 - (1 - min((beta * R / D) ** alpha, 1)) ** c``.  Equal to 1
     whenever ``beta * R >= data_size`` (the minimum transfer suffices).
     """
-    if not (math.isfinite(data_size) and data_size > 0):
-        raise ValueError(f"data_size must be finite and > 0, got {data_size!r}")
+    check_positive("data_size", data_size)
     return _transfer(hop, contact_count, data_size, mean_max_ratio(contact_count, hop.alpha))
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .delivery import PathSpec, availability, delivery_probs, path_capacity
-from .errors import ProtocolError, TransferContractError
+from .errors import ProtocolError, TransferContractError, check_positive
 
 __all__ = [
     "NodeState",
@@ -94,22 +94,19 @@ class ContactResult:
     transferred: float
 
 
-def _route_probs(
-    queries: list[tuple[PathSpec | None, float]], deadline: float
-) -> list[float]:
+def _route_probs(queries: list[tuple[PathSpec, float]], deadline: float) -> list[float]:
     """Delivery probability of each (spec, size) query within ``deadline``:
-    1 for a size of at most ``_EPS``, 0 without a spec, else the
-    estimator's, all such queries priced in one
-    :func:`~oppload.delivery.delivery_probs` batch.
+    1 for a size of at most ``_EPS``, else the estimator's, all such queries
+    priced in one :func:`~oppload.delivery.delivery_probs` batch.
 
     Raises:
         ValueError: the estimator is asked about a deadline that is NaN or
             +inf.
     """
-    asked = [i for i, (spec, size) in enumerate(queries) if spec is not None and size > _EPS]
+    asked = [i for i, (_, size) in enumerate(queries) if size > _EPS]
     if len(asked) == len(queries):
         return delivery_probs(queries, deadline)
-    probs = [1.0 if size <= _EPS else 0.0 for _, size in queries]
+    probs = [1.0] * len(queries)
     for i, prob in zip(asked, delivery_probs([queries[i] for i in asked], deadline)):
         probs[i] = prob
     return probs
@@ -136,8 +133,8 @@ def criterion_assignment(state: NodeState, total: float, deadline: float) -> dic
         ValueError: ``total`` or ``deadline`` is not finite and > 0.
         ProtocolError: the node has no path to the destination.
     """
-    if not (0 < total < math.inf and 0 < deadline < math.inf):
-        raise ValueError(f"total and deadline must be finite and > 0, got {total!r}, {deadline!r}")
+    check_positive("total", total)
+    check_positive("deadline", deadline)
     routes = state.routes
     if not routes:
         raise ProtocolError(f"node {state.node_id} has no two-hop path to destination")
@@ -206,6 +203,7 @@ def realtime_adjustment(
     Raises:
         ProtocolError: the peer is the destination, the task source, or the
             pair already exchanged this task's data.
+        KeyError: an assignment names a route its node does not hold.
     """
     if peer.node_id == holder.destination:
         raise ProtocolError("real-time adjustment does not apply to the destination")
@@ -218,9 +216,9 @@ def realtime_adjustment(
     remaining = dict(holder.assignment)
     planned = dict(peer.assignment)
 
-    def spec(route: Route) -> PathSpec | None:
+    def spec(route: Route) -> PathSpec:
         # a route starts at the node that owns it
-        return (holder if route[0] == holder.node_id else peer).routes.get(route)
+        return (holder if route[0] == holder.node_id else peer).routes[route]
 
     moved = 0.0
     # every route starts at its owner and ends at the destination
@@ -301,7 +299,7 @@ def _strip(state: NodeState, amount: float, t_remaining: float) -> None:
     if amount <= _EPS:
         return
     loaded = [(r, s) for r, s in state.assignment.items() if s > _EPS]
-    probs = _route_probs([(state.routes.get(r), s) for r, s in loaded], t_remaining)
+    probs = _route_probs([(state.routes[r], s) for r, s in loaded], t_remaining)
     for _, route in sorted(zip(probs, (r for r, _ in loaded))):
         size = state.assignment[route]
         take = min(size, amount)

@@ -26,7 +26,7 @@ from .delivery import (
     delivery_prob_path,
     path_capacity,
 )
-from .errors import ConfigError, PlanningError
+from .errors import ConfigError, PlanningError, check_index, check_nonnegative, check_positive
 from .netgraph import EdgeKey, Network, edge_key
 
 __all__ = [
@@ -59,8 +59,7 @@ class Allocation:
             raise ValueError(f"route revisits a node: {self.route!r}")
         if len(self.route) - 1 != len(self.path):
             raise ValueError("route length does not match the hop count")
-        if self.assigned < 0:
-            raise ValueError(f"assigned must be >= 0, got {self.assigned!r}")
+        check_nonnegative("assigned", self.assigned)
 
     def edges(self) -> set[EdgeKey]:
         return {edge_key(a, b) for a, b in zip(self.route, self.route[1:])}
@@ -92,17 +91,11 @@ def route_path(network: Network, route: Sequence[int]) -> PathSpec:
     return PathSpec(tuple(hops))
 
 
-def _check_total_and_deadline(total: float, deadline: float) -> None:
-    if not (0 < total < math.inf and 0 < deadline < math.inf):
-        raise ValueError(f"total and deadline must be finite and > 0, got {total!r}, {deadline!r}")
-
-
 def _check_plan_inputs(network: Network, u: int, total: float, deadline: float) -> None:
-    if u not in range(network.node_count):
-        raise ValueError(f"source {u!r} is not a node; nodes are 0..{network.node_count - 1}")
-    if u == network.infrastructure_id:
-        raise ValueError("the infrastructure node does not plan offloads")
-    _check_total_and_deadline(total, deadline)
+    if check_index("source", u, network.node_count) == network.infrastructure_id:
+        raise ValueError(f"source {u} is the infrastructure node, which plans no offloads")
+    check_positive("total", total)
+    check_positive("deadline", deadline)
 
 
 def _settle(
@@ -185,10 +178,9 @@ def dijkstra_max_q(
     Availability of whole candidate routes is not additive along edges, so
     the result is a deterministic greedy choice, not a guaranteed optimum.
     """
-    if u == v:
+    if check_index("u", u, network.node_count) == check_index("v", v, network.node_count):
         raise ValueError("source and destination coincide")
-    if not (math.isfinite(deadline) and deadline >= 0):
-        raise ValueError(f"deadline must be finite and >= 0, got {deadline!r}")
+    check_nonnegative("deadline", deadline)
     for route, _ in _settle(network, u, deadline, set(excluded_edges)):
         if route[-1] == v:
             return route
@@ -211,7 +203,8 @@ def allocate_paths(
     alternative path beats plain direct transmission and the result is
     empty, which callers read as "send direct".
     """
-    _check_total_and_deadline(total, deadline)
+    check_positive("total", total)
+    check_positive("deadline", deadline)
     direct = network.edge_params(u, v)
     q_direct = availability(PathSpec((direct,)), deadline) if direct else 0.0
 
@@ -313,7 +306,8 @@ def assign_remaining(
     allocations: Sequence[Allocation], total: float, deadline: float
 ) -> list[Allocation]:
     """Phase two: grow the allocated paths until they carry ``total``."""
-    _check_total_and_deadline(total, deadline)
+    check_positive("total", total)
+    check_positive("deadline", deadline)
     if not allocations:
         raise ValueError("no allocations to assign to")
     assigned = math.fsum(a.assigned for a in allocations)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,7 +19,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .contacts import PairContactParams, fit_exponential, fit_pareto
-from .errors import ConfigError, FittingError, GenerationError, IngestionError
+from .errors import (
+    ConfigError,
+    FittingError,
+    GenerationError,
+    IngestionError,
+    _is_number,
+    check_index,
+    check_positive,
+    check_seed,
+)
 
 __all__ = [
     "Network",
@@ -64,18 +73,16 @@ class Network:
     )
 
     def __post_init__(self) -> None:
-        if not (0 <= self.infrastructure_id < self.node_count):
-            raise ValueError(
-                f"infrastructure id {self.infrastructure_id} outside 0..{self.node_count - 1}"
-            )
+        check_index("node_count", self.node_count, start=1)
+        check_index("infrastructure_id", self.infrastructure_id, self.node_count)
         incident: dict[int, list[tuple[int, EdgeKey, PairContactParams]]] = {
             i: [] for i in range(self.node_count)
         }
         for (a, b), params in self.edges.items():
+            for end in (a, b):
+                check_index(f"edge {(a, b)} node", end, self.node_count)
             if edge_key(a, b) != (a, b):
                 raise ValueError(f"edge key {(a, b)} is not canonical")
-            if not (0 <= a < self.node_count and 0 <= b < self.node_count):
-                raise ValueError(f"edge {(a, b)} references unknown nodes")
             if not isinstance(params, PairContactParams):
                 raise TypeError(f"edge {(a, b)} carries {type(params)!r}")
             incident[a].append((b, (a, b), params))
@@ -130,29 +137,20 @@ class SyntheticConfig:
     weight_scale: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n}")
-        if not (self.avg_degree <= self.max_degree < self.n):
-            raise ValueError(
-                f"need avg_degree <= max_degree < n, got "
-                f"{self.avg_degree}, {self.max_degree}, {self.n}"
-            )
-        if self.avg_degree < 1:
-            raise ValueError("avg_degree must be >= 1")
+        check_index("n", self.n, start=2)
+        check_index("max_degree", self.max_degree, self.n)
+        for name in ("avg_degree", "weight_exponent", "rate", "weight_scale"):
+            check_positive(name, getattr(self, name))
+        check_seed(self.seed)
+        if not (1 <= self.avg_degree <= self.max_degree):
+            raise ValueError(f"avg_degree must lie in 1..max_degree, got {self.avg_degree}")
         if self.weight_exponent <= 1:
             raise ValueError("weight_exponent must be > 1")
-        if self.rate <= 0 or self.weight_scale <= 0:
-            raise ValueError("rate and weight_scale must be > 0")
-        for name in (
-            "node_alpha_range",
-            "node_beta_range",
-            "infra_alpha_range",
-            "infra_beta_range",
-            "infra_lambda_range",
-        ):
+        for name in (f.name for f in fields(self) if f.name.endswith("_range")):
             low, high = getattr(self, name)
-            if not (0 < low <= high):
-                raise ValueError(f"{name} must satisfy 0 < low <= high, got ({low}, {high})")
+            check_positive(f"{name}[0]", low)
+            if not check_positive(f"{name}[1]", high) >= low:
+                raise ValueError(f"{name} must satisfy low <= high, got ({low}, {high})")
 
 
 @dataclass(frozen=True)
@@ -281,16 +279,14 @@ def ingest_trace(
     Raises:
         IngestionError: empty input or no pair survives fitting.
         ValueError: ``warmup_fraction`` outside (0, 1), ``rate`` not
-            finite and > 0, or ``min_contacts`` below 1.
+            finite and > 0, or ``min_contacts`` not an integer >= 1.
     """
     if not records:
         raise IngestionError("empty trace")
     if not (0 < warmup_fraction < 1):
         raise ValueError(f"warmup_fraction must be in (0, 1), got {warmup_fraction!r}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
-    if min_contacts < 1:
-        raise ValueError(f"min_contacts must be >= 1, got {min_contacts!r}")
+    check_positive("rate", rate)
+    check_index("min_contacts", min_contacts, start=1)
 
     starts = np.array([r.t_start for r in records], dtype=float)
     cut = float(np.quantile(starts, warmup_fraction))
@@ -367,14 +363,14 @@ def network_to_json(network: Network) -> dict:
 
 
 def _json_number(value, kind: type, where: str, name: str):
-    """``value`` as ``kind`` (``int`` or ``float``) when it is a JSON number
-    of that kind: an integer is a real number, a bool is neither.
+    """``value`` as ``kind`` (``int`` or ``float``) when the validators' test
+    takes it for one: an integer is a real number, a bool is neither.
 
     Raises:
         ConfigError: naming ``where`` and the field ``name``, for any other
             value.
     """
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+    if not _is_number(value, numbers.Integral if kind is int else numbers.Real):
         noun = "an integer" if kind is int else "a real number"
         raise ConfigError(f"{where} field {name!r} must be {noun}, got {value!r}")
     return kind(value)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 from .delivery import DeliveryQuery, delivery_prob_path
-from .errors import InstanceTooLargeError
+from .errors import InstanceTooLargeError, check_index, check_positive
 from .heuristic import Allocation, OffloadPlan, _check_plan_inputs, route_path
 from .netgraph import Network, edge_key
 
@@ -36,13 +35,10 @@ class OracleConfig:
     enumeration_cap: int = 10**7
 
     def __post_init__(self) -> None:
-        granularity = self.size_granularity
-        if granularity is not None and not 0 < granularity < math.inf:
-            raise ValueError(f"size_granularity must be finite and > 0, got {granularity!r}")
+        if self.size_granularity is not None:
+            check_positive("size_granularity", self.size_granularity)
         for name in ("max_paths", "max_hops", "enumeration_cap"):
-            cap = getattr(self, name)
-            if not isinstance(cap, numbers.Integral) or cap < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {cap!r}")
+            check_index(name, getattr(self, name), start=1)
 
 
 def _enumerate_routes(

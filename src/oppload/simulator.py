@@ -40,7 +40,15 @@ from .distributed import (
     criterion_assignment,
     on_contact,
 )
-from .errors import ComplexityError, ConfigError, PlanningError
+from .errors import (
+    ComplexityError,
+    ConfigError,
+    PlanningError,
+    check_index,
+    check_nonnegative,
+    check_positive,
+    check_seed,
+)
 from .heuristic import plan_offload, route_path
 from .netgraph import EdgeKey, Network, edge_key
 
@@ -58,7 +66,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransmissionTask:
-    """One data item to deliver to infrastructure within a deadline."""
+    """One data item to deliver to infrastructure within a deadline, checked
+    by the input contract's validators."""
 
     task_id: int
     source: int
@@ -67,19 +76,11 @@ class TransmissionTask:
     release: float = 0.0
 
     def __post_init__(self) -> None:
-        # the id seeds the task's contacts, which NumPy takes as an integer
-        if not isinstance(self.task_id, (int, np.integer)):
-            raise ValueError(f"task_id must be a non-negative integer, got {self.task_id!r}")
-        if self.task_id < 0:
-            raise ValueError(f"task_id must be >= 0, got {self.task_id!r}")
-        for name in ("size", "deadline", "release"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.size <= 0 or self.deadline <= 0:
-            raise ValueError("size and deadline must be > 0")
-        if self.release < 0:
-            raise ValueError(f"release must be >= 0, got {self.release!r}")
+        check_index("task_id", self.task_id)
+        check_index("source", self.source)
+        check_positive("size", self.size)
+        check_positive("deadline", self.deadline)
+        check_nonnegative("release", self.release)
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,12 @@ def run_monte_carlo_delivery(
     positive nothing is drawn.
 
     Raises:
-        ValueError: ``runs < 1``, ``data_size`` not finite and > 0, or a
-            NaN deadline.
+        ValueError: ``runs`` not an integer >= 1, ``data_size`` not finite
+            and > 0, ``seed`` not a non-negative integer, or a NaN deadline.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if not 0 < data_size < math.inf:
-        raise ValueError(f"data_size must be finite and > 0, got {data_size!r}")
+    check_index("runs", runs, start=1)
+    check_positive("data_size", data_size)
+    check_seed(seed)
     deadlines = [float(d) for d in deadlines]
     if any(math.isnan(d) for d in deadlines):
         raise ValueError("deadline must not be NaN")
@@ -577,19 +577,24 @@ def simulate_strategy(
 
     Raises:
         ConfigError: unknown strategy name.
-        ValueError: ``seed`` is not a non-negative integer (``bool`` and
-            NumPy integers count, as ``SeedSequence`` takes them), or a
-            task's source is not a mobile node of the network.
+        ValueError: before any task runs, when ``seed`` is not a
+            non-negative integer (``bool`` and NumPy integers count, as
+            ``SeedSequence`` takes them), a task's source is not a mobile
+            node, or two tasks share a ``task_id``: their contacts are
+            seeded from it, so they would replay the same contacts.
     """
     runner = _RUNNERS.get(strategy)
     if runner is None:
         raise ConfigError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed)
     mobile = set(network.mobile_nodes())
+    seen = set()
     for task in tasks:
         if task.source not in mobile:
             raise ValueError(f"task {task.task_id}: source {task.source!r} is not a mobile node")
+        if task.task_id in seen:
+            raise ValueError(f"task_id {task.task_id!r} is given to two tasks; ids must differ")
+        seen.add(task.task_id)
     context = _Context(network, event_log, monitor)
     outcomes: list[TaskOutcome] = []
     for task in tasks:

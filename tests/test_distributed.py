@@ -174,6 +174,18 @@ class TestRealtimeAdjustment:
         with pytest.raises(ProtocolError):
             realtime_adjustment(holder, peer, 50.0)
 
+    def test_an_assignment_on_a_route_its_node_lacks_is_refused(self):
+        # the holder only has its direct route, yet its assignment names a
+        # route through node 7: refused by name, not priced at 0
+        holder = node(1, neighbors={2: params(), DEST: params()}, carried=3.0,
+                      assignment={(1, DEST): 1.0, (1, 7, DEST): 2.0})
+        peer = node(2, neighbors={DEST: params()})
+        with pytest.raises(KeyError, match=rf"\(1, 7, {DEST}\)"):
+            realtime_adjustment(holder, peer, 50.0)
+        # and the holder's strip on delivery refuses it alike
+        with pytest.raises(KeyError, match=rf"\(1, 7, {DEST}\)"):
+            distributed._deliver(holder, 1.0, 50.0)
+
     def test_never_decreases_joint_probability(self):
         import numpy as np
 

@@ -97,5 +97,5 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("source", [99, -1])
     def test_source_must_be_a_node(self, two_path_network, source):
-        with pytest.raises(ValueError, match=f"source {source} is not a node"):
+        with pytest.raises(ValueError, match=f"source must be an integer in 0..3, got {source}"):
             ol.brute_force_optimal(two_path_network, source, TWO_PATH_SIZE, TWO_PATH_DEADLINE)

@@ -232,7 +232,7 @@ class TestTransmissionTask:
 
     def test_negative_task_id_is_rejected(self):
         # a task's contacts are seeded from its id, which must be >= 0
-        with pytest.raises(ValueError, match="task_id must be >= 0, got -3"):
+        with pytest.raises(ValueError, match="task_id must be a non-negative integer, got -3"):
             ol.TransmissionTask(task_id=-3, source=0, size=10.0, deadline=100.0)
 
     @pytest.mark.parametrize("task_id", [1.5, 2.0, "3"])
@@ -272,13 +272,16 @@ class TestSimulateStrategy:
         net = small_network()
         if source == "infrastructure":
             source = net.infrastructure_id
-        tasks = [
-            ol.TransmissionTask(task_id=0, source=0, size=10.0, deadline=200.0),
-            ol.TransmissionTask(task_id=7, source=source, size=10.0, deadline=200.0),
-        ]
+        message = f"task 7: source {source} is not a mobile node"
+        if source == -1:  # not a node id at all: the task itself refuses it
+            message = "source must be a non-negative integer, got -1"
         log: list[dict] = []
         hooks = {"event_log": log} if strategy == "distributed" else {}
-        with pytest.raises(ValueError, match=f"task 7: source {source} is not a mobile node"):
+        with pytest.raises(ValueError, match=message):
+            tasks = [
+                ol.TransmissionTask(task_id=0, source=0, size=10.0, deadline=200.0),
+                ol.TransmissionTask(task_id=7, source=source, size=10.0, deadline=200.0),
+            ]
             ol.simulate_strategy(net, tasks, strategy, seed=1, **hooks)
         assert log == []  # refused before the first task ran
 
