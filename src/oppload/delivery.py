@@ -628,16 +628,18 @@ def delivery_probs(queries: Sequence[tuple[PathSpec, float]], deadline: float) -
         ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
             (checked only once the deadline covers ``T'``, and before any
             tuple is enumerated).
-        ValueError: the deadline is NaN or +inf, or a gamma argument
-            ``rate * (deadline - T')`` is not finite.
+        ValueError: the deadline is NaN or +inf, a data size is not finite
+            and > 0, or a gamma argument ``rate * (deadline - T')`` is not
+            finite.
     """
-    probs = [0.0] * len(queries)
-    if deadline <= 0 or not queries:
-        return probs
-    if not math.isfinite(deadline):
+    if not (deadline <= 0 or math.isfinite(deadline)):
         raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
+    probs = [0.0] * len(queries)
     stacked = []
     for index, (path, data_size) in enumerate(queries):
+        # a plain float in range needs no call to the validator
+        if not (type(data_size) is float and 0.0 < data_size < math.inf):
+            check_positive("data_size", data_size)
         entry = path.terms.entry(data_size, deadline)
         if entry is None:
             continue

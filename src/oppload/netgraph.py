@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
@@ -78,11 +79,15 @@ class Network:
         incident: dict[int, list[tuple[int, EdgeKey, PairContactParams]]] = {
             i: [] for i in range(self.node_count)
         }
+        count = self.node_count
         for (a, b), params in self.edges.items():
-            for end in (a, b):
-                check_index(f"edge {(a, b)} node", end, self.node_count)
-            if edge_key(a, b) != (a, b):
-                raise ValueError(f"edge key {(a, b)} is not canonical")
+            # a canonical key of two plain ints in range needs no call to the
+            # validators, whose messages name the edge
+            if not (type(a) is int and type(b) is int and 0 <= a < b < count):
+                for end in (a, b):
+                    check_index(f"edge {(a, b)} node", end, count)
+                if edge_key(a, b) != (a, b):
+                    raise ValueError(f"edge key {(a, b)} is not canonical")
             if not isinstance(params, PairContactParams):
                 raise TypeError(f"edge {(a, b)} carries {type(params)!r}")
             incident[a].append((b, (a, b), params))
@@ -155,7 +160,8 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One recorded contact between two devices, timestamps in seconds."""
+    """One recorded contact between two devices, timestamps in seconds:
+    two different non-negative integer ids, finite times, ``t_end > t_start``."""
 
     node_a: int
     node_b: int
@@ -163,8 +169,14 @@ class TraceRecord:
     t_end: float
 
     def __post_init__(self) -> None:
+        check_index("node_a", self.node_a)
+        check_index("node_b", self.node_b)
         if self.node_a == self.node_b:
             raise ValueError(f"contact of node {self.node_a} with itself")
+        for name in ("t_start", "t_end"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if not self.t_end > self.t_start:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
 
@@ -370,6 +382,8 @@ def _json_number(value, kind: type, where: str, name: str):
         ConfigError: naming ``where`` and the field ``name``, for any other
             value.
     """
+    if type(value) is kind:
+        return value
     if not _is_number(value, numbers.Integral if kind is int else numbers.Real):
         noun = "an integer" if kind is int else "a real number"
         raise ConfigError(f"{where} field {name!r} must be {noun}, got {value!r}")

@@ -485,10 +485,11 @@ class _Carriers:
     to a node it received data from."""
 
     def __init__(self, context: _Context, task: TransmissionTask):
-        self.context = context
-        self.carried = dict.fromkeys(context.network.mobile_nodes(), 0.0)
+        mobile = context.network.mobile_nodes()
+        self.carried = dict.fromkeys(mobile, 0.0)
         self.carried[task.source] = task.size
-        self.provenance: dict[int, set[int]] = {}
+        # per node, the nodes it received data from: one set each, made once
+        self.provenance = {node: set() for node in mobile}
         # a plain dict lookup: the replay asks for nearly every contact
         self.held = self.carried.__getitem__
 
@@ -497,30 +498,39 @@ class _Carriers:
 
     def hand(self, sender: int, receiver: int, amount: float) -> bool:
         """Move ``amount`` unless ``sender`` got its data from ``receiver``."""
-        if receiver in self.provenance.get(sender, ()):
+        if receiver in self.provenance[sender]:
             return False
         self.carried[sender] -= amount
         self.carried[receiver] += amount
-        self.provenance.setdefault(receiver, set()).add(sender)
+        self.provenance[receiver].add(sender)
         return True
 
 
 class _Spread(_Carriers):
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
-        # larger carrier hands half of its remainder to the other side
-        carried = self.carried
-        first, second = (a, b) if (carried[a], -a) >= (carried[b], -b) else (b, a)
-        amount = min(carried[first] / 2.0, capacity)
-        return amount > _EPS and self.hand(first, second, amount)
+        # the larger carrier hands half of what it holds, at most the
+        # capacity, to the other side; of two equal carriers the lower id sends
+        held_a, held_b = self.carried[a], self.carried[b]
+        if held_a > held_b or (held_a == held_b and a < b):
+            sender, receiver, amount = a, b, held_a / 2.0
+        else:
+            sender, receiver, amount = b, a, held_b / 2.0
+        if capacity < amount:
+            amount = capacity
+        return amount > _EPS and self.hand(sender, receiver, amount)
 
 
 class _MaxRate(_Carriers):
+    def __init__(self, context: _Context, task: TransmissionTask):
+        super().__init__(context, task)
+        self.best_relay = context.best_relay
+
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
         for sender, receiver in ((a, b), (b, a)):
             held = self.carried[sender]
             if (
                 held > _EPS
-                and self.context.best_relay[sender] == receiver
+                and self.best_relay[sender] == receiver
                 and self.hand(sender, receiver, min(held, capacity))
             ):
                 return True

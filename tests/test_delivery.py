@@ -615,6 +615,22 @@ class TestDeliveryProbs:
         assert delivery_probs(members, 20.0)[1] == 0.0
         assert over not in path.terms.memo
 
+    @pytest.mark.parametrize("deadline", [100.0, 0.0])
+    @pytest.mark.parametrize("size", [0.0, -5.0, math.nan, math.inf, True, "5", None])
+    def test_a_malformed_size_is_refused(self, size, deadline):
+        # a size of 0 divided by zero, NaN failed to convert to a contact
+        # count, and -5 and True were priced; each is now refused by name
+        path = ol.PathSpec((hop(),))
+        with pytest.raises(ValueError, match="^data_size must be finite and > 0"):
+            delivery_probs([(path, 2.0), (path, size)], deadline)
+
+    def test_integer_and_numpy_sizes_price_as_floats(self):
+        path = ol.PathSpec((hop(),))
+        queries = [(path, 2), (path, np.float64(5.0)), (path, np.int64(3))]
+        assert delivery_probs(queries, 100.0) == delivery_probs(
+            [(path, 2.0), (path, 5.0), (path, 3.0)], 100.0
+        )
+
     def test_kept_and_block_terms_at_the_bound(self):
         # one hop and two hops with exactly _MAX_KEPT tuples (kept as Python
         # floats) and _MAX_KEPT + 1 (built in blocks), in one batch

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -111,6 +112,25 @@ class TestIncidentTable:
                 assert params is net.edge_params(node, neighbor)
             entries += len(table)
         assert entries == 2 * len(net.edges)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((2, 1), r"^edge key \(2, 1\) is not canonical"),
+            ((1, 1), "^self-loop edge at node 1"),
+            ((1, 3), r"^edge \(1, 3\) node must be an integer in 0..2, got 3"),
+            ((True, 2), r"^edge \(True, 2\) node must be an integer in 0..2, got True"),
+        ],
+    )
+    def test_a_malformed_edge_key_is_refused(self, key, message):
+        params = ol.PairContactParams(contact_rate=0.1, alpha=3.0, beta=2.0, rate=1.0)
+        with pytest.raises(ValueError, match=message):
+            ol.Network(node_count=3, infrastructure_id=2, edges={key: params})
+
+    def test_numpy_integer_edge_keys_are_accepted(self):
+        params = ol.PairContactParams(contact_rate=0.1, alpha=3.0, beta=2.0, rate=1.0)
+        net = ol.Network(node_count=3, infrastructure_id=2, edges={(np.int64(1), 2): params})
+        assert net.neighbors(2) == [1]
 
     def test_isolated_node_has_no_entries(self):
         params = ol.PairContactParams(contact_rate=0.1, alpha=3.0, beta=2.0, rate=1.0)
@@ -285,3 +305,25 @@ class TestSerialization:
             ol.TraceRecord(1, 1, 0.0, 1.0)
         with pytest.raises(ValueError):
             ol.TraceRecord(0, 1, 5.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((True, 2, 0.0, 1.0), "node_a must be a non-negative integer"),
+            ((0.5, 2, 0.0, 1.0), "node_a must be a non-negative integer"),
+            ((0, -1, 0.0, 1.0), "node_b must be a non-negative integer"),
+            ((0, 2.0, 0.0, 1.0), "node_b must be a non-negative integer"),
+            ((0, 2, math.nan, 1.0), "t_start must be a finite real number"),
+            ((0, 2, -math.inf, 1.0), "t_start must be a finite real number"),
+            ((0, 2, 0.0, math.inf), "t_end must be a finite real number"),
+            ((0, 2, 0.0, "1.0"), "t_end must be a finite real number"),
+            ((0, 2, False, 1.0), "t_start must be a finite real number"),
+        ],
+    )
+    def test_trace_record_refuses_malformed_ids_and_times(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ol.TraceRecord(*fields)
+
+    def test_trace_record_takes_numpy_ids_and_integer_times(self):
+        record = ol.TraceRecord(np.int64(0), np.int32(2), 0, np.float64(1.5))
+        assert (record.node_a, record.node_b, record.t_start, record.t_end) == (0, 2, 0, 1.5)

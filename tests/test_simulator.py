@@ -303,6 +303,16 @@ class TestSimulateStrategy:
             b = ol.simulate_strategy(net, tasks, strategy, seed=17)
             assert a == b, strategy
 
+    @pytest.mark.parametrize("strategy", ol.STRATEGIES)
+    def test_one_call_over_the_tasks_equals_a_call_per_task(self, strategy):
+        # nothing one task leaves behind reaches the next: a provenance set
+        # shared across tasks, say, would block later hand-overs
+        net = small_network()
+        tasks = make_tasks(net, 30, size=10.0, deadline=300.0)
+        together = ol.simulate_strategy(net, tasks, strategy, seed=17).outcomes
+        alone = [ol.simulate_strategy(net, [task], strategy, seed=17).outcomes for task in tasks]
+        assert together == tuple(outcome for outcomes in alone for outcome in outcomes)
+
     def test_individual_never_marks_offloaded(self):
         net = small_network()
         tasks = make_tasks(net, 20, size=10.0, deadline=300.0)
@@ -918,6 +928,76 @@ class TestWalkEquivalence:
         )
         for name, (walked, merged) in replay_both_ways(net, task, contacts).items():
             assert walked[:3] == merged[:3], name
+
+
+class TestCarrierRules:
+    """Spread and maxrate on hand-built contacts: mobile nodes 0-3 and
+    infrastructure 4, every rate 1, so a contact's capacity is its duration."""
+
+    def replay(self, strategy, edges, contacts, size=16.0):
+        network = Network(node_count=5, infrastructure_id=4, edges=edges)
+        task = ol.TransmissionTask(task_id=0, source=0, size=size, deadline=100.0)
+        context = simulator._Context(network)
+        carriers = strategy(context, task)
+        calls = recorded(carriers)
+        simulator._replay(context, task, StubSampler(contacts), carriers)
+        meets = [(a, b, start, moved) for kind, a, b, _, start, moved in calls if kind == "meet"]
+        return carriers.carried, meets
+
+    def spread(self, contacts, size=16.0):
+        keys = [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4)]
+        return self.replay(simulator._Spread, dict.fromkeys(keys, uniform_params()), contacts, size)
+
+    def test_equal_amounts_hand_from_the_lower_id(self):
+        # 0 -> 1, 0 -> 2 and 1 -> 3 leave nodes 1 and 2 holding 4 each,
+        # neither received from the other, and then they meet
+        contacts = {
+            (0, 1): [(1.0, 50.0)], (0, 2): [(2.0, 50.0)], (1, 3): [(3.0, 50.0)],
+            (1, 2): [(4.0, 50.0)],
+        }
+        carried, meets = self.spread(contacts)
+        assert carried == {0: 4.0, 1: 2.0, 2: 6.0, 3: 4.0}
+        assert all(moved for *_, moved in meets)
+        # the rule reads ids, not the order the ends are given in
+        carriers = simulator._Spread(
+            simulator._Context(Network(5, 4, {(1, 2): uniform_params()})),
+            ol.TransmissionTask(task_id=0, source=1, size=4.0, deadline=100.0),
+        )
+        carriers.carried[2] = 4.0
+        assert carriers.meet(2, 1, 50.0, 0.0)
+        assert carriers.carried == {0: 0.0, 1: 2.0, 2: 6.0, 3: 0.0}
+
+    def test_a_node_never_hands_back_to_a_node_it_received_from(self):
+        # 0 -> 1 (8), then 0 -> 1 again on equal amounts (4); then node 1
+        # holds more but got its data from 0, so nothing moves
+        carried, meets = self.spread({(0, 1): [(1.0, 50.0), (2.0, 50.0), (3.0, 50.0)]})
+        assert carried == {0: 4.0, 1: 12.0, 2: 0.0, 3: 0.0}
+        assert [moved for *_, moved in meets] == [True, True, False]
+
+    def test_the_capacity_caps_the_amount(self):
+        # half of 16 is 8, and the contact carries 3
+        carried, _ = self.spread({(0, 1): [(1.0, 3.0)]})
+        assert carried == {0: 13.0, 1: 3.0, 2: 0.0, 3: 0.0}
+
+    @pytest.mark.parametrize(
+        "size, duration, moved",
+        [(2e-9, 50.0, 0.0), (4e-9, 50.0, 2e-9), (16.0, 1e-9, 0.0), (16.0, 2e-9, 2e-9)],
+    )
+    def test_an_amount_of_at_most_1e_9_does_not_move(self, size, duration, moved):
+        carried, meets = self.spread({(0, 1): [(1.0, duration)]}, size=size)
+        assert carried[1] == moved
+        assert meets == [(0, 1, 1.0, moved > 0)]
+
+    def test_maxrate_hands_only_to_the_best_relay(self):
+        # node 0 reaches infrastructure through 1 (contact rate 0.05) or 2 (0.02)
+        edges = {
+            (0, 1): uniform_params(), (0, 2): uniform_params(), (0, 3): uniform_params(),
+            (1, 4): uniform_params(0.05), (2, 4): uniform_params(0.02),
+        }
+        contacts = {(0, 2): [(1.0, 50.0)], (0, 3): [(2.0, 50.0)], (0, 1): [(3.0, 50.0)]}
+        carried, meets = self.replay(simulator._MaxRate, edges, contacts)
+        assert carried == {0: 0.0, 1: 16.0, 2: 0.0, 3: 0.0}
+        assert [(b, moved) for _, b, _, moved in meets] == [(2, False), (3, False), (1, True)]
 
 
 class TestDistributedInvariantSweep:
