@@ -458,26 +458,51 @@ def load_network(path: str | Path) -> Network:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# the trace columns, each with its conversion and what that conversion takes
+_TRACE_FIELDS = (
+    ("node_a", int, "an integer"),
+    ("node_b", int, "an integer"),
+    ("t_start", float, "a number"),
+    ("t_end", float, "a number"),
+)
+
+
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
-    """Read a contact trace: header ``node_a,node_b,t_start,t_end``."""
+    """Read a contact trace: header ``node_a,node_b,t_start,t_end``.
+
+    Raises:
+        IngestionError: the header lacks a column, or a row has a missing,
+            extra or malformed cell or a contact :class:`TraceRecord`
+            refuses; the message names the file, the line and the field.
+    """
     records: list[TraceRecord] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        required = {"node_a", "node_b", "t_start", "t_end"}
+        required = {name for name, _, _ in _TRACE_FIELDS}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise IngestionError(
-                f"trace file must have header node_a,node_b,t_start,t_end, "
+                f"{path}: trace file must have header node_a,node_b,t_start,t_end, "
                 f"got {reader.fieldnames!r}"
             )
         for row in reader:
-            records.append(
-                TraceRecord(
-                    node_a=int(row["node_a"]),
-                    node_b=int(row["node_b"]),
-                    t_start=float(row["t_start"]),
-                    t_end=float(row["t_end"]),
-                )
-            )
+            where = f"{path} line {reader.line_num}"
+            if None in row:
+                header = len(reader.fieldnames)
+                cells = header + len(row[None])
+                raise IngestionError(f"{where}: {cells} cells, the header has {header}")
+            values = []
+            for name, convert, kind in _TRACE_FIELDS:
+                cell = row[name]
+                if cell is None:
+                    raise IngestionError(f"{where}: {name} is missing")
+                try:
+                    values.append(convert(cell))
+                except ValueError:
+                    raise IngestionError(f"{where}: {name} must be {kind}, got {cell!r}") from None
+            try:
+                records.append(TraceRecord(*values))
+            except ValueError as exc:
+                raise IngestionError(f"{where}: {exc}") from None
     return records
 
 

@@ -4,8 +4,10 @@ Two entry points: :func:`run_monte_carlo_delivery` empirically estimates
 the delivery probability of one path (the validation oracle for the
 analytic estimators), and :func:`simulate_strategy` replays whole
 transmission tasks on a network under one of five strategies, reporting
-per-task outcomes.  Its task loop alone turns a ``ComplexityError`` or
-``PlanningError`` into a failed task; a ``ProtocolError`` propagates.
+per-task outcomes, with one loop per transfer model: a plan's whole segments
+drain hop by hop, and the per-contact strategies walk their contacts.  Its
+task loop alone turns a ``ComplexityError`` or ``PlanningError`` into a
+failed task; a ``ProtocolError`` propagates.
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
@@ -206,33 +208,36 @@ class _ContactSampler:
         return _EdgeContacts(*_sample_columns(self._network.edges[key], self._horizon, self._rng))
 
 
-def _drain_route(
-    route: Sequence[int],
-    size: float,
+def _drain(
+    allocations: Iterable[tuple[Sequence[int], float]],
     sampler: _ContactSampler,
     network: Network,
     deadline: float,
 ) -> float | None:
-    """Completion time of a segment pushed hop by hop along a route."""
-    ready = 0.0
-    for a, b in zip(route, route[1:]):
-        params = network.edge_params(a, b)
-        remaining = size
-        completed = None
-        contacts = sampler.events(edge_key(a, b))
-        for start, duration in zip(contacts.starts, contacts.durations):
-            if start < ready or start >= deadline:
-                continue
-            # the contact carries data until it ends or the deadline passes
-            amount = min(remaining, min(duration, deadline - start) * params.rate)
-            remaining -= amount
-            if remaining <= _EPS * size:
-                completed = start + amount / params.rate
-                break
-        if completed is None:
-            return None
-        ready = completed
-    return ready
+    """Completion time of a plan whose ``(route, size)`` segments are each
+    pushed hop by hop, a hop using only contacts that start once the whole
+    segment has arrived: the latest arrival, or None at the first segment
+    that misses the deadline, before any edge of a later one is sampled."""
+    latest = 0.0
+    for route, size in allocations:
+        ready = 0.0
+        for a, b in zip(route, route[1:]):
+            rate = network.edge_params(a, b).rate
+            remaining = size
+            contacts = sampler.events(edge_key(a, b))
+            for start, duration in zip(contacts.starts, contacts.durations):
+                if start < ready or start >= deadline:
+                    continue
+                # the contact carries data until it ends or the deadline passes
+                amount = min(remaining, min(duration, deadline - start) * rate)
+                remaining -= amount
+                if remaining <= _EPS * size:
+                    ready = start + amount / rate
+                    break
+            else:
+                return None
+        latest = max(latest, ready)
+    return latest
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,7 @@ def _run_individual(
     infra = network.infrastructure_id
     if network.edge_params(task.source, infra) is None:
         raise PlanningError(f"node {task.source} has no edge to infrastructure")
-    completion = _drain_route((task.source, infra), task.size, sampler, network, task.deadline)
+    completion = _drain([((task.source, infra), task.size)], sampler, network, task.deadline)
     return False, completion is not None, completion
 
 
@@ -305,15 +310,10 @@ def _run_heuristic(
     plan = plan_offload(context.network, task.source, task.size, task.deadline)
     if not plan.offloaded:
         return _run_individual(context, task, sampler)
-    worst = 0.0
-    for allocation in plan.allocations:
-        completion = _drain_route(
-            allocation.route, allocation.assigned, sampler, context.network, task.deadline
-        )
-        if completion is None:
-            return True, False, None
-        worst = max(worst, completion)
-    return True, True, worst
+    completion = _drain(
+        ((a.route, a.assigned) for a in plan.allocations), sampler, context.network, task.deadline
+    )
+    return True, completion is not None, completion
 
 
 def _replay(
@@ -548,12 +548,8 @@ def _replaying(strategy: type[_Distributed] | type[_Carriers]):
     return run
 
 
-# The strategies, in the order "all" runs them.  The annotation stays an
-# unevaluated string: ``typing`` memoizes a ``Callable[...]`` built at import
-# under its argument classes, which would keep every earlier import alive.
-_RUNNERS: dict[
-    str, Callable[[_Context, TransmissionTask, _ContactSampler], tuple[bool, bool, float | None]]
-] = {
+# The strategies, in the order "all" runs them.
+_RUNNERS = {
     "individual": _run_individual,
     "heuristic": _run_heuristic,
     "distributed": _replaying(_Distributed),

@@ -390,6 +390,22 @@ def write_star_trace(path):
     return str(path)
 
 
+# rows that a trace file may not hold, each with the error that names it
+MALFORMED_TRACE_ROWS = [
+    ("0,x,1.0,2.0", "node_b must be an integer, got 'x'"),
+    ("0,1,1.0", "t_end is missing"),
+    ("0,1,1.0,inf", "t_end must be a finite real number, got inf"),
+]
+
+
+def write_malformed_trace(path, row):
+    """The star trace with ``row`` inserted as its line 3."""
+    lines = open(write_star_trace(path)).read().splitlines()
+    lines.insert(2, row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestSimulateFromTrace:
     def _config(self, tmp_path, trace):
         return write_json(
@@ -408,6 +424,14 @@ class TestSimulateFromTrace:
         trace = {"file": write_star_trace(tmp_path / "t.csv"), "rate": 50, "min_contacts": 5}
         assert main(["simulate", "--config", self._config(tmp_path, trace)]) == 0
         assert len(open(tmp_path / "s.csv").read().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("row, message", MALFORMED_TRACE_ROWS)
+    def test_a_malformed_trace_row_is_one_error_line(self, tmp_path, capsys, row, message):
+        trace = {"file": write_malformed_trace(tmp_path / "t.csv", row), "rate": 50.0}
+        assert main(["simulate", "--config", self._config(tmp_path, trace)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[INGESTION]: {trace['file']} line 3: {message}\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_trace_min_contacts_below_one_is_a_validation_error(
         self, tmp_path, capsys, monkeypatch
@@ -459,6 +483,15 @@ class TestFit:
         assert net.node_count == 4
         assert net.infrastructure_id == 0
         assert eval_out.exists()
+
+    @pytest.mark.parametrize("row, message", MALFORMED_TRACE_ROWS)
+    def test_a_malformed_trace_row_is_one_error_line(self, tmp_path, capsys, row, message):
+        trace = write_malformed_trace(tmp_path / "trace.csv", row)
+        out = tmp_path / "net.json"
+        assert main(["fit", "--trace", trace, "--rate", "50", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[INGESTION]: {trace} line 3: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate", ["inf", "nan"])
     def test_non_finite_rate_is_a_validation_error(self, tmp_path, capsys, rate):

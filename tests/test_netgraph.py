@@ -300,6 +300,50 @@ class TestSerialization:
         write_trace_csv(records, path)
         assert read_trace_csv(path) == records
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,x,1.0,2.0", "node_b must be an integer, got 'x'"),
+            ("0,1,1.0", "t_end is missing"),
+            ("0,1,1.0,inf", "t_end must be a finite real number, got inf"),
+            ("1.0,2,1.0,2.0", "node_a must be an integer, got '1.0'"),
+            ("0,1,,2.0", "t_start must be a number, got ''"),
+            ("0,1,3.0,2.0", "t_end must exceed t_start, got [3.0, 2.0]"),
+            ("-1,1,1.0,2.0", "node_a must be a non-negative integer, got -1"),
+            ("0,1,1.0,2.0,5", "5 cells, the header has 4"),
+        ],
+    )
+    def test_a_malformed_trace_row_names_the_file_line_and_field(self, tmp_path, row, message):
+        from oppload.netgraph import read_trace_csv
+
+        path = tmp_path / "trace.csv"
+        path.write_text(f"node_a,node_b,t_start,t_end\n0,1,0.0,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(IngestionError) as info:
+            read_trace_csv(path)
+        assert str(info.value) == f"{path} line 3: {message}"
+
+    @pytest.mark.parametrize("text", ["", "node_a,node_b,t_start\n0,1,0.0\n"])
+    def test_a_trace_without_its_header_names_the_file(self, tmp_path, text):
+        from oppload.netgraph import read_trace_csv
+
+        path = tmp_path / "trace.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestionError, match="must have header") as info:
+            read_trace_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_trace_cells_convert_as_before(self, tmp_path):
+        from oppload.netgraph import read_trace_csv
+
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "t_end,note,node_b,node_a,t_start\n2,x, 3 ,0,1e0\n\n4.5,,1,2,0.25\n", encoding="utf-8"
+        )
+        assert read_trace_csv(path) == [
+            ol.TraceRecord(0, 3, 1.0, 2.0),
+            ol.TraceRecord(2, 1, 0.25, 4.5),
+        ]
+
     def test_trace_record_validation(self):
         with pytest.raises(ValueError):
             ol.TraceRecord(1, 1, 0.0, 1.0)

@@ -840,6 +840,50 @@ class TestHeuristicRunner:
         assert self.run(two_path_network, contacts) == (True, True, 30.0 + half)
 
 
+class TestPlanDrain:
+    """A plan's segments pushed hop by hop on hand-built contacts: mobile
+    nodes 0-2 and infrastructure 3, every rate 1, so a contact of duration
+    ``d`` carries ``d``."""
+
+    EDGES = [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+    def drain(self, allocations, contacts, deadline=100.0):
+        network = Network(4, 3, dict.fromkeys(self.EDGES, uniform_params()))
+        sampler = StubSampler(contacts)
+        return simulator._drain(allocations, sampler, network, deadline), sampler.asked
+
+    def test_a_plan_fails_at_its_first_allocation_that_misses(self):
+        # relay 1 meets infrastructure only after the deadline
+        contacts = {
+            (0, 1): [(1.0, 50.0)], (1, 3): [(120.0, 50.0)],
+            (0, 2): [(1.0, 50.0)], (2, 3): [(10.0, 50.0)],
+        }
+        completion, asked = self.drain([((0, 1, 3), 4.0), ((0, 2, 3), 4.0)], contacts)
+        assert completion is None
+        # the later allocation's edges are never sampled
+        assert asked == [(0, 1), (1, 3)]
+
+    def test_a_hop_waits_for_the_whole_segment(self):
+        # the segment of 10 reaches relay 1 at 5 + 10 = 15; on the next hop
+        # the contacts at 2 and at 10 (during the first hop's contact, and
+        # outlasting it) start too early, and the one at 15 carries it
+        contacts = {
+            (0, 1): [(5.0, 20.0)],
+            (1, 3): [(2.0, 100.0), (10.0, 50.0), (15.0, 30.0)],
+        }
+        completion, _ = self.drain([((0, 1, 3), 10.0)], contacts)
+        assert completion == 25.0
+
+    def test_the_plan_completes_at_its_latest_arrival(self):
+        # the first allocation listed arrives at 44, the second at 14
+        contacts = {
+            (0, 1): [(1.0, 50.0)], (1, 3): [(40.0, 50.0)],
+            (0, 2): [(1.0, 50.0)], (2, 3): [(10.0, 50.0)],
+        }
+        completion, _ = self.drain([((0, 1, 3), 4.0), ((0, 2, 3), 4.0)], contacts)
+        assert completion == 44.0
+
+
 class TestWalkEquivalence:
     """The walk over edges touching data makes the same calls, in the same
     order, as a walk over every contact of the task."""
