@@ -74,6 +74,12 @@ _CHUNK = 1 << 14
 _PRICE_MARGIN = 1e-9
 # The kept price of a size that gets no ceiling: a deadline no query reaches.
 _NO_CEILING = (-math.inf, 1.0)
+# The share of a certain size's time budget at which RouteTerms.certify
+# prices it again.  Remaining times only fall during a task, so a floor must
+# lie below the time it is found at to serve later meetings, yet the price
+# must still be exactly 1 there: on long-deadline replays 0.5 certified
+# almost nothing, and 0.98 left the fewest adjustments to price.
+_FLOOR_SHARE = 0.98
 
 
 @dataclass(frozen=True)
@@ -487,6 +493,13 @@ def _sum_stacked(
         probs[index] = min(max(total, 0.0), 1.0)
 
 
+def _monotone(terms: tuple[array, array, array] | _BlockTerms) -> bool:
+    """Whether ``terms`` are kept arrays with no negative weight: their
+    price then moves against the deadline only by what ``gammainc`` loses
+    in its last bits, which the ceilings and the floors rest on."""
+    return not isinstance(terms, _BlockTerms) and min(terms[0], default=0.0) >= 0.0
+
+
 class RouteTerms:
     """The size-free parts of one path's estimator, and its terms per size.
 
@@ -516,30 +529,62 @@ class RouteTerms:
     terms have no negative weight, else ``(-inf, 1.0)`` (checked once, at
     the first price).  Such a price can only fall as the deadline falls, so
     :meth:`ceiling` bounds the price at any shorter deadline without
-    pricing.  The distributed protocol is the one writer and the one reader
-    (see :func:`~oppload.distributed.realtime_adjustment`), so nothing else
-    does any work for them.
+    pricing.
 
-    The memo and the prices live as long as their spec: one plan of the
-    heuristic, one route of ``validate``, one task of the distributed
-    protocol (the simulator clears both when a task starts).  Every price
-    is bit-identical to summing the formula tuple by tuple: the terms visit
-    tuples in ``itertools.product`` order, form weights and the moments
-    ``M``, ``V`` hop by hop, and sum left to right.
+    Kept in ``floors``, for each size :meth:`certify` found certain: a
+    remaining time ``d0`` at which the size's kept terms, with no negative
+    weight, priced exactly 1.  Such a price can fall as the deadline grows
+    only by what ``gammainc`` falls as its argument grows, a few last bits,
+    so at every deadline of at least ``d0`` the price is above
+    ``1 - 1e-12`` (:meth:`certain`) without pricing.  A size built in
+    blocks, or with a negative kept weight, gets no floor.  The distributed
+    protocol is the one writer and the one reader of the prices and the
+    floors (see :func:`~oppload.distributed.realtime_adjustment`), so
+    nothing else does any work for them.
+
+    The memo, the prices and the floors live as long as their spec: one
+    plan of the heuristic, one route of ``validate``, one task of the
+    distributed protocol (the simulator clears all three when a task
+    starts).  Every price is bit-identical to summing the formula tuple by
+    tuple: the terms visit tuples in ``itertools.product`` order, form
+    weights and the moments ``M``, ``V`` hop by hop, and sum left to right.
     """
 
-    __slots__ = ("hops", "gammas", "memo", "prices")
+    __slots__ = ("hops", "gammas", "memo", "prices", "floors")
 
     def __init__(self, hops: tuple[PairContactParams, ...]) -> None:
         self.hops = hops
         self.gammas: dict[tuple[int, ...], tuple[array, array, tuple[int, ...]]] = {}
         self.memo: dict[float, tuple] = {}
         self.prices: dict[float, tuple[float, float]] = {}
+        self.floors: dict[float, float] = {}
 
     def clear(self) -> None:
-        """Drop every size's terms and prices; the gammas stay."""
+        """Drop every size's terms, prices and floors; the gammas stay."""
         self.memo.clear()
         self.prices.clear()
+        self.floors.clear()
+
+    def certain(self, data_size: float, deadline: float) -> bool:
+        """Whether ``floors`` proves the price of ``data_size`` at the
+        finite ``deadline`` above ``1 - 1e-12``: its floor is no longer."""
+        return self.floors.get(data_size, math.inf) <= deadline < math.inf
+
+    def certify(self, data_size: float, deadline: float) -> bool:
+        """Price ``data_size`` at ``d0 = T' + 0.98 * (deadline - T')`` and keep
+        ``d0`` as its floor if the price is exactly 1, unless the size is
+        already :meth:`certain` at ``deadline``, is built in blocks, or its
+        kept terms have a negative weight; nothing is kept for a size whose
+        terms are not built.  Returns whether the size has a floor."""
+        entry = self.memo.get(data_size)
+        if entry is not None and not self.certain(data_size, deadline) and _monotone(entry[1]):
+            transmission, terms = entry
+            floor = transmission + _FLOOR_SHARE * (deadline - transmission)
+            price = [0.0]
+            _sum_stacked(price, [(0, floor - transmission, terms)], floor)
+            if price[0] == 1.0:
+                self.floors[data_size] = floor
+        return data_size in self.floors
 
     def ceiling(self, data_size: float, deadline: float) -> float:
         """An upper bound on the price of ``data_size`` at ``deadline``:
@@ -566,8 +611,7 @@ class RouteTerms:
             entry = self.memo.get(data_size)
             if entry is None:
                 return
-            terms = entry[1]
-            if isinstance(terms, _BlockTerms) or not min(terms[0], default=0.0) >= 0.0:
+            if not _monotone(entry[1]):
                 self.prices[data_size] = _NO_CEILING
                 return
         elif kept is _NO_CEILING:

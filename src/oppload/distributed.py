@@ -16,14 +16,19 @@ destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
 priced in batches by :func:`~oppload.delivery.delivery_probs`, from the
 terms each route's spec keeps (see :class:`~oppload.delivery.RouteTerms`).
-One no-move rule skips the peer's batch when earlier prices prove that an
-offer to a peer carrying nothing cannot win: such a route prices at exactly
-1 before, so it gains only if its grown price beats the segment's, and each
-route's ceiling (:meth:`~oppload.delivery.RouteTerms.ceiling`) bounds that
-price by one taken at a remaining time no shorter, plus a 1e-9 margin, or
-by 1.  The rule is exact as long as ``scipy.special.gammainc`` falls by no
-more than a few last bits as its argument grows (see
-:func:`realtime_adjustment`).
+Two no-move rules skip pricing when earlier prices prove that an offer to a
+peer carrying nothing cannot win; such a route prices at exactly 1 before,
+so it gains only if its grown price beats the segment's.  The first skips
+the whole adjustment: when every loaded segment of the holder has a floor
+(:meth:`~oppload.delivery.RouteTerms.certain`), a remaining time no longer
+than now at which it priced exactly 1, no segment can lose, so nothing is
+priced; a node looks up no floor until one of its segments has got one
+(``NodeState.certified``).  The second skips the peer's batch: each
+route's ceiling (:meth:`~oppload.delivery.RouteTerms.ceiling`) bounds its
+grown price by one taken at a remaining time no shorter, plus a 1e-9
+margin, or by 1.  Both rules are exact as long as
+``scipy.special.gammainc`` falls by no more than a few last bits as its
+argument grows (see :func:`realtime_adjustment`).
 """
 
 from __future__ import annotations
@@ -60,6 +65,13 @@ class NodeState:
     the destination is a neighbor, then the route through each neighbor
     with a hop to the destination.  Insertion order is kept: criterion
     assignment fills its assignment in that order.
+
+    ``certified`` turns true once one of the node's segments gets a floor
+    (:meth:`~oppload.delivery.RouteTerms.certify`) in a real-time
+    adjustment; until then its adjustments look up no floor, so the rule
+    costs one attribute read where no segment is ever certain.  It only
+    gates the lookup: a marked node whose floors were dropped decides as
+    an unmarked one.
     """
 
     node_id: int
@@ -69,6 +81,7 @@ class NodeState:
     carried: float = 0.0
     assignment: dict[Route, float] = field(default_factory=dict)
     provenance: set[int] = field(default_factory=set)
+    certified: bool = False
 
     @cached_property
     def sorted_routes(self) -> tuple[Route, ...]:
@@ -194,11 +207,30 @@ def realtime_adjustment(
     priced.  A skipped path whose grown tuple space is over the cap does
     not raise ``ComplexityError``.
 
+    When every peer path is empty, even after the move through the peer,
+    and every loaded segment of the holder is certain by its floor
+    (:meth:`~oppload.delivery.RouteTerms.certain`; only a holder marked
+    ``certified`` is looked at), nothing is priced at all: the weakest
+    segment prices above ``1 - 1e-12``, so the first offer would meet the
+    certain-segment test above, and the result is the no-move one.  A
+    floor is a remaining time ``d0`` no longer than now at which the
+    segment's kept terms, with no negative weight, priced exactly 1; as
+    for the ceilings, the price can fall as the remaining time grows only
+    by the few last bits ``gammainc`` may lose.  Where the certain-segment
+    test is still met, each segment that priced exactly 1 and is not yet
+    certain by its floor is priced once more at ``d0 = T' + 0.98 *
+    (t_remaining - T')`` (:meth:`~oppload.delivery.RouteTerms.certify`),
+    which keeps ``d0`` if the answer is exactly 1, and the holder is then
+    marked ``certified``, so its later meetings with empty peers, nearer
+    the deadline, price nothing.  Nothing loaded is still priced as an empty
+    batch, which refuses a remaining time the estimator refuses.
+
     The improvement in log joint probability is 0 when nothing moves; only
     when something does are both sides' log joints summed, before and
-    after.  Neither node's live state is modified: the result carries the
-    planned transfer and the peer's tentative assignment including the
-    planned placements.
+    after.  Neither node's assignment is modified (only the holder's
+    ``certified`` mark may turn true): the result carries the planned
+    transfer and the peer's tentative assignment including the planned
+    placements.
 
     Raises:
         ProtocolError: the peer is the destination, the task source, or the
@@ -231,6 +263,17 @@ def realtime_adjustment(
 
     if peer_routes:
         loaded = [(r, s) for r, s in remaining.items() if s > _EPS]
+        if holder.certified:
+            # the first offer would meet the certain-segment break below; a
+            # move through the peer has loaded the peer's direct route
+            for route, size in loaded:
+                if not spec(route).terms.certain(size, t_remaining):
+                    break
+            else:
+                if loaded and all(planned.get(k, 0.0) <= _EPS for k in peer_routes):
+                    return AdjustmentResult(
+                        planned=0.0, receiver_assignment=planned, improvement=0.0
+                    )
         ranked = sorted(
             zip(_route_probs([(spec(r), s) for r, s in loaded], t_remaining), loaded),
             key=lambda item: (item[0], item[1][0]),
@@ -242,12 +285,16 @@ def realtime_adjustment(
             # an empty peer route prices at exactly 1, so no ratio can beat
             # the segment when no grown price can; no ceiling exceeds 1
             bound = j_prob + 1e-12
-            if empty and (
-                bound >= 1.0
-                or all(
-                    k_spec.terms.ceiling(s + j_size, t_remaining) <= bound
-                    for k_spec, s in zip(peer_specs, sizes)
-                )
+            if empty and bound >= 1.0:
+                # the weakest segment is certain, so all are: floors let a
+                # later meeting with an empty peer skip the holder's batch
+                for prob, (route, size) in ranked:
+                    if prob == 1.0 and spec(route).terms.certify(size, t_remaining):
+                        holder.certified = True
+                break
+            if empty and all(
+                k_spec.terms.ceiling(s + j_size, t_remaining) <= bound
+                for k_spec, s in zip(peer_specs, sizes)
             ):
                 break
             grown = [s + j_size for s in sizes]

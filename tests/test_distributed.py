@@ -612,6 +612,48 @@ class TestAdjustmentEquivalence:
         # the no-move test fires in at least 5 % of the draws
         assert skipped >= 0.05 * compared
 
+    def test_certified_long_budgets_decide_as_before(self, monkeypatch):
+        # long budgets as above, with totals up to 14 whose segments are
+        # often certain: the holder's segments that price exactly 1 at a
+        # long remaining time are certified first, and the pair then meets
+        # at remaining times on both sides of their floors
+        def draws():
+            rng = np.random.default_rng(3001)
+            compared = moved = fired = differing = 0
+            for _ in range(300):
+                holder, peer = random_neighbourhood(rng, lam_exponents=(-1.5, -0.5))
+                if not load(holder, rng, deadline=3000.0):
+                    continue
+                if rng.random() < 0.2:
+                    load(peer, rng, deadline=3000.0)
+                certified_at = float(rng.uniform(1000.0, 3000.0))
+                for route, size in holder.assignment.items():
+                    spec = holder.routes[route]
+                    if size > distributed._EPS and route_prob(spec, size, certified_at) == 1.0:
+                        holder.certified |= spec.terms.certify(size, certified_at)
+                # half the meetings come soon after, the rest much later
+                later = rng.uniform(0.97, 1.0) if rng.random() < 0.5 else rng.uniform(0.1, 0.97)
+                t_remaining = certified_at * float(later)
+                want = reference_adjustment(holder, peer, t_remaining)
+                got, batches = adjust_counted(monkeypatch, holder, peer, t_remaining)
+                decided = (got.planned, list(got.receiver_assignment.items()), got.improvement)
+                differing += decided != (want[0], list(want[1].items()), want[2])
+                compared += 1
+                moved += got.planned > 0
+                fired += not batches and any(r[1] != holder.node_id for r in peer.routes)
+            return compared, moved, fired, differing
+
+        compared, moved, fired, differing = draws()
+        assert differing == 0
+        assert compared > 200 and 0 < moved < compared
+        # the floors skip every batch in at least 10 % of the draws
+        assert fired >= 0.1 * compared
+
+        # a floor used below its remaining time would change decisions
+        with monkeypatch.context() as patched:
+            patched.setattr(RouteTerms, "certain", lambda terms, size, _: size in terms.floors)
+            assert draws()[3] > 0
+
 
 def adjust_counted(monkeypatch, holder, peer, t_remaining):
     """Real-time adjustment, and the size of each batch it priced."""
@@ -658,11 +700,11 @@ def meetings(rng, count):
 
 def replay_distributed(monkeypatch, net, tasks, seed):
     """The outcomes, event log and monitor-state digest of a distributed
-    replay, the number of adjustments, and the number that priced only the
-    holder's batch."""
+    replay, the number of adjustments, the number that priced only the
+    holder's batch, and the number that priced nothing."""
     log = []
     states_digest = hashlib.sha256()
-    counts = {"adjustments": 0, "holder_only": 0}
+    counts = {"adjustments": 0, "holder_only": 0, "priced_nothing": 0}
     route_probs, adjust = distributed._route_probs, distributed.realtime_adjustment
     batches = []
 
@@ -675,6 +717,7 @@ def replay_distributed(monkeypatch, net, tasks, seed):
         result = adjust(holder, peer, t_remaining)
         counts["adjustments"] += 1
         counts["holder_only"] += len(batches) == 1 and batches[0] > 0
+        counts["priced_nothing"] += not batches
         return result
 
     def monitor(row, states, delivered):
@@ -808,9 +851,11 @@ class TestNoMoveRule:
         assert counts["holder_only"] >= 0.4 * counts["adjustments"]
 
     def test_gammainc_falls_far_less_than_the_ceiling_margin(self):
-        # the one assumption of the ceilings: as its argument grows,
-        # gammainc never falls by more than a few last bits, which the 1e-9
-        # margin covers (a denser scan saw falls of up to 7.2e-15 near x = a).
+        # the one assumption of the ceilings and the floors: as its argument
+        # grows, gammainc never falls by more than a few last bits, which
+        # both the ceiling's 1e-9 margin and the floor's 1e-12 certainty
+        # slack (a price of exactly 1 stays above 1 - 1e-12) cover many
+        # times over (a denser scan saw falls of up to 7.2e-15 near x = a).
         # Scanned: shapes 1-64 and every kept shape of the criterion-7
         # routes at sizes 10, 20 and 60, on a grid up to where the CDF is
         # 1, and a few ulps to 1e-6 on each side of the arguments where
@@ -841,7 +886,137 @@ class TestNoMoveRule:
         falls = [largest_fall(np.arange(1.0, 65.0), 20_000)]
         kept = np.array(sorted(shapes))
         falls += [largest_fall(kept[i : i + 4096], 200) for i in range(0, len(kept), 4096)]
-        assert max(falls) <= 1e-12
+        assert max(falls) <= 1e-13
+
+
+def certified_spec():
+    """A two-hop route whose size 4.5 has six kept terms and prices exactly
+    1 at remaining times from 2000 on."""
+    return ol.PathSpec(
+        (params(lam=0.02, alpha=10.0, beta=3.0), params(lam=0.05, alpha=10.0, beta=2.0))
+    )
+
+
+class TestCertainSegmentFloor:
+    """A meeting with a peer carrying nothing prices nothing when every loaded
+    segment of the holder has a floor no longer than the remaining time, and
+    the decision is the one pricing would make."""
+
+    def test_long_deadline_replay_is_unchanged_by_the_floors(self, monkeypatch):
+        # the long-haul panel: every fifth mobile node of criterion 7 but the
+        # two whose heuristic plans exceed the tuple cap, at sizes 60 and 120
+        net = criterion_7_network()
+        sources = [n for n in net.mobile_nodes() if n not in (2, 47)][::5]
+        tasks = [
+            ol.TransmissionTask(task_id=i, source=source, size=size, deadline=3000.0)
+            for i, (source, size) in enumerate((s, z) for s in sources for z in (60.0, 120.0))
+        ]
+        with monkeypatch.context() as patched:
+            patched.setattr(RouteTerms, "certify", lambda self, data_size, deadline: None)
+            uncertified, plain = replay_distributed(monkeypatch, net, tasks, seed=7)
+        certified, counts = replay_distributed(monkeypatch, net, tasks, seed=7)
+        assert certified == uncertified
+        assert counts["adjustments"] == plain["adjustments"] > 5000
+        # the adjustments pair up one to one, and only the floors turn a
+        # priced one into one that prices nothing
+        assert counts["priced_nothing"] - plain["priced_nothing"] >= 0.5 * counts["adjustments"]
+
+    def test_a_floor_is_kept_only_where_the_price_is_exactly_1(self):
+        spec = certified_spec()
+        terms = spec.terms
+        # nothing is kept for a size that was never built
+        terms.certify(4.5, 3000.0)
+        assert terms.floors == {}
+        assert route_prob(spec, 4.5, 3000.0) == 1.0
+        assert len(terms.memo[4.5][1][0]) == 6
+        terms.certify(4.5, 3000.0)
+        t_prime = transmission(spec, 4.5)
+        floor = t_prime + delivery._FLOOR_SHARE * (3000.0 - t_prime)
+        assert terms.floors == {4.5: floor}
+        assert route_prob(spec, 4.5, floor) == 1.0
+        # the size prices below 1 at a remaining time of 600: no floor below it
+        assert route_prob(spec, 4.5, 600.0) < 1.0
+        terms.certify(4.5, 600.0)
+        assert terms.floors == {4.5: floor}
+        # a certification nearer the deadline lowers the floor, and one at a
+        # longer remaining time keeps the shorter floor
+        terms.certify(4.5, 2000.0)
+        lower = t_prime + delivery._FLOOR_SHARE * (2000.0 - t_prime)
+        assert terms.floors == {4.5: lower} and lower < floor
+        terms.certify(4.5, 3000.0)
+        assert terms.floors == {4.5: lower}
+        terms.clear()
+        assert terms.floors == {} and terms.memo == {} and terms.prices == {}
+
+    def test_a_floor_is_never_used_below_its_remaining_time(self):
+        spec = certified_spec()
+        terms = spec.terms
+        assert route_prob(spec, 4.5, 3000.0) == 1.0
+        terms.certify(4.5, 3000.0)
+        (floor,) = terms.floors.values()
+        for deadline in (floor, 3000.0, 1e6):
+            assert terms.certain(4.5, deadline)
+        for deadline in np.linspace(floor, 1e5, 200):
+            assert route_prob(spec, 4.5, float(deadline)) + 1e-12 >= 1.0
+        assert not terms.certain(4.5, math.nextafter(floor, -math.inf))
+        assert not terms.certain(4.5, math.inf)
+        assert not terms.certain(4.5, math.nan)
+        assert not terms.certain(4.6, 3000.0)
+
+    def test_a_certified_holder_prices_nothing_at_finite_remaining_times_only(self, monkeypatch):
+        first, second = certified_spec().hops
+        holder = node(1, neighbors={3: first}, second_hop={3: {DEST: second}}, carried=4.5,
+                      assignment={(1, 3, DEST): 4.5})
+        peer = node(2, neighbors={DEST: params()})
+        # the first meeting prices the holder's certain segment and certifies
+        # it, which marks the holder; the second prices nothing
+        result, batches = adjust_counted(monkeypatch, holder, peer, 3000.0)
+        assert batches == [1] and holder.certified
+        assert holder.routes[(1, 3, DEST)].terms.certain(4.5, 3000.0)
+        assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
+        result, batches = adjust_counted(monkeypatch, holder, peer, 3000.0)
+        assert batches == []
+        assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
+        # an unmarked holder looks up no floor
+        holder.certified = False
+        assert adjust_counted(monkeypatch, holder, peer, 3000.0)[1] == [1]
+        holder.certified = True
+        # a remaining time the estimator refuses is refused as before, also
+        # when the holder has nothing loaded
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                realtime_adjustment(holder, peer, bad)
+        holder.assignment = {(1, 3, DEST): 0.0}
+        with pytest.raises(ValueError):
+            realtime_adjustment(holder, peer, math.inf)
+
+    def test_a_negative_kept_weight_gets_no_floor(self, monkeypatch):
+        exact_success = delivery._exact_success
+
+        def tilted(hop, data_size, limit, stop_when_certain):
+            # the first contact's increment raised by 2 and the second's
+            # turned negative: each hop's terms still sum to over 1
+            for n, success in enumerate(exact_success(hop, data_size, limit, stop_when_certain)):
+                yield success + 2.0 if n == 0 else -abs(success) if n == 1 else success
+
+        monkeypatch.setattr(delivery, "_exact_success", tilted)
+        for hops in ((params(lam=0.02, alpha=10.0, beta=2.0),), certified_spec().hops):
+            spec = ol.PathSpec(hops)
+            assert route_prob(spec, 4.5, 3000.0) == 1.0
+            assert min(spec.terms.memo[4.5][1][0]) < 0.0
+            assert route_prob(spec, 4.5, 2700.0) == 1.0
+            spec.terms.certify(4.5, 3000.0)
+            assert spec.terms.floors == {}
+            assert not spec.terms.certain(4.5, 3000.0)
+
+    def test_a_block_term_size_gets_no_floor(self):
+        # ceil(12 / 0.01) = 1200 contacts, more than _MAX_KEPT
+        spec = ol.PathSpec((params(lam=1.0, beta=0.01),))
+        route_prob(spec, 12.0, 1e4)
+        assert isinstance(spec.terms.memo[12.0][1], _BlockTerms)
+        spec.terms.certify(12.0, 1e4)
+        assert spec.terms.floors == {}
+        assert not spec.terms.certain(12.0, 1e4)
 
 
 def transmission(spec, size):

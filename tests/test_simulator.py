@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -653,26 +654,34 @@ def test_network_is_derived_once_per_call(monkeypatch):
 
 
 def test_route_terms_live_for_one_task():
-    # every route's memo of sized terms, and its kept prices, are empty when
-    # a task starts, so a call's memory does not grow with its number of
-    # tasks
+    # every route's memo of sized terms, its kept prices and its floors are
+    # empty when a task starts, so a call's memory does not grow with its
+    # number of tasks
     net = criterion_7_network()
     held_at_start = []
     held_during = []
 
     def monitor(row, states, delivered):
         terms = [spec.terms for s in states.values() for spec in s.routes.values()]
-        held = (sum(len(t.memo) for t in terms), sum(len(t.prices) for t in terms))
+        held = tuple(
+            sum(len(getattr(t, kept)) for t in terms) for kept in ("memo", "prices", "floors")
+        )
         if row["event"] == "start":
             held_at_start.append(held)
-            held_during.append((0, 0))
+            held_during.append((0, 0, 0))
         held_during[-1] = tuple(map(max, held_during[-1], held))
 
-    tasks = make_tasks(net, 6, size=10.0, deadline=300.0)
-    ol.simulate_strategy(net, tasks, "distributed", seed=7, monitor=monitor)
-    assert held_at_start == [(0, 0)] * len(tasks)
-    assert min(memo for memo, _ in held_during) > 0
-    assert min(prices for _, prices in held_during) > 0
+    # short tasks, then long ones whose certain segments get floors
+    short = make_tasks(net, 6, size=10.0, deadline=300.0)
+    long = [
+        dataclasses.replace(task, task_id=task.task_id + len(short))
+        for task in make_tasks(net, 4, size=60.0, deadline=3000.0)
+    ]
+    ol.simulate_strategy(net, short + long, "distributed", seed=7, monitor=monitor)
+    assert held_at_start == [(0, 0, 0)] * len(short + long)
+    assert min(memo for memo, _, _ in held_during) > 0
+    assert min(prices for _, prices, _ in held_during[: len(short)]) > 0
+    assert min(floors for _, _, floors in held_during[len(short) :]) > 0
 
 
 # Runs in a fresh interpreter, so the suite's own import of oppload is untouched.
