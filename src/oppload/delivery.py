@@ -68,20 +68,6 @@ _CEIL_GUARD = 1e-9
 _MAX_KEPT = 256
 _CHUNK = 1 << 14
 
-# What RouteTerms.ceiling adds to a kept price.  As its argument grows,
-# gammainc falls by a few last bits near some arguments (up to 7.2e-15 on
-# criterion-7 shapes), which moves a price by far less than this.
-_PRICE_MARGIN = 1e-9
-# The kept price of a size that gets no ceiling: a deadline no query reaches.
-_NO_CEILING = (-math.inf, 1.0)
-# The share of a certain size's time budget at which RouteTerms.certify
-# prices it again.  Remaining times only fall during a task, so a floor must
-# lie below the time it is found at to serve later meetings, yet the price
-# must still be exactly 1 there: on long-deadline replays 0.5 certified
-# almost nothing, and 0.98 left the fewest adjustments to price.
-_FLOOR_SHARE = 0.98
-
-
 @dataclass(frozen=True)
 class PathSpec:
     """An ordered opportunistic path of one or more hops."""
@@ -493,13 +479,6 @@ def _sum_stacked(
         probs[index] = min(max(total, 0.0), 1.0)
 
 
-def _monotone(terms: tuple[array, array, array] | _BlockTerms) -> bool:
-    """Whether ``terms`` are kept arrays with no negative weight: their
-    price then moves against the deadline only by what ``gammainc`` loses
-    in its last bits, which the ceilings and the floors rest on."""
-    return not isinstance(terms, _BlockTerms) and min(terms[0], default=0.0) >= 0.0
-
-
 class RouteTerms:
     """The size-free parts of one path's estimator, and its terms per size.
 
@@ -521,102 +500,40 @@ class RouteTerms:
     :class:`_BlockTerms`: at most three arrays of ``_MAX_KEPT`` floats (the
     per-hop vectors of several hops, or nothing), from which each query
     builds its terms again, in blocks.  An entry thus holds at most three
-    arrays of ``_MAX_KEPT`` doubles, about 6.3 kB.  The entry's layout is
-    private to this module.
+    arrays of ``_MAX_KEPT`` doubles, about 6.3 kB.  An entry is ``(T',
+    terms)``; the layout of the terms is private to this module, and
+    :meth:`monotone` says whether a size's kept terms have no negative
+    weight, so that its price moves against the deadline only by what
+    ``gammainc`` loses in its last bits.
 
-    Kept in ``prices``, for each size :meth:`keep_price` was given a price
-    of: that price and the deadline it was taken at, when the size's kept
-    terms have no negative weight, else ``(-inf, 1.0)`` (checked once, at
-    the first price).  Such a price can only fall as the deadline falls, so
-    :meth:`ceiling` bounds the price at any shorter deadline without
-    pricing.
-
-    Kept in ``floors``, for each size :meth:`certify` found certain: a
-    remaining time ``d0`` at which the size's kept terms, with no negative
-    weight, priced exactly 1.  Such a price can fall as the deadline grows
-    only by what ``gammainc`` falls as its argument grows, a few last bits,
-    so at every deadline of at least ``d0`` the price is above
-    ``1 - 1e-12`` (:meth:`certain`) without pricing.  A size built in
-    blocks, or with a negative kept weight, gets no floor.  The distributed
-    protocol is the one writer and the one reader of the prices and the
-    floors (see :func:`~oppload.distributed.realtime_adjustment`), so
-    nothing else does any work for them.
-
-    The memo, the prices and the floors live as long as their spec: one
-    plan of the heuristic, one route of ``validate``, one task of the
-    distributed protocol (the simulator clears all three when a task
-    starts).  Every price is bit-identical to summing the formula tuple by
-    tuple: the terms visit tuples in ``itertools.product`` order, form
-    weights and the moments ``M``, ``V`` hop by hop, and sum left to right.
+    The memo lives as long as its spec: one plan of the heuristic, one
+    route of ``validate``, one task of the distributed protocol (the
+    simulator clears it when a task starts).  Every price is bit-identical
+    to summing the formula tuple by tuple: the terms visit tuples in
+    ``itertools.product`` order, form weights and the moments ``M``, ``V``
+    hop by hop, and sum left to right.
     """
 
-    __slots__ = ("hops", "gammas", "memo", "prices", "floors")
+    __slots__ = ("hops", "gammas", "memo")
 
     def __init__(self, hops: tuple[PairContactParams, ...]) -> None:
         self.hops = hops
         self.gammas: dict[tuple[int, ...], tuple[array, array, tuple[int, ...]]] = {}
         self.memo: dict[float, tuple] = {}
-        self.prices: dict[float, tuple[float, float]] = {}
-        self.floors: dict[float, float] = {}
 
     def clear(self) -> None:
-        """Drop every size's terms, prices and floors; the gammas stay."""
+        """Drop every size's terms; the gammas stay."""
         self.memo.clear()
-        self.prices.clear()
-        self.floors.clear()
 
-    def certain(self, data_size: float, deadline: float) -> bool:
-        """Whether ``floors`` proves the price of ``data_size`` at the
-        finite ``deadline`` above ``1 - 1e-12``: its floor is no longer."""
-        return self.floors.get(data_size, math.inf) <= deadline < math.inf
-
-    def certify(self, data_size: float, deadline: float) -> bool:
-        """Price ``data_size`` at ``d0 = T' + 0.98 * (deadline - T')`` and keep
-        ``d0`` as its floor if the price is exactly 1, unless the size is
-        already :meth:`certain` at ``deadline``, is built in blocks, or its
-        kept terms have a negative weight; nothing is kept for a size whose
-        terms are not built.  Returns whether the size has a floor."""
+    def monotone(self, data_size: float) -> bool:
+        """Whether the memo keeps terms of ``data_size`` as arrays with no
+        negative weight: false for a size not built, or built in blocks."""
         entry = self.memo.get(data_size)
-        if entry is not None and not self.certain(data_size, deadline) and _monotone(entry[1]):
-            transmission, terms = entry
-            floor = transmission + _FLOOR_SHARE * (deadline - transmission)
-            price = [0.0]
-            _sum_stacked(price, [(0, floor - transmission, terms)], floor)
-            if price[0] == 1.0:
-                self.floors[data_size] = floor
-        return data_size in self.floors
-
-    def ceiling(self, data_size: float, deadline: float) -> float:
-        """An upper bound on the price of ``data_size`` at ``deadline``:
-        ``min(1, p + 1e-9)`` when ``prices`` holds a price ``p`` of that
-        size taken at a deadline no shorter, else 1.
-
-        A kept price is a clamped, left-to-right sum of ``w * gammainc(a,
-        r * (d - T'))`` with every ``w >= 0``, and float differences,
-        products and sums are monotone, so the price can rise as ``d``
-        falls only by what ``gammainc`` falls as its argument grows: a few
-        last bits, which the margin covers.  The bound thus holds on the
-        computed floats as long as ``gammainc`` never falls by more.
-        """
-        then, price = self.prices.get(data_size, _NO_CEILING)
-        return min(1.0, price + _PRICE_MARGIN) if deadline <= then else 1.0
-
-    def keep_price(self, data_size: float, deadline: float, price: float) -> None:
-        """Keep ``price``, the price of ``data_size`` at ``deadline``, for
-        :meth:`ceiling`, unless that size is built in blocks or its kept
-        terms have a negative weight; nothing is kept for a size whose
-        terms are not built."""
-        kept = self.prices.get(data_size)
-        if kept is None:
-            entry = self.memo.get(data_size)
-            if entry is None:
-                return
-            if not _monotone(entry[1]):
-                self.prices[data_size] = _NO_CEILING
-                return
-        elif kept is _NO_CEILING:
-            return
-        self.prices[data_size] = (deadline, price)
+        return (
+            entry is not None
+            and not isinstance(entry[1], _BlockTerms)
+            and min(entry[1][0], default=0.0) >= 0.0
+        )
 
     def entry(self, data_size: float, deadline: float) -> tuple | None:
         """The memo entry ``(T', terms)`` of ``data_size``, built and stored

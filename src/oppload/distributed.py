@@ -16,19 +16,13 @@ destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
 priced in batches by :func:`~oppload.delivery.delivery_probs`, from the
 terms each route's spec keeps (see :class:`~oppload.delivery.RouteTerms`).
-Two no-move rules skip pricing when earlier prices prove that an offer to a
-peer carrying nothing cannot win; such a route prices at exactly 1 before,
-so it gains only if its grown price beats the segment's.  The first skips
-the whole adjustment: when every loaded segment of the holder has a floor
-(:meth:`~oppload.delivery.RouteTerms.certain`), a remaining time no longer
-than now at which it priced exactly 1, no segment can lose, so nothing is
-priced; a node looks up no floor until one of its segments has got one
-(``NodeState.certified``).  The second skips the peer's batch: each
-route's ceiling (:meth:`~oppload.delivery.RouteTerms.ceiling`) bounds its
-grown price by one taken at a remaining time no shorter, plus a 1e-9
-margin, or by 1.  Both rules are exact as long as
-``scipy.special.gammainc`` falls by no more than a few last bits as its
-argument grows (see :func:`realtime_adjustment`).
+
+One no-move rule skips pricing where bounds kept earlier in the task prove
+that an offer to a peer carrying nothing cannot win (see
+:func:`realtime_adjustment`): ceilings from the peer's kept prices skip the
+peer's batch, and with the holder's lower prices they skip the whole
+adjustment.  The bounds live on each task's :class:`NodeState`, so none
+outlives its task.
 """
 
 from __future__ import annotations
@@ -53,6 +47,24 @@ __all__ = [
 
 _EPS = 1e-9
 
+# What a kept price adds for its ceiling.  As its argument grows, gammainc
+# falls by a few last bits near some arguments (up to 7.2e-15 on
+# criterion-7 shapes), which moves a price by far less than this.
+_PRICE_MARGIN = 1e-9
+# The kept price of a size that gets no ceiling: a remaining time no
+# meeting reaches.
+_NO_CEILING = (-math.inf, 1.0)
+# A segment's lower price is taken at d0 = T' + _LOWER_SHARE * (t - T'):
+# remaining times only fall during a task, so d0 must lie below the time it
+# is taken at to serve later meetings, yet near it to bound them closely.
+_LOWER_SHARE = 0.95
+# What a lower price may exceed a ceiling by and still prove that no offer
+# wins: the offer's own test allows 1e-12, and what gammainc loses in its
+# last bits between d0 and now takes far less than the rest.
+_LOWER_SLACK = 5e-13
+# The lower price of a segment that gets none: a d0 no meeting reaches.
+_NO_LOWER_PRICE = (math.inf, 0.0)
+
 Route = tuple[int, ...]
 
 
@@ -66,12 +78,14 @@ class NodeState:
     with a hop to the destination.  Insertion order is kept: criterion
     assignment fills its assignment in that order.
 
-    ``certified`` turns true once one of the node's segments gets a floor
-    (:meth:`~oppload.delivery.RouteTerms.certify`) in a real-time
-    adjustment; until then its adjustments look up no floor, so the rule
-    costs one attribute read where no segment is ever certain.  It only
-    gates the lookup: a marked node whose floors were dropped decides as
-    an unmarked one.
+    ``upper`` and ``lower`` hold the price bounds of the no-move rule (see
+    :func:`realtime_adjustment`), keyed by ``(route, size)``.  ``upper``
+    keeps, for the node's own routes, the last price of a size asked while
+    the route carried nothing, with the remaining time it was taken at, or
+    ``(-inf, 1.0)`` for a size whose terms may have a negative weight.
+    ``lower`` keeps, for segments the node carried, a lower price ``(d0,
+    p0)``, or ``(inf, 0.0)`` for a size that gets none.  Both start empty
+    with the state, so they last one task.
     """
 
     node_id: int
@@ -81,7 +95,8 @@ class NodeState:
     carried: float = 0.0
     assignment: dict[Route, float] = field(default_factory=dict)
     provenance: set[int] = field(default_factory=set)
-    certified: bool = False
+    upper: dict[tuple[Route, float], tuple[float, float]] = field(default_factory=dict)
+    lower: dict[tuple[Route, float], tuple[float, float]] = field(default_factory=dict)
 
     @cached_property
     def sorted_routes(self) -> tuple[Route, ...]:
@@ -132,6 +147,77 @@ def _log_joint(
     ``prob`` holding each (route, size) probability."""
     return math.fsum(math.log(max(prob[seg], 1e-300)) for seg in holder.items()) + math.fsum(
         math.log(max(prob[seg], 1e-300)) for seg in peer.items()
+    )
+
+
+def _ceiling(state: NodeState, route: Route, size: float, t_remaining: float) -> float:
+    """An upper bound on the price of ``size`` on ``state``'s ``route`` at
+    ``t_remaining``: ``min(1, p + 1e-9)`` for a price ``p`` kept in
+    ``state.upper`` at a remaining time no shorter, else 1."""
+    then, price = state.upper.get((route, size), _NO_CEILING)
+    return min(1.0, price + _PRICE_MARGIN) if t_remaining <= then else 1.0
+
+
+def _no_offer_wins(
+    peer: NodeState,
+    peer_routes: list[Route],
+    sizes: list[float],
+    offered: list[float],
+    bound: float,
+    t_remaining: float,
+) -> bool:
+    """Whether no ceiling of a peer route at its planned size plus an
+    offered size exceeds ``bound``; no ceiling exceeds 1."""
+    return bound >= 1.0 or all(
+        _ceiling(peer, k, s + size, t_remaining) <= bound
+        for k, s in zip(peer_routes, sizes)
+        for size in offered
+    )
+
+
+def _keep_lower_prices(
+    state: NodeState, ranked: list[tuple[float, tuple[Route, float]]], t_remaining: float
+) -> None:
+    """Give each ranked segment of ``state`` whose lower price is missing or
+    lies above ``t_remaining`` a new one: its kept terms priced at ``d0 =
+    T' + 0.95 * (t_remaining - T')``, or none if they may have a negative
+    weight."""
+    for _, key in ranked:
+        kept = state.lower.get(key)
+        if kept is not None and not t_remaining < kept[0] < math.inf:
+            continue
+        route, size = key
+        spec = state.routes[route]
+        if spec.terms.monotone(size):
+            t_prime = spec.terms.memo[size][0]
+            d0 = t_prime + _LOWER_SHARE * (t_remaining - t_prime)
+            state.lower[key] = (d0, delivery_probs([(spec, size)], d0)[0])
+        else:
+            state.lower[key] = _NO_LOWER_PRICE
+
+
+def _nothing_wins(
+    holder: NodeState,
+    peer: NodeState,
+    peer_routes: list[Route],
+    planned: dict[Route, float],
+    loaded: list[tuple[Route, float]],
+    t_remaining: float,
+) -> bool:
+    """Whether the holder's lower prices prove, unpriced, that the first
+    offer of an adjustment stops at its ceiling test: every loaded segment
+    has a lower price with ``d0 <= t_remaining < inf``, every peer route
+    carries nothing, and no ceiling at a loaded size exceeds the lowest
+    lower price by more than 5e-13."""
+    lowest = 1.0
+    for key in loaded:
+        d0, p0 = holder.lower.get(key, _NO_LOWER_PRICE)
+        if not d0 <= t_remaining < math.inf:
+            return False
+        lowest = min(lowest, p0)
+    sizes = [planned.get(k, 0.0) for k in peer_routes]
+    return all(s <= _EPS for s in sizes) and _no_offer_wins(
+        peer, peer_routes, sizes, [size for _, size in loaded], lowest + _LOWER_SLACK, t_remaining
     )
 
 
@@ -191,46 +277,42 @@ def realtime_adjustment(
     segment, every peer path at its planned size and at that size plus the
     segment's.
 
-    That second batch is skipped when it cannot find a move: every peer
-    path is empty and each path's ceiling at the grown size is at most
-    ``p_j + 1e-12``.  An empty path prices at exactly 1, so its ratio is
-    its grown price, which the ceiling bounds: ``min(1, p + 1e-9)`` for a
-    price ``p`` of that size kept at a remaining time no shorter than now
-    (:meth:`~oppload.delivery.RouteTerms.ceiling`), else 1.  A kept price
-    is a clamped, left-to-right float sum of ``w * gammainc(a, r * (d -
-    T'))`` with every ``w >= 0``, so as the remaining time ``d`` falls it
-    can rise only by what ``gammainc`` falls as its argument grows, a few
-    last bits, which the 1e-9 margin covers; the decision is then the same
-    on the computed floats.  A certain segment needs no lookup, since no
-    ceiling exceeds 1, and with nothing kept the rule is that test alone.
-    The grown prices of an empty peer are kept whenever that batch is
-    priced.  A skipped path whose grown tuple space is over the cap does
-    not raise ``ComplexityError``.
+    One no-move rule skips what cannot find a move, from bounds kept in the
+    two nodes' per-task state.  An empty peer path prices at exactly 1, so
+    its ratio is its grown price, and an offer to an empty peer stops when
+    no grown price can exceed the segment's price ``p_j`` by more than
+    1e-12.  A grown price is bounded from above by its ceiling: ``min(1, p +
+    1e-9)`` for a price ``p`` of that size kept in ``peer.upper`` at a
+    remaining time no shorter than now, else 1.  A kept price is a clamped,
+    left-to-right float sum of ``w * gammainc(a, r * (d - T'))`` with every
+    ``w >= 0``, so as the remaining time ``d`` falls it can rise only by
+    what ``gammainc`` falls as its argument grows, a few last bits, which
+    the margin covers; and as ``d`` grows it can fall only by as much.  So:
 
-    When every peer path is empty, even after the move through the peer,
-    and every loaded segment of the holder is certain by its floor
-    (:meth:`~oppload.delivery.RouteTerms.certain`; only a holder marked
-    ``certified`` is looked at), nothing is priced at all: the weakest
-    segment prices above ``1 - 1e-12``, so the first offer would meet the
-    certain-segment test above, and the result is the no-move one.  A
-    floor is a remaining time ``d0`` no longer than now at which the
-    segment's kept terms, with no negative weight, priced exactly 1; as
-    for the ceilings, the price can fall as the remaining time grows only
-    by the few last bits ``gammainc`` may lose.  Where the certain-segment
-    test is still met, each segment that priced exactly 1 and is not yet
-    certain by its floor is priced once more at ``d0 = T' + 0.98 *
-    (t_remaining - T')`` (:meth:`~oppload.delivery.RouteTerms.certify`),
-    which keeps ``d0`` if the answer is exactly 1, and the holder is then
-    marked ``certified``, so its later meetings with empty peers, nearer
-    the deadline, price nothing.  Nothing loaded is still priced as an empty
-    batch, which refuses a remaining time the estimator refuses.
+    * the peer's batch is skipped when every peer path is empty and every
+      ceiling at the grown size is at most ``p_j + 1e-12``, which a segment
+      of ``p_j + 1e-12 >= 1`` meets without a lookup.  The grown prices of
+      an empty peer are kept whenever that batch is priced; a size whose
+      terms are built in blocks or have a negative weight
+      (:meth:`~oppload.delivery.RouteTerms.monotone`) keeps none.  Where
+      the first offer stops so, each ranked segment without a lower price
+      valid now gets one in ``holder.lower``: its terms, with no negative
+      weight, priced at ``d0 = T' + 0.95 * (t_remaining - T')``.
+    * nothing is priced at all when every peer path is empty, even after
+      the move through the peer, every loaded segment has a lower price
+      ``p0`` with ``d0 <= t_remaining < inf``, and every peer path's
+      ceiling at each loaded size is at most ``min(p0) + 5e-13``.  The
+      weakest segment then prices at least ``min(p0)`` less a few last
+      bits, so the first offer would stop at the test above, and the
+      result is the no-move one.  Nothing loaded is still priced as an
+      empty batch, so a remaining time the estimator refuses is refused.
 
-    The improvement in log joint probability is 0 when nothing moves; only
-    when something does are both sides' log joints summed, before and
-    after.  Neither node's assignment is modified (only the holder's
-    ``certified`` mark may turn true): the result carries the planned
-    transfer and the peer's tentative assignment including the planned
-    placements.
+    A skipped path whose grown tuple space is over the cap does not raise
+    ``ComplexityError``.  The improvement in log joint probability is 0
+    when nothing moves; only when something does are both sides' log joints
+    summed, before and after.  Neither node's assignment is modified (only
+    the bounds may grow): the result carries the planned transfer and the
+    peer's tentative assignment including the planned placements.
 
     Raises:
         ProtocolError: the peer is the destination, the task source, or the
@@ -263,17 +345,10 @@ def realtime_adjustment(
 
     if peer_routes:
         loaded = [(r, s) for r, s in remaining.items() if s > _EPS]
-        if holder.certified:
-            # the first offer would meet the certain-segment break below; a
-            # move through the peer has loaded the peer's direct route
-            for route, size in loaded:
-                if not spec(route).terms.certain(size, t_remaining):
-                    break
-            else:
-                if loaded and all(planned.get(k, 0.0) <= _EPS for k in peer_routes):
-                    return AdjustmentResult(
-                        planned=0.0, receiver_assignment=planned, improvement=0.0
-                    )
+        if holder.lower and loaded and _nothing_wins(
+            holder, peer, peer_routes, planned, loaded, t_remaining
+        ):
+            return AdjustmentResult(planned=0.0, receiver_assignment=planned, improvement=0.0)
         ranked = sorted(
             zip(_route_probs([(spec(r), s) for r, s in loaded], t_remaining), loaded),
             key=lambda item: (item[0], item[1][0]),
@@ -283,25 +358,20 @@ def realtime_adjustment(
             sizes = [planned.get(k, 0.0) for k in peer_routes]
             empty = all(s <= _EPS for s in sizes)
             # an empty peer route prices at exactly 1, so no ratio can beat
-            # the segment when no grown price can; no ceiling exceeds 1
+            # the segment when no grown price can
             bound = j_prob + 1e-12
-            if empty and bound >= 1.0:
-                # the weakest segment is certain, so all are: floors let a
-                # later meeting with an empty peer skip the holder's batch
-                for prob, (route, size) in ranked:
-                    if prob == 1.0 and spec(route).terms.certify(size, t_remaining):
-                        holder.certified = True
-                break
-            if empty and all(
-                k_spec.terms.ceiling(s + j_size, t_remaining) <= bound
-                for k_spec, s in zip(peer_specs, sizes)
-            ):
+            if empty and _no_offer_wins(peer, peer_routes, sizes, [j_size], bound, t_remaining):
+                _keep_lower_prices(holder, ranked, t_remaining)
                 break
             grown = [s + j_size for s in sizes]
             probs = _route_probs([*zip(peer_specs, sizes), *zip(peer_specs, grown)], t_remaining)
             if empty:
-                for k_spec, size, price in zip(peer_specs, grown, probs[len(sizes) :]):
-                    k_spec.terms.keep_price(size, t_remaining, price)
+                for k, k_spec, size, price in zip(peer_routes, peer_specs, grown, probs[len(sizes) :]):
+                    kept = peer.upper.get((k, size))
+                    if kept is None and not k_spec.terms.monotone(size):
+                        peer.upper[k, size] = _NO_CEILING
+                    elif kept is not _NO_CEILING:
+                        peer.upper[k, size] = (t_remaining, price)
             best_route = None
             best_ratio = 0.0
             for k_route, p_old, p_new in zip(peer_routes, probs, probs[len(sizes) :]):

@@ -432,7 +432,7 @@ class _Distributed:
         self.infra = infra = context.network.infrastructure_id
         self.states = {n: NodeState(n, infra, task.source, r) for n, r in context.routes.items()}
         # a task's segment sizes are its own: dropping the last task's terms
-        # and prices keeps a call's memory from growing with its number of tasks
+        # keeps a call's memory from growing with its number of tasks
         for routes in context.routes.values():
             for spec in routes.values():
                 spec.terms.clear()

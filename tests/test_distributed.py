@@ -8,7 +8,7 @@ import pytest
 import oppload as ol
 from oppload import delivery, distributed, simulator
 from oppload.cli import _build_tasks
-from oppload.delivery import _CEIL_GUARD, _MAX_KEPT, DEFAULT_TUPLE_CAP, RouteTerms, _BlockTerms
+from oppload.delivery import _CEIL_GUARD, _MAX_KEPT, DEFAULT_TUPLE_CAP, _BlockTerms
 from oppload.distributed import NodeState, realtime_adjustment
 from oppload.errors import ComplexityError, ProtocolError, TransferContractError
 
@@ -612,11 +612,11 @@ class TestAdjustmentEquivalence:
         # the no-move test fires in at least 5 % of the draws
         assert skipped >= 0.05 * compared
 
-    def test_certified_long_budgets_decide_as_before(self, monkeypatch):
+    def test_lower_priced_long_budgets_decide_as_before(self, monkeypatch):
         # long budgets as above, with totals up to 14 whose segments are
-        # often certain: the holder's segments that price exactly 1 at a
-        # long remaining time are certified first, and the pair then meets
-        # at remaining times on both sides of their floors
+        # often certain: the pair meets once at a long remaining time, where
+        # the holder's loaded segments also get lower prices, and then again
+        # at remaining times on both sides of their d0
         def draws():
             rng = np.random.default_rng(3001)
             compared = moved = fired = differing = 0
@@ -626,14 +626,12 @@ class TestAdjustmentEquivalence:
                     continue
                 if rng.random() < 0.2:
                     load(peer, rng, deadline=3000.0)
-                certified_at = float(rng.uniform(1000.0, 3000.0))
-                for route, size in holder.assignment.items():
-                    spec = holder.routes[route]
-                    if size > distributed._EPS and route_prob(spec, size, certified_at) == 1.0:
-                        holder.certified |= spec.terms.certify(size, certified_at)
+                priced_at = float(rng.uniform(1000.0, 3000.0))
+                realtime_adjustment(holder, peer, priced_at)
+                keep_lower_prices(holder, priced_at)
                 # half the meetings come soon after, the rest much later
-                later = rng.uniform(0.97, 1.0) if rng.random() < 0.5 else rng.uniform(0.1, 0.97)
-                t_remaining = certified_at * float(later)
+                later = rng.uniform(0.96, 1.0) if rng.random() < 0.5 else rng.uniform(0.1, 0.96)
+                t_remaining = priced_at * float(later)
                 want = reference_adjustment(holder, peer, t_remaining)
                 got, batches = adjust_counted(monkeypatch, holder, peer, t_remaining)
                 decided = (got.planned, list(got.receiver_assignment.items()), got.improvement)
@@ -646,13 +644,29 @@ class TestAdjustmentEquivalence:
         compared, moved, fired, differing = draws()
         assert differing == 0
         assert compared > 200 and 0 < moved < compared
-        # the floors skip every batch in at least 10 % of the draws
+        # the lower prices skip every batch in at least 10 % of the draws
         assert fired >= 0.1 * compared
 
-        # a floor used below its remaining time would change decisions
+        # a lower price used below its d0 would change decisions
+        keep = distributed._keep_lower_prices
+
+        def timeless(state, ranked, t_remaining):
+            keep(state, ranked, t_remaining)
+            for key, (d0, p0) in state.lower.items():
+                if d0 < math.inf:
+                    state.lower[key] = (0.0, p0)
+
         with monkeypatch.context() as patched:
-            patched.setattr(RouteTerms, "certain", lambda terms, size, _: size in terms.floors)
+            patched.setattr(distributed, "_keep_lower_prices", timeless)
             assert draws()[3] > 0
+
+
+def keep_lower_prices(state, t_remaining):
+    """Give every loaded segment of ``state`` a lower price at
+    ``t_remaining``, as an adjustment whose first offer stops does."""
+    loaded = [(r, s) for r, s in state.assignment.items() if s > distributed._EPS]
+    ranked = [(route_prob(state.routes[r], s, t_remaining), (r, s)) for r, s in loaded]
+    distributed._keep_lower_prices(state, ranked, t_remaining)
 
 
 def adjust_counted(monkeypatch, holder, peer, t_remaining):
@@ -677,11 +691,13 @@ def assert_matches_reference(got, holder, peer, t_remaining):
 
 
 def skipped_beyond_a_certain_segment(holder, peer, t_remaining, batches):
-    """Whether the adjustment priced only the holder's batch although the
-    offered segment was not certain: the ceilings of kept prices, not the
-    certain-segment case, skipped the peer's batch."""
-    priced_holder_only = len(batches) == 1 and batches[0] > 0
-    return priced_holder_only and certain_offer_to_an_empty_peer(holder, peer, t_remaining) is None
+    """Whether the adjustment priced no peer batch, though the peer has a
+    route open to the holder's data, while the offered segment was not
+    certain: bounds kept earlier, not the certain-segment case, skipped the
+    peer's batch."""
+    open_route = any(r[1] != holder.node_id for r in peer.routes)
+    priced_no_peer = (open_route and not batches) or (len(batches) == 1 and batches[0] > 0)
+    return priced_no_peer and certain_offer_to_an_empty_peer(holder, peer, t_remaining) is None
 
 
 def meetings(rng, count):
@@ -738,10 +754,17 @@ def replay_distributed(monkeypatch, net, tasks, seed):
     return (outcomes, repr(log), states_digest.hexdigest()), counts
 
 
+def weak_holder(size):
+    """A holder whose one segment of ``size`` prices below 1 at remaining
+    times up to a few thousand: one contact, at rate 0.001, carries it."""
+    return node(1, neighbors={DEST: params(lam=0.001, beta=100.0)}, carried=size,
+                assignment={(1, DEST): size})
+
+
 class TestNoMoveRule:
     """An offer to a peer carrying nothing is not priced when the ceilings of
-    prices kept at a remaining time no shorter prove it cannot win, and the
-    decision is the one pricing it would make."""
+    prices the peer kept at a remaining time no shorter prove it cannot win,
+    and the decision is the one pricing it would make."""
 
     def test_falling_remaining_times_skip_on_kept_prices(self, monkeypatch):
         # the same pair met again and again as the deadline nears, as in a
@@ -779,35 +802,42 @@ class TestNoMoveRule:
         assert rising_meetings() == (0, 0)
 
         # a ceiling that ignored when its price was taken would use them
-        def timeless(terms, data_size, deadline):
-            return min(1.0, terms.prices.get(data_size, (math.inf, 1.0))[1] + 1e-9)
+        def timeless(state, route, size, t_remaining):
+            return min(1.0, state.upper.get((route, size), (math.inf, 1.0))[1] + 1e-9)
 
         with monkeypatch.context() as patched:
-            patched.setattr(RouteTerms, "ceiling", timeless)
+            patched.setattr(distributed, "_ceiling", timeless)
             beyond, _ = rising_meetings()
         assert beyond > 0
 
-    def test_ceiling_bounds_prices_at_shorter_deadlines_only(self):
-        spec = ol.PathSpec((params(lam=0.02, beta=3.0), params(lam=0.05, beta=2.0)))
-        terms = spec.terms
-        # nothing is kept for a size that was never built
-        terms.keep_price(10.0, 200.0, 0.25)
-        assert terms.prices == {} and terms.ceiling(10.0, 100.0) == 1.0
+    def test_a_kept_price_bounds_prices_at_shorter_remaining_times_only(self):
+        # the holder's one segment prices below 1, so its offer to the
+        # peer's empty route is priced, and the peer keeps the grown price
+        holder = weak_holder(10.0)
+        peer = node(2, neighbors={3: params(lam=0.02, beta=3.0)},
+                    second_hop={3: {DEST: params(lam=0.05, beta=2.0)}})
+        route = (2, 3, DEST)
+        spec = peer.routes[route]
+        assert peer.upper == {}
+        realtime_adjustment(holder, peer, 200.0)
         price = route_prob(spec, 10.0, 200.0)
         assert 0.0 < price < 1.0
-        # built and not yet given a price
-        assert terms.prices == {} and terms.ceiling(10.0, 200.0) == 1.0
-        terms.keep_price(10.0, 200.0, price)
+        assert peer.upper == {(route, 10.0): (200.0, price)}
         for deadline in (200.0, 150.0, 30.0, 0.0):
-            assert terms.ceiling(10.0, deadline) == price + 1e-9
-            assert route_prob(spec, 10.0, deadline) <= terms.ceiling(10.0, deadline)
-        assert terms.ceiling(10.0, math.nextafter(200.0, math.inf)) == 1.0
-        assert terms.ceiling(10.5, 100.0) == 1.0
+            assert distributed._ceiling(peer, route, 10.0, deadline) == price + 1e-9
+            assert route_prob(spec, 10.0, deadline) <= distributed._ceiling(peer, route, 10.0, deadline)
+        assert distributed._ceiling(peer, route, 10.0, math.nextafter(200.0, math.inf)) == 1.0
+        assert distributed._ceiling(peer, route, 10.5, 100.0) == 1.0
+        # the holder keeps no price of its own routes, and the estimator none
+        assert holder.upper == {} and not hasattr(spec.terms, "prices")
         # a price near 1 is capped at 1
-        terms.keep_price(10.0, 200.0, 1.0 - 1e-12)
-        assert terms.ceiling(10.0, 100.0) == 1.0
-        terms.clear()
-        assert terms.prices == {} and terms.memo == {}
+        peer.upper[route, 10.0] = (200.0, 1.0 - 1e-12)
+        assert distributed._ceiling(peer, route, 10.0, 100.0) == 1.0
+        # a grown size whose terms are not built at the remaining time, since
+        # it does not cover T', gets no ceiling
+        peer = node(2, neighbors={DEST: params(lam=0.02, beta=3.0)})
+        realtime_adjustment(weak_holder(10.0), peer, 0.1)
+        assert peer.upper == {((2, DEST), 10.0): distributed._NO_CEILING}
 
     def test_a_negative_kept_weight_gets_no_ceiling(self, monkeypatch):
         exact_success = delivery._exact_success
@@ -818,44 +848,57 @@ class TestNoMoveRule:
                 yield -abs(success) if n == 1 else success
 
         monkeypatch.setattr(delivery, "_exact_success", tilted)
-        for hops in ((params(lam=0.02, beta=3.0),), (params(beta=3.0), params(beta=4.0))):
-            spec = ol.PathSpec(hops)
-            price = route_prob(spec, 10.0, 200.0)
-            weights = spec.terms.memo[10.0][1][0]
-            assert min(weights) < 0.0
+        for peer in (
+            node(2, neighbors={DEST: params(lam=0.02, beta=3.0)}),
+            node(2, neighbors={3: params(beta=3.0)}, second_hop={3: {DEST: params(beta=4.0)}}),
+        ):
+            (route,) = peer.routes
             # the first price finds the negative weight, and no later one is kept
-            for _ in range(2):
-                spec.terms.keep_price(10.0, 200.0, price)
-                assert spec.terms.ceiling(10.0, 100.0) == 1.0
+            for t_remaining in (200.0, 150.0):
+                realtime_adjustment(weak_holder(10.0), peer, t_remaining)
+                assert min(peer.routes[route].terms.memo[10.0][1][0]) < 0.0
+                assert peer.upper == {(route, 10.0): distributed._NO_CEILING}
+                assert distributed._ceiling(peer, route, 10.0, 100.0) == 1.0
 
     def test_a_block_term_size_gets_no_ceiling(self):
         # ceil(12 / 0.01) = 1200 contacts, more than _MAX_KEPT
-        spec = ol.PathSpec((params(lam=1.0, beta=0.01),))
-        price = route_prob(spec, 12.0, 1000.0)
-        assert isinstance(spec.terms.memo[12.0][1], _BlockTerms)
-        for _ in range(2):
-            spec.terms.keep_price(12.0, 1000.0, price)
-            assert spec.terms.ceiling(12.0, 500.0) == 1.0
+        peer = node(2, neighbors={DEST: params(lam=1.0, beta=0.01)})
+        route = (2, DEST)
+        for t_remaining in (1000.0, 900.0):
+            realtime_adjustment(weak_holder(12.0), peer, t_remaining)
+            assert isinstance(peer.routes[route].terms.memo[12.0][1], _BlockTerms)
+            assert peer.upper == {(route, 12.0): distributed._NO_CEILING}
+            assert distributed._ceiling(peer, route, 12.0, 500.0) == 1.0
 
     def test_criterion_7_replay_is_unchanged_by_the_ceilings(self, monkeypatch):
         net = criterion_7_network()
         tasks = _build_tasks(net, [10.0, 20.0], [200.0, 300.0, 400.0, 500.0, 600.0], 2, 1000)
         with monkeypatch.context() as patched:
-            patched.setattr(RouteTerms, "ceiling", lambda self, data_size, deadline: 1.0)
+            patched.setattr(distributed, "_ceiling", lambda state, route, size, t_remaining: 1.0)
             unbounded, plain = replay_distributed(monkeypatch, net, tasks, seed=7)
+        with monkeypatch.context() as patched:
+            patched.setattr(distributed, "_keep_lower_prices", no_lower_prices)
+            ceilings_only, ceilings = replay_distributed(monkeypatch, net, tasks, seed=7)
         bounded, counts = replay_distributed(monkeypatch, net, tasks, seed=7)
-        assert bounded == unbounded
+        assert bounded == unbounded == ceilings_only
         # with every ceiling 1 only certain segments skip, and none does here
-        assert plain["holder_only"] == 0
-        assert counts["adjustments"] == plain["adjustments"] > 1000
-        assert counts["holder_only"] >= 0.4 * counts["adjustments"]
+        assert plain["holder_only"] == plain["priced_nothing"] == 0
+        assert counts["adjustments"] == plain["adjustments"] == ceilings["adjustments"] > 1000
+        # the ceilings alone skip the peer's batch in at least 40 % of the
+        # adjustments (4,928 of 8,586)
+        assert ceilings["priced_nothing"] == 0
+        assert ceilings["holder_only"] >= 0.4 * counts["adjustments"]
+        # the adjustments pair up one to one, and the lower prices turn at
+        # least 30 % of them (3,524) into ones that price nothing
+        assert counts["holder_only"] + counts["priced_nothing"] == ceilings["holder_only"]
+        assert counts["priced_nothing"] >= 0.3 * counts["adjustments"]
 
     def test_gammainc_falls_far_less_than_the_ceiling_margin(self):
-        # the one assumption of the ceilings and the floors: as its argument
-        # grows, gammainc never falls by more than a few last bits, which
-        # both the ceiling's 1e-9 margin and the floor's 1e-12 certainty
-        # slack (a price of exactly 1 stays above 1 - 1e-12) cover many
-        # times over (a denser scan saw falls of up to 7.2e-15 near x = a).
+        # the one assumption of the no-move rule: as its argument grows,
+        # gammainc never falls by more than a few last bits, which both the
+        # ceiling's 1e-9 margin and the 5e-13 a lower price leaves of the
+        # offer's 1e-12 slack cover many times over (a denser scan saw falls
+        # of up to 7.2e-15 near x = a).
         # Scanned: shapes 1-64 and every kept shape of the criterion-7
         # routes at sizes 10, 20 and 60, on a grid up to where the CDF is
         # 1, and a few ulps to 1e-6 on each side of the arguments where
@@ -889,7 +932,11 @@ class TestNoMoveRule:
         assert max(falls) <= 1e-13
 
 
-def certified_spec():
+def no_lower_prices(state, ranked, t_remaining):
+    """A stand-in for ``distributed._keep_lower_prices`` that keeps none."""
+
+
+def certain_spec():
     """A two-hop route whose size 4.5 has six kept terms and prices exactly
     1 at remaining times from 2000 on."""
     return ol.PathSpec(
@@ -897,12 +944,23 @@ def certified_spec():
     )
 
 
-class TestCertainSegmentFloor:
-    """A meeting with a peer carrying nothing prices nothing when every loaded
-    segment of the holder has a floor no longer than the remaining time, and
-    the decision is the one pricing would make."""
+def certain_holder():
+    """A holder carrying size 4.5 on :func:`certain_spec`'s route."""
+    first, second = certain_spec().hops
+    return node(1, neighbors={3: first}, second_hop={3: {DEST: second}}, carried=4.5,
+                assignment={(1, 3, DEST): 4.5})
 
-    def test_long_deadline_replay_is_unchanged_by_the_floors(self, monkeypatch):
+
+SEGMENT = ((1, 3, DEST), 4.5)
+
+
+class TestLowerPrice:
+    """A meeting with a peer carrying nothing prices nothing when every loaded
+    segment of the holder has a lower price taken no later than the remaining
+    time, no peer route's ceiling exceeds the lowest, and the decision is the
+    one pricing would make."""
+
+    def test_long_deadline_replay_is_unchanged_by_the_lower_prices(self, monkeypatch):
         # the long-haul panel: every fifth mobile node of criterion 7 but the
         # two whose heuristic plans exceed the tuple cap, at sizes 60 and 120
         net = criterion_7_network()
@@ -912,85 +970,117 @@ class TestCertainSegmentFloor:
             for i, (source, size) in enumerate((s, z) for s in sources for z in (60.0, 120.0))
         ]
         with monkeypatch.context() as patched:
-            patched.setattr(RouteTerms, "certify", lambda self, data_size, deadline: None)
-            uncertified, plain = replay_distributed(monkeypatch, net, tasks, seed=7)
-        certified, counts = replay_distributed(monkeypatch, net, tasks, seed=7)
-        assert certified == uncertified
+            patched.setattr(distributed, "_keep_lower_prices", no_lower_prices)
+            unpriced, plain = replay_distributed(monkeypatch, net, tasks, seed=7)
+        lower, counts = replay_distributed(monkeypatch, net, tasks, seed=7)
+        assert lower == unpriced
         assert counts["adjustments"] == plain["adjustments"] > 5000
-        # the adjustments pair up one to one, and only the floors turn a
-        # priced one into one that prices nothing
-        assert counts["priced_nothing"] - plain["priced_nothing"] >= 0.5 * counts["adjustments"]
+        # the adjustments pair up one to one, and only the lower prices turn
+        # a priced one into one that prices nothing (16,775 of 19,605)
+        assert plain["priced_nothing"] == 0
+        assert counts["holder_only"] + counts["priced_nothing"] == plain["holder_only"]
+        assert counts["priced_nothing"] >= 0.8 * counts["adjustments"]
 
-    def test_a_floor_is_kept_only_where_the_price_is_exactly_1(self):
-        spec = certified_spec()
-        terms = spec.terms
-        # nothing is kept for a size that was never built
-        terms.certify(4.5, 3000.0)
-        assert terms.floors == {}
-        assert route_prob(spec, 4.5, 3000.0) == 1.0
-        assert len(terms.memo[4.5][1][0]) == 6
-        terms.certify(4.5, 3000.0)
+    def test_a_lower_price_is_taken_at_d0(self):
+        spec = certain_spec()
         t_prime = transmission(spec, 4.5)
-        floor = t_prime + delivery._FLOOR_SHARE * (3000.0 - t_prime)
-        assert terms.floors == {4.5: floor}
-        assert route_prob(spec, 4.5, floor) == 1.0
-        # the size prices below 1 at a remaining time of 600: no floor below it
-        assert route_prob(spec, 4.5, 600.0) < 1.0
-        terms.certify(4.5, 600.0)
-        assert terms.floors == {4.5: floor}
-        # a certification nearer the deadline lowers the floor, and one at a
-        # longer remaining time keeps the shorter floor
-        terms.certify(4.5, 2000.0)
-        lower = t_prime + delivery._FLOOR_SHARE * (2000.0 - t_prime)
-        assert terms.floors == {4.5: lower} and lower < floor
-        terms.certify(4.5, 3000.0)
-        assert terms.floors == {4.5: lower}
-        terms.clear()
-        assert terms.floors == {} and terms.memo == {} and terms.prices == {}
 
-    def test_a_floor_is_never_used_below_its_remaining_time(self):
-        spec = certified_spec()
-        terms = spec.terms
-        assert route_prob(spec, 4.5, 3000.0) == 1.0
-        terms.certify(4.5, 3000.0)
-        (floor,) = terms.floors.values()
-        for deadline in (floor, 3000.0, 1e6):
-            assert terms.certain(4.5, deadline)
-        for deadline in np.linspace(floor, 1e5, 200):
-            assert route_prob(spec, 4.5, float(deadline)) + 1e-12 >= 1.0
-        assert not terms.certain(4.5, math.nextafter(floor, -math.inf))
-        assert not terms.certain(4.5, math.inf)
-        assert not terms.certain(4.5, math.nan)
-        assert not terms.certain(4.6, 3000.0)
+        def d0(t_remaining):
+            return t_prime + 0.95 * (t_remaining - t_prime)
 
-    def test_a_certified_holder_prices_nothing_at_finite_remaining_times_only(self, monkeypatch):
-        first, second = certified_spec().hops
-        holder = node(1, neighbors={3: first}, second_hop={3: {DEST: second}}, carried=4.5,
-                      assignment={(1, 3, DEST): 4.5})
+        # nothing is kept for a size whose terms were never built
+        holder = certain_holder()
+        distributed._keep_lower_prices(holder, [(1.0, SEGMENT)], 3000.0)
+        assert holder.lower == {SEGMENT: distributed._NO_LOWER_PRICE}
+        holder = certain_holder()
+        keep_lower_prices(holder, 3000.0)
+        assert route_prob(holder.routes[SEGMENT[0]], 4.5, 3000.0) == 1.0
+        assert len(holder.routes[SEGMENT[0]].terms.memo[4.5][1][0]) == 6
+        assert holder.lower == {SEGMENT: (d0(3000.0), 1.0)}
+        # a later meeting no earlier than d0 keeps it; one before d0 takes a
+        # new one, which may lie below 1
+        keep_lower_prices(holder, 2900.0)
+        assert holder.lower == {SEGMENT: (d0(3000.0), 1.0)}
+        for t_remaining in (2000.0, 600.0):
+            keep_lower_prices(holder, t_remaining)
+            lower = d0(t_remaining)
+            assert holder.lower == {SEGMENT: (lower, route_prob(spec, 4.5, lower))}
+        assert holder.lower[SEGMENT][1] < 1.0
+        # one at a longer remaining time keeps the shorter d0
+        keep_lower_prices(holder, 3000.0)
+        assert holder.lower == {SEGMENT: (d0(600.0), route_prob(spec, 4.5, d0(600.0)))}
+
+    def test_a_lower_price_is_never_used_before_its_d0(self):
+        spec = certain_spec()
         peer = node(2, neighbors={DEST: params()})
-        # the first meeting prices the holder's certain segment and certifies
-        # it, which marks the holder; the second prices nothing
+        for taken_at in (3000.0, 600.0):
+            holder = certain_holder()
+            keep_lower_prices(holder, taken_at)
+            ((d0, p0),) = holder.lower.values()
+            # the price at every remaining time from d0 on is at least p0,
+            # less far under the 5e-13 the rule leaves
+            for deadline in np.linspace(d0, 1e5, 200):
+                assert route_prob(spec, 4.5, float(deadline)) >= p0 - 1e-13
+
+            def nothing_wins(t_remaining, loaded=(SEGMENT,)):
+                return distributed._nothing_wins(
+                    holder, peer, [(2, DEST)], {}, list(loaded), t_remaining
+                )
+
+            # with no kept price, every ceiling is 1: only a lower price of
+            # 1 proves the offer loses
+            for deadline in (d0, taken_at, 1e6):
+                assert nothing_wins(deadline) == (p0 == 1.0)
+            for deadline in (math.nextafter(d0, -math.inf), math.inf, math.nan):
+                assert not nothing_wins(deadline)
+            assert not nothing_wins(taken_at, [((1, 3, DEST), 4.6)])
+
+    def test_a_lower_priced_holder_prices_nothing_at_finite_remaining_times_only(
+        self, monkeypatch
+    ):
+        holder = certain_holder()
+        peer = node(2, neighbors={DEST: params()})
+        # the first meeting prices the holder's certain segment, which gets
+        # a lower price; the second prices nothing
         result, batches = adjust_counted(monkeypatch, holder, peer, 3000.0)
-        assert batches == [1] and holder.certified
-        assert holder.routes[(1, 3, DEST)].terms.certain(4.5, 3000.0)
+        assert batches == [1] and holder.lower[SEGMENT][1] == 1.0
         assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
         result, batches = adjust_counted(monkeypatch, holder, peer, 3000.0)
         assert batches == []
         assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
-        # an unmarked holder looks up no floor
-        holder.certified = False
+        # a holder without lower prices prices its batch
+        holder.lower.clear()
         assert adjust_counted(monkeypatch, holder, peer, 3000.0)[1] == [1]
-        holder.certified = True
-        # a remaining time the estimator refuses is refused as before, also
-        # when the holder has nothing loaded
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError):
-                realtime_adjustment(holder, peer, bad)
-        holder.assignment = {(1, 3, DEST): 0.0}
-        with pytest.raises(ValueError):
-            realtime_adjustment(holder, peer, math.inf)
 
-    def test_a_negative_kept_weight_gets_no_floor(self, monkeypatch):
+        # below 1: a weak peer route keeps a price at its first meeting, the
+        # second stops at its ceiling and keeps a lower price, the third
+        # prices nothing
+        holder = weak_holder(10.0)
+        peer = node(2, neighbors={DEST: params(lam=1e-4, beta=100.0)})
+        batches = [adjust_counted(monkeypatch, holder, peer, t)[1] for t in (600.0, 590.0, 570.0)]
+        assert batches == [[1, 2], [1], []]
+        assert 0.0 < holder.lower[(1, DEST), 10.0][1] < 1.0
+        assert_matches_reference(realtime_adjustment(holder, peer, 570.0), holder, peer, 570.0)
+
+        # a remaining time the estimator refuses is refused as before: for a
+        # holder whose every segment has a lower price, of 1 or below, for
+        # one with nothing loaded, and for one of whom both are true
+        peer = node(2, neighbors={DEST: params()})
+        certain = certain_holder()
+        keep_lower_prices(certain, 3000.0)
+        assert adjust_counted(monkeypatch, certain, peer, 3000.0)[1] == []
+        nothing_loaded = certain_holder()
+        nothing_loaded.assignment = {SEGMENT[0]: 0.0}
+        both = certain_holder()
+        keep_lower_prices(both, 3000.0)
+        both.assignment = {SEGMENT[0]: 0.0}
+        for state in (certain, holder, nothing_loaded, both):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    realtime_adjustment(state, peer, bad)
+        assert certain.lower and holder.lower and not nothing_loaded.lower and both.lower
+
+    def test_a_negative_kept_weight_gets_no_lower_price(self, monkeypatch):
         exact_success = delivery._exact_success
 
         def tilted(hop, data_size, limit, stop_when_certain):
@@ -1000,23 +1090,31 @@ class TestCertainSegmentFloor:
                 yield success + 2.0 if n == 0 else -abs(success) if n == 1 else success
 
         monkeypatch.setattr(delivery, "_exact_success", tilted)
-        for hops in ((params(lam=0.02, alpha=10.0, beta=2.0),), certified_spec().hops):
-            spec = ol.PathSpec(hops)
+        peer = node(2, neighbors={DEST: params()})
+        for neighbors, second_hop in (
+            ({DEST: params(lam=0.02, alpha=10.0, beta=2.0)}, None),
+            ({3: certain_spec().hops[0]}, {3: {DEST: certain_spec().hops[1]}}),
+        ):
+            holder = node(1, neighbors=neighbors, second_hop=second_hop, carried=4.5)
+            (route,) = holder.routes
+            holder.assignment = {route: 4.5}
+            spec = holder.routes[route]
             assert route_prob(spec, 4.5, 3000.0) == 1.0
             assert min(spec.terms.memo[4.5][1][0]) < 0.0
             assert route_prob(spec, 4.5, 2700.0) == 1.0
-            spec.terms.certify(4.5, 3000.0)
-            assert spec.terms.floors == {}
-            assert not spec.terms.certain(4.5, 3000.0)
+            keep_lower_prices(holder, 3000.0)
+            assert holder.lower == {(route, 4.5): distributed._NO_LOWER_PRICE}
+            assert not distributed._nothing_wins(
+                holder, peer, [(2, DEST)], {}, [(route, 4.5)], 3000.0
+            )
 
-    def test_a_block_term_size_gets_no_floor(self):
+    def test_a_block_term_size_gets_no_lower_price(self):
         # ceil(12 / 0.01) = 1200 contacts, more than _MAX_KEPT
-        spec = ol.PathSpec((params(lam=1.0, beta=0.01),))
-        route_prob(spec, 12.0, 1e4)
-        assert isinstance(spec.terms.memo[12.0][1], _BlockTerms)
-        spec.terms.certify(12.0, 1e4)
-        assert spec.terms.floors == {}
-        assert not spec.terms.certain(12.0, 1e4)
+        holder = node(1, neighbors={DEST: params(lam=1.0, beta=0.01)}, carried=12.0,
+                      assignment={(1, DEST): 12.0})
+        keep_lower_prices(holder, 1e4)
+        assert isinstance(holder.routes[(1, DEST)].terms.memo[12.0][1], _BlockTerms)
+        assert holder.lower == {((1, DEST), 12.0): distributed._NO_LOWER_PRICE}
 
 
 def transmission(spec, size):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from math import inf
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -653,25 +654,79 @@ def test_network_is_derived_once_per_call(monkeypatch):
     assert len(calls) == 504
 
 
+# The replays and the path oracle draw one contact model from different
+# streams, so each point compares two independent estimates.  A miss of 4
+# combined binomial standard errors has probability below 1e-4 per point.
+AGREEMENT_SE = 4.0
+
+
+@pytest.mark.parametrize(
+    "route, size, deadline",
+    [
+        ((33, 50), 10.0, 400.0),
+        ((40, 50), 20.0, 600.0),
+        ((5, 50), 10.0, 300.0),
+        ((33, 6, 50), 10.0, 400.0),
+        ((33, 6, 50), 10.0, 600.0),
+    ],
+)
+def test_the_replays_agree_with_the_path_oracle_on_criterion_7_routes(route, size, deadline):
+    # one hop through the individual strategy's replay, two hops through the
+    # plan loop on the fixed route, each over 4,000 tasks' contacts at seed
+    # 3, against 20,000 oracle runs at seed 5; the estimator is not asked
+    net = criterion_7_network()
+    tasks = [
+        ol.TransmissionTask(task_id=i, source=route[0], size=size, deadline=deadline)
+        for i in range(4000)
+    ]
+    if len(route) == 2:
+        replayed = ol.simulate_strategy(net, tasks, "individual", seed=3).successful
+    else:
+        replayed = sum(
+            simulator._drain(
+                [(route, size)],
+                simulator._ContactSampler(net, 3, task.task_id, deadline),
+                net,
+                deadline,
+            )
+            is not None
+            for task in tasks
+        )
+    runs = 20_000
+    (oracle,) = ol.run_monte_carlo_delivery(
+        simulator.route_path(net, route), size, [deadline], runs, seed=5
+    )
+    replay = replayed / len(tasks)
+    se = math.sqrt(replay * (1 - replay) / len(tasks) + oracle * (1 - oracle) / runs)
+    assert 0.0 < oracle < 1.0
+    assert abs(replay - oracle) <= AGREEMENT_SE * se
+
+
 def test_route_terms_live_for_one_task():
-    # every route's memo of sized terms, its kept prices and its floors are
-    # empty when a task starts, so a call's memory does not grow with its
-    # number of tasks
+    # every route's memo of sized terms is empty when a task starts, and the
+    # protocol's kept prices and lower prices live on node states built for
+    # the task, so a call's memory does not grow with its number of tasks
     net = criterion_7_network()
     held_at_start = []
     held_during = []
+    earlier_states = []
 
     def monitor(row, states, delivered):
         terms = [spec.terms for s in states.values() for spec in s.routes.values()]
-        held = tuple(
-            sum(len(getattr(t, kept)) for t in terms) for kept in ("memo", "prices", "floors")
+        held = (
+            sum(len(t.memo) for t in terms),
+            sum(len(s.upper) for s in states.values()),
+            sum(len(s.lower) for s in states.values()),
         )
         if row["event"] == "start":
+            # the last task's node states are gone once the next one starts
+            assert all(ref() is None for ref in earlier_states)
+            earlier_states[:] = [weakref.ref(s) for s in states.values()]
             held_at_start.append(held)
             held_during.append((0, 0, 0))
         held_during[-1] = tuple(map(max, held_during[-1], held))
 
-    # short tasks, then long ones whose certain segments get floors
+    # short tasks, then long ones whose certain segments get lower prices
     short = make_tasks(net, 6, size=10.0, deadline=300.0)
     long = [
         dataclasses.replace(task, task_id=task.task_id + len(short))
@@ -680,8 +735,8 @@ def test_route_terms_live_for_one_task():
     ol.simulate_strategy(net, short + long, "distributed", seed=7, monitor=monitor)
     assert held_at_start == [(0, 0, 0)] * len(short + long)
     assert min(memo for memo, _, _ in held_during) > 0
-    assert min(prices for _, prices, _ in held_during[: len(short)]) > 0
-    assert min(floors for _, _, floors in held_during[len(short) :]) > 0
+    assert min(upper for _, upper, _ in held_during[: len(short)]) > 0
+    assert min(lower for _, _, lower in held_during) > 0
 
 
 # Runs in a fresh interpreter, so the suite's own import of oppload is untouched.
