@@ -39,6 +39,7 @@ from .distributed import (
 from .errors import (
     ComplexityError,
     ConfigError,
+    EstimationError,
     FittingError,
     GenerationError,
     IngestionError,

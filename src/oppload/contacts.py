@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special as _special
 
-from .errors import ComplexityError, FittingError, check_nonnegative, check_positive, check_seed
+from .errors import (
+    ComplexityError, EstimationError, FittingError, check_nonnegative, check_positive, check_seed
+)
 
 __all__ = [
     "PairContactParams",
@@ -211,14 +213,17 @@ def _reg_lower_incomplete_gammas(shapes: list[float], xs: list[float]) -> list[f
     ufunc kernel, so each value equals the scalar call's.
 
     Raises:
-        ValueError: as the scalar call raises, for the first pair that fails
-            its checks.
+        EstimationError: with the scalar call's message, for the first pair
+            that fails its checks; the pairs are derived, not given.
     """
     for shape, x in zip(shapes, xs):
         # the scalar call's checks, inlined for the common case; NaN fails it
         if not (0 < shape < math.inf and 0 <= x < math.inf):
-            check_positive("shape", shape)
-            check_nonnegative("x", x)
+            try:
+                check_positive("shape", shape)
+                check_nonnegative("x", x)
+            except ValueError as exc:
+                raise EstimationError(str(exc)) from None
     return _special.gammainc(shapes, xs).tolist()
 
 

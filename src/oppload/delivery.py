@@ -18,8 +18,8 @@ build on each other:
   hop needs.
 
 Every delivery probability is priced by one routine, :func:`delivery_probs`,
-from the terms each path keeps; :class:`RouteTerms` (``PathSpec.terms``)
-says which terms a path keeps, and for how long.
+from the terms each :class:`PathSpec` keeps; its docstring says which terms
+a path keeps, and for how long.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ import numpy as np
 from scipy import special as _special
 
 from .contacts import PairContactParams, _serial_sum, log_beta, reg_lower_incomplete_gamma
-from .errors import ComplexityError, check_index, check_nonnegative, check_positive
+from .errors import (
+    ComplexityError, EstimationError, check_index, check_nonnegative, check_positive
+)
 
 __all__ = [
     "PathSpec",
@@ -70,7 +72,28 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class PathSpec:
-    """An ordered opportunistic path of one or more hops."""
+    """An ordered opportunistic path of one or more hops, and the estimator
+    terms it has built; equality, hashing and repr see ``hops`` alone.
+
+    ``gammas`` keeps, once for all sizes, the :func:`_tuple_gammas` of each
+    multi-hop contact-count ``limits`` the path has met, so each tuple's
+    gamma is checked once per ``limits``, not once per size.  ``memo``
+    keeps ``(T', terms)`` per size asked since the last :meth:`clear`: a
+    space of at most ``_MAX_KEPT`` tuples keeps its nonzero terms as three
+    arrays of doubles (:func:`_onehop_terms`, :func:`_kept_terms`), which
+    :func:`delivery_probs` stacks into one ``gammainc`` call; a larger space
+    keeps a :class:`_BlockTerms`, at most three arrays of ``_MAX_KEPT``
+    doubles (about 6.3 kB), from which each query builds its terms again.
+    That layout is private to this module: :meth:`transmission` gives a
+    built size's ``T'``, and :meth:`monotone` whether its terms have no
+    negative weight.
+
+    The memo lives as long as the path: one plan of the heuristic, one
+    route of ``validate``, one task of the distributed protocol (the
+    simulator clears it when a task starts).  A distributed route, and so
+    its gammas, lives for a whole
+    :func:`~oppload.simulator.simulate_strategy` call.
+    """
 
     hops: tuple[PairContactParams, ...]
 
@@ -80,14 +103,69 @@ class PathSpec:
         for hop in self.hops:
             if not isinstance(hop, PairContactParams):
                 raise TypeError(f"hops must be PairContactParams, got {type(hop)!r}")
+        # caches, not fields: equality, hashing and repr see the hops alone
+        object.__setattr__(self, "gammas", {})
+        object.__setattr__(self, "memo", {})
 
     def __len__(self) -> int:
         return len(self.hops)
 
-    @functools.cached_property
-    def terms(self) -> RouteTerms:
-        """The path's :class:`RouteTerms`, built on first use."""
-        return RouteTerms(self.hops)
+    def clear(self) -> None:
+        """Drop every size's terms; the gammas stay."""
+        self.memo.clear()
+
+    def transmission(self, data_size: float) -> float:
+        """The ``T'`` of a size whose terms the memo keeps."""
+        return self.memo[data_size][0]
+
+    def monotone(self, data_size: float) -> bool:
+        """Whether the memo keeps terms of ``data_size`` as arrays with no
+        negative weight, so that its price moves against the deadline only by
+        what ``gammainc`` loses in its last bits: false for a size not built,
+        or built in blocks."""
+        entry = self.memo.get(data_size)
+        return (
+            entry is not None
+            and not isinstance(entry[1], _BlockTerms)
+            and min(entry[1][0], default=0.0) >= 0.0
+        )
+
+    def entry(self, data_size: float, deadline: float) -> tuple | None:
+        """The memo entry ``(T', terms)`` of ``data_size``, built and stored
+        when missing; None, with nothing built, when ``deadline`` does not
+        cover ``T'``.  A build that raises stores nothing, so the next
+        query raises again.
+
+        Raises:
+            ComplexityError: a multi-hop tuple space exceeds
+                ``DEFAULT_TUPLE_CAP`` (checked before any tuple is
+                enumerated).
+        """
+        entry = self.memo.get(data_size)
+        if entry is not None:
+            return entry
+        hops = self.hops
+        transmission = _transmission(hops, data_size)
+        if deadline - transmission <= 0:
+            return None
+        limits = _limits(hops, data_size)
+        tuples = math.prod(limits)
+        if len(hops) > 1 and tuples > DEFAULT_TUPLE_CAP:
+            raise ComplexityError(
+                f"path would require enumerating {tuples} contact tuples "
+                f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
+            )
+        if tuples > _MAX_KEPT:
+            terms = _BlockTerms(hops, data_size, limits)
+        elif len(hops) == 1:
+            terms = next(_onehop_terms(hops[0], data_size, limits[0]))
+        else:
+            gammas = self.gammas.get(limits)
+            if gammas is None:
+                gammas = self.gammas[limits] = _tuple_gammas(hops, limits)
+            terms = _kept_terms(hops, data_size, limits, gammas)
+        entry = self.memo[data_size] = (transmission, terms)
+        return entry
 
 
 @dataclass(frozen=True)
@@ -126,6 +204,7 @@ def gamma_approx(
 
     Raises:
         ValueError: length mismatch, empty input, or a malformed count or rate.
+        EstimationError: ``M**2`` or ``V`` overflows, so the gamma degenerates.
     """
     if len(contact_counts) != len(lambdas):
         raise ValueError(
@@ -149,11 +228,17 @@ def availability(path: PathSpec, deadline: float) -> float:
     For a single hop this equals the exponential CDF ``1 - exp(-lambda *
     deadline)`` up to rounding (the moment-matched shape ``M**2 / V`` may
     round off 1); multi-hop paths use the moment-matched gamma.
+
+    Raises:
+        EstimationError: the gamma degenerates, or ``rate * deadline`` overflows.
     """
     if check_nonnegative("deadline", deadline) == 0:
         return 0.0
     approx = gamma_approx([1] * len(path), [hop.contact_rate for hop in path.hops])
-    return reg_lower_incomplete_gamma(approx.gamma_shape, approx.delta_rate * deadline)
+    x = approx.delta_rate * deadline
+    if x == math.inf:
+        raise EstimationError(f"gamma argument overflows at deadline {deadline!r}")
+    return reg_lower_incomplete_gamma(approx.gamma_shape, x)
 
 
 # Every size and route of a hop asks again for the same (count, alpha)
@@ -253,7 +338,9 @@ def _gamma_ok(shape: float, rate: float) -> bool:
 
 def _check_gamma(shape: float, rate: float) -> None:
     if not _gamma_ok(shape, rate):
-        raise ValueError(f"gamma shape and rate must be finite and > 0, got ({shape!r}, {rate!r})")
+        raise EstimationError(
+            f"gamma shape and rate must be finite and > 0, got ({shape!r}, {rate!r})"
+        )
 
 
 def _transmission(hops: Sequence[PairContactParams], data_size: float) -> float:
@@ -363,7 +450,7 @@ class _BlockTerms:
             with np.errstate(over="ignore"):
                 x = rate * budget
             if not np.isfinite(x).all():
-                raise ValueError(f"gamma argument overflows at time budget {budget!r}")
+                raise EstimationError(f"gamma argument overflows at time budget {budget!r}")
             in_time = _special.gammainc(shape, x)
             stop = False
             if onehop:
@@ -458,7 +545,7 @@ def _sum_stacked(
     right in Python floats.
 
     Raises:
-        ValueError: a gamma argument ``rate * budget`` is not finite.
+        EstimationError: a gamma argument ``rate * budget`` is not finite.
     """
     shapes = array("d")
     args: list[float] = []
@@ -468,7 +555,7 @@ def _sum_stacked(
     if not args:
         return
     if not all(map(math.isfinite, args)):
-        raise ValueError(f"gamma argument overflows at deadline {deadline!r}")
+        raise EstimationError(f"gamma argument overflows at deadline {deadline!r}")
     in_time = _special.gammainc(shapes, args).tolist()
     stop = 0
     for index, _, (weights, _, _) in stacked:
@@ -479,103 +566,9 @@ def _sum_stacked(
         probs[index] = min(max(total, 0.0), 1.0)
 
 
-class RouteTerms:
-    """The size-free parts of one path's estimator, and its terms per size.
-
-    Kept in ``gammas``, once for all sizes: the :func:`_tuple_gammas` of
-    every multi-hop contact-count ``limits`` the path has met, the gamma
-    shape and rate of each tuple and which tuples fail :func:`_check_gamma`,
-    so each tuple is checked once per ``limits``, not once per size; a
-    one-hop path keeps none.  A distributed route lives for a whole
-    :func:`~oppload.simulator.simulate_strategy` call and meets few distinct
-    ``limits``, so nearly every lookup there hits.
-
-    Kept in ``memo``, for each size asked since the memo was last cleared:
-    ``T'`` and that size's terms, so a query is a ``gammainc`` evaluation of
-    them at the deadline's time budget.  A tuple space of at most
-    ``_MAX_KEPT`` tuples keeps its nonzero terms as three arrays of doubles
-    (:func:`_onehop_terms` for one hop, :func:`_kept_terms` for several), and
-    :func:`delivery_probs` prices all such terms of a batch with one array
-    ``gammainc`` call (:func:`_sum_stacked`).  A larger space keeps a
-    :class:`_BlockTerms`: at most three arrays of ``_MAX_KEPT`` floats (the
-    per-hop vectors of several hops, or nothing), from which each query
-    builds its terms again, in blocks.  An entry thus holds at most three
-    arrays of ``_MAX_KEPT`` doubles, about 6.3 kB.  An entry is ``(T',
-    terms)``; the layout of the terms is private to this module, and
-    :meth:`monotone` says whether a size's kept terms have no negative
-    weight, so that its price moves against the deadline only by what
-    ``gammainc`` loses in its last bits.
-
-    The memo lives as long as its spec: one plan of the heuristic, one
-    route of ``validate``, one task of the distributed protocol (the
-    simulator clears it when a task starts).  Every price is bit-identical
-    to summing the formula tuple by tuple: the terms visit tuples in
-    ``itertools.product`` order, form weights and the moments ``M``, ``V``
-    hop by hop, and sum left to right.
-    """
-
-    __slots__ = ("hops", "gammas", "memo")
-
-    def __init__(self, hops: tuple[PairContactParams, ...]) -> None:
-        self.hops = hops
-        self.gammas: dict[tuple[int, ...], tuple[array, array, tuple[int, ...]]] = {}
-        self.memo: dict[float, tuple] = {}
-
-    def clear(self) -> None:
-        """Drop every size's terms; the gammas stay."""
-        self.memo.clear()
-
-    def monotone(self, data_size: float) -> bool:
-        """Whether the memo keeps terms of ``data_size`` as arrays with no
-        negative weight: false for a size not built, or built in blocks."""
-        entry = self.memo.get(data_size)
-        return (
-            entry is not None
-            and not isinstance(entry[1], _BlockTerms)
-            and min(entry[1][0], default=0.0) >= 0.0
-        )
-
-    def entry(self, data_size: float, deadline: float) -> tuple | None:
-        """The memo entry ``(T', terms)`` of ``data_size``, built and stored
-        when missing; None, with nothing built, when ``deadline`` does not
-        cover ``T'``.  A build that raises stores nothing, so the next
-        query raises again.
-
-        Raises:
-            ComplexityError: a multi-hop tuple space exceeds
-                ``DEFAULT_TUPLE_CAP`` (checked before any tuple is
-                enumerated).
-        """
-        entry = self.memo.get(data_size)
-        if entry is not None:
-            return entry
-        hops = self.hops
-        transmission = _transmission(hops, data_size)
-        if deadline - transmission <= 0:
-            return None
-        limits = _limits(hops, data_size)
-        tuples = math.prod(limits)
-        if len(hops) > 1 and tuples > DEFAULT_TUPLE_CAP:
-            raise ComplexityError(
-                f"path would require enumerating {tuples} contact tuples "
-                f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
-            )
-        if tuples > _MAX_KEPT:
-            terms = _BlockTerms(hops, data_size, limits)
-        elif len(hops) == 1:
-            terms = next(_onehop_terms(hops[0], data_size, limits[0]))
-        else:
-            gammas = self.gammas.get(limits)
-            if gammas is None:
-                gammas = self.gammas[limits] = _tuple_gammas(hops, limits)
-            terms = _kept_terms(hops, data_size, limits, gammas)
-        entry = self.memo[data_size] = (transmission, terms)
-        return entry
-
-
 def delivery_probs(queries: Sequence[tuple[PathSpec, float]], deadline: float) -> list[float]:
     """Delivery probability of each ``(path, data size)`` query within one
-    ``deadline``, priced from each path's :class:`RouteTerms`.
+    ``deadline``, priced from the terms each path keeps.
 
     A query is answered as ``sum(w * gammainc(shape, rate * (T - T')))``
     over its terms in ``itertools.product`` order, summed left to right: one
@@ -589,9 +582,10 @@ def delivery_probs(queries: Sequence[tuple[PathSpec, float]], deadline: float) -
         ComplexityError: a multi-hop tuple space exceeds ``DEFAULT_TUPLE_CAP``
             (checked only once the deadline covers ``T'``, and before any
             tuple is enumerated).
-        ValueError: the deadline is NaN or +inf, a data size is not finite
-            and > 0, or a gamma argument ``rate * (deadline - T')`` is not
-            finite.
+        ValueError: the deadline is NaN or +inf, or a data size is not
+            finite and > 0.
+        EstimationError: a kept tuple's gamma degenerates, or a gamma
+            argument ``rate * (deadline - T')`` is not finite.
     """
     if not (deadline <= 0 or math.isfinite(deadline)):
         raise ValueError(f"deadline must be finite and > 0, got {deadline!r}")
@@ -601,7 +595,7 @@ def delivery_probs(queries: Sequence[tuple[PathSpec, float]], deadline: float) -
         # a plain float in range needs no call to the validator
         if not (type(data_size) is float and 0.0 < data_size < math.inf):
             check_positive("data_size", data_size)
-        entry = path.terms.entry(data_size, deadline)
+        entry = path.entry(data_size, deadline)
         if entry is None:
             continue
         transmission, terms = entry
@@ -648,7 +642,7 @@ def delivery_prob_path(path: PathSpec, query: DeliveryQuery) -> float:
     time ``T' = sum(D / rate_i)``, evaluated through the moment-matched
     gamma for that tuple.  Single-hop paths reduce to
     :func:`delivery_prob_onehop` and are not capped.  Priced by
-    :func:`delivery_probs` from ``path.terms``, so the path's memo answers
+    :func:`delivery_probs` from the path's terms, so its memo answers
     a repeated size at any deadline.
 
     Raises:

@@ -15,7 +15,7 @@ the node it received it from, nor to the task source.  Handing data to the
 destination needs no decision: the caller moves it and :func:`_deliver`
 strips the holder's assignment to match.  Every delivery probability is
 priced in batches by :func:`~oppload.delivery.delivery_probs`, from the
-terms each route's spec keeps (see :class:`~oppload.delivery.RouteTerms`).
+terms each route's :class:`~oppload.delivery.PathSpec` keeps.
 
 One no-move rule skips pricing where bounds kept earlier in the task prove
 that an offer to a peer carrying nothing cannot win (see
@@ -47,22 +47,14 @@ __all__ = [
 
 _EPS = 1e-9
 
-# What a kept price adds for its ceiling.  As its argument grows, gammainc
-# falls by a few last bits near some arguments (up to 7.2e-15 on
-# criterion-7 shapes), which moves a price by far less than this.
+# The no-move rule's ceiling margin, lower-price share and slack, which
+# realtime_adjustment's docstring gives and justifies; the kept price of a
+# size that gets no ceiling, and the lower price of a segment that gets none,
+# name a remaining time no meeting reaches.
 _PRICE_MARGIN = 1e-9
-# The kept price of a size that gets no ceiling: a remaining time no
-# meeting reaches.
-_NO_CEILING = (-math.inf, 1.0)
-# A segment's lower price is taken at d0 = T' + _LOWER_SHARE * (t - T'):
-# remaining times only fall during a task, so d0 must lie below the time it
-# is taken at to serve later meetings, yet near it to bound them closely.
 _LOWER_SHARE = 0.95
-# What a lower price may exceed a ceiling by and still prove that no offer
-# wins: the offer's own test allows 1e-12, and what gammainc loses in its
-# last bits between d0 and now takes far less than the rest.
 _LOWER_SLACK = 5e-13
-# The lower price of a segment that gets none: a d0 no meeting reaches.
+_NO_CEILING = (-math.inf, 1.0)
 _NO_LOWER_PRICE = (math.inf, 0.0)
 
 Route = tuple[int, ...]
@@ -78,14 +70,10 @@ class NodeState:
     with a hop to the destination.  Insertion order is kept: criterion
     assignment fills its assignment in that order.
 
-    ``upper`` and ``lower`` hold the price bounds of the no-move rule (see
-    :func:`realtime_adjustment`), keyed by ``(route, size)``.  ``upper``
-    keeps, for the node's own routes, the last price of a size asked while
-    the route carried nothing, with the remaining time it was taken at, or
-    ``(-inf, 1.0)`` for a size whose terms may have a negative weight.
-    ``lower`` keeps, for segments the node carried, a lower price ``(d0,
-    p0)``, or ``(inf, 0.0)`` for a size that gets none.  Both start empty
-    with the state, so they last one task.
+    ``upper`` (kept prices of the node's own empty routes) and ``lower``
+    (lower prices of segments it carried) hold the no-move rule's bounds,
+    keyed by ``(route, size)``; :func:`realtime_adjustment` says what they
+    keep.  Both start empty with the state, so they last one task.
     """
 
     node_id: int
@@ -152,7 +140,7 @@ def _log_joint(
 
 def _ceiling(state: NodeState, route: Route, size: float, t_remaining: float) -> float:
     """An upper bound on the price of ``size`` on ``state``'s ``route`` at
-    ``t_remaining``: ``min(1, p + 1e-9)`` for a price ``p`` kept in
+    ``t_remaining``: ``min(1, p + _PRICE_MARGIN)`` for a price ``p`` kept in
     ``state.upper`` at a remaining time no shorter, else 1."""
     then, price = state.upper.get((route, size), _NO_CEILING)
     return min(1.0, price + _PRICE_MARGIN) if t_remaining <= then else 1.0
@@ -180,16 +168,16 @@ def _keep_lower_prices(
 ) -> None:
     """Give each ranked segment of ``state`` whose lower price is missing or
     lies above ``t_remaining`` a new one: its kept terms priced at ``d0 =
-    T' + 0.95 * (t_remaining - T')``, or none if they may have a negative
-    weight."""
+    T' + _LOWER_SHARE * (t_remaining - T')``, or none if they may have a
+    negative weight."""
     for _, key in ranked:
         kept = state.lower.get(key)
         if kept is not None and not t_remaining < kept[0] < math.inf:
             continue
         route, size = key
         spec = state.routes[route]
-        if spec.terms.monotone(size):
-            t_prime = spec.terms.memo[size][0]
+        if spec.monotone(size):
+            t_prime = spec.transmission(size)
             d0 = t_prime + _LOWER_SHARE * (t_remaining - t_prime)
             state.lower[key] = (d0, delivery_probs([(spec, size)], d0)[0])
         else:
@@ -208,7 +196,7 @@ def _nothing_wins(
     offer of an adjustment stops at its ceiling test: every loaded segment
     has a lower price with ``d0 <= t_remaining < inf``, every peer route
     carries nothing, and no ceiling at a loaded size exceeds the lowest
-    lower price by more than 5e-13."""
+    lower price by more than ``_LOWER_SLACK``."""
     lowest = 1.0
     for key in loaded:
         d0, p0 = holder.lower.get(key, _NO_LOWER_PRICE)
@@ -286,26 +274,30 @@ def realtime_adjustment(
     remaining time no shorter than now, else 1.  A kept price is a clamped,
     left-to-right float sum of ``w * gammainc(a, r * (d - T'))`` with every
     ``w >= 0``, so as the remaining time ``d`` falls it can rise only by
-    what ``gammainc`` falls as its argument grows, a few last bits, which
-    the margin covers; and as ``d`` grows it can fall only by as much.  So:
+    what ``gammainc`` falls as its argument grows, a few last bits (up to
+    7.2e-15 on criterion-7 shapes), which the 1e-9 margin covers; and as
+    ``d`` grows it can fall only by as much.  So:
 
     * the peer's batch is skipped when every peer path is empty and every
       ceiling at the grown size is at most ``p_j + 1e-12``, which a segment
       of ``p_j + 1e-12 >= 1`` meets without a lookup.  The grown prices of
       an empty peer are kept whenever that batch is priced; a size whose
       terms are built in blocks or have a negative weight
-      (:meth:`~oppload.delivery.RouteTerms.monotone`) keeps none.  Where
+      (:meth:`~oppload.delivery.PathSpec.monotone`) keeps none.  Where
       the first offer stops so, each ranked segment without a lower price
       valid now gets one in ``holder.lower``: its terms, with no negative
-      weight, priced at ``d0 = T' + 0.95 * (t_remaining - T')``.
+      weight, priced at ``d0 = T' + 0.95 * (t_remaining - T')``.  Remaining
+      times only fall during a task, so ``d0`` lies below the time it is
+      taken at, to serve later meetings, yet near it, to bound them closely.
     * nothing is priced at all when every peer path is empty, even after
       the move through the peer, every loaded segment has a lower price
       ``p0`` with ``d0 <= t_remaining < inf``, and every peer path's
       ceiling at each loaded size is at most ``min(p0) + 5e-13``.  The
       weakest segment then prices at least ``min(p0)`` less a few last
-      bits, so the first offer would stop at the test above, and the
-      result is the no-move one.  Nothing loaded is still priced as an
-      empty batch, so a remaining time the estimator refuses is refused.
+      bits, which take far less than the rest of the offer test's 1e-12, so
+      the first offer would stop at that test, and the result is the
+      no-move one.  Nothing loaded is still priced as an empty batch, so a
+      remaining time the estimator refuses is refused.
 
     A skipped path whose grown tuple space is over the cap does not raise
     ``ComplexityError``.  The improvement in log joint probability is 0
@@ -368,7 +360,7 @@ def realtime_adjustment(
             if empty:
                 for k, k_spec, size, price in zip(peer_routes, peer_specs, grown, probs[len(sizes) :]):
                     kept = peer.upper.get((k, size))
-                    if kept is None and not k_spec.terms.monotone(size):
+                    if kept is None and not k_spec.monotone(size):
                         peer.upper[k, size] = _NO_CEILING
                     elif kept is not _NO_CEILING:
                         peer.upper[k, size] = (t_remaining, price)

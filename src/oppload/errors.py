@@ -41,6 +41,12 @@ class ComplexityError(OppLoadError, RuntimeError):
     code = "COMPLEXITY"
 
 
+class EstimationError(OppLoadError, ValueError):
+    """A gamma of the delivery estimator overflows or degenerates on valid inputs."""
+
+    code = "VALIDATION"
+
+
 class PlanningError(OppLoadError, RuntimeError):
     """Offload planning found no route of any kind to the destination."""
 

@@ -6,8 +6,8 @@ analytic estimators), and :func:`simulate_strategy` replays whole
 transmission tasks on a network under one of five strategies, reporting
 per-task outcomes, with one loop per transfer model: a plan's whole segments
 drain hop by hop, and the per-contact strategies walk their contacts.  Its
-task loop alone turns a ``ComplexityError`` or ``PlanningError`` into a
-failed task; a ``ProtocolError`` propagates.
+task loop alone turns a ``ComplexityError``, ``EstimationError`` or
+``PlanningError`` into a failed task; a ``ProtocolError`` propagates.
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
@@ -45,6 +45,7 @@ from .distributed import (
 from .errors import (
     ComplexityError,
     ConfigError,
+    EstimationError,
     PlanningError,
     check_index,
     check_nonnegative,
@@ -242,7 +243,7 @@ def _drain(
 
 # ---------------------------------------------------------------------------
 # strategy runners; each returns (offloaded, success, completion or None),
-# or raises ComplexityError or PlanningError for a task it cannot run
+# or raises for a task it cannot run (see simulate_strategy)
 
 
 @dataclass
@@ -431,11 +432,9 @@ class _Distributed:
         self.context = context
         self.infra = infra = context.network.infrastructure_id
         self.states = {n: NodeState(n, infra, task.source, r) for n, r in context.routes.items()}
-        # a task's segment sizes are its own: dropping the last task's terms
-        # keeps a call's memory from growing with its number of tasks
         for routes in context.routes.values():
             for spec in routes.values():
-                spec.terms.clear()
+                spec.clear()
         self.deadline = task.deadline
         self.delivered = 0.0
         source = self.states[task.source]
@@ -577,7 +576,8 @@ def simulate_strategy(
     A task the program cannot run fails alone (not offloaded, no completion
     time): the task loop catches any runner's ``ComplexityError`` (the
     planner's tuple cap, the estimator's cap in a replay, or the sampler's
-    ``MAX_EXPECTED_CONTACTS`` on an edge the strategy walks) or
+    ``MAX_EXPECTED_CONTACTS`` on an edge the strategy walks),
+    ``EstimationError`` (an estimator gamma that overflows) or
     ``PlanningError`` (a source without the route its strategy needs).  A
     ``ProtocolError`` is a protocol fault and propagates.
 
@@ -607,7 +607,7 @@ def simulate_strategy(
         sampler = _ContactSampler(network, seed, task.task_id, task.deadline)
         try:
             offloaded, success, completion = runner(context, task, sampler)
-        except (ComplexityError, PlanningError):
+        except (ComplexityError, EstimationError, PlanningError):
             offloaded, success, completion = False, False, None
         outcomes.append(
             TaskOutcome(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from oppload.delivery import (
     _MAX_KEPT,
     DEFAULT_TUPLE_CAP,
     _BlockTerms,
+    _exact_success,
     _kept_terms,
     _limits,
     _transmission,
@@ -313,7 +315,7 @@ def reference_path(hops, size, deadline):
     return min(max(total, 0.0), 1.0)
 
 
-class TestRouteTerms:
+class TestPathSpecTerms:
     """A single query, priced from its path's terms, is the scalar sum."""
 
     def test_bit_identical_to_scalar_reference(self):
@@ -379,7 +381,7 @@ class TestRouteTerms:
             got = ol.delivery_prob_path(path, ol.DeliveryQuery(2.0, deadline))
             assert got == reference_path(hops, 2.0, deadline)
             assert 0.0 < got < 1.0
-        (_, terms), = path.terms.memo.values()
+        (_, terms), = path.memo.values()
         assert [len(weights) for weights, _, _ in terms._blocks()] == blocks
 
     def test_one_hop_certain_success_ends_the_sum(self):
@@ -397,22 +399,65 @@ class TestRouteTerms:
                     h, size, deadline
                 )
 
+    def test_early_stop_drops_only_exact_zeros(self):
+        # float rounding drives 1 - miss**n to exactly 1 before the last
+        # count on part of this grid; the full walk's increments after the
+        # stop are then exact zeros, so stopping drops no probability mass
+        rng = np.random.default_rng(61)
+        stops = 0
+        for i in range(500):
+            alpha = float(10 ** rng.uniform(math.log10(0.3), math.log10(200.0)))
+            beta = float(10 ** rng.uniform(-1.0, math.log10(5.0)))
+            if i % 3:
+                # D / beta at an integer, just off it either way
+                count = round(10 ** rng.uniform(0.0, math.log10(3000.0)))
+                ratio = count + float(rng.choice([-1e-10, 1e-10, -1e-12, 1e-12]))
+            else:
+                ratio = float(10 ** rng.uniform(math.log10(0.2), math.log10(3000.0)))
+            h = hop(alpha=alpha, beta=beta)
+            size = ratio * beta
+            limit = needed(size, beta)
+            stopped = list(_exact_success(h, size, limit, stop_when_certain=True))
+            full = list(_exact_success(h, size, limit, stop_when_certain=False))
+            assert len(full) == limit
+            assert full[: len(stopped)] == stopped
+            assert all(step == 0.0 for step in full[len(stopped) :])
+            stops += len(stopped) < limit
+        assert stops >= 5
+
     def test_one_spec_builds_one_entry_for_every_deadline(self):
         hops = (hop(lam=0.03, alpha=3.0), hop(lam=0.07, alpha=5.0, beta=1.5))
         deadlines = [120.0, 40.0, 600.0, 250.0, 40.0, 1e4]
         path = ol.PathSpec(hops)
         warm = [ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, d)) for d in deadlines]
-        entry = path.terms.memo[9.0]
+        entry = path.memo[9.0]
         interleaved = [
             ol.delivery_prob_path(path, ol.DeliveryQuery(9.0, d)) for d in reversed(deadlines)
         ]
         # every deadline was answered from the one entry built for size 9
-        assert list(path.terms.memo) == [9.0] and path.terms.memo[9.0] is entry
+        assert list(path.memo) == [9.0] and path.memo[9.0] is entry
         fresh = [
             ol.delivery_prob_path(ol.PathSpec(hops), ol.DeliveryQuery(9.0, d)) for d in deadlines
         ]
         assert fresh == warm == interleaved[::-1]
         assert warm == [reference_path(hops, 9.0, d) for d in deadlines]
+
+    def test_a_path_is_its_hops_alone(self):
+        hops = (hop(lam=0.03, alpha=3.0), hop(lam=0.07, alpha=5.0, beta=1.5))
+        assert [field.name for field in dataclasses.fields(ol.PathSpec)] == ["hops"]
+        priced, fresh = ol.PathSpec(hops), ol.PathSpec(hops)
+        for size in (3.0, 9.0):
+            ol.delivery_prob_path(priced, ol.DeliveryQuery(size, 200.0))
+        assert list(priced.memo) == [3.0, 9.0] and priced.gammas
+        # the terms a path has priced are not part of its value
+        assert priced == fresh and hash(priced) == hash(fresh)
+        assert {fresh: "fresh"}[priced] == "fresh"
+        assert repr(priced) == repr(fresh) == f"PathSpec(hops={hops!r})"
+        # and each path keeps its own
+        assert fresh.memo == {} and fresh.gammas == {}
+        assert priced.transmission(9.0) == _transmission(hops, 9.0)
+        priced.clear()
+        assert priced.memo == {} and priced.gammas
 
     def test_cap_holds_after_smaller_queries_are_cached(self):
         path = ol.PathSpec((hop(beta=1.0, rate=100.0), hop(beta=1.0, rate=100.0)))
@@ -426,7 +471,7 @@ class TestRouteTerms:
         assert ol.delivery_prob_path(path, ol.DeliveryQuery(over, 20.0)) == 0.0
         assert ol.delivery_prob_path(path, ol.DeliveryQuery(20.0, 500.0)) == small
         # the failed build stored nothing, so the cap raises again
-        assert list(path.terms.memo) == [20.0]
+        assert list(path.memo) == [20.0]
         with pytest.raises(ComplexityError):
             ol.delivery_prob_path(path, ol.DeliveryQuery(over, 500.0))
 
@@ -462,7 +507,7 @@ class TestRouteTerms:
             with pytest.raises(ValueError) as caught:
                 ol.delivery_prob_path(path, ol.DeliveryQuery(size, 1e300))
             assert str(caught.value) == f"gamma argument overflows at {where} 1e+300"
-        assert size in path.terms.memo
+        assert size in path.memo
 
     def test_first_kept_failing_tuple_raises(self):
         # the mean squared overflows at 14 contacts on the first hop, so
@@ -514,7 +559,7 @@ class TestRouteTerms:
                 else reference_path(hops, size, deadline)
             )
         assert math.prod(needed(size, h.beta) for h in hops) > _MAX_KEPT
-        (_, terms), = path.terms.memo.values()
+        (_, terms), = path.memo.values()
         assert isinstance(terms, _BlockTerms)
         assert sum(len(v) for arrays in terms.per_hop or () for v in arrays) <= 3 * _MAX_KEPT
 
@@ -596,7 +641,7 @@ class TestDeliveryProbs:
 
         def kept(index):
             """The kept terms member ``index``'s spec holds for its size."""
-            terms = specs[index].terms.memo[members[index][1]][1]
+            terms = specs[index].memo[members[index][1]][1]
             assert not isinstance(terms, _BlockTerms)
             return terms
 
@@ -613,7 +658,7 @@ class TestDeliveryProbs:
                 delivery_probs(members, 500.0)
         # below its transmission time the over-cap member answers 0 first
         assert delivery_probs(members, 20.0)[1] == 0.0
-        assert over not in path.terms.memo
+        assert over not in path.memo
 
     @pytest.mark.parametrize("deadline", [100.0, 0.0])
     @pytest.mark.parametrize("size", [0.0, -5.0, math.nan, math.inf, True, "5", None])
@@ -656,7 +701,7 @@ class TestDeliveryProbs:
             assert got[:2] == [reference_onehop(one, size, deadline) for _, size in members[:2]]
             assert got[2:] == [reference_path(hops, size, deadline) for hops, size in members[2:]]
             assert 0.0 < got[0] < 1.0
-        terms = [spec.terms.memo[size][1] for spec, size in queries]
+        terms = [spec.memo[size][1] for spec, size in queries]
         assert [isinstance(t, _BlockTerms) for t in terms] == [False, True] * 2
         assert len(terms[0][0]) == _MAX_KEPT
 

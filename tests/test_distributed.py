@@ -157,7 +157,7 @@ class TestRealtimeAdjustment:
         assert route_prob(holder.routes[(1, DEST)], 12.0, 1000.0) == 1.0
         result = realtime_adjustment(holder, peer, 1000.0)
         assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
-        assert 12.0 not in spec.terms.memo
+        assert 12.0 not in spec.memo
 
         # an uncertain segment is offered, and the peer route raises as before
         holder = node(1, neighbors={DEST: params(lam=0.001, beta=100.0)}, carried=12.0,
@@ -828,8 +828,10 @@ class TestNoMoveRule:
             assert route_prob(spec, 10.0, deadline) <= distributed._ceiling(peer, route, 10.0, deadline)
         assert distributed._ceiling(peer, route, 10.0, math.nextafter(200.0, math.inf)) == 1.0
         assert distributed._ceiling(peer, route, 10.5, 100.0) == 1.0
-        # the holder keeps no price of its own routes, and the estimator none
-        assert holder.upper == {} and not hasattr(spec.terms, "prices")
+        # the holder keeps no price of its own routes, and the path none:
+        # it holds its hops, its gammas and its memo of terms, nothing more
+        assert holder.upper == {} and not hasattr(spec, "prices")
+        assert set(vars(spec)) == {"hops", "gammas", "memo"}
         # a price near 1 is capped at 1
         peer.upper[route, 10.0] = (200.0, 1.0 - 1e-12)
         assert distributed._ceiling(peer, route, 10.0, 100.0) == 1.0
@@ -856,7 +858,7 @@ class TestNoMoveRule:
             # the first price finds the negative weight, and no later one is kept
             for t_remaining in (200.0, 150.0):
                 realtime_adjustment(weak_holder(10.0), peer, t_remaining)
-                assert min(peer.routes[route].terms.memo[10.0][1][0]) < 0.0
+                assert min(peer.routes[route].memo[10.0][1][0]) < 0.0
                 assert peer.upper == {(route, 10.0): distributed._NO_CEILING}
                 assert distributed._ceiling(peer, route, 10.0, 100.0) == 1.0
 
@@ -866,7 +868,7 @@ class TestNoMoveRule:
         route = (2, DEST)
         for t_remaining in (1000.0, 900.0):
             realtime_adjustment(weak_holder(12.0), peer, t_remaining)
-            assert isinstance(peer.routes[route].terms.memo[12.0][1], _BlockTerms)
+            assert isinstance(peer.routes[route].memo[12.0][1], _BlockTerms)
             assert peer.upper == {(route, 12.0): distributed._NO_CEILING}
             assert distributed._ceiling(peer, route, 12.0, 500.0) == 1.0
 
@@ -907,7 +909,7 @@ class TestNoMoveRule:
         for routes in simulator._Context(criterion_7_network()).routes.values():
             for spec in routes.values():
                 for size in (10.0, 20.0, 60.0):
-                    entry = spec.terms.entry(size, 1e6)
+                    entry = spec.entry(size, 1e6)
                     if entry is not None and not isinstance(entry[1], _BlockTerms):
                         shapes.update(entry[1][1])
         assert len(shapes) > 10_000
@@ -995,7 +997,7 @@ class TestLowerPrice:
         holder = certain_holder()
         keep_lower_prices(holder, 3000.0)
         assert route_prob(holder.routes[SEGMENT[0]], 4.5, 3000.0) == 1.0
-        assert len(holder.routes[SEGMENT[0]].terms.memo[4.5][1][0]) == 6
+        assert len(holder.routes[SEGMENT[0]].memo[4.5][1][0]) == 6
         assert holder.lower == {SEGMENT: (d0(3000.0), 1.0)}
         # a later meeting no earlier than d0 keeps it; one before d0 takes a
         # new one, which may lie below 1
@@ -1100,7 +1102,7 @@ class TestLowerPrice:
             holder.assignment = {route: 4.5}
             spec = holder.routes[route]
             assert route_prob(spec, 4.5, 3000.0) == 1.0
-            assert min(spec.terms.memo[4.5][1][0]) < 0.0
+            assert min(spec.memo[4.5][1][0]) < 0.0
             assert route_prob(spec, 4.5, 2700.0) == 1.0
             keep_lower_prices(holder, 3000.0)
             assert holder.lower == {(route, 4.5): distributed._NO_LOWER_PRICE}
@@ -1113,7 +1115,7 @@ class TestLowerPrice:
         holder = node(1, neighbors={DEST: params(lam=1.0, beta=0.01)}, carried=12.0,
                       assignment={(1, DEST): 12.0})
         keep_lower_prices(holder, 1e4)
-        assert isinstance(holder.routes[(1, DEST)].terms.memo[12.0][1], _BlockTerms)
+        assert isinstance(holder.routes[(1, DEST)].memo[12.0][1], _BlockTerms)
         assert holder.lower == {((1, DEST), 12.0): distributed._NO_LOWER_PRICE}
 
 
@@ -1176,7 +1178,7 @@ class TestRoutePricer:
             # one contact, which carries the item with probability below 1
             size = math.nextafter(spec.hops[0].beta, math.inf)
             if len(spec.hops) == 1:
-                weights = spec.terms.memo[size][1][0]
+                weights = spec.memo[size][1][0]
                 below_one.append(weights[0] < 1.0)
         assert checked >= 10_000
         # the one-contact weight is computed, not taken to be 1
@@ -1199,4 +1201,4 @@ class TestRoutePricer:
                 for _ in range(2):
                     with pytest.raises(ComplexityError):
                         route_prob(spec, size, deadline)
-            assert size not in spec.terms.memo
+            assert size not in spec.memo

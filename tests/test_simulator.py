@@ -15,7 +15,14 @@ import pytest
 import oppload as ol
 from oppload import simulator
 from oppload.contacts import _sample_columns
-from oppload.errors import ComplexityError, ConfigError, PlanningError, ProtocolError
+from oppload.distributed import NodeState
+from oppload.errors import (
+    ComplexityError,
+    ConfigError,
+    EstimationError,
+    PlanningError,
+    ProtocolError,
+)
 from oppload.netgraph import Network, edge_key
 
 from conftest import TWO_PATH_DEADLINE, TWO_PATH_SIZE, criterion_7_network
@@ -393,6 +400,73 @@ class TestSimulateStrategy:
             else:
                 assert outcome == (False, False, None), strategy
 
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            # the planner's first label argument, rate 2 times the deadline
+            ({(0, 1): 2.0, (0, 2): 0.5, (1, 2): 0.5}, "x must be finite and >= 0, got inf"),
+            # the direct edge's price, and distributed's availability ranking
+            ({(0, 2): 2.0}, "gamma argument overflows at deadline 1e+308"),
+        ],
+        ids=["planner-label", "direct-price"],
+    )
+    def test_task_whose_estimator_gamma_overflows_fails_alone(self, rates, message):
+        # at deadline 1e308 a gamma argument overflows; the replays cannot
+        # sample that task either, and the task at deadline 100 is run as if
+        # alone
+        net = Network(
+            node_count=3,
+            infrastructure_id=2,
+            edges={
+                edge_key(a, b): params(lam=lam, alpha=3.0, beta=3.0, rate=1.0)
+                for (a, b), lam in rates.items()
+            },
+        )
+        with pytest.raises(EstimationError) as caught:
+            ol.plan_offload(net, 0, 5.0, 1e308)
+        assert str(caught.value) == message
+        tasks = [
+            ol.TransmissionTask(task_id=0, source=0, size=5.0, deadline=1e308),
+            ol.TransmissionTask(task_id=1, source=0, size=5.0, deadline=100.0),
+        ]
+        for strategy in ol.STRATEGIES:
+            lost, kept = ol.simulate_strategy(net, tasks, strategy, seed=1).outcomes
+            assert (lost.offloaded, lost.success, lost.completion_time) == (False, False, None)
+            assert (kept,) == ol.simulate_strategy(net, tasks[1:], strategy, seed=1).outcomes
+            assert kept.success, strategy
+
+    def test_distributed_task_whose_route_gamma_overflows_fails_alone(self):
+        # M**2 of route (0, 1, 3), over two hops at rate 1e-154, overflows,
+        # so criterion assignment cannot rank it; every route of source 2
+        # goes over a hop at that rate too.  Each task fails alone, and the
+        # plans, which take the direct edges, deliver both
+        rates = {(0, 1): 1e-154, (1, 2): 1e-154, (1, 3): 1e-154, (2, 3): 0.5, (0, 3): 0.5}
+        net = Network(
+            node_count=4,
+            infrastructure_id=3,
+            edges={
+                edge_key(a, b): params(lam=lam, alpha=3.0, beta=3.0, rate=1.0)
+                for (a, b), lam in rates.items()
+            },
+        )
+        state = NodeState(0, 3, 0, simulator._Context(net).routes[0])
+        with pytest.raises(EstimationError, match=r"got \(nan, 0\.0\)"):
+            ol.criterion_assignment(state, 2.0, 100.0)
+        tasks = [
+            ol.TransmissionTask(task_id=0, source=0, size=2.0, deadline=100.0),
+            ol.TransmissionTask(task_id=1, source=2, size=2.0, deadline=100.0),
+        ]
+        for task, outcome in zip(
+            tasks, ol.simulate_strategy(net, tasks, "distributed", seed=1).outcomes
+        ):
+            assert (outcome.offloaded, outcome.success, outcome.completion_time) == (
+                False, False, None
+            )
+            assert (outcome,) == ol.simulate_strategy(net, [task], "distributed", seed=1).outcomes
+        for strategy in ("individual", "heuristic"):
+            result = ol.simulate_strategy(net, tasks, strategy, seed=1)
+            assert result.successful == 2, strategy
+
     def test_protocol_error_in_a_replay_propagates(self, monkeypatch):
         # only a task the program cannot run fails alone; a protocol fault
         # stops the call
@@ -712,9 +786,9 @@ def test_route_terms_live_for_one_task():
     earlier_states = []
 
     def monitor(row, states, delivered):
-        terms = [spec.terms for s in states.values() for spec in s.routes.values()]
+        specs = [spec for s in states.values() for spec in s.routes.values()]
         held = (
-            sum(len(t.memo) for t in terms),
+            sum(len(spec.memo) for spec in specs),
             sum(len(s.upper) for s in states.values()),
             sum(len(s.lower) for s in states.values()),
         )
