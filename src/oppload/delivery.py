@@ -77,10 +77,15 @@ class PathSpec:
 
     ``gammas`` keeps, once for all sizes, the :func:`_tuple_gammas` of each
     multi-hop contact-count ``limits`` the path has met, so each tuple's
-    gamma is checked once per ``limits``, not once per size.  ``memo``
-    keeps ``(T', terms)`` per size asked since the last :meth:`clear`: a
-    space of at most ``_MAX_KEPT`` tuples keeps its nonzero terms as three
-    arrays of doubles (:func:`_onehop_terms`, :func:`_kept_terms`), which
+    gamma is checked once per ``limits``, not once per size.  Beside them,
+    and size-free like them, ``one_contact`` keeps once, for the path's
+    lifetime, the terms of the sizes that every hop carries at its first
+    contact for certain: weight 1 with shape 1 and rate ``lambda`` for one
+    hop, or the ``(1, ..., 1)`` tuple's gamma for several.  ``memo`` keeps
+    ``(T', terms)`` per size asked since the last :meth:`clear`, with
+    ``one_contact`` as the terms of such a size; another space of at most
+    ``_MAX_KEPT`` tuples keeps its nonzero terms as three arrays of doubles
+    (:func:`_onehop_terms`, :func:`_kept_terms`), which
     :func:`delivery_probs` stacks into one ``gammainc`` call; a larger space
     keeps a :class:`_BlockTerms`, at most three arrays of ``_MAX_KEPT``
     doubles (about 6.3 kB), from which each query builds its terms again.
@@ -91,7 +96,7 @@ class PathSpec:
     The memo lives as long as the path: one plan of the heuristic, one
     route of ``validate``, one task of the distributed protocol (the
     simulator clears it when a task starts).  A distributed route, and so
-    its gammas, lives for a whole
+    its gammas and one-contact terms, lives for a whole
     :func:`~oppload.simulator.simulate_strategy` call.
     """
 
@@ -106,6 +111,7 @@ class PathSpec:
         # caches, not fields: equality, hashing and repr see the hops alone
         object.__setattr__(self, "gammas", {})
         object.__setattr__(self, "memo", {})
+        object.__setattr__(self, "one_contact", None)
 
     def __len__(self) -> int:
         return len(self.hops)
@@ -155,7 +161,10 @@ class PathSpec:
                 f"path would require enumerating {tuples} contact tuples "
                 f"(cap {DEFAULT_TUPLE_CAP}); the query is too large for this estimator"
             )
-        if tuples > _MAX_KEPT:
+        if tuples == 1 and _certain_at_one(hops, data_size):
+            # the builds below would give exactly these terms
+            terms = self.one_contact or self._keep_one_contact()
+        elif tuples > _MAX_KEPT:
             terms = _BlockTerms(hops, data_size, limits)
         elif len(hops) == 1:
             terms = next(_onehop_terms(hops[0], data_size, limits[0]))
@@ -166,6 +175,18 @@ class PathSpec:
             terms = _kept_terms(hops, data_size, limits, gammas)
         entry = self.memo[data_size] = (transmission, terms)
         return entry
+
+    def _keep_one_contact(self) -> tuple[array, array, array]:
+        """Build and keep ``one_contact``; a degenerate gamma raises and keeps nothing."""
+        hops = self.hops
+        if len(hops) == 1:
+            shapes, rates = array("d", [1.0]), array("d", [hops[0].contact_rate])
+        else:
+            shapes, rates, _ = _tuple_gammas(hops, (1,) * len(hops))
+            _check_gamma(shapes[0], rates[0])
+        terms = (array("d", [1.0]), shapes, rates)
+        object.__setattr__(self, "one_contact", terms)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -290,8 +311,17 @@ def _transfer(
 
 
 def _needed_contacts(data_size: float, beta: float) -> int:
-    """Maximum contacts a hop may need: ceil(data_size / beta)."""
-    return max(1, math.ceil(data_size / beta - _CEIL_GUARD))
+    """Maximum contacts a hop may need: ceil(data_size / beta).
+
+    Raises:
+        EstimationError: ``data_size / beta`` is not finite.
+    """
+    ratio = data_size / beta - _CEIL_GUARD
+    if ratio <= 1.0:
+        return 1
+    if ratio == math.inf:
+        raise EstimationError(f"data_size / beta overflows at size {data_size!r}, beta {beta!r}")
+    return math.ceil(ratio)
 
 
 def _exact_success(
@@ -300,17 +330,30 @@ def _exact_success(
     """P(the hop carries ``data_size`` at exactly n contacts), n = 1..limit.
 
     The increments ``TP(n) - TP(n-1)`` of :func:`transfer_prob`, in order
-    of n; with ``stop_when_certain`` they end at the first n where
-    ``TP(n) >= 1``.
+    of n, with :func:`_transfer`'s expression inline; with
+    ``stop_when_certain`` they end at the first n where ``TP(n) >= 1``.
     """
     prev = 0.0
     alpha = float(hop.alpha)
+    beta, shape = hop.beta, hop.alpha
     for n in range(1, limit + 1):
-        success = _transfer(hop, n, data_size, _mean_max_ratio_cached(n, alpha))
+        ratio = beta * _mean_max_ratio_cached(n, alpha) / data_size
+        if ratio >= 1.0:
+            success = 1.0
+        else:
+            success = min(max(1.0 - (1.0 - ratio**shape) ** n, 0.0), 1.0)
         yield success - prev
         if stop_when_certain and success >= 1.0:
             return
         prev = success
+
+
+def _certain_at_one(hops: Sequence[PairContactParams], data_size: float) -> bool:
+    """Whether every hop's first exact success is 1."""
+    for hop in hops:
+        if next(_exact_success(hop, data_size, 1, stop_when_certain=True)) != 1.0:
+            return False
+    return True
 
 
 def _onehop_terms(
@@ -345,12 +388,15 @@ def _check_gamma(shape: float, rate: float) -> None:
 
 def _transmission(hops: Sequence[PairContactParams], data_size: float) -> float:
     """The serial transmission time ``T' = sum(D / rate_i)``, in hop order."""
-    return _serial_sum(data_size / hop.rate for hop in hops)
+    total = 0.0
+    for hop in hops:
+        total += data_size / hop.rate
+    return total
 
 
 def _limits(hops: Sequence[PairContactParams], data_size: float) -> tuple[int, ...]:
     """Each hop's :func:`_needed_contacts`."""
-    return tuple(_needed_contacts(data_size, hop.beta) for hop in hops)
+    return tuple([_needed_contacts(data_size, hop.beta) for hop in hops])
 
 
 def _tuple_gammas(
@@ -373,6 +419,10 @@ def _tuple_gammas(
     pairs = list(zip(means, variances))
     shapes = array("d", [mean * mean / var for mean, var in pairs])
     rates = array("d", [mean / var for mean, var in pairs])
+    # the common case, every pair passing, in one C-level pass over each
+    # array: a finite sum has no inf or NaN term, so only the signs are left
+    if math.isfinite(sum(shapes) + sum(rates)) and min(shapes) > 0 and min(rates) > 0:
+        return shapes, rates, ()
     failing = tuple(i for i, pair in enumerate(zip(shapes, rates)) if not _gamma_ok(*pair))
     return shapes, rates, failing
 

@@ -42,7 +42,7 @@ class ComplexityError(OppLoadError, RuntimeError):
 
 
 class EstimationError(OppLoadError, ValueError):
-    """A gamma of the delivery estimator overflows or degenerates on valid inputs."""
+    """A gamma or contact count of the delivery estimator overflows or degenerates."""
 
     code = "VALIDATION"
 

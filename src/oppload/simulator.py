@@ -577,7 +577,7 @@ def simulate_strategy(
     time): the task loop catches any runner's ``ComplexityError`` (the
     planner's tuple cap, the estimator's cap in a replay, or the sampler's
     ``MAX_EXPECTED_CONTACTS`` on an edge the strategy walks),
-    ``EstimationError`` (an estimator gamma that overflows) or
+    ``EstimationError`` (an estimator gamma or contact count overflows) or
     ``PlanningError`` (a source without the route its strategy needs).  A
     ``ProtocolError`` is a protocol fault and propagates.
 

@@ -680,6 +680,20 @@ class TestValidate:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_contact_count_overflow_is_one_error_line(self, tmp_path, capsys):
+        # 1e308 / beta 0.1 overflows, in the estimator and the oracle alike
+        hop = {"lambda": 0.5, "alpha": 3.0, "beta": 0.1, "rate": 1.0}
+        spec = write_json(tmp_path / "path.json", {"hops": [hop]})
+        out = tmp_path / "v.csv"
+        code = main(
+            ["validate", "--path-spec", spec, "--sizes", "1e308", "--deadlines", "1.7e308",
+             "--runs", "1000", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error[VALIDATION]: data_size / beta overflows at size 1e+308, beta 0.1\n"
+        assert not out.exists()
+
     def test_nonpositive_deadlines_give_zero_rows(self, tmp_path):
         spec = write_json(
             tmp_path / "path.json",

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from oppload.delivery import (
     _tuple_gammas,
     delivery_probs,
 )
-from oppload.errors import ComplexityError
+from oppload.errors import ComplexityError, EstimationError
 
 
 def serial_sum(values):
@@ -562,6 +563,135 @@ class TestPathSpecTerms:
         (_, terms), = path.memo.values()
         assert isinstance(terms, _BlockTerms)
         assert sum(len(v) for arrays in terms.per_hop or () for v in arrays) <= 3 * _MAX_KEPT
+
+
+def priced_or_raised(price):
+    """``price()``, or the type and message of the error it raises."""
+    try:
+        return price()
+    except (ValueError, ZeroDivisionError) as error:
+        return type(error), str(error)
+
+
+def gamma_scan(shapes, rates):
+    """The indices of the pairs that fail the gamma check, tuple by tuple."""
+    return tuple(
+        i
+        for i, (shape, rate) in enumerate(zip(shapes, rates))
+        if not (math.isfinite(shape) and shape > 0 and math.isfinite(rate) and rate > 0)
+    )
+
+
+class HugeRate:
+    """A stand-in contact rate ``lam`` with ``n / lam == n / 2`` and
+    ``n / (lam * lam) == n * 5e-309``, so each tuple's gamma rate ``M / V``
+    is 1e308: no valid rate makes a sum of the tuples' rates overflow."""
+
+    def __init__(self, inverse=0.5):
+        self.inverse = inverse
+
+    def __rtruediv__(self, n):
+        return n * self.inverse
+
+    def __mul__(self, other):
+        return HugeRate(5e-309)
+
+
+class TestOneContactTerms:
+    """A size that every hop carries at its first contact, for certain, is
+    priced from terms its path keeps once, as the generic build prices it."""
+
+    def test_sizes_at_the_smallest_beta_match_the_reference(self):
+        rng = np.random.default_rng(71)
+        kept = raised = 0
+        for _ in range(120):
+            hops = tuple(
+                hop(
+                    lam=float(rng.choice([1e-154, 10 ** rng.uniform(-100, 0)])),
+                    alpha=float(rng.choice([1.0, 1.0 + 2e-9, 1.0 - 2e-9, rng.uniform(0.3, 8.0)])),
+                    beta=float(10 ** rng.uniform(-0.3, 1)),
+                    rate=float(10 ** rng.uniform(-1, 2)),
+                )
+                for _ in range(int(rng.integers(1, 4)))
+            )
+            beta = min(h.beta for h in hops)
+            path = ol.PathSpec(hops)
+            for size in (
+                beta,
+                math.nextafter(beta, 0.0),
+                math.nextafter(beta, math.inf),
+                beta * (1 - 1e-12),
+                beta * (1 + 1e-12),
+            ):
+                for deadline in (float(10 ** rng.uniform(0, 3.5)), 1e160):
+                    query = ol.DeliveryQuery(size, deadline)
+                    want = priced_or_raised(lambda: reference_path(hops, size, deadline))
+                    asks = [lambda: ol.delivery_prob_path(path, query)]
+                    if len(hops) == 1:
+                        asks.append(lambda: ol.delivery_prob_onehop(hops[0], query))
+                    # each asked twice: a raising query raises alike again
+                    for ask in asks * 2:
+                        assert priced_or_raised(ask) == want
+                    raised += isinstance(want, tuple)
+                kept += size in path.memo and path.memo[size][1] is path.one_contact
+            path.clear()
+        assert kept >= 150 and raised >= 10
+
+    @pytest.mark.parametrize("hop_count", [1, 2, 3])
+    def test_one_contact_sizes_share_one_terms_object(self, hop_count):
+        hops = (hop(lam=0.03, beta=4.0), hop(lam=0.07, alpha=1.0, beta=2.5), hop(lam=0.2))[
+            :hop_count
+        ]
+        beta = min(h.beta for h in hops)
+        path = ol.PathSpec(hops)
+        for size in (beta, 1.0):
+            prob = ol.delivery_prob_path(path, ol.DeliveryQuery(size, 100.0))
+            assert 0.0 < prob == reference_path(hops, size, 100.0) < 1.0
+            assert path.monotone(size)
+            assert path.transmission(size) == _transmission(hops, size)
+        terms = path.one_contact
+        assert path.memo[beta][1] is path.memo[1.0][1] is terms
+        weights, shapes, rates = terms
+        approx = ol.gamma_approx([1] * hop_count, [h.contact_rate for h in hops])
+        assert (list(weights), list(shapes), list(rates)) == (
+            [1.0],
+            [1.0] if hop_count == 1 else [approx.gamma_shape],
+            [approx.delta_rate if hop_count > 1 else hops[0].contact_rate],
+        )
+        # one ulp over the smallest beta, that hop is no longer certain
+        over = math.nextafter(beta, math.inf)
+        assert ol.delivery_prob_path(path, ol.DeliveryQuery(over, 100.0)) == reference_path(
+            hops, over, 100.0
+        )
+        assert path.memo[over][1] is not terms
+        # the terms are size-free: a new task's clear keeps them
+        path.clear()
+        assert path.memo == {} and path.one_contact is terms
+
+    def test_degenerate_one_contact_gamma_raises_on_every_query(self):
+        # M**2 of two hops at rate 1e-154 overflows, so the (1, 1) gamma fails
+        path = ol.PathSpec((hop(lam=1e-154), hop(lam=1e-154)))
+        errors = []
+        for size in (1.0, 2.0, 1.0):
+            with pytest.raises(EstimationError) as caught:
+                ol.delivery_prob_path(path, ol.DeliveryQuery(size, 100.0))
+            errors.append(str(caught.value))
+            assert path.memo == {} and path.one_contact is None
+        assert errors == ["gamma shape and rate must be finite and > 0, got (nan, 0.0)"] * 3
+
+    def test_tuple_gammas_fall_back_to_the_scan(self):
+        # the sums overflow although every pair passes
+        hops = (types.SimpleNamespace(contact_rate=HugeRate()),)
+        shapes, rates, failing = _tuple_gammas(hops, (2,))
+        assert list(rates) == [1e308, 1e308] and math.isinf(sum(rates))
+        assert failing == gamma_scan(shapes, rates) == ()
+        # n / lambda**2 of the first hop overflows from n = 2 on: NaN shapes
+        shapes, rates, failing = _tuple_gammas((hop(lam=1e-154), hop(lam=0.1)), (3, 2))
+        assert math.isnan(shapes[2])
+        assert failing == gamma_scan(shapes, rates) == (2, 3, 4, 5)
+        # every pair passes
+        shapes, rates, failing = _tuple_gammas((hop(lam=0.03), hop(lam=0.07)), (5, 6))
+        assert failing == gamma_scan(shapes, rates) == ()
 
 
 def random_hop(rng):

@@ -829,9 +829,10 @@ class TestNoMoveRule:
         assert distributed._ceiling(peer, route, 10.0, math.nextafter(200.0, math.inf)) == 1.0
         assert distributed._ceiling(peer, route, 10.5, 100.0) == 1.0
         # the holder keeps no price of its own routes, and the path none:
-        # it holds its hops, its gammas and its memo of terms, nothing more
+        # it holds its hops, its gammas, its one-contact terms and its memo
+        # of terms, nothing more
         assert holder.upper == {} and not hasattr(spec, "prices")
-        assert set(vars(spec)) == {"hops", "gammas", "memo"}
+        assert set(vars(spec)) == {"hops", "gammas", "one_contact", "memo"}
         # a price near 1 is capped at 1
         peer.upper[route, 10.0] = (200.0, 1.0 - 1e-12)
         assert distributed._ceiling(peer, route, 10.0, 100.0) == 1.0

@@ -435,6 +435,27 @@ class TestSimulateStrategy:
             assert (kept,) == ol.simulate_strategy(net, tasks[1:], strategy, seed=1).outcomes
             assert kept.success, strategy
 
+    def test_task_whose_contact_count_overflows_fails_alone(self):
+        # 1e308 / beta 0.1 overflows, so the planner's estimator cannot count
+        # the contacts of the only edge; the task at size 5 is run as if alone
+        net = Network(
+            node_count=2,
+            infrastructure_id=1,
+            edges={edge_key(0, 1): params(lam=0.5, alpha=3.0, beta=0.1, rate=1.0)},
+        )
+        with pytest.raises(EstimationError) as caught:
+            ol.plan_offload(net, 0, 1e308, 1.7e308)
+        assert str(caught.value) == "data_size / beta overflows at size 1e+308, beta 0.1"
+        tasks = [
+            ol.TransmissionTask(task_id=0, source=0, size=1e308, deadline=1.7e308),
+            ol.TransmissionTask(task_id=1, source=0, size=5.0, deadline=100.0),
+        ]
+        for strategy in ol.STRATEGIES:
+            lost, kept = ol.simulate_strategy(net, tasks, strategy, seed=1).outcomes
+            assert (lost.offloaded, lost.success, lost.completion_time) == (False, False, None)
+            assert (kept,) == ol.simulate_strategy(net, tasks[1:], strategy, seed=1).outcomes
+            assert kept.success, strategy
+
     def test_distributed_task_whose_route_gamma_overflows_fails_alone(self):
         # M**2 of route (0, 1, 3), over two hops at rate 1e-154, overflows,
         # so criterion assignment cannot rank it; every route of source 2
