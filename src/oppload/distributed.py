@@ -17,12 +17,12 @@ strips the holder's assignment to match.  Every delivery probability is
 priced in batches by :func:`~oppload.delivery.delivery_probs`, from the
 terms each route's :class:`~oppload.delivery.PathSpec` keeps.
 
-One no-move rule skips pricing where bounds kept earlier in the task prove
-that an offer to a peer carrying nothing cannot win (see
-:func:`realtime_adjustment`): ceilings from the peer's kept prices skip the
-peer's batch, and with the holder's lower prices they skip the whole
-adjustment.  The bounds live on each task's :class:`NodeState`, so none
-outlives its task.
+One no-move rule skips pricing where prices kept earlier in the task prove
+that an offer to a peer carrying nothing cannot win: a price ``p`` kept at
+remaining time ``t`` bounds its size's price from above by ``min(1, p +
+_PRICE_MARGIN)`` at remaining times up to ``t``, and from below by ``p -
+_LOWER_SLACK`` at finite ones from ``t`` on (see :func:`realtime_adjustment`).
+Each task's :class:`NodeState` keeps them in one table, so none outlives it.
 """
 
 from __future__ import annotations
@@ -48,14 +48,10 @@ __all__ = [
 _EPS = 1e-9
 
 # The no-move rule's ceiling margin, lower-price share and slack, which
-# realtime_adjustment's docstring gives and justifies; the kept price of a
-# size that gets no ceiling, and the lower price of a segment that gets none,
-# name a remaining time no meeting reaches.
+# realtime_adjustment's docstring gives and justifies.
 _PRICE_MARGIN = 1e-9
 _LOWER_SHARE = 0.95
 _LOWER_SLACK = 5e-13
-_NO_CEILING = (-math.inf, 1.0)
-_NO_LOWER_PRICE = (math.inf, 0.0)
 
 Route = tuple[int, ...]
 
@@ -70,10 +66,10 @@ class NodeState:
     with a hop to the destination.  Insertion order is kept: criterion
     assignment fills its assignment in that order.
 
-    ``upper`` (kept prices of the node's own empty routes) and ``lower``
-    (lower prices of segments it carried) hold the no-move rule's bounds,
-    keyed by ``(route, size)``; :func:`realtime_adjustment` says what they
-    keep.  Both start empty with the state, so they last one task.
+    ``prices`` maps a ``(route, size)`` of the node's own routes whose terms
+    are monotone to a price ``p`` kept at remaining time ``t``, as ``(t,
+    p)``; it bounds that size's price both ways (:func:`realtime_adjustment`
+    gives how).  It starts empty with the state, so it lasts one task.
     """
 
     node_id: int
@@ -83,8 +79,7 @@ class NodeState:
     carried: float = 0.0
     assignment: dict[Route, float] = field(default_factory=dict)
     provenance: set[int] = field(default_factory=set)
-    upper: dict[tuple[Route, float], tuple[float, float]] = field(default_factory=dict)
-    lower: dict[tuple[Route, float], tuple[float, float]] = field(default_factory=dict)
+    prices: dict[tuple[Route, float], tuple[float, float]] = field(default_factory=dict)
 
     @cached_property
     def sorted_routes(self) -> tuple[Route, ...]:
@@ -141,9 +136,9 @@ def _log_joint(
 def _ceiling(state: NodeState, route: Route, size: float, t_remaining: float) -> float:
     """An upper bound on the price of ``size`` on ``state``'s ``route`` at
     ``t_remaining``: ``min(1, p + _PRICE_MARGIN)`` for a price ``p`` kept in
-    ``state.upper`` at a remaining time no shorter, else 1."""
-    then, price = state.upper.get((route, size), _NO_CEILING)
-    return min(1.0, price + _PRICE_MARGIN) if t_remaining <= then else 1.0
+    ``state.prices`` at a remaining time no shorter, else 1."""
+    kept = state.prices.get((route, size))
+    return min(1.0, kept[1] + _PRICE_MARGIN) if kept and t_remaining <= kept[0] else 1.0
 
 
 def _no_offer_wins(
@@ -166,22 +161,16 @@ def _no_offer_wins(
 def _keep_lower_prices(
     state: NodeState, ranked: list[tuple[float, tuple[Route, float]]], t_remaining: float
 ) -> None:
-    """Give each ranked segment of ``state`` whose lower price is missing or
-    lies above ``t_remaining`` a new one: its kept terms priced at ``d0 =
-    T' + _LOWER_SHARE * (t_remaining - T')``, or none if they may have a
-    negative weight."""
-    for _, key in ranked:
-        kept = state.lower.get(key)
-        if kept is not None and not t_remaining < kept[0] < math.inf:
-            continue
-        route, size = key
+    """Keep, for each ranked segment of ``state`` with monotone terms whose
+    kept price is missing or lies above ``t_remaining``, its terms priced at
+    ``d0 = T' + _LOWER_SHARE * (t_remaining - T')``."""
+    for _, (route, size) in ranked:
+        kept = state.prices.get((route, size))
         spec = state.routes[route]
-        if spec.monotone(size):
+        if (kept is None or kept[0] > t_remaining) and spec.monotone(size):
             t_prime = spec.transmission(size)
             d0 = t_prime + _LOWER_SHARE * (t_remaining - t_prime)
-            state.lower[key] = (d0, delivery_probs([(spec, size)], d0)[0])
-        else:
-            state.lower[key] = _NO_LOWER_PRICE
+            state.prices[route, size] = (d0, delivery_probs([(spec, size)], d0)[0])
 
 
 def _nothing_wins(
@@ -192,17 +181,17 @@ def _nothing_wins(
     loaded: list[tuple[Route, float]],
     t_remaining: float,
 ) -> bool:
-    """Whether the holder's lower prices prove, unpriced, that the first
+    """Whether the holder's kept prices prove, unpriced, that the first
     offer of an adjustment stops at its ceiling test: every loaded segment
-    has a lower price with ``d0 <= t_remaining < inf``, every peer route
-    carries nothing, and no ceiling at a loaded size exceeds the lowest
-    lower price by more than ``_LOWER_SLACK``."""
+    has a price kept at a remaining time ``<= t_remaining < inf``, every
+    peer route carries nothing, and no ceiling at a loaded size exceeds the
+    lowest of those prices by more than ``_LOWER_SLACK``."""
     lowest = 1.0
     for key in loaded:
-        d0, p0 = holder.lower.get(key, _NO_LOWER_PRICE)
-        if not d0 <= t_remaining < math.inf:
+        kept = holder.prices.get(key)
+        if kept is None or not kept[0] <= t_remaining < math.inf:
             return False
-        lowest = min(lowest, p0)
+        lowest = min(lowest, kept[1])
     sizes = [planned.get(k, 0.0) for k in peer_routes]
     return all(s <= _EPS for s in sizes) and _no_offer_wins(
         peer, peer_routes, sizes, [size for _, size in loaded], lowest + _LOWER_SLACK, t_remaining
@@ -265,34 +254,34 @@ def realtime_adjustment(
     segment, every peer path at its planned size and at that size plus the
     segment's.
 
-    One no-move rule skips what cannot find a move, from bounds kept in the
-    two nodes' per-task state.  An empty peer path prices at exactly 1, so
-    its ratio is its grown price, and an offer to an empty peer stops when
-    no grown price can exceed the segment's price ``p_j`` by more than
-    1e-12.  A grown price is bounded from above by its ceiling: ``min(1, p +
-    1e-9)`` for a price ``p`` of that size kept in ``peer.upper`` at a
-    remaining time no shorter than now, else 1.  A kept price is a clamped,
-    left-to-right float sum of ``w * gammainc(a, r * (d - T'))`` with every
-    ``w >= 0``, so as the remaining time ``d`` falls it can rise only by
-    what ``gammainc`` falls as its argument grows, a few last bits (up to
-    7.2e-15 on criterion-7 shapes), which the 1e-9 margin covers; and as
-    ``d`` grows it can fall only by as much.  So:
+    One no-move rule skips what cannot find a move, from the prices each
+    node keeps in ``prices``, of sizes with monotone terms only (not built
+    in blocks, no negative weight: :meth:`~oppload.delivery.PathSpec.monotone`).
+    Such a price is a clamped, left-to-right float sum of ``w * gammainc(a,
+    r * (d - T'))`` with every ``w >= 0``, so as the remaining time ``d``
+    falls it can rise, and as ``d`` grows fall, only by what ``gammainc``
+    loses in its last bits (up to 7.2e-15 on criterion-7 shapes).  So a
+    price ``p`` kept at ``t`` bounds its size's price from above by its
+    ceiling ``min(1, p + 1e-9)`` at any remaining time ``<= t``, and from
+    below by ``p - 5e-13`` at any finite one ``>= t``; with no such price
+    kept, the ceiling is 1.  An empty peer path prices at exactly 1, so its
+    ratio is its grown price, and an offer to an empty peer stops when no
+    grown price can exceed the segment's price ``p_j`` by more than 1e-12.
+    So:
 
     * the peer's batch is skipped when every peer path is empty and every
       ceiling at the grown size is at most ``p_j + 1e-12``, which a segment
-      of ``p_j + 1e-12 >= 1`` meets without a lookup.  The grown prices of
-      an empty peer are kept whenever that batch is priced; a size whose
-      terms are built in blocks or have a negative weight
-      (:meth:`~oppload.delivery.PathSpec.monotone`) keeps none.  Where
-      the first offer stops so, each ranked segment without a lower price
-      valid now gets one in ``holder.lower``: its terms, with no negative
-      weight, priced at ``d0 = T' + 0.95 * (t_remaining - T')``.  Remaining
-      times only fall during a task, so ``d0`` lies below the time it is
-      taken at, to serve later meetings, yet near it, to bound them closely.
+      of ``p_j + 1e-12 >= 1`` meets without a lookup.  Whenever that batch
+      is priced, the peer keeps the grown prices.  Where the first offer
+      stops so, each ranked segment with no price kept at a remaining time
+      ``<= t_remaining`` keeps its terms priced at ``d0 = T' + 0.95 *
+      (t_remaining - T')``.  Remaining times only fall during a task, so
+      ``d0`` lies below the time it is taken at, to serve later meetings,
+      yet near it, to bound them closely.
     * nothing is priced at all when every peer path is empty, even after
-      the move through the peer, every loaded segment has a lower price
-      ``p0`` with ``d0 <= t_remaining < inf``, and every peer path's
-      ceiling at each loaded size is at most ``min(p0) + 5e-13``.  The
+      the move through the peer, every loaded segment has a price ``p0``
+      kept at a remaining time ``<= t_remaining < inf``, and every peer
+      path's ceiling at each loaded size is at most ``min(p0) + 5e-13``.  The
       weakest segment then prices at least ``min(p0)`` less a few last
       bits, which take far less than the rest of the offer test's 1e-12, so
       the first offer would stop at that test, and the result is the
@@ -303,14 +292,16 @@ def realtime_adjustment(
     ``ComplexityError``.  The improvement in log joint probability is 0
     when nothing moves; only when something does are both sides' log joints
     summed, before and after.  Neither node's assignment is modified (only
-    the bounds may grow): the result carries the planned transfer and the
+    kept prices may grow): the result carries the planned transfer and the
     peer's tentative assignment including the planned placements.
 
     Raises:
-        ProtocolError: the peer is the destination, the task source, or the
-            pair already exchanged this task's data.
+        ProtocolError: the peer is the holder itself, the destination, the
+            task source, or the pair already exchanged this task's data.
         KeyError: an assignment names a route its node does not hold.
     """
+    if peer.node_id == holder.node_id:
+        raise ProtocolError(f"node {holder.node_id} cannot exchange data with itself")
     if peer.node_id == holder.destination:
         raise ProtocolError("real-time adjustment does not apply to the destination")
     if peer.node_id == holder.source:
@@ -337,7 +328,7 @@ def realtime_adjustment(
 
     if peer_routes:
         loaded = [(r, s) for r, s in remaining.items() if s > _EPS]
-        if holder.lower and loaded and _nothing_wins(
+        if holder.prices and loaded and _nothing_wins(
             holder, peer, peer_routes, planned, loaded, t_remaining
         ):
             return AdjustmentResult(planned=0.0, receiver_assignment=planned, improvement=0.0)
@@ -359,11 +350,8 @@ def realtime_adjustment(
             probs = _route_probs([*zip(peer_specs, sizes), *zip(peer_specs, grown)], t_remaining)
             if empty:
                 for k, k_spec, size, price in zip(peer_routes, peer_specs, grown, probs[len(sizes) :]):
-                    kept = peer.upper.get((k, size))
-                    if kept is None and not k_spec.monotone(size):
-                        peer.upper[k, size] = _NO_CEILING
-                    elif kept is not _NO_CEILING:
-                        peer.upper[k, size] = (t_remaining, price)
+                    if (k, size) in peer.prices or k_spec.monotone(size):
+                        peer.prices[k, size] = (t_remaining, price)
             best_route = None
             best_ratio = 0.0
             for k_route, p_old, p_new in zip(peer_routes, probs, probs[len(sizes) :]):
@@ -473,10 +461,12 @@ def on_contact(
 
     Raises:
         ValueError: ``contact_capacity`` is NaN or negative.
-        ProtocolError: either node is the other's destination.
+        ProtocolError: both states are one node's, or one is the other's destination.
     """
     if not contact_capacity >= 0:
         raise ValueError(f"contact_capacity must be >= 0, got {contact_capacity!r}")
+    if a.node_id == b.node_id:
+        raise ProtocolError(f"node {a.node_id} cannot meet itself")
 
     if a.node_id == b.destination or b.node_id == a.destination:
         raise ProtocolError("contacts with the destination are deliveries, not exchanges")

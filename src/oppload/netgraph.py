@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -268,12 +268,12 @@ def generate_synthetic(config: SyntheticConfig) -> Network:
 
 
 def ingest_trace(
-    records: Sequence[TraceRecord],
+    records: Iterable[TraceRecord],
     warmup_fraction: float,
     rate: float,
     min_contacts: int = 5,
 ) -> tuple[Network, list[TraceRecord]]:
-    """Fit a network from the warmup part of a trace.
+    """Fit a network from the warmup part of a trace, read once.
 
     The trace is split at the ``warmup_fraction`` quantile of contact start
     times.  Warmup contacts fit per-pair parameters (exponential rate on
@@ -293,6 +293,7 @@ def ingest_trace(
         ValueError: ``warmup_fraction`` outside (0, 1), ``rate`` not
             finite and > 0, or ``min_contacts`` not an integer >= 1.
     """
+    records = tuple(records)
     if not records:
         raise IngestionError("empty trace")
     if not (0 < warmup_fraction < 1):

@@ -560,7 +560,7 @@ STRATEGIES = tuple(_RUNNERS)
 
 def simulate_strategy(
     network: Network,
-    tasks: Sequence[TransmissionTask],
+    tasks: Iterable[TransmissionTask],
     strategy: str,
     seed: int,
     event_log: list[dict] | None = None,
@@ -568,6 +568,7 @@ def simulate_strategy(
 ) -> SimResult:
     """Replay every task under one strategy on seeded contact realizations.
 
+    ``tasks`` is read once, so a generator runs like the list it yields.
     Each task sees a fresh contact realization derived from ``(seed,
     task_id, edge)``, identical across strategies.  ``event_log`` (filled
     with per-event rows) and ``monitor`` (called after every protocol
@@ -593,6 +594,7 @@ def simulate_strategy(
     if runner is None:
         raise ConfigError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     check_seed(seed)
+    tasks = tuple(tasks)
     mobile = set(network.mobile_nodes())
     seen = set()
     for task in tasks:

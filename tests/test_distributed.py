@@ -295,6 +295,23 @@ class TestOnContact:
                 ol.on_contact(a, b, contact_capacity=10.0, t_remaining=50.0)
         assert holder.carried == 3.0 and dest.carried == 0.0
 
+    def test_a_node_never_meets_itself(self):
+        # a carrying node of a synthetic network would plan to hand data to
+        # its own routes, so both the contact and the adjustment refuse it
+        net = ol.generate_synthetic(ol.SyntheticConfig(n=12, avg_degree=3, max_degree=5, seed=1))
+        routes = simulator._Context(net).routes[1]
+        state = NodeState(1, net.infrastructure_id, 0, routes, carried=10.0)
+        state.assignment = ol.criterion_assignment(state, 10.0, 150.0)
+        before = copy.deepcopy(state)
+        for other in (state, copy.deepcopy(state)):
+            with pytest.raises(ProtocolError, match="node 1 cannot meet itself"):
+                ol.on_contact(state, other, contact_capacity=10.0, t_remaining=150.0)
+            with pytest.raises(ProtocolError, match="node 1 cannot exchange data with itself"):
+                realtime_adjustment(state, other, 150.0)
+        assert (state.carried, state.assignment, state.provenance) == (
+            before.carried, before.assignment, before.provenance
+        )
+
     def test_contact_with_source_moves_nothing(self):
         source = node(SOURCE, neighbors={1: params(), DEST: params()}, carried=0.0)
         holder = node(
@@ -651,10 +668,11 @@ class TestAdjustmentEquivalence:
         keep = distributed._keep_lower_prices
 
         def timeless(state, ranked, t_remaining):
+            before = dict(state.prices)
             keep(state, ranked, t_remaining)
-            for key, (d0, p0) in state.lower.items():
-                if d0 < math.inf:
-                    state.lower[key] = (0.0, p0)
+            for key, (d0, p0) in state.prices.items():
+                if before.get(key) != (d0, p0):
+                    state.prices[key] = (0.0, p0)
 
         with monkeypatch.context() as patched:
             patched.setattr(distributed, "_keep_lower_prices", timeless)
@@ -803,7 +821,7 @@ class TestNoMoveRule:
 
         # a ceiling that ignored when its price was taken would use them
         def timeless(state, route, size, t_remaining):
-            return min(1.0, state.upper.get((route, size), (math.inf, 1.0))[1] + 1e-9)
+            return min(1.0, state.prices.get((route, size), (math.inf, 1.0))[1] + 1e-9)
 
         with monkeypatch.context() as patched:
             patched.setattr(distributed, "_ceiling", timeless)
@@ -818,11 +836,11 @@ class TestNoMoveRule:
                     second_hop={3: {DEST: params(lam=0.05, beta=2.0)}})
         route = (2, 3, DEST)
         spec = peer.routes[route]
-        assert peer.upper == {}
+        assert peer.prices == {}
         realtime_adjustment(holder, peer, 200.0)
         price = route_prob(spec, 10.0, 200.0)
         assert 0.0 < price < 1.0
-        assert peer.upper == {(route, 10.0): (200.0, price)}
+        assert peer.prices == {(route, 10.0): (200.0, price)}
         for deadline in (200.0, 150.0, 30.0, 0.0):
             assert distributed._ceiling(peer, route, 10.0, deadline) == price + 1e-9
             assert route_prob(spec, 10.0, deadline) <= distributed._ceiling(peer, route, 10.0, deadline)
@@ -831,16 +849,16 @@ class TestNoMoveRule:
         # the holder keeps no price of its own routes, and the path none:
         # it holds its hops, its gammas, its one-contact terms and its memo
         # of terms, nothing more
-        assert holder.upper == {} and not hasattr(spec, "prices")
+        assert holder.prices == {} and not hasattr(spec, "prices")
         assert set(vars(spec)) == {"hops", "gammas", "one_contact", "memo"}
         # a price near 1 is capped at 1
-        peer.upper[route, 10.0] = (200.0, 1.0 - 1e-12)
+        peer.prices[route, 10.0] = (200.0, 1.0 - 1e-12)
         assert distributed._ceiling(peer, route, 10.0, 100.0) == 1.0
         # a grown size whose terms are not built at the remaining time, since
-        # it does not cover T', gets no ceiling
+        # it does not cover T', keeps no price
         peer = node(2, neighbors={DEST: params(lam=0.02, beta=3.0)})
         realtime_adjustment(weak_holder(10.0), peer, 0.1)
-        assert peer.upper == {((2, DEST), 10.0): distributed._NO_CEILING}
+        assert peer.prices == {}
 
     def test_a_negative_kept_weight_gets_no_ceiling(self, monkeypatch):
         exact_success = delivery._exact_success
@@ -856,11 +874,11 @@ class TestNoMoveRule:
             node(2, neighbors={3: params(beta=3.0)}, second_hop={3: {DEST: params(beta=4.0)}}),
         ):
             (route,) = peer.routes
-            # the first price finds the negative weight, and no later one is kept
+            # the first price finds the negative weight, and none is kept
             for t_remaining in (200.0, 150.0):
                 realtime_adjustment(weak_holder(10.0), peer, t_remaining)
                 assert min(peer.routes[route].memo[10.0][1][0]) < 0.0
-                assert peer.upper == {(route, 10.0): distributed._NO_CEILING}
+                assert peer.prices == {}
                 assert distributed._ceiling(peer, route, 10.0, 100.0) == 1.0
 
     def test_a_block_term_size_gets_no_ceiling(self):
@@ -870,7 +888,7 @@ class TestNoMoveRule:
         for t_remaining in (1000.0, 900.0):
             realtime_adjustment(weak_holder(12.0), peer, t_remaining)
             assert isinstance(peer.routes[route].memo[12.0][1], _BlockTerms)
-            assert peer.upper == {(route, 12.0): distributed._NO_CEILING}
+            assert peer.prices == {}
             assert distributed._ceiling(peer, route, 12.0, 500.0) == 1.0
 
     def test_criterion_7_replay_is_unchanged_by_the_ceilings(self, monkeypatch):
@@ -895,6 +913,36 @@ class TestNoMoveRule:
         # least 30 % of them (3,524) into ones that price nothing
         assert counts["holder_only"] + counts["priced_nothing"] == ceilings["holder_only"]
         assert counts["priced_nothing"] >= 0.3 * counts["adjustments"]
+
+    def test_a_kept_price_bounds_its_size_both_ways(self):
+        # the rule's one invariant, on monotone sizes of criterion-7 routes:
+        # terms priced at t price at most p + 1e-9 at every remaining time
+        # up to t, and at least p - 5e-13 at every finite one from t on
+        specs = [
+            spec
+            for routes in simulator._Context(criterion_7_network()).routes.values()
+            for spec in routes.values()
+        ]
+        rng = np.random.default_rng(3434)
+        checked = inside = 0
+        for i in rng.choice(len(specs), size=80, replace=False):
+            spec = specs[i]
+            for size in (10 ** rng.uniform(-0.5, 1.8, size=3)).tolist():
+                t_prime = transmission(spec, size)
+                t = t_prime + float(10 ** rng.uniform(0.5, 3.5))
+                p = route_prob(spec, size, t)
+                if not spec.monotone(size):
+                    continue
+                checked += 1
+                inside += 0.0 < p < 1.0
+                shorter = [t_prime, math.nextafter(t, 0.0), *np.linspace(t_prime, t, 12)[1:]]
+                longer = [math.nextafter(t, math.inf), t * (1 + 1e-12), 1e6, 1e300,
+                          *np.linspace(t, 3 * t, 12)]
+                for d in shorter:
+                    assert route_prob(spec, size, float(d)) <= p + 1e-9
+                for d in longer:
+                    assert route_prob(spec, size, float(d)) >= p - 5e-13
+        assert checked >= 200 and inside >= 150
 
     def test_gammainc_falls_far_less_than_the_ceiling_margin(self):
         # the one assumption of the no-move rule: as its argument grows,
@@ -994,24 +1042,24 @@ class TestLowerPrice:
         # nothing is kept for a size whose terms were never built
         holder = certain_holder()
         distributed._keep_lower_prices(holder, [(1.0, SEGMENT)], 3000.0)
-        assert holder.lower == {SEGMENT: distributed._NO_LOWER_PRICE}
+        assert holder.prices == {}
         holder = certain_holder()
         keep_lower_prices(holder, 3000.0)
         assert route_prob(holder.routes[SEGMENT[0]], 4.5, 3000.0) == 1.0
         assert len(holder.routes[SEGMENT[0]].memo[4.5][1][0]) == 6
-        assert holder.lower == {SEGMENT: (d0(3000.0), 1.0)}
+        assert holder.prices == {SEGMENT: (d0(3000.0), 1.0)}
         # a later meeting no earlier than d0 keeps it; one before d0 takes a
         # new one, which may lie below 1
         keep_lower_prices(holder, 2900.0)
-        assert holder.lower == {SEGMENT: (d0(3000.0), 1.0)}
+        assert holder.prices == {SEGMENT: (d0(3000.0), 1.0)}
         for t_remaining in (2000.0, 600.0):
             keep_lower_prices(holder, t_remaining)
             lower = d0(t_remaining)
-            assert holder.lower == {SEGMENT: (lower, route_prob(spec, 4.5, lower))}
-        assert holder.lower[SEGMENT][1] < 1.0
+            assert holder.prices == {SEGMENT: (lower, route_prob(spec, 4.5, lower))}
+        assert holder.prices[SEGMENT][1] < 1.0
         # one at a longer remaining time keeps the shorter d0
         keep_lower_prices(holder, 3000.0)
-        assert holder.lower == {SEGMENT: (d0(600.0), route_prob(spec, 4.5, d0(600.0)))}
+        assert holder.prices == {SEGMENT: (d0(600.0), route_prob(spec, 4.5, d0(600.0)))}
 
     def test_a_lower_price_is_never_used_before_its_d0(self):
         spec = certain_spec()
@@ -1019,7 +1067,7 @@ class TestLowerPrice:
         for taken_at in (3000.0, 600.0):
             holder = certain_holder()
             keep_lower_prices(holder, taken_at)
-            ((d0, p0),) = holder.lower.values()
+            ((d0, p0),) = holder.prices.values()
             # the price at every remaining time from d0 on is at least p0,
             # less far under the 5e-13 the rule leaves
             for deadline in np.linspace(d0, 1e5, 200):
@@ -1046,13 +1094,13 @@ class TestLowerPrice:
         # the first meeting prices the holder's certain segment, which gets
         # a lower price; the second prices nothing
         result, batches = adjust_counted(monkeypatch, holder, peer, 3000.0)
-        assert batches == [1] and holder.lower[SEGMENT][1] == 1.0
+        assert batches == [1] and holder.prices[SEGMENT][1] == 1.0
         assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
         result, batches = adjust_counted(monkeypatch, holder, peer, 3000.0)
         assert batches == []
         assert (result.planned, result.receiver_assignment, result.improvement) == (0.0, {}, 0.0)
-        # a holder without lower prices prices its batch
-        holder.lower.clear()
+        # a holder without kept prices prices its batch
+        holder.prices.clear()
         assert adjust_counted(monkeypatch, holder, peer, 3000.0)[1] == [1]
 
         # below 1: a weak peer route keeps a price at its first meeting, the
@@ -1062,7 +1110,7 @@ class TestLowerPrice:
         peer = node(2, neighbors={DEST: params(lam=1e-4, beta=100.0)})
         batches = [adjust_counted(monkeypatch, holder, peer, t)[1] for t in (600.0, 590.0, 570.0)]
         assert batches == [[1, 2], [1], []]
-        assert 0.0 < holder.lower[(1, DEST), 10.0][1] < 1.0
+        assert 0.0 < holder.prices[(1, DEST), 10.0][1] < 1.0
         assert_matches_reference(realtime_adjustment(holder, peer, 570.0), holder, peer, 570.0)
 
         # a remaining time the estimator refuses is refused as before: for a
@@ -1081,7 +1129,7 @@ class TestLowerPrice:
             for bad in (math.inf, math.nan):
                 with pytest.raises(ValueError):
                     realtime_adjustment(state, peer, bad)
-        assert certain.lower and holder.lower and not nothing_loaded.lower and both.lower
+        assert certain.prices and holder.prices and not nothing_loaded.prices and both.prices
 
     def test_a_negative_kept_weight_gets_no_lower_price(self, monkeypatch):
         exact_success = delivery._exact_success
@@ -1106,7 +1154,7 @@ class TestLowerPrice:
             assert min(spec.memo[4.5][1][0]) < 0.0
             assert route_prob(spec, 4.5, 2700.0) == 1.0
             keep_lower_prices(holder, 3000.0)
-            assert holder.lower == {(route, 4.5): distributed._NO_LOWER_PRICE}
+            assert holder.prices == {}
             assert not distributed._nothing_wins(
                 holder, peer, [(2, DEST)], {}, [(route, 4.5)], 3000.0
             )
@@ -1117,7 +1165,7 @@ class TestLowerPrice:
                       assignment={(1, DEST): 12.0})
         keep_lower_prices(holder, 1e4)
         assert isinstance(holder.routes[(1, DEST)].memo[12.0][1], _BlockTerms)
-        assert holder.lower == {((1, DEST), 12.0): distributed._NO_LOWER_PRICE}
+        assert holder.prices == {}
 
 
 def transmission(spec, size):

@@ -198,6 +198,15 @@ class TestIngestTrace:
     def test_empty_trace(self):
         with pytest.raises(IngestionError):
             ol.ingest_trace([], 0.5, rate=1.0)
+        with pytest.raises(IngestionError, match="empty trace"):
+            ol.ingest_trace(iter([]), 0.5, rate=1.0)
+
+    def test_a_generator_of_records_fits_like_the_list(self):
+        rng = np.random.default_rng(8)
+        records = synthesize_trace(star_params(rng, [(0, 1), (0, 2), (0, 3)]), horizon=3000.0)
+        want = ol.ingest_trace(records, 0.5, rate=100.0)
+        assert (want[0].node_count, len(want[0].edges)) == (4, 3)
+        assert ol.ingest_trace((r for r in records), 0.5, rate=100.0) == want
 
     def test_drops_nodes_far_from_infrastructure(self):
         rng = np.random.default_rng(12)

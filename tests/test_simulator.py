@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oppload as ol
-from oppload import simulator
+from oppload import distributed, simulator
 from oppload.contacts import _sample_columns
 from oppload.distributed import NodeState
 from oppload.errors import (
@@ -256,6 +256,13 @@ class TestTransmissionTask:
 
 
 class TestSimulateStrategy:
+    def test_a_generator_of_tasks_runs_like_the_list(self):
+        net = small_network()
+        tasks = make_tasks(net, 3, size=20.0, deadline=400.0)
+        got = ol.simulate_strategy(net, (task for task in tasks), "distributed", seed=5)
+        assert got == ol.simulate_strategy(net, tasks, "distributed", seed=5)
+        assert got.total == 3
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             ol.simulate_strategy(hot_link_network(), [], "flooding", seed=1)
@@ -670,6 +677,17 @@ PINNED_LONG_EVENT_LOG = (
     "2dbffb4b3a6044eab210631e3b16be128f2f569844d403e7ab25fbc14da70969",
 )
 PINNED_LONG_STATES = "eec7caea700be1d1813e755678c178c96ad8a347e82b37d027e67b7fc9837425"
+# The protocol's delivery_probs calls and queries on those tasks: a change
+# that loses one of the no-move rule's skips prices more.
+PINNED_LONG_PRICING = (1557, 8810)
+
+
+def long_deadline_tasks():
+    """The four tasks of criterion 7 at deadline 3000 that the long pins replay."""
+    return [
+        ol.TransmissionTask(task_id=i, source=source, size=size, deadline=3000.0)
+        for i, (source, size) in enumerate([(5, 60.0), (5, 120.0), (15, 60.0), (15, 120.0)])
+    ]
 
 
 def replay_all(net, tasks, seed):
@@ -723,14 +741,24 @@ class TestPinnedReplay:
         assert states == PINNED_STATES
 
     def test_long_deadline_outcomes_and_event_log_are_unchanged(self):
-        tasks = [
-            ol.TransmissionTask(task_id=i, source=source, size=size, deadline=3000.0)
-            for i, (source, size) in enumerate([(5, 60.0), (5, 120.0), (15, 60.0), (15, 120.0)])
-        ]
-        outcomes, log, states = replay_all(criterion_7_network(), tasks, seed=17)
+        outcomes, log, states = replay_all(criterion_7_network(), long_deadline_tasks(), seed=17)
         assert outcomes == PINNED_LONG_OUTCOMES
         assert log == PINNED_LONG_EVENT_LOG
         assert states == PINNED_LONG_STATES
+
+    def test_long_deadline_pricing_work_is_unchanged(self, monkeypatch):
+        delivery_probs = distributed.delivery_probs
+        priced = [0, 0]
+
+        def counted(queries, deadline):
+            priced[0] += 1
+            priced[1] += len(queries)
+            return delivery_probs(queries, deadline)
+
+        monkeypatch.setattr(distributed, "delivery_probs", counted)
+        net = criterion_7_network()
+        ol.simulate_strategy(net, long_deadline_tasks(), "distributed", seed=17)
+        assert tuple(priced) == PINNED_LONG_PRICING
 
 
 def test_network_is_derived_once_per_call(monkeypatch):
@@ -799,8 +827,8 @@ def test_the_replays_agree_with_the_path_oracle_on_criterion_7_routes(route, siz
 
 def test_route_terms_live_for_one_task():
     # every route's memo of sized terms is empty when a task starts, and the
-    # protocol's kept prices and lower prices live on node states built for
-    # the task, so a call's memory does not grow with its number of tasks
+    # protocol's kept prices live on node states built for the task, so a
+    # call's memory does not grow with its number of tasks
     net = criterion_7_network()
     held_at_start = []
     held_during = []
@@ -810,28 +838,27 @@ def test_route_terms_live_for_one_task():
         specs = [spec for s in states.values() for spec in s.routes.values()]
         held = (
             sum(len(spec.memo) for spec in specs),
-            sum(len(s.upper) for s in states.values()),
-            sum(len(s.lower) for s in states.values()),
+            sum(len(s.prices) for s in states.values()),
         )
         if row["event"] == "start":
             # the last task's node states are gone once the next one starts
             assert all(ref() is None for ref in earlier_states)
             earlier_states[:] = [weakref.ref(s) for s in states.values()]
             held_at_start.append(held)
-            held_during.append((0, 0, 0))
+            held_during.append((0, 0))
         held_during[-1] = tuple(map(max, held_during[-1], held))
 
-    # short tasks, then long ones whose certain segments get lower prices
+    # short tasks, whose empty peers keep prices, then long ones whose
+    # certain segments keep lower bounds too
     short = make_tasks(net, 6, size=10.0, deadline=300.0)
     long = [
         dataclasses.replace(task, task_id=task.task_id + len(short))
         for task in make_tasks(net, 4, size=60.0, deadline=3000.0)
     ]
     ol.simulate_strategy(net, short + long, "distributed", seed=7, monitor=monitor)
-    assert held_at_start == [(0, 0, 0)] * len(short + long)
-    assert min(memo for memo, _, _ in held_during) > 0
-    assert min(upper for _, upper, _ in held_during[: len(short)]) > 0
-    assert min(lower for _, _, lower in held_during) > 0
+    assert held_at_start == [(0, 0)] * len(short + long)
+    assert min(memo for memo, _ in held_during) > 0
+    assert min(prices for _, prices in held_during) > 0
 
 
 # Runs in a fresh interpreter, so the suite's own import of oppload is untouched.
