@@ -505,15 +505,31 @@ class _Carriers:
         return True
 
 
+# Halving alone leaves at most this many pieces of an item under spread.
+_SPREAD_COPIES = 8
+
+
 class _Spread(_Carriers):
+    """Binary Spray and Wait over data: at a meeting the larger carrier hands
+    half of what it holds, at most the contact's capacity, to the other side
+    (of two equal carriers the lower id sends), only while that half is at
+    least ``size / _SPREAD_COPIES``, and never back to a node it received
+    data from.  As Spray and Wait stops splitting at one copy, a carrier
+    whose half falls below the floor hands its data to infrastructure
+    only."""
+
+    def __init__(self, context: _Context, task: TransmissionTask):
+        super().__init__(context, task)
+        self.floor = task.size / _SPREAD_COPIES
+
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
-        # the larger carrier hands half of what it holds, at most the
-        # capacity, to the other side; of two equal carriers the lower id sends
         held_a, held_b = self.carried[a], self.carried[b]
         if held_a > held_b or (held_a == held_b and a < b):
             sender, receiver, amount = a, b, held_a / 2.0
         else:
             sender, receiver, amount = b, a, held_b / 2.0
+        if amount < self.floor:
+            return False
         if capacity < amount:
             amount = capacity
         return amount > _EPS and self.hand(sender, receiver, amount)

@@ -231,6 +231,8 @@ def test_criterion_7_strategy_ordering():
     assert successes["heuristic"] >= successes["distributed"]
     assert successes["distributed"] >= 0.95 * max(successes["spread"], successes["maxrate"])
     assert successes["heuristic"] >= 1.5 * successes["individual"]
+    # spread's halving stops at a floor, so its pieces reach infrastructure
+    assert successes["spread"] > 0
     elapsed = time.perf_counter() - started
     assert elapsed < 900.0
     report(
