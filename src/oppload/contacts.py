@@ -162,16 +162,22 @@ def sample_contact_process(
     return list(zip(*_sample_columns(params, horizon, np.random.default_rng(rng_seed))))
 
 
-def _sample_columns(
-    params: PairContactParams, horizon: float, rng: np.random.Generator
-) -> tuple[list[float], list[float]]:
-    """:func:`sample_contact_process` as two lists, starts and durations,
-    drawn from ``rng``; ``horizon`` is a checked deadline."""
+def _check_contact_count(params: PairContactParams, horizon: float) -> None:
+    """Raise ``ComplexityError`` when the pair expects more than
+    ``MAX_EXPECTED_CONTACTS`` contacts over ``horizon``."""
     if params.contact_rate * horizon > MAX_EXPECTED_CONTACTS:
         raise ComplexityError(
             f"contact_rate {params.contact_rate!r} over horizon {horizon!r} expects "
             f"{params.contact_rate * horizon:.3g} contacts, above {MAX_EXPECTED_CONTACTS}"
         )
+
+
+def _sample_columns(
+    params: PairContactParams, horizon: float, rng: np.random.Generator
+) -> tuple[list[float], list[float]]:
+    """:func:`sample_contact_process` as two lists, starts and durations,
+    drawn from ``rng``; ``horizon`` is a checked deadline."""
+    _check_contact_count(params, horizon)
     mean_gap = 1.0 / params.contact_rate
 
     starts: list[float] = []

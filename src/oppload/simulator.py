@@ -5,9 +5,17 @@ the delivery probability of one path (the validation oracle for the
 analytic estimators), and :func:`simulate_strategy` replays whole
 transmission tasks on a network under one of five strategies, reporting
 per-task outcomes, with one loop per transfer model: a plan's whole segments
-drain hop by hop, and the per-contact strategies walk their contacts.  Its
-task loop alone turns a ``ComplexityError``, ``EstimationError`` or
-``PlanningError`` into a failed task; a ``ProtocolError`` propagates.
+drain hop by hop, and the per-contact strategies walk their contacts.  The
+walk visits only the edges where a contact can change something: an edge to
+infrastructure whose mobile end holds data, and an edge between mobile nodes
+where a meeting can move data under the strategy's rule (distributed: either
+end holds data; spread: the larger holding's half is at least the floor;
+maxrate: a holder meets its best relay, from which it received no data).
+Its task loop alone turns a ``ComplexityError``, ``EstimationError`` or
+``PlanningError`` into a failed task; a ``ProtocolError`` propagates.  The
+sampler's ``MAX_EXPECTED_CONTACTS`` fails a task on an edge that its plan
+drains, or, under a per-contact strategy, on any edge of a node that comes
+to hold data, walked or not.
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
@@ -33,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .contacts import _sample_columns
+from .contacts import _check_contact_count, _sample_columns
 from .delivery import PathSpec, _needed_contacts
 from .distributed import (
     _EPS,
@@ -328,22 +336,30 @@ def _replay(
     The rule at infrastructure is shared: a contact delivers
     ``min(held, capacity)`` from its mobile side, and the task completes
     once the delivered total reaches its size.  Between mobile nodes the
-    strategy's ``meet`` decides what moves; it runs only when one side
-    holds data and returns whether data moved.
+    strategy's ``meet`` decides what moves and returns whether data moved;
+    it runs only where the strategy's ``movable`` says a meeting can move
+    data (``None``: where either side holds data).
 
-    A contact where no mobile end holds data changes nothing, so only the
-    edges touching data are walked, merged on a heap in the order of the
-    fully merged stream: by start, then by rank in ``sorted(network.edges)``,
-    then by index on the edge.  An edge is sampled the first time the walk
-    needs it and leaves the walk when it is reached while neither mobile
-    end holds data.  A node that comes to hold data brings its idle edges
-    back from the first contact after the current one.
+    Any other contact changes nothing, so only the edges where a contact can
+    change something are walked: an edge to infrastructure whose mobile end
+    holds data, and an edge between mobile nodes that ``movable`` passes.
+    They are merged on a heap in the order of the fully merged stream: by
+    start, then by rank in ``sorted(network.edges)``, then by index on the
+    edge.  An edge is sampled the first time the walk needs it and leaves
+    the walk when it is reached while no contact on it can change anything.
+    A node that comes to hold data brings back its idle edges that can then
+    change something, from the first contact after the current one; so does
+    a node whose holding grows, as a spread carrier's half reaches the floor
+    again.  Its other edges are checked against ``MAX_EXPECTED_CONTACTS`` as
+    sampling would check them, so the cap fails a task on any edge of a node
+    that comes to hold data, walked or not.
     """
     deadline = task.deadline
     done = task.size - _EPS * task.size
     inf, eps = math.inf, _EPS
     held = strategy.held
-    meet, unload = strategy.meet, strategy.unload
+    meet, unload, movable = strategy.meet, strategy.unload, strategy.movable
+    edges = context.network.edges
     keys, mobile_end, incident, rates = context.edge_index
     # per edge, built when first walked: contact starts closed by an inf start
     starts: list[list[float] | None] = [None] * len(keys)
@@ -357,12 +373,19 @@ def _replay(
     walking: set[int] = set()
 
     def walk(node: int, now: float, rank: int) -> None:
-        """Put ``node``'s idle edges on the heap after contact ``(now, rank)``."""
-        walking.add(node)
+        """Put the idle edges of ``node``, which holds data, that can change
+        something on the heap after contact ``(now, rank)``, and check the
+        others against the contact cap."""
+        whole = True
         for r in incident[node]:
             if live[r]:
                 continue
             s = starts[r]
+            if mobile_end[r] < 0 and movable is not None and not movable(*keys[r]):
+                whole = False
+                if s is None:
+                    _check_contact_count(edges[keys[r]], deadline)
+                continue
             if s is None:
                 contacts = sampler.events(keys[r])
                 s = starts[r] = contacts.starts + [inf]
@@ -371,6 +394,8 @@ def _replay(
             i = (bisect_right if r < rank else bisect_left)(s, now, resume[r])
             live[r] = True
             heappush(heap, (s[i], r, i))
+        if whole:
+            walking.add(node)
 
     for node in context.network.mobile_nodes():
         if held(node) > eps:
@@ -386,7 +411,10 @@ def _replay(
             touching = held(mobile) > eps
         else:
             a, b = keys[r]
-            touching = held(a) > eps or held(b) > eps
+            if movable is None:
+                touching = held(a) > eps or held(b) > eps
+            else:
+                touching = movable(a, b)
         if not touching:
             heappop(heap)
             live[r] = False
@@ -425,6 +453,10 @@ class _Distributed:
             built; so ``criterion_assignment`` never raises ``ProtocolError``
             here, and one that leaves a replay is a protocol fault.
     """
+
+    # a meeting can move data when either side holds data: the replay tests
+    # that inline, as it runs once a contact, and logs every such meeting
+    movable = None
 
     def __init__(self, context: _Context, task: TransmissionTask):
         if not context.routes[task.source]:
@@ -522,6 +554,12 @@ class _Spread(_Carriers):
         super().__init__(context, task)
         self.floor = task.size / _SPREAD_COPIES
 
+    def movable(self, a: int, b: int) -> bool:
+        """Whether a meeting of ``a`` and ``b`` can move data: the larger
+        holding's half is at least the floor, and above 1e-9."""
+        half = max(self.carried[a], self.carried[b]) / 2.0
+        return half >= self.floor and half > _EPS
+
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
         held_a, held_b = self.carried[a], self.carried[b]
         if held_a > held_b or (held_a == held_b and a < b):
@@ -539,6 +577,15 @@ class _MaxRate(_Carriers):
     def __init__(self, context: _Context, task: TransmissionTask):
         super().__init__(context, task)
         self.best_relay = context.best_relay
+
+    def movable(self, a: int, b: int) -> bool:
+        """Whether a meeting of ``a`` and ``b`` can move data: one of them
+        holds data and the other is its best relay, from which it received
+        no data."""
+        carried, relay, provenance = self.carried, self.best_relay, self.provenance
+        return (relay[a] == b and carried[a] > _EPS and b not in provenance[a]) or (
+            relay[b] == a and carried[b] > _EPS and a not in provenance[b]
+        )
 
     def meet(self, a: int, b: int, capacity: float, start: float) -> bool:
         for sender, receiver in ((a, b), (b, a)):
@@ -588,12 +635,18 @@ def simulate_strategy(
     Each task sees a fresh contact realization derived from ``(seed,
     task_id, edge)``, identical across strategies.  ``event_log`` (filled
     with per-event rows) and ``monitor`` (called after every protocol
-    event) only apply to the distributed strategy.
+    event) only apply to the distributed strategy.  Distributed, spread and
+    maxrate walk a task's contacts only on the edges where a contact can
+    change something: to infrastructure from a node that holds data, and
+    between mobile nodes where a meeting can move data (distributed: either
+    end holds data; spread: the larger holding's half is at least the floor;
+    maxrate: a holder meets its best relay, from which it received no data).
 
     A task the program cannot run fails alone (not offloaded, no completion
     time): the task loop catches any runner's ``ComplexityError`` (the
     planner's tuple cap, the estimator's cap in a replay, or the sampler's
-    ``MAX_EXPECTED_CONTACTS`` on an edge the strategy walks),
+    ``MAX_EXPECTED_CONTACTS`` on an edge that a plan drains or on any edge of
+    a node that comes to hold data in a replay, walked or not),
     ``EstimationError`` (an estimator gamma or contact count overflows) or
     ``PlanningError`` (a source without the route its strategy needs).  A
     ``ProtocolError`` is a protocol fault and propagates.

@@ -407,6 +407,37 @@ class TestSimulateStrategy:
             else:
                 assert outcome == (False, False, None), strategy
 
+    @pytest.mark.parametrize("contact_rate, over", [(2e4, True), (0.05, False)])
+    def test_a_spread_carrier_below_the_floor_fails_on_an_edge_over_the_contact_cap(
+        self, monkeypatch, contact_rate, over
+    ):
+        # source 0 hands 1 of its 16 to node 1, whose half is then below the
+        # floor of 2, so no meeting on (1, 2) can move data; still, at
+        # deadline 100 and contact rate 2e4 that edge expects more than
+        # MAX_EXPECTED_CONTACTS contacts, and the task fails alone, as it
+        # does when node 1's edges are sampled on its first holding data
+        edges = {
+            (0, 1): uniform_params(), (0, 3): uniform_params(), (1, 3): uniform_params(),
+            (1, 2): uniform_params(contact_rate),
+        }
+        net = Network(node_count=4, infrastructure_id=3, edges=edges)
+        contacts = {(0, 1): [(1.0, 1.0)], (0, 3): [(50.0, 100.0)], (1, 3): [(60.0, 100.0)]}
+        asked = []
+
+        def capped_events(sampler, key):
+            # the real sampler's cap, then the hand-built contacts
+            if sampler._network.edges[key].contact_rate * sampler._horizon > 1_000_000:
+                raise ComplexityError("above 1000000")
+            asked.append(key)
+            return StubSampler(contacts).events(key)
+
+        monkeypatch.setattr(simulator._ContactSampler, "events", capped_events)
+        task = ol.TransmissionTask(task_id=0, source=0, size=16.0, deadline=100.0)
+        (outcome,) = ol.simulate_strategy(net, [task], "spread", seed=1).outcomes
+        got = (outcome.offloaded, outcome.success, outcome.completion_time)
+        assert got == ((False, False, None) if over else (True, True, 61.0))
+        assert (1, 2) not in asked
+
     @pytest.mark.parametrize(
         "rates, message",
         [
@@ -1002,6 +1033,24 @@ def replay_both_ways(network, task, contacts):
     return runs
 
 
+def assert_walk_matches(name, walked, merged):
+    """The walk's outcome and event log equal the merged reference's, and its
+    calls are the reference's, in order, minus only meets that moved nothing
+    there; distributed's calls are exactly the reference's."""
+    (outcome, calls, log, _), (ref_outcome, ref_calls, ref_log, _) = walked, merged
+    assert (outcome, log) == (ref_outcome, ref_log), name
+    if name == "distributed":
+        assert calls == ref_calls, name
+        return
+    kept = 0
+    for call in ref_calls:
+        if kept < len(calls) and calls[kept] == call:
+            kept += 1
+        else:
+            assert call[0] == "meet" and call[-1] is False, (name, call)
+    assert kept == len(calls), name
+
+
 def uniform_params(lam=0.05):
     return ol.PairContactParams(contact_rate=lam, alpha=3.0, beta=2.0, rate=1.0)
 
@@ -1073,8 +1122,9 @@ class TestPlanDrain:
 
 
 class TestWalkEquivalence:
-    """The walk over edges touching data makes the same calls, in the same
-    order, as a walk over every contact of the task."""
+    """The walk over the edges where a contact can change something ends as
+    a walk over every contact of the task does, with the same event log and
+    the same calls in the same order, but for meets that move nothing."""
 
     # mobile nodes 0-4, infrastructure 5; node 4 reaches only infrastructure
     KEYS = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)]
@@ -1105,7 +1155,7 @@ class TestWalkEquivalence:
         runs = replay_both_ways(net, task, self.CONTACTS)
         assert set(runs) == {"distributed", "spread", "maxrate"}
         for name, (walked, merged) in runs.items():
-            assert walked[:3] == merged[:3], name
+            assert_walk_matches(name, walked, merged)
             # node 4 never holds data, so its only edge is never sampled
             assert (4, 5) not in walked[3], name
             assert len(walked[3]) == len(set(walked[3])), name
@@ -1123,11 +1173,70 @@ class TestWalkEquivalence:
         assert (2, 3, 30.0) in meets and not any(start == 30.0 for a, b, start in meets if a == 1)
         # nothing moves at the deadline
         assert all(start < 100.0 for _, start in unloads)
+        # spread and maxrate skip meetings that cannot move data
+        for name in ("spread", "maxrate"):
+            walked, merged = runs[name]
+            assert len(walked[1]) < len(merged[1]), name
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_contacts_on_a_coarse_grid(self, seed):
         for name, (walked, merged) in replay_both_ways(*coarse_grid_case(seed)).items():
-            assert walked[:3] == merged[:3], name
+            assert_walk_matches(name, walked, merged)
+
+    def test_a_spread_carrier_below_the_floor_splits_again_once_refilled(self):
+        # mobile nodes 0-3, infrastructure 4, every rate 1; size 16, floor 2.
+        # Node 1 gets 8 from 0 at 1, hands 4 to 2 at 2 and 2 to 3 at 3, so
+        # holds 2, below the floor; at 4 nodes 1 and 3 hold 2 each, and (1, 3)
+        # leaves the walk.  At 6 node 0 hands it 4 more, and at 7 it splits
+        # again with 3 on the edge that left.
+        keys = [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
+        edges = dict.fromkeys(keys, uniform_params())
+        net = Network(node_count=5, infrastructure_id=4, edges=edges)
+        contacts = {
+            (0, 1): [(1.0, 50.0), (6.0, 50.0)],
+            (1, 2): [(2.0, 50.0)],
+            (1, 3): [(3.0, 50.0), (4.0, 50.0), (7.0, 50.0)],
+            (3, 4): [(10.0, 50.0)], (2, 4): [(11.0, 50.0)],
+            (1, 4): [(12.0, 50.0)], (0, 4): [(13.0, 50.0)],
+        }
+        task = ol.TransmissionTask(task_id=0, source=0, size=16.0, deadline=100.0)
+        walked, merged = replay_both_ways(net, task, contacts)["spread"]
+        assert_walk_matches("spread", walked, merged)
+        assert walked[0] == (True, True, 17.0)
+        assert ("meet", 1, 3, 50.0, 4.0, False) in merged[1]
+        assert not any(call[0] == "meet" and call[4] == 4.0 for call in walked[1])
+        assert ("meet", 0, 1, 50.0, 6.0, True) in walked[1]
+        assert ("meet", 1, 3, 50.0, 7.0, True) in walked[1]
+
+    def test_a_maxrate_relay_hands_everything_on_and_is_refilled(self):
+        # mobile nodes 0-2, infrastructure 3, every rate 1: node 0's best
+        # relay is 1, node 1's is 2 and node 2's is 1.  Relay 1 gets 6 at 1,
+        # hands it all to 2 at 2, so its edge to infrastructure leaves the
+        # walk at 4; it gets 6 again at 5 and hands it on at 6, and the 4 it
+        # gets at 7 it delivers at 12.  No meeting on (0, 2) can move data,
+        # nor can node 2 hand back to relay 1 at 3.5.
+        edges = {
+            (0, 1): uniform_params(), (0, 2): uniform_params(), (1, 2): uniform_params(),
+            (1, 3): uniform_params(0.05), (2, 3): uniform_params(0.02),
+        }
+        net = Network(node_count=4, infrastructure_id=3, edges=edges)
+        contacts = {
+            (0, 1): [(1.0, 6.0), (5.0, 6.0), (7.0, 50.0)],
+            (1, 2): [(2.0, 50.0), (3.5, 50.0), (6.0, 50.0)],
+            (0, 2): [(3.0, 50.0)],
+            (1, 3): [(4.0, 50.0), (12.0, 50.0)],
+            (2, 3): [(10.0, 50.0)],
+        }
+        task = ol.TransmissionTask(task_id=0, source=0, size=16.0, deadline=100.0)
+        walked, merged = replay_both_ways(net, task, contacts)["maxrate"]
+        assert_walk_matches("maxrate", walked, merged)
+        assert walked[0] == (True, True, 16.0)
+        hands = [(call[1], call[2], call[4]) for call in walked[1] if call[0] == "meet"]
+        assert hands == [(0, 1, 1.0), (1, 2, 2.0), (0, 1, 5.0), (1, 2, 6.0), (0, 1, 7.0)]
+        assert ("meet", 0, 2, 50.0, 3.0, False) in merged[1]
+        assert ("meet", 1, 2, 50.0, 3.5, False) in merged[1]
+        assert (0, 2) not in walked[3]
+        assert ("unload", 1, 4.0, 12.0, 16.0) in walked[1]
 
 
 def coarse_grid_case(seed):
@@ -1172,18 +1281,21 @@ class TestCarrierRules:
     infrastructure 4, every rate 1, so a contact's capacity is its duration."""
 
     def replay(self, strategy, edges, contacts, size=16.0):
+        """The carried amounts, the meets, and the edges sampled."""
         network = Network(node_count=5, infrastructure_id=4, edges=edges)
         task = ol.TransmissionTask(task_id=0, source=0, size=size, deadline=100.0)
         context = simulator._Context(network)
         carriers = strategy(context, task)
         calls = recorded(carriers)
-        simulator._replay(context, task, StubSampler(contacts), carriers)
+        sampler = StubSampler(contacts)
+        simulator._replay(context, task, sampler, carriers)
         meets = [(a, b, start, moved) for kind, a, b, _, start, moved in calls if kind == "meet"]
-        return carriers.carried, meets
+        return carriers.carried, meets, sampler.asked
 
     def spread(self, contacts, size=16.0):
         keys = [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4)]
-        return self.replay(simulator._Spread, dict.fromkeys(keys, uniform_params()), contacts, size)
+        edges = dict.fromkeys(keys, uniform_params())
+        return self.replay(simulator._Spread, edges, contacts, size)[:2]
 
     def test_equal_amounts_hand_from_the_lower_id(self):
         # 0 -> 1, 0 -> 2 and 1 -> 3 leave nodes 1 and 2 holding 4 each,
@@ -1223,7 +1335,9 @@ class TestCarrierRules:
     def test_an_amount_of_at_most_1e_9_does_not_move(self, size, duration, moved):
         carried, meets = self.spread({(0, 1): [(1.0, duration)]}, size=size)
         assert carried[1] == moved
-        assert meets == [(0, 1, 1.0, moved > 0)]
+        # the replay skips a meeting whose half is at most 1e-9
+        assert [meet for meet in meets if meet[-1]] == ([(0, 1, 1.0, True)] if moved else [])
+        assert self.carriers(size).meet(0, 1, duration, 1.0) == (moved > 0)
 
     def carriers(self, size=16.0):
         """A spread task of ``size`` at node 0, met by hand on one edge."""
@@ -1289,9 +1403,20 @@ class TestCarrierRules:
             (1, 4): uniform_params(0.05), (2, 4): uniform_params(0.02),
         }
         contacts = {(0, 2): [(1.0, 50.0)], (0, 3): [(2.0, 50.0)], (0, 1): [(3.0, 50.0)]}
-        carried, meets = self.replay(simulator._MaxRate, edges, contacts)
+        carried, meets, asked = self.replay(simulator._MaxRate, edges, contacts)
         assert carried == {0: 0.0, 1: 16.0, 2: 0.0, 3: 0.0}
-        assert [(b, moved) for _, b, _, moved in meets] == [(2, False), (3, False), (1, True)]
+        assert [(b, moved) for _, b, _, moved in meets] == [(1, True)]
+        # a meeting with a node other than the best relay moves nothing ...
+        carriers = simulator._MaxRate(
+            simulator._Context(Network(node_count=5, infrastructure_id=4, edges=edges)),
+            ol.TransmissionTask(task_id=0, source=0, size=16.0, deadline=100.0),
+        )
+        for other in (2, 3):
+            assert not carriers.meet(0, other, 50.0, 1.0)
+            assert not carriers.meet(other, 0, 50.0, 1.0)
+        assert carriers.carried == {0: 16.0, 1: 0.0, 2: 0.0, 3: 0.0}
+        # ... so the replay never samples those edges
+        assert (0, 2) not in asked and (0, 3) not in asked
 
 
 class TestDistributedInvariantSweep:
