@@ -1239,6 +1239,51 @@ class TestWalkEquivalence:
         assert ("unload", 1, 4.0, 12.0, 16.0) in walked[1]
 
 
+def test_meet_moves_only_what_movable_gives():
+    # under the merged reference, which meets wherever either end holds
+    # data, each meet is checked against movable(a, b) asked just before it
+    seen = {name: [] for name in ("distributed", "spread", "maxrate")}
+    for seed in range(40):
+        network, task, contacts = coarse_grid_case(seed)
+        mobile = network.mobile_nodes()
+        for name, kind in (
+            ("distributed", simulator._Distributed),
+            ("spread", simulator._Spread),
+            ("maxrate", simulator._MaxRate),
+        ):
+            try:
+                strategy = kind(simulator._Context(network), task)
+            except PlanningError:
+                continue
+            meet = strategy.meet
+
+            def checked(a, b, capacity, start, meet=meet, strategy=strategy, name=name):
+                move = strategy.movable(a, b)
+                before = {n: strategy.held(n) for n in mobile}
+                moved = meet(a, b, capacity, start)
+                after = {n: strategy.held(n) for n in mobile}
+                seen[name].append((bool(move), moved))
+                assert move or (not moved and after == before), (seed, name)
+                if name == "distributed":
+                    assert move == (before[a] > 1e-9 or before[b] > 1e-9), seed
+                elif moved:
+                    sender, receiver, amount = move
+                    amount = min(amount, capacity)
+                    before[sender] -= amount
+                    before[receiver] += amount
+                    assert after == before, (seed, name)
+                return moved
+
+            strategy.meet = checked
+            merged_replay(network, task, StubSampler(contacts), strategy)
+    for name, calls in seen.items():
+        assert (True, True) in calls, name
+    # the reference meets where the carriers' movable is falsy; a spread
+    # hand it passes can still move nothing, and a maxrate one always moves
+    assert (False, False) in seen["spread"] and (True, False) in seen["spread"]
+    assert (False, False) in seen["maxrate"] and (True, False) not in seen["maxrate"]
+
+
 def coarse_grid_case(seed):
     """A random network, hand-made contacts on it and one task: integer
     starts make simultaneous contacts common, within an edge and across
@@ -1281,16 +1326,24 @@ class TestCarrierRules:
     infrastructure 4, every rate 1, so a contact's capacity is its duration."""
 
     def replay(self, strategy, edges, contacts, size=16.0):
-        """The carried amounts, the meets, and the edges sampled."""
+        """The walk's carried amounts, meets and sampled edges, once its
+        outcome, calls and carried amounts match the merged reference's."""
         network = Network(node_count=5, infrastructure_id=4, edges=edges)
         task = ol.TransmissionTask(task_id=0, source=0, size=size, deadline=100.0)
-        context = simulator._Context(network)
-        carriers = strategy(context, task)
-        calls = recorded(carriers)
-        sampler = StubSampler(contacts)
-        simulator._replay(context, task, sampler, carriers)
-        meets = [(a, b, start, moved) for kind, a, b, _, start, moved in calls if kind == "meet"]
-        return carriers.carried, meets, sampler.asked
+        runs = []
+        for replay in (simulator._replay, merged_replay):
+            context = simulator._Context(network)
+            carriers = strategy(context, task)
+            calls = recorded(carriers)
+            sampler = StubSampler(contacts)
+            first = context if replay is simulator._replay else network
+            outcome = replay(first, task, sampler, carriers)
+            runs.append(((outcome, calls, [], sampler.asked), carriers.carried))
+        (walked, carried), (merged, merged_carried) = runs
+        assert_walk_matches(strategy.__name__, walked, merged)
+        assert carried == merged_carried
+        meets = [call[1:3] + call[4:] for call in walked[1] if call[0] == "meet"]
+        return carried, meets, walked[3]
 
     def spread(self, contacts, size=16.0):
         keys = [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4)]
@@ -1318,10 +1371,12 @@ class TestCarrierRules:
 
     def test_a_node_never_hands_back_to_a_node_it_received_from(self):
         # 0 -> 1 (8), then 0 -> 1 again on equal amounts (4); then node 1
-        # holds more but got its data from 0, so nothing moves
-        carried, meets = self.spread({(0, 1): [(1.0, 50.0), (2.0, 50.0), (3.0, 50.0)]})
+        # holds more but got its data from 0, so nothing moves, and as its
+        # half passes movable the edge stays walked
+        contacts = {(0, 1): [(1.0, 50.0), (2.0, 50.0), (3.0, 50.0), (4.0, 50.0)]}
+        carried, meets = self.spread(contacts)
         assert carried == {0: 4.0, 1: 12.0, 2: 0.0, 3: 0.0}
-        assert [moved for *_, moved in meets] == [True, True, False]
+        assert [moved for *_, moved in meets] == [True, True, False, False]
 
     def test_the_capacity_caps_the_amount(self):
         # half of 16 is 8, and the contact carries 3
@@ -1395,6 +1450,45 @@ class TestCarrierRules:
         # both cases happen
         assert any(amount < floor for amount, _, floor in hands)
         assert any(amount < cap for amount, cap, _ in hands)
+
+    def test_a_spread_hand_flips_when_a_delivery_shrinks_the_larger_carrier(self):
+        # node 1 holds 12 from node 0 and may not hand back at 3; it delivers
+        # 10 at 5, so node 0, holding 4, hands its half to it at 6.  A
+        # delivery brings no edge back, so (0, 1) must stay walked at 3
+        edges = dict.fromkeys([(0, 1), (0, 4), (1, 4)], uniform_params())
+        contacts = {
+            (0, 1): [(1.0, 50.0), (2.0, 50.0), (3.0, 50.0), (6.0, 50.0)],
+            (1, 4): [(5.0, 10.0), (7.0, 50.0)],
+            (0, 4): [(8.0, 50.0)],
+        }
+        carried, meets, _ = self.replay(simulator._Spread, edges, contacts)
+        assert meets[2:] == [(0, 1, 3.0, False), (0, 1, 6.0, True)]
+        assert carried == {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
+
+    def test_mutual_best_relays_hand_the_other_way_when_provenance_refuses(self):
+        # nodes 1 and 2 are each other's best relay, and node 0's is 2.
+        # 0 -> 2 (6) at 1, 2 -> 1 (4) at 2, 0 -> 2 (6) at 3; at 4 node 1 got
+        # its data from 2, so of the meeting's two directions 2 -> 1 hands
+        edges = {
+            (0, 1): uniform_params(), (0, 2): uniform_params(), (1, 2): uniform_params(),
+            (1, 4): uniform_params(0.02), (2, 4): uniform_params(0.05),
+        }
+        contacts = {
+            (0, 2): [(1.0, 6.0), (3.0, 6.0)], (1, 2): [(2.0, 4.0), (4.0, 50.0)],
+        }
+        carried, meets, _ = self.replay(simulator._MaxRate, edges, contacts)
+        assert meets == [(0, 2, 1.0, True), (1, 2, 2.0, True), (0, 2, 3.0, True), (1, 2, 4.0, True)]
+        assert carried == {0: 4.0, 1: 12.0, 2: 0.0, 3: 0.0}
+
+    @pytest.mark.parametrize("capacity", [1e-9, 5e-10])
+    def test_maxrate_hands_even_a_capacity_of_at_most_1e_9(self, capacity):
+        # unlike spread, maxrate's capped amount has no 1e-9 test
+        carriers = simulator._MaxRate(
+            simulator._Context(Network(5, 4, {(0, 1): uniform_params(), (1, 4): uniform_params()})),
+            ol.TransmissionTask(task_id=0, source=0, size=16.0, deadline=100.0),
+        )
+        assert carriers.meet(0, 1, capacity, 1.0)
+        assert carriers.carried[1] == capacity
 
     def test_maxrate_hands_only_to_the_best_relay(self):
         # node 0 reaches infrastructure through 1 (contact rate 0.05) or 2 (0.02)
