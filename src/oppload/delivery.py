@@ -296,14 +296,7 @@ def transfer_prob(hop: PairContactParams, contact_count: int, data_size: float) 
     whenever ``beta * R >= data_size`` (the minimum transfer suffices).
     """
     check_positive("data_size", data_size)
-    return _transfer(hop, contact_count, data_size, mean_max_ratio(contact_count, hop.alpha))
-
-
-def _transfer(
-    hop: PairContactParams, contact_count: int, data_size: float, sum_to_max: float
-) -> float:
-    """:func:`transfer_prob`, given the sum-to-max ratio and checked inputs."""
-    ratio = hop.beta * sum_to_max / data_size
+    ratio = hop.beta * mean_max_ratio(contact_count, hop.alpha) / data_size
     if ratio >= 1.0:
         return 1.0
     miss = 1.0 - ratio**hop.alpha
@@ -330,7 +323,7 @@ def _exact_success(
     """P(the hop carries ``data_size`` at exactly n contacts), n = 1..limit.
 
     The increments ``TP(n) - TP(n-1)`` of :func:`transfer_prob`, in order
-    of n, with :func:`_transfer`'s expression inline; with
+    of n, with its expression inline; with
     ``stop_when_certain`` they end at the first n where ``TP(n) >= 1``.
     """
     prev = 0.0

@@ -5,15 +5,13 @@ the delivery probability of one path (the validation oracle for the
 analytic estimators), and :func:`simulate_strategy` replays whole
 transmission tasks on a network under one of five strategies, reporting
 per-task outcomes, with one loop per transfer model: a plan's whole segments
-drain hop by hop, and the per-contact strategies walk their contacts.  The
-walk visits only the edges where a contact can change something: an edge to
-infrastructure whose mobile end holds data, and an edge between mobile nodes
-where a meeting can move data under the strategy's rule.  Its task loop
-alone turns a ``ComplexityError``, ``EstimationError`` or ``PlanningError``
-into a failed task; a ``ProtocolError`` propagates.  The sampler's
-``MAX_EXPECTED_CONTACTS`` fails a task on an edge that its plan drains, or,
-under a per-contact strategy, on any edge of a node that comes to hold data,
-walked or not.
+drain hop by hop, and the per-contact strategies walk their contacts on
+only the edges where a contact can change something, as :func:`_replay`
+states.  The task loop of :func:`simulate_strategy` alone turns a
+``ComplexityError``, ``EstimationError`` or ``PlanningError`` into a
+failed task; a ``ProtocolError`` propagates.  The sampler's
+``MAX_EXPECTED_CONTACTS`` fails a task on an edge that its plan drains, or
+on any edge of a node that a replay walks.
 
 Contact realizations are derived deterministically from ``(seed, task id,
 edge)``, so every strategy sees the same contacts for the same task and a
@@ -337,7 +335,7 @@ def _replay(
     strategy's ``movable(a, b)``, whose docstring states its rule, is truthy
     where a meeting can move data; ``meet`` moves data and returns whether
     it did, and moves nothing where ``movable`` is falsy.  A falsy answer
-    turns truthy only when an end comes to hold data or its holding grows.
+    turns truthy only when an end's holding grows.
 
     Any other contact changes nothing, so only the edges where a contact can
     change something are walked: an edge to infrastructure whose mobile end
@@ -346,12 +344,11 @@ def _replay(
     start, then by rank in ``sorted(network.edges)``, then by index on the
     edge.  An edge is sampled the first time the walk needs it and leaves
     the walk when it is reached while no contact on it can change anything.
-    A node that comes to hold data brings back its idle edges that can then
-    change something, from the first contact after the current one; so does
-    a node whose holding grows, as a spread carrier's half reaches the floor
-    again.  Its other edges are checked against ``MAX_EXPECTED_CONTACTS`` as
-    sampling would check them, so the cap fails a task on any edge of a node
-    that comes to hold data, walked or not.
+    A node is walked when its holding grows, the source at the start: its
+    idle edges that can then change something come back from the first
+    contact after the current one, and its other edges are checked against
+    ``MAX_EXPECTED_CONTACTS`` as sampling would check them, so the cap fails
+    a task on any edge of a node that comes to hold data, walked or not.
     """
     deadline = task.deadline
     done = task.size - _EPS * task.size
@@ -366,22 +363,16 @@ def _replay(
     live = [False] * len(keys)  # the edge has an entry on the heap
     # entries (start, rank, index); (start, rank) alone orders them
     heap: list[tuple[float, int, int]] = [(inf, -1, 0)]
-    # nodes whose edges are all on the heap; an edge leaving it stops both
-    # ends walking, so a node that holds data again brings it back; it spares
-    # distributed re-walking both ends of each meeting (28-137x the walks)
-    walking: set[int] = set()
 
     def walk(node: int, now: float, rank: int) -> None:
         """Put the idle edges of ``node``, which holds data, that can change
         something on the heap after contact ``(now, rank)``, and check the
         others against the contact cap."""
-        whole = True
         for r in incident[node]:
             if live[r]:
                 continue
             s = starts[r]
             if mobile_end[r] < 0 and not movable(*keys[r]):
-                whole = False
                 if s is None:
                     _check_contact_count(edges[keys[r]], deadline)
                 continue
@@ -394,12 +385,9 @@ def _replay(
             i = (bisect_right if r < rank else bisect_left)(s, now)
             live[r] = True
             heappush(heap, (s[i], r, i))
-        if whole:
-            walking.add(node)
 
-    for node in context.network.mobile_nodes():
-        if held(node) > eps:
-            walk(node, -inf, -1)
+    if held(task.source) > eps:
+        walk(task.source, -inf, -1)
     delivered = 0.0
     offloaded = False
     while True:
@@ -415,7 +403,6 @@ def _replay(
         if not touching:
             heappop(heap)
             live[r] = False
-            walking.difference_update(keys[r])
             continue
         heapreplace(heap, (starts[r][i + 1], r, i + 1))
         # min(duration, deadline - start), inlined: this runs once a contact
@@ -434,10 +421,11 @@ def _replay(
                 if delivered >= done:
                     return offloaded, True, start + amount / rates[r]
         else:
+            held_a, held_b = held(a), held(b)
             offloaded = meet(a, b, capacity, start) or offloaded
-            if a not in walking and held(a) > eps:
+            if held(a) > max(held_a, eps):
                 walk(a, start, r)
-            if b not in walking and held(b) > eps:
+            if held(b) > max(held_b, eps):
                 walk(b, start, r)
 
 
@@ -635,16 +623,13 @@ def simulate_strategy(
     task_id, edge)``, identical across strategies.  ``event_log`` (filled
     with per-event rows) and ``monitor`` (called after every protocol
     event) only apply to the distributed strategy.  Distributed, spread and
-    maxrate walk a task's contacts only on the edges where a contact can
-    change something: to infrastructure from a node that holds data, and
-    between mobile nodes where a meeting can move data under the strategy's
-    rule.
+    maxrate walk a task's contacts as :func:`_replay` states.
 
     A task the program cannot run fails alone (not offloaded, no completion
     time): the task loop catches any runner's ``ComplexityError`` (the
     planner's tuple cap, the estimator's cap in a replay, or the sampler's
     ``MAX_EXPECTED_CONTACTS`` on an edge that a plan drains or on any edge of
-    a node that comes to hold data in a replay, walked or not),
+    a node that a replay walks),
     ``EstimationError`` (an estimator gamma or contact count overflows) or
     ``PlanningError`` (a source without the route its strategy needs).  A
     ``ProtocolError`` is a protocol fault and propagates.

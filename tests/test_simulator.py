@@ -389,8 +389,10 @@ class TestSimulateStrategy:
     @pytest.mark.usefixtures("pcg64_stream")
     def test_task_over_the_contact_cap_fails_alone(self):
         # at deadline 6e6 a strong mobile edge of source 3 expects more than
-        # MAX_EXPECTED_CONTACTS contacts, so only the replays, which walk
-        # it, cannot sample the task; the direct edge stays under the cap.
+        # MAX_EXPECTED_CONTACTS contacts, so only the replays fail the task:
+        # they check every edge of the source, which they walk at the start,
+        # and maxrate checks this one without walking it, as no meeting on it
+        # can move data; the direct edge stays under the cap.
         # The completion time 108.4 was recorded on the PCG64 stream.
         net = criterion_7_network()
         tasks = [
@@ -1208,13 +1210,13 @@ class TestWalkEquivalence:
         assert ("meet", 0, 1, 50.0, 6.0, True) in walked[1]
         assert ("meet", 1, 3, 50.0, 7.0, True) in walked[1]
 
-    def test_a_maxrate_relay_hands_everything_on_and_is_refilled(self):
-        # mobile nodes 0-2, infrastructure 3, every rate 1: node 0's best
-        # relay is 1, node 1's is 2 and node 2's is 1.  Relay 1 gets 6 at 1,
-        # hands it all to 2 at 2, so its edge to infrastructure leaves the
-        # walk at 4; it gets 6 again at 5 and hands it on at 6, and the 4 it
-        # gets at 7 it delivers at 12.  No meeting on (0, 2) can move data,
-        # nor can node 2 hand back to relay 1 at 3.5.
+    def relay_case(self):
+        """Mobile nodes 0-2, infrastructure 3, every rate 1: node 0's best
+        relay is 1, node 1's is 2 and node 2's is 1.  Relay 1 gets 6 at 1,
+        hands it all to 2 at 2, so its edge to infrastructure leaves the
+        walk at 4; it gets 6 again at 5 and hands it on at 6, and the 4 it
+        gets at 7 it delivers at 12.  No meeting on (0, 2) can move data,
+        nor can node 2 hand back to relay 1 at 3.5."""
         edges = {
             (0, 1): uniform_params(), (0, 2): uniform_params(), (1, 2): uniform_params(),
             (1, 3): uniform_params(0.05), (2, 3): uniform_params(0.02),
@@ -1228,7 +1230,10 @@ class TestWalkEquivalence:
             (2, 3): [(10.0, 50.0)],
         }
         task = ol.TransmissionTask(task_id=0, source=0, size=16.0, deadline=100.0)
-        walked, merged = replay_both_ways(net, task, contacts)["maxrate"]
+        return net, task, contacts
+
+    def test_a_maxrate_relay_hands_everything_on_and_is_refilled(self):
+        walked, merged = replay_both_ways(*self.relay_case())["maxrate"]
         assert_walk_matches("maxrate", walked, merged)
         assert walked[0] == (True, True, 16.0)
         hands = [(call[1], call[2], call[4]) for call in walked[1] if call[0] == "meet"]
@@ -1237,6 +1242,27 @@ class TestWalkEquivalence:
         assert ("meet", 1, 2, 50.0, 3.5, False) in merged[1]
         assert (0, 2) not in walked[3]
         assert ("unload", 1, 4.0, 12.0, 16.0) in walked[1]
+
+    def test_a_node_is_walked_only_when_its_holding_grows(self, monkeypatch):
+        # the never-movable edge (0, 2) is checked against the contact cap
+        # each time an end is walked: node 0 at the start, and node 2 when
+        # it receives at 2 and at 6; node 0, which only hands data on at 1
+        # and 5, is not walked again
+        net, task, contacts = self.relay_case()
+        key_of = {id(params): key for key, params in net.edges.items()}
+        assert len(key_of) == len(net.edges)
+        checked = []
+
+        def check(params, horizon):
+            checked.append(key_of[id(params)])
+
+        monkeypatch.setattr(simulator, "_check_contact_count", check)
+        context = simulator._Context(net)
+        outcome = simulator._replay(
+            context, task, StubSampler(contacts), simulator._MaxRate(context, task)
+        )
+        assert outcome == (True, True, 16.0)
+        assert checked.count((0, 2)) == 3
 
 
 def test_meet_moves_only_what_movable_gives():
